@@ -1,0 +1,25 @@
+//! Order statistics over measured samples.
+
+/// The `q`-quantile (0 ≤ q ≤ 1) by linear interpolation between order
+/// statistics; 0 for no samples.
+pub fn quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut v = samples.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+pub fn median(samples: &[f64]) -> f64 {
+    quantile(samples, 0.5)
+}
+
+/// Median and 99th percentile of integer samples (nanoseconds).
+pub fn p50_p99(samples: &[u64]) -> (f64, f64) {
+    let v: Vec<f64> = samples.iter().map(|&s| s as f64).collect();
+    (quantile(&v, 0.5), quantile(&v, 0.99))
+}
