@@ -1,19 +1,25 @@
-//! Golden-file test for the merged multi-rank Chrome-trace export.
+//! Golden-file tests for the merged multi-rank trace exports.
 //!
 //! Builds a deterministic two-rank trace — each rank's ring compacts a
 //! host-call burst into a summary record, and the ranks start at different
-//! local epochs — then pins the exporter's exact JSON against
-//! `results/trace_compacted.json`. Regenerate the golden after an
+//! local epochs — then pins the exporters' exact JSON against
+//! `results/trace_compacted.json` and `results/trace_otlp.json`. A second,
+//! hand-built two-rank source covers every branch of the Chrome, OTLP and
+//! XML trace writers (profiler ground truth, several streams, summaries on
+//! host and kernel lanes, names that need escaping) against
+//! `tests/golden/mixed_trace.*`. Regenerate the goldens after an
 //! intentional exporter change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
 
+use ipm_repro::gpu::{ProfKind, ProfRecord, StreamId};
 use ipm_repro::ipm::{
-    validate_chrome_trace, ChromeTrace, CompactPolicy, Export, TraceKind, TraceRank, TraceRecord,
-    TraceRing,
+    validate_chrome_trace, ChromeTrace, CompactPolicy, Export, MonitorInfo, ProfileEntry,
+    RankProfile, TraceAgg, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
 };
+use ipm_repro::sim::RunningStats;
 
 fn rec(
     kind: TraceKind,
@@ -234,4 +240,220 @@ fn every_launch_span_links_to_its_kernel_span() {
         );
     }
     assert_eq!(launches, 2, "one launch span per rank");
+}
+
+/// A summary record: `count` events merged over `begin..end`.
+fn summary(kind: TraceKind, name: &str, begin: f64, end: f64, stream: Option<u32>) -> TraceRecord {
+    TraceRecord {
+        agg: Some(TraceAgg {
+            count: 5,
+            total: 0.07,
+            min: 0.01,
+            max: 0.03,
+            exemplar: (begin + 0.1, begin + 0.13),
+        }),
+        ..rec(kind, name, begin, end, stream, 0)
+    }
+}
+
+fn entry(name: &str, detail: Option<&str>, bytes: u64, region: u16) -> ProfileEntry {
+    let mut stats = RunningStats::new();
+    stats.record(0.3);
+    stats.record(0.1);
+    ProfileEntry {
+        name: name.to_owned(),
+        detail: detail.map(str::to_owned),
+        bytes,
+        region,
+        stats,
+    }
+}
+
+/// Names and hosts carrying every character class a writer must escape:
+/// a quote, a backslash, control characters and XML's `&<>`.
+const NASTY: &str = "q\"b\\c\u{1}t\t&<x>";
+
+/// Two ranks covering every branch of the three trace writers. Rank 0 has
+/// profiler ground truth, so its device lanes come from `ProfRecord`s
+/// (kernels and a memcpy, on two streams); rank 1 has none, so its device
+/// lanes come from `KernelExec` records (two streams, one of them carrying
+/// a compaction summary). Both host lanes mix raw calls, calls with bytes,
+/// a summary and a host-idle interval. Timestamps are deliberately not
+/// dyadic, so any change in the exporters' arithmetic shows in the digits.
+fn mixed_export() -> Export {
+    let nasty_name = format!("cudaMemcpy{NASTY}");
+    let p = |rank: usize, host: &str| RankProfile {
+        rank,
+        nranks: 2,
+        host: host.to_owned(),
+        command: format!("./md {NASTY}"),
+        wallclock: 3.3,
+        regions: vec!["<program>".to_owned(), format!("pme{NASTY}")],
+        entries: vec![
+            entry(&nasty_name, None, 4096, 1),
+            entry("@CUDA_EXEC_STRM00", Some(&format!("kern{NASTY}")), 0, 0),
+        ],
+        dropped_events: 1,
+        monitor: MonitorInfo::default(),
+    };
+
+    let mut copy = rec(TraceKind::Call, &nasty_name, 0.3, 0.45, None, 0);
+    copy.bytes = 4096;
+    copy.region = 1;
+    let mut exec = rec(
+        TraceKind::KernelExec,
+        "@CUDA_EXEC_STRM00",
+        0.6,
+        0.7,
+        Some(0),
+        11,
+    );
+    exec.detail = Some("ignored when prof is present".into());
+    let rank0 = vec![
+        copy,
+        rec(TraceKind::Call, "cudaLaunch", 0.5, 0.52, None, 11),
+        rec(TraceKind::Call, "cudaLaunch", 0.53, 0.55, None, 12),
+        summary(TraceKind::Call, "cudaGetLastError", 0.6, 0.9, None),
+        rec(TraceKind::HostIdle, "@CUDA_HOST_IDLE", 0.95, 1.1, None, 0),
+        exec,
+    ];
+    let prof0 = vec![
+        ProfRecord {
+            method: format!("kern{NASTY}"),
+            kind: ProfKind::Kernel,
+            stream: StreamId(0),
+            start: 0.56,
+            gputime: 0.2,
+            cputime: 1e-5,
+            corr: 11,
+        },
+        ProfRecord {
+            method: "other".to_owned(),
+            kind: ProfKind::Kernel,
+            stream: StreamId(1),
+            start: 0.57,
+            gputime: 0.13,
+            cputime: 1e-5,
+            corr: 12,
+        },
+        ProfRecord {
+            method: "memcpyDtoH".to_owned(),
+            kind: ProfKind::MemcpyD2H,
+            stream: StreamId(1),
+            start: 0.8,
+            gputime: 0.05,
+            cputime: 2e-5,
+            corr: 0,
+        },
+    ];
+
+    let e1 = 2.7;
+    let mut copy = rec(
+        TraceKind::Call,
+        "cudaMemcpy(D2H)",
+        e1 + 0.1,
+        e1 + 0.3,
+        None,
+        0,
+    );
+    copy.bytes = 800_000;
+    let mut k21 = rec(
+        TraceKind::KernelExec,
+        "@CUDA_EXEC_STRM00",
+        e1 + 0.45,
+        e1 + 0.6,
+        Some(0),
+        21,
+    );
+    k21.detail = Some(format!("kern{NASTY}").into());
+    let rank1 = vec![
+        copy,
+        rec(TraceKind::Call, "cudaLaunch", e1 + 0.4, e1 + 0.41, None, 21),
+        rec(
+            TraceKind::Call,
+            "cudaLaunch",
+            e1 + 0.42,
+            e1 + 0.43,
+            None,
+            22,
+        ),
+        summary(TraceKind::Call, &nasty_name, e1 + 0.7, e1 + 1.1, None),
+        rec(
+            TraceKind::HostIdle,
+            "@CUDA_HOST_IDLE",
+            e1 + 1.2,
+            e1 + 1.3,
+            None,
+            0,
+        ),
+        k21,
+        rec(
+            TraceKind::KernelExec,
+            "@CUDA_EXEC_STRM02",
+            e1 + 0.44,
+            e1 + 0.5,
+            Some(2),
+            22,
+        ),
+        summary(
+            TraceKind::KernelExec,
+            "@CUDA_EXEC_STRM00",
+            e1 + 0.65,
+            e1 + 0.95,
+            Some(0),
+        ),
+    ];
+
+    Export::new()
+        .rank(p(0, &format!("dirac{NASTY}")))
+        .with_trace(rank0)
+        .with_prof(prof0)
+        .with_epoch(0.1)
+        .rank(p(1, "dirac01"))
+        .with_trace(rank1)
+        .with_epoch(e1)
+}
+
+fn check_golden(name: &str, text: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, text).expect("write golden");
+    }
+    let golden =
+        std::fs::read_to_string(&path).expect("golden file missing — run with UPDATE_GOLDEN=1");
+    assert_eq!(text, golden, "export drifted from tests/golden/{name}");
+}
+
+/// Every trace writer over [`mixed_export`], pinned byte for byte against
+/// `tests/golden/mixed_trace.*` (regenerate with `UPDATE_GOLDEN=1` after an
+/// intentional format change).
+#[test]
+fn mixed_two_rank_export_matches_golden_in_every_trace_format() {
+    let export = mixed_export();
+
+    let chrome = export.to(ChromeTrace).expect("ranks present");
+    let stats = validate_chrome_trace(&chrome).expect("chrome export invalid");
+    assert_eq!(stats.processes, 2);
+    // rank 0: 5 host + 3 prof slices; rank 1: 5 host + 3 kernel slices
+    assert_eq!(stats.slices, 16);
+    // host + streams 0,1 on rank 0; host + streams 0,2 on rank 1
+    assert_eq!(stats.lanes, 6);
+    assert_eq!(stats.flow_pairs, 4);
+    assert!(chrome.contains("\"gputime_us\":"), "{chrome}");
+    check_golden("mixed_trace.chrome.json", &chrome);
+
+    let xml = export.to(Xml).expect("every rank carries a profile");
+    check_golden("mixed_trace.xml", &xml);
+
+    #[cfg(feature = "otlp")]
+    {
+        use ipm_repro::ipm::{validate_otlp, Otlp};
+        let otlp = export.to(Otlp).expect("ranks present");
+        let stats = validate_otlp(&otlp).expect("OTLP export invalid");
+        assert_eq!(stats.resources, 2);
+        assert_eq!(stats.spans, 16);
+        assert_eq!(stats.links, 4);
+        assert_eq!(stats.summary_spans, 3);
+        check_golden("mixed_trace.otlp.json", &otlp);
+    }
 }
