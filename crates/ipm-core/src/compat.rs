@@ -131,7 +131,7 @@ pub fn render_region_report(profile: &RankProfile, max_rows: usize) -> String {
     note = "use Export::from_profile(p).with_trace(t).to(Xml)"
 )]
 pub fn to_xml_with_trace(p: &RankProfile, trace: &[TraceRecord]) -> String {
-    crate::xml::to_xml_with_trace_at(p, trace, 0.0)
+    xml_with_trace(p, trace, 0.0)
 }
 
 /// XML log with an embedded trace section and explicit epoch.
@@ -140,7 +140,13 @@ pub fn to_xml_with_trace(p: &RankProfile, trace: &[TraceRecord]) -> String {
     note = "use Export::from_profile(p).with_trace(t).with_epoch(e).to(Xml)"
 )]
 pub fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch: f64) -> String {
-    crate::xml::to_xml_with_trace_at(p, trace, epoch)
+    xml_with_trace(p, trace, epoch)
+}
+
+fn xml_with_trace(p: &RankProfile, trace: &[TraceRecord], epoch: f64) -> String {
+    let mut out = String::new();
+    crate::xml::write_xml(&mut out, p, trace, epoch);
+    out
 }
 
 /// Chrome trace-event JSON for a set of ranks.
@@ -149,7 +155,12 @@ pub fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch: f64) 
     note = "use Export::new().with_trace_rank(r).to(ChromeTrace)"
 )]
 pub fn chrome_trace(ranks: &[TraceRank]) -> String {
-    crate::export::chrome::chrome_trace_json(ranks)
+    let ranks: Vec<crate::export::ExportRank> = ranks
+        .iter()
+        .cloned()
+        .map(crate::export::ExportRank::from_trace_rank)
+        .collect();
+    crate::export::chrome::chrome_trace_json(&ranks)
 }
 
 /// The `ipm_parse -html` report page.

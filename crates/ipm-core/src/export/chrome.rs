@@ -10,27 +10,33 @@
 //! resolved flow bindings) shared by tests and the `ipm_parse trace`
 //! subcommand.
 
-use crate::jsonw::{esc, parse_json, Json};
-use crate::trace::{TraceKind, TraceRank, TraceRecord};
-use ipm_gpu_sim::ProfKind;
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use super::ExportRank;
+use crate::jsonw::{parse_json, Escaped, Json};
+use crate::trace::{TraceKind, TraceRecord};
+use ipm_gpu_sim::{ProfKind, ProfRecord};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt::{self, Write as _};
 
 /// Microseconds for the `ts` field (Chrome's unit).
 fn us(t: f64) -> f64 {
     t * 1e6
 }
 
-/// An interval destined for one lane.
-struct LaneSlice {
-    name: String,
-    begin: f64,
-    end: f64,
-    args: Vec<(&'static str, String)>,
-    /// Flow id to terminate at this slice's begin (0 = none).
-    flow_in: u64,
-    /// Flow id to originate at this slice's begin (0 = none).
-    flow_out: u64,
+/// The record a slice stands for, borrowed; its `args` object is rendered
+/// from it at emit time.
+#[derive(Clone, Copy)]
+enum Args<'a> {
+    /// A host-lane record: `bytes` (when non-zero), `region`, and a
+    /// summary's aggregate.
+    Host(&'a TraceRecord),
+    /// A `KernelExec` record on a device lane: `region` and a summary's
+    /// aggregate.
+    Kernel(&'a TraceRecord),
+    /// Profiler ground truth: the device-side duration.
+    Prof(&'a ProfRecord),
+}
+
+impl Args<'_> {
     /// Compaction summary: emitted as a Chrome `X` (complete) event rather
     /// than a `B`/`E` pair. Summaries span `first_begin..last_end` of an
     /// interleaved subsequence (writers rotate ring stripes, each stripe
@@ -38,16 +44,93 @@ struct LaneSlice {
     /// *partially* overlap — something `B`/`E` nesting cannot express. An
     /// `X` event carries its own `dur` and takes no part in the nesting
     /// stack, so overlap is harmless.
-    summary: bool,
+    fn summary(self) -> bool {
+        match self {
+            Args::Host(t) | Args::Kernel(t) => t.is_summary(),
+            Args::Prof(_) => false,
+        }
+    }
+}
+
+/// The members of the `args` object, without braces. A summary's
+/// aggregate fields come last, so Perfetto shows how many events a
+/// compacted slice stands for.
+impl fmt::Display for Args<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = match *self {
+            Args::Prof(p) => return write!(f, "\"gputime_us\":{}", p.gputime * 1e6),
+            Args::Host(t) => {
+                if t.bytes > 0 {
+                    write!(f, "\"bytes\":{},", t.bytes)?;
+                }
+                t
+            }
+            Args::Kernel(t) => t,
+        };
+        write!(f, "\"region\":{}", t.region)?;
+        if let Some(a) = t.agg {
+            write!(
+                f,
+                ",\"count\":{},\"total_us\":{},\"min_us\":{},\"max_us\":{}",
+                a.count,
+                us(a.total),
+                us(a.min),
+                us(a.max)
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// About what one record adds to the document (a `B`/`E` pair, sometimes a
+/// flow event), for reserving the output up front.
+const RECORD_BYTES: usize = 256;
+
+/// An interval destined for one lane.
+struct LaneSlice<'a> {
+    name: &'a str,
+    begin: f64,
+    end: f64,
+    args: Args<'a>,
+    /// Flow id to terminate at this slice's begin (0 = none).
+    flow_in: u64,
+    /// Flow id to originate at this slice's begin (0 = none).
+    flow_out: u64,
+}
+
+/// The `traceEvents` array under construction, written straight into the
+/// output document with `,\n` between events.
+struct Events {
+    out: String,
+    n: usize,
+}
+
+impl Events {
+    /// The output, positioned for the next event.
+    fn next(&mut self) -> &mut String {
+        if self.n > 0 {
+            self.out.push_str(",\n");
+        }
+        self.n += 1;
+        &mut self.out
+    }
+
+    fn meta(&mut self, pid: usize, tid: Option<u32>, which: &str, label: fmt::Arguments<'_>) {
+        let out = self.next();
+        let _ = write!(out, "{{\"ph\":\"M\",\"name\":\"{which}\",\"pid\":{pid}");
+        if let Some(tid) = tid {
+            let _ = write!(out, ",\"tid\":{tid}");
+        }
+        let _ = write!(out, ",\"args\":{{\"name\":\"{label}\"}}}}");
+    }
 }
 
 /// Emit one lane's slices: raw records as properly nested `B`/`E` pairs,
-/// summaries as self-contained `X` events (JSON object strings). Events
-/// are produced in `(begin, -end)` order and every event's `ts` is either
-/// the current slice's begin or a pending end ≤ it, so timestamps are
-/// non-decreasing even when summary spans partially overlap raw slices or
-/// each other.
-fn emit_lane(pid: usize, tid: u32, mut slices: Vec<LaneSlice>, out: &mut Vec<String>) {
+/// summaries as self-contained `X` events. Events are produced in
+/// `(begin, -end)` order and every event's `ts` is either the current
+/// slice's begin or a pending end ≤ it, so timestamps are non-decreasing
+/// even when summary spans partially overlap raw slices or each other.
+fn emit_lane(ev: &mut Events, pid: usize, tid: u32, mut slices: Vec<LaneSlice<'_>>) {
     slices.sort_by(|a, b| {
         a.begin
             .partial_cmp(&b.begin)
@@ -55,227 +138,175 @@ fn emit_lane(pid: usize, tid: u32, mut slices: Vec<LaneSlice>, out: &mut Vec<Str
             .then(b.end.partial_cmp(&a.end).expect("finite timestamps"))
     });
     // stack of pending end timestamps with their slice names
-    let mut stack: Vec<(f64, String)> = Vec::new();
-    let close = |stack: &mut Vec<(f64, String)>, upto: f64, out: &mut Vec<String>| {
-        while let Some((end, _)) = stack.last() {
-            if *end <= upto {
-                let (end, name) = stack.pop().expect("checked non-empty");
-                out.push(format!(
-                    "{{\"ph\":\"E\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                    esc(&name),
-                    pid,
-                    tid,
-                    us(end)
-                ));
-            } else {
+    let mut stack: Vec<(f64, &str)> = Vec::new();
+    let close = |stack: &mut Vec<(f64, &str)>, upto: f64, ev: &mut Events| {
+        while let Some(&(end, name)) = stack.last() {
+            if end > upto {
                 break;
             }
+            stack.pop();
+            let _ = write!(
+                ev.next(),
+                "{{\"ph\":\"E\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}}}",
+                Escaped(name),
+                pid,
+                tid,
+                us(end)
+            );
         }
     };
     for s in slices {
-        close(&mut stack, s.begin, out);
+        close(&mut stack, s.begin, ev);
         if s.flow_in != 0 {
-            out.push(format!(
+            let _ = write!(
+                ev.next(),
                 "{{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"launch\",\"name\":\"launch\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
                 s.flow_in, pid, tid, us(s.begin)
-            ));
+            );
         }
         if s.flow_out != 0 {
-            out.push(format!(
+            let _ = write!(
+                ev.next(),
                 "{{\"ph\":\"s\",\"cat\":\"launch\",\"name\":\"launch\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
                 s.flow_out, pid, tid, us(s.begin)
-            ));
+            );
         }
-        let mut args = String::new();
-        for (i, (k, v)) in s.args.iter().enumerate() {
-            if i > 0 {
-                args.push(',');
-            }
-            let _ = write!(args, "\"{}\":{}", k, v);
-        }
-        if s.summary {
-            out.push(format!(
+        if s.args.summary() {
+            let _ = write!(
+                ev.next(),
                 "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
-                esc(&s.name),
+                Escaped(s.name),
                 pid,
                 tid,
                 us(s.begin),
                 us(s.end - s.begin),
-                args
-            ));
+                s.args
+            );
         } else {
-            out.push(format!(
+            let _ = write!(
+                ev.next(),
                 "{{\"ph\":\"B\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{},\"args\":{{{}}}}}",
-                esc(&s.name),
+                Escaped(s.name),
                 pid,
                 tid,
                 us(s.begin),
-                args
-            ));
+                s.args
+            );
             stack.push((s.end, s.name));
         }
     }
-    close(&mut stack, f64::INFINITY, out);
-}
-
-/// Append the aggregate fields of a summary record to a slice's args, so
-/// Perfetto shows how many events a compacted slice stands for.
-fn summary_args(t: &TraceRecord, args: &mut Vec<(&'static str, String)>) {
-    if let Some(a) = t.agg {
-        args.push(("count", a.count.to_string()));
-        args.push(("total_us", format!("{}", us(a.total))));
-        args.push(("min_us", format!("{}", us(a.min))));
-        args.push(("max_us", format!("{}", us(a.max))));
-    }
-}
-
-fn meta_event(pid: usize, tid: Option<u32>, which: &str, label: &str) -> String {
-    match tid {
-        Some(tid) => format!(
-            "{{\"ph\":\"M\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            which,
-            pid,
-            tid,
-            esc(label)
-        ),
-        None => format!(
-            "{{\"ph\":\"M\",\"name\":\"{}\",\"pid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            which,
-            pid,
-            esc(label)
-        ),
-    }
+    close(&mut stack, f64::INFINITY, ev);
 }
 
 /// Render ranks into Chrome trace-event JSON (the `{"traceEvents": [...]}`
-/// object form). One process per rank; `tid 0` is the host lane and
-/// `tid 1 + s` is device stream `s`. `cudaLaunch` slices originate flow
-/// arrows (`ph:"s"`) that terminate (`ph:"f"`) at the kernel slice with the
-/// same correlation id. Raw records render as `B`/`E` pairs; compaction
+/// object form), in one pass over the borrowed records into one output
+/// buffer. One process per rank; `tid 0` is the host lane and `tid 1 + s`
+/// is device stream `s`. `cudaLaunch` slices originate flow arrows
+/// (`ph:"s"`) that terminate (`ph:"f"`) at the kernel slice with the same
+/// correlation id. Raw records render as `B`/`E` pairs; compaction
 /// summaries render as `X` (complete) events carrying their aggregate in
 /// `args`, since summaries from different ring stripes may partially
 /// overlap in time.
-pub(crate) fn chrome_trace_json(ranks: &[TraceRank]) -> String {
-    let mut events: Vec<String> = Vec::new();
+pub(crate) fn chrome_trace_json(ranks: &[ExportRank]) -> String {
+    let mut ev = Events {
+        out: super::trace_buffer(ranks, RECORD_BYTES),
+        n: 0,
+    };
+    ev.out
+        .push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     for r in ranks {
         let pid = r.rank;
-        let label = if r.host.is_empty() {
-            format!("rank {}", r.rank)
+        if r.host.is_empty() {
+            ev.meta(pid, None, "process_name", format_args!("rank {}", r.rank));
         } else {
-            format!("rank {} ({})", r.rank, r.host)
-        };
-        events.push(meta_event(pid, None, "process_name", &label));
-        events.push(meta_event(pid, Some(0), "thread_name", "host"));
+            let host = Escaped(&r.host);
+            ev.meta(
+                pid,
+                None,
+                "process_name",
+                format_args!("rank {} ({host})", r.rank),
+            );
+        }
+        ev.meta(pid, Some(0), "thread_name", format_args!("host"));
 
         // Which correlation ids have a device-side slice to land on?
         let use_prof = !r.prof.is_empty();
-        let mut device_corrs: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        if use_prof {
-            device_corrs.extend(r.prof.iter().filter(|p| p.corr != 0).map(|p| p.corr));
+        let device_corrs: HashSet<u64> = if use_prof {
+            r.prof
+                .iter()
+                .filter(|p| p.corr != 0)
+                .map(|p| p.corr)
+                .collect()
         } else {
-            device_corrs.extend(
-                r.records
-                    .iter()
-                    .filter(|t| t.kind == TraceKind::KernelExec && t.corr != 0)
-                    .map(|t| t.corr),
-            );
-        }
+            r.records
+                .iter()
+                .filter(|t| t.kind == TraceKind::KernelExec && t.corr != 0)
+                .map(|t| t.corr)
+                .collect()
+        };
 
         // Host lane: wrapped calls + host-idle intervals.
         let host_slices: Vec<LaneSlice> = r
             .records
             .iter()
             .filter(|t| t.kind != TraceKind::KernelExec)
-            .map(|t| {
-                let mut args: Vec<(&'static str, String)> = Vec::new();
-                if t.bytes > 0 {
-                    args.push(("bytes", t.bytes.to_string()));
-                }
-                args.push(("region", t.region.to_string()));
-                summary_args(t, &mut args);
-                LaneSlice {
-                    name: t.name.to_string(),
-                    begin: t.begin - r.epoch,
-                    end: t.end - r.epoch,
-                    args,
-                    flow_in: 0,
-                    flow_out: if t.corr != 0 && device_corrs.contains(&t.corr) {
-                        t.corr
-                    } else {
-                        0
-                    },
-                    summary: t.is_summary(),
-                }
+            .map(|t| LaneSlice {
+                name: &t.name,
+                begin: t.begin - r.epoch,
+                end: t.end - r.epoch,
+                args: Args::Host(t),
+                flow_in: 0,
+                flow_out: if t.corr != 0 && device_corrs.contains(&t.corr) {
+                    t.corr
+                } else {
+                    0
+                },
             })
             .collect();
-        emit_lane(pid, 0, host_slices, &mut events);
+        emit_lane(&mut ev, pid, 0, host_slices);
 
-        // Device lanes: one per stream, from the profiler ground truth when
-        // available, otherwise from KTT KernelExec records.
-        let mut lanes: HashMap<u32, Vec<LaneSlice>> = HashMap::new();
+        // Device lanes: one per stream, in stream order, from the profiler
+        // ground truth when available, otherwise from KTT KernelExec records.
+        let mut lanes: BTreeMap<u32, Vec<LaneSlice>> = BTreeMap::new();
         if use_prof {
             for p in &r.prof {
-                let args = vec![("gputime_us", format!("{}", p.gputime * 1e6))];
                 lanes.entry(p.stream.0).or_default().push(LaneSlice {
-                    name: p.method.clone(),
+                    name: &p.method,
                     begin: p.start - r.epoch,
                     end: p.start + p.gputime - r.epoch,
-                    args,
+                    args: Args::Prof(p),
                     flow_in: if p.kind == ProfKind::Kernel {
                         p.corr
                     } else {
                         0
                     },
                     flow_out: 0,
-                    summary: false,
                 });
             }
         } else {
             for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
-                let stream = t.stream.unwrap_or(0);
-                let name = t
-                    .detail
-                    .as_deref()
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| t.name.to_string());
-                let mut args = vec![("region", t.region.to_string())];
-                summary_args(t, &mut args);
-                lanes.entry(stream).or_default().push(LaneSlice {
-                    name,
-                    begin: t.begin - r.epoch,
-                    end: t.end - r.epoch,
-                    args,
-                    flow_in: t.corr,
-                    flow_out: 0,
-                    summary: t.is_summary(),
-                });
+                lanes
+                    .entry(t.stream.unwrap_or(0))
+                    .or_default()
+                    .push(LaneSlice {
+                        name: t.detail.as_deref().unwrap_or(&t.name),
+                        begin: t.begin - r.epoch,
+                        end: t.end - r.epoch,
+                        args: Args::Kernel(t),
+                        flow_in: t.corr,
+                        flow_out: 0,
+                    });
             }
         }
-        let mut stream_ids: Vec<u32> = lanes.keys().copied().collect();
-        stream_ids.sort_unstable();
-        for s in stream_ids {
+        for (s, slices) in lanes {
             let tid = 1 + s;
-            events.push(meta_event(
-                pid,
-                Some(tid),
-                "thread_name",
-                &format!("stream {s}"),
-            ));
-            emit_lane(
-                pid,
-                tid,
-                lanes.remove(&s).expect("key present"),
-                &mut events,
-            );
+            ev.meta(pid, Some(tid), "thread_name", format_args!("stream {s}"));
+            emit_lane(&mut ev, pid, tid, slices);
         }
     }
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
+    let mut out = ev.out;
+    if ev.n > 0 {
         out.push('\n');
     }
     out.push_str("]}\n");
@@ -449,11 +480,11 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::compact::{CompactPolicy, TraceAgg};
     use crate::export::{ChromeTrace, Export};
-    use crate::trace::{TraceRing, DEFAULT_TRACE_SHARDS};
+    use crate::trace::{TraceRank, TraceRing, DEFAULT_TRACE_SHARDS};
     use ipm_gpu_sim::{ProfRecord, StreamId};
     use std::sync::Arc;
 
@@ -517,6 +548,48 @@ mod tests {
         let json = export(vec![rank]);
         let stats = validate_chrome_trace(&json).expect("multi-stripe compacted export invalid");
         assert!(stats.slices > 0);
+    }
+
+    /// `n` launches on the host lane, each with its kernel execution on
+    /// one of two streams: `2 * n` records, `n` flows.
+    pub(crate) fn launch_storm(n: usize) -> TraceRank {
+        let mut records = Vec::with_capacity(2 * n);
+        for i in 0..n {
+            let t = i as f64 * 1e-4;
+            let corr = i as u64 + 1;
+            let mut launch = call("cudaLaunch", t, t + 2e-5);
+            launch.corr = corr;
+            records.push(launch);
+            let stream = (i % 2) as u32;
+            records.push(TraceRecord {
+                kind: TraceKind::KernelExec,
+                name: Arc::from(format!("@CUDA_EXEC_STRM0{stream}")),
+                detail: Some(Arc::from("kernel")),
+                begin: t + 3e-5,
+                end: t + 1.5e-4,
+                bytes: 0,
+                region: 0,
+                stream: Some(stream),
+                corr,
+                agg: None,
+            });
+        }
+        TraceRank {
+            rank: 0,
+            host: "dirac00".to_owned(),
+            epoch: 0.0,
+            records,
+            prof: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn full_export_of_twenty_thousand_records_validates() {
+        let json = export(vec![launch_storm(10_000)]);
+        let stats = validate_chrome_trace(&json).expect("full export valid");
+        assert_eq!(stats.slices, 20_000);
+        assert_eq!(stats.lanes, 3, "host lane + two stream lanes");
+        assert_eq!(stats.flow_pairs, 10_000);
     }
 
     #[test]

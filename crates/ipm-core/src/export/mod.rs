@@ -83,7 +83,7 @@ impl ExportRank {
         }
     }
 
-    fn from_trace_rank(t: TraceRank) -> Self {
+    pub(crate) fn from_trace_rank(t: TraceRank) -> Self {
         ExportRank {
             rank: t.rank,
             host: t.host,
@@ -93,16 +93,14 @@ impl ExportRank {
             profile: None,
         }
     }
+}
 
-    fn trace_rank(&self) -> TraceRank {
-        TraceRank {
-            rank: self.rank,
-            host: self.host.clone(),
-            epoch: self.epoch,
-            records: self.records.clone(),
-            prof: self.prof.clone(),
-        }
-    }
+/// An empty output buffer for a trace rendering of `ranks`, reserved at
+/// `bytes_per_record` per host and device record, so the document is not
+/// regrown and copied while it is written.
+fn trace_buffer(ranks: &[ExportRank], bytes_per_record: usize) -> String {
+    let records: usize = ranks.iter().map(|r| r.records.len() + r.prof.len()).sum();
+    String::with_capacity(4096 + records * bytes_per_record)
 }
 
 /// The canonical view every exporter renders: per-rank data plus the few
@@ -138,11 +136,6 @@ impl ExportSource {
             .iter()
             .filter_map(|r| r.profile.clone())
             .collect()
-    }
-
-    /// Every rank as exporter trace input.
-    pub fn trace_ranks(&self) -> Vec<TraceRank> {
-        self.ranks.iter().map(ExportRank::trace_rank).collect()
     }
 
     fn require_profiles(&self) -> Result<Vec<RankProfile>, ExportError> {
@@ -224,13 +217,13 @@ impl Exporter for Xml {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        let mut out = String::new();
+        let mut out = trace_buffer(&src.ranks, crate::xml::EVENT_BYTES);
         for r in &src.ranks {
             let p = r
                 .profile
                 .as_ref()
                 .ok_or(ExportError::MissingProfile { rank: r.rank })?;
-            out.push_str(&crate::xml::to_xml_with_trace_at(p, &r.records, r.epoch));
+            crate::xml::write_xml(&mut out, p, &r.records, r.epoch);
         }
         Ok(out)
     }
@@ -254,7 +247,7 @@ impl Exporter for ChromeTrace {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        Ok(chrome::chrome_trace_json(&src.trace_ranks()))
+        Ok(chrome::chrome_trace_json(&src.ranks))
     }
 }
 

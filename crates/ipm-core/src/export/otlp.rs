@@ -20,7 +20,7 @@
 //! mirroring [`super::validate_chrome_trace`].
 
 use super::{ExportRank, ExportSource};
-use crate::jsonw::{parse_json, quote, Json};
+use crate::jsonw::{parse_json, Escaped, Json};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_gpu_sim::ProfKind;
 use std::collections::{HashMap, HashSet};
@@ -31,77 +31,100 @@ fn ns(t: f64, epoch: f64) -> i64 {
     ((t - epoch) * 1e9).round() as i64
 }
 
-fn attr_str(key: &str, val: &str) -> String {
-    format!(
-        "{{\"key\":{},\"value\":{{\"stringValue\":{}}}}}",
-        quote(key),
-        quote(val)
-    )
+/// An OTLP attribute list written straight into the output: `[` when
+/// opened, `,` between entries, and `]` plus the enclosing object's
+/// closing brace from [`Attrs::end`].
+struct Attrs<'o> {
+    out: &'o mut String,
+    empty: bool,
 }
 
-fn attr_int(key: &str, val: u64) -> String {
-    format!(
-        "{{\"key\":{},\"value\":{{\"intValue\":\"{}\"}}}}",
-        quote(key),
-        val
-    )
-}
-
-fn attr_f64(key: &str, val: f64) -> String {
-    format!(
-        "{{\"key\":{},\"value\":{{\"doubleValue\":{}}}}}",
-        quote(key),
-        val
-    )
-}
-
-/// Compaction aggregate attributes, mirroring the Chrome `X` event args.
-fn summary_attrs(t: &TraceRecord, attrs: &mut Vec<String>) {
-    if let Some(a) = t.agg {
-        attrs.push(attr_int("count", a.count));
-        attrs.push(attr_f64("total_us", a.total * 1e6));
-        attrs.push(attr_f64("min_us", a.min * 1e6));
-        attrs.push(attr_f64("max_us", a.max * 1e6));
+impl<'o> Attrs<'o> {
+    fn open(out: &'o mut String) -> Self {
+        out.push('[');
+        Attrs { out, empty: true }
     }
-}
 
-struct Span {
-    name: String,
-    kind: u32,
-    start: i64,
-    end: i64,
-    attrs: Vec<String>,
-    /// `(trace_id, span_id)` of the linked span, if any.
-    link: Option<(String, String)>,
-}
-
-impl Span {
-    fn render(&self, trace_id: &str, span_id: &str) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"traceId\":\"{}\",\"spanId\":\"{}\",\"name\":{},\"kind\":{},\
-             \"startTimeUnixNano\":\"{}\",\"endTimeUnixNano\":\"{}\"",
-            trace_id,
-            span_id,
-            quote(&self.name),
-            self.kind,
-            self.start,
-            self.end
-        );
-        if !self.attrs.is_empty() {
-            let _ = write!(out, ",\"attributes\":[{}]", self.attrs.join(","));
+    /// The output, positioned for the value object of attribute `key`.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
         }
-        if let Some((lt, ls)) = &self.link {
+        self.empty = false;
+        let _ = write!(self.out, "{{\"key\":\"{}\",\"value\":{{", Escaped(key));
+        self.out
+    }
+
+    fn int(&mut self, key: &str, val: u64) {
+        let _ = write!(self.key(key), "\"intValue\":\"{val}\"}}}}");
+    }
+
+    fn str(&mut self, key: &str, val: &str) {
+        let _ = write!(self.key(key), "\"stringValue\":\"{}\"}}}}", Escaped(val));
+    }
+
+    fn f64(&mut self, key: &str, val: f64) {
+        let _ = write!(self.key(key), "\"doubleValue\":{val}}}}}");
+    }
+
+    /// Compaction aggregate attributes, mirroring the Chrome `X` event args.
+    fn summary(&mut self, t: &TraceRecord) {
+        if let Some(a) = t.agg {
+            self.int("count", a.count);
+            self.f64("total_us", a.total * 1e6);
+            self.f64("min_us", a.min * 1e6);
+            self.f64("max_us", a.max * 1e6);
+        }
+    }
+
+    /// Close the list, then the object holding it, with a span link to
+    /// `(trace_id, span_id)` in between when given.
+    fn end(self, link: Option<(u128, usize)>) {
+        self.out.push(']');
+        if let Some((trace_id, span_id)) = link {
             let _ = write!(
-                out,
-                ",\"links\":[{{\"traceId\":\"{lt}\",\"spanId\":\"{ls}\"}}]"
+                self.out,
+                ",\"links\":[{{\"traceId\":\"{trace_id:032x}\",\"spanId\":\"{span_id:016x}\"}}]"
             );
         }
-        out.push('}');
-        out
+        self.out.push('}');
     }
 }
+
+/// One rank's spans under construction, written straight into the output
+/// with `,\n` between spans. Span ids count up from 1 in write order.
+struct Spans<'o> {
+    out: &'o mut String,
+    trace_id: u128,
+    n: usize,
+}
+
+impl Spans<'_> {
+    /// Start the next span and return its attribute list; every span
+    /// carries at least a stream or region attribute, so the list is never
+    /// empty.
+    fn open(&mut self, name: &str, kind: u32, start: i64, end: i64) -> Attrs<'_> {
+        if self.n > 0 {
+            self.out.push_str(",\n");
+        }
+        self.n += 1;
+        let _ = write!(
+            self.out,
+            "{{\"traceId\":\"{:032x}\",\"spanId\":\"{:016x}\",\"name\":\"{}\",\"kind\":{},\
+             \"startTimeUnixNano\":\"{}\",\"endTimeUnixNano\":\"{}\",\"attributes\":",
+            self.trace_id,
+            self.n,
+            Escaped(name),
+            kind,
+            start,
+            end
+        );
+        Attrs::open(self.out)
+    }
+}
+
+/// About what one span line takes, for reserving the output up front.
+const SPAN_BYTES: usize = 320;
 
 /// OTLP span kinds used here: host-side wrapped calls and idle intervals
 /// are `INTERNAL`, device-side executions are `CONSUMER` (they consume the
@@ -109,124 +132,110 @@ impl Span {
 const KIND_INTERNAL: u32 = 1;
 const KIND_CONSUMER: u32 = 5;
 
-/// All of one rank's spans, device side first so host `cudaLaunch` spans
-/// can link to the kernel span their correlation id resolves to.
-fn rank_spans(r: &ExportRank, trace_id: &str) -> Vec<String> {
-    let mut spans: Vec<Span> = Vec::new();
+/// Write all of one rank's spans, device side first so host `cudaLaunch`
+/// spans can link to the kernel span their correlation id resolves to.
+fn rank_spans(out: &mut String, r: &ExportRank, trace_id: u128) {
+    let mut spans = Spans {
+        out,
+        trace_id,
+        n: 0,
+    };
 
     // Device spans (profiler ground truth wins, as in the Chrome backend),
-    // recording where each correlation id landed.
-    let mut corr_span: HashMap<u64, String> = HashMap::new();
-    let use_prof = !r.prof.is_empty();
-    if use_prof {
+    // recording which span id each correlation id landed on.
+    let mut corr_span: HashMap<u64, usize> = HashMap::new();
+    if !r.prof.is_empty() {
         for p in &r.prof {
-            let mut attrs = vec![
-                attr_int("ipm.stream", p.stream.0 as u64),
-                attr_f64("gputime_us", p.gputime * 1e6),
-            ];
-            if p.kind == ProfKind::Kernel && p.corr != 0 {
-                attrs.push(attr_int("ipm.corr", p.corr));
-                corr_span.insert(p.corr, format!("{:016x}", spans.len() + 1));
+            let mut attrs = spans.open(
+                &p.method,
+                KIND_CONSUMER,
+                ns(p.start, r.epoch),
+                ns(p.start + p.gputime, r.epoch),
+            );
+            attrs.int("ipm.stream", p.stream.0 as u64);
+            attrs.f64("gputime_us", p.gputime * 1e6);
+            let linked = p.kind == ProfKind::Kernel && p.corr != 0;
+            if linked {
+                attrs.int("ipm.corr", p.corr);
             }
-            spans.push(Span {
-                name: p.method.clone(),
-                kind: KIND_CONSUMER,
-                start: ns(p.start, r.epoch),
-                end: ns(p.start + p.gputime, r.epoch),
-                attrs,
-                link: None,
-            });
+            attrs.end(None);
+            if linked {
+                corr_span.insert(p.corr, spans.n);
+            }
         }
     } else {
         for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
-            let mut attrs = vec![
-                attr_int("ipm.stream", u64::from(t.stream.unwrap_or(0))),
-                attr_int("ipm.region", u64::from(t.region)),
-            ];
+            let mut attrs = spans.open(
+                &t.name,
+                KIND_CONSUMER,
+                ns(t.begin, r.epoch),
+                ns(t.end, r.epoch),
+            );
+            attrs.int("ipm.stream", u64::from(t.stream.unwrap_or(0)));
+            attrs.int("ipm.region", u64::from(t.region));
             if let Some(detail) = t.detail.as_deref() {
-                attrs.push(attr_str("ipm.kernel", detail));
+                attrs.str("ipm.kernel", detail);
             }
             if t.corr != 0 {
-                attrs.push(attr_int("ipm.corr", t.corr));
-                corr_span.insert(t.corr, format!("{:016x}", spans.len() + 1));
+                attrs.int("ipm.corr", t.corr);
             }
-            summary_attrs(t, &mut attrs);
-            spans.push(Span {
-                name: t.name.to_string(),
-                kind: KIND_CONSUMER,
-                start: ns(t.begin, r.epoch),
-                end: ns(t.end, r.epoch),
-                attrs,
-                link: None,
-            });
+            attrs.summary(t);
+            attrs.end(None);
+            if t.corr != 0 {
+                corr_span.insert(t.corr, spans.n);
+            }
         }
     }
 
     // Host spans: wrapped calls + host-idle intervals.
     for t in r.records.iter().filter(|t| t.kind != TraceKind::KernelExec) {
-        let mut attrs = Vec::new();
-        if t.bytes > 0 {
-            attrs.push(attr_int("ipm.bytes", t.bytes));
-        }
-        attrs.push(attr_int("ipm.region", u64::from(t.region)));
-        summary_attrs(t, &mut attrs);
         let link = if t.corr != 0 {
-            corr_span
-                .get(&t.corr)
-                .map(|span_id| (trace_id.to_owned(), span_id.clone()))
+            corr_span.get(&t.corr).map(|&span_id| (trace_id, span_id))
         } else {
             None
         };
-        if link.is_some() {
-            attrs.push(attr_int("ipm.corr", t.corr));
+        let mut attrs = spans.open(
+            &t.name,
+            KIND_INTERNAL,
+            ns(t.begin, r.epoch),
+            ns(t.end, r.epoch),
+        );
+        if t.bytes > 0 {
+            attrs.int("ipm.bytes", t.bytes);
         }
-        spans.push(Span {
-            name: t.name.to_string(),
-            kind: KIND_INTERNAL,
-            start: ns(t.begin, r.epoch),
-            end: ns(t.end, r.epoch),
-            attrs,
-            link,
-        });
+        attrs.int("ipm.region", u64::from(t.region));
+        attrs.summary(t);
+        if link.is_some() {
+            attrs.int("ipm.corr", t.corr);
+        }
+        attrs.end(link);
     }
-
-    spans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.render(trace_id, &format!("{:016x}", i + 1)))
-        .collect()
+    if spans.n > 0 {
+        spans.out.push('\n');
+    }
 }
 
 /// Render the source as OTLP/JSON: `{"resourceSpans":[...]}`, one entry
-/// per rank, one span per trace record, one line per span.
+/// per rank, one span per trace record, one line per span — in one pass
+/// over the borrowed records into one output buffer.
 pub(crate) fn otlp_trace_json(src: &ExportSource) -> String {
-    let mut out = String::from("{\"resourceSpans\":[\n");
+    let mut out = super::trace_buffer(&src.ranks, SPAN_BYTES);
+    out.push_str("{\"resourceSpans\":[\n");
     for (i, r) in src.ranks.iter().enumerate() {
-        let trace_id = format!("{:032x}", r.rank as u128 + 1);
-        let mut res_attrs = vec![
-            attr_int("ipm.rank", r.rank as u64),
-            attr_str("host.name", &r.host),
-        ];
+        out.push_str("{\"resource\":{\"attributes\":");
+        let mut attrs = Attrs::open(&mut out);
+        attrs.int("ipm.rank", r.rank as u64);
+        attrs.str("host.name", &r.host);
         if let Some(p) = &r.profile {
             if !p.command.is_empty() {
-                res_attrs.push(attr_str("ipm.command", &p.command));
+                attrs.str("ipm.command", &p.command);
             }
         }
-        let _ = write!(
-            out,
-            "{{\"resource\":{{\"attributes\":[{}]}},\"scopeSpans\":[{{\
-             \"scope\":{{\"name\":\"ipm.trace\",\"version\":\"2.0\"}},\"spans\":[",
-            res_attrs.join(",")
+        attrs.end(None);
+        out.push_str(
+            ",\"scopeSpans\":[{\"scope\":{\"name\":\"ipm.trace\",\"version\":\"2.0\"},\"spans\":[\n",
         );
-        out.push('\n');
-        let spans = rank_spans(r, &trace_id);
-        for (j, s) in spans.iter().enumerate() {
-            out.push_str(s);
-            if j + 1 < spans.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
+        rank_spans(&mut out, r, r.rank as u128 + 1);
         out.push_str("]}]}");
         if i + 1 < src.ranks.len() {
             out.push(',');
@@ -453,6 +462,14 @@ mod tests {
         assert_eq!(stats.resources, 1);
         assert_eq!(stats.spans, 2);
         assert_eq!(stats.links, 1);
+    }
+
+    #[test]
+    fn full_export_of_twenty_thousand_records_validates() {
+        let json = export(crate::export::chrome::tests::launch_storm(10_000));
+        let stats = validate_otlp(&json).expect("full export valid");
+        assert_eq!(stats.spans, 20_000);
+        assert_eq!(stats.links, 10_000);
     }
 
     #[test]

@@ -3,35 +3,46 @@
 //! The repo has no serde (no external deps are available), so every JSON
 //! producer writes strings by hand and every validator parses them with
 //! the minimal recursive-descent parser below. This module is the single
-//! home for both halves: [`esc`]/[`quote`] are the writer primitives used
-//! by the Chrome and OTLP exporters, and [`parse_json`]/[`Json`] are the
-//! reader used by [`crate::export::chrome::validate_chrome_trace`] and
-//! `validate_otlp`.
+//! home for both halves: [`Escaped`] is the writer primitive the Chrome and
+//! OTLP exporters format their strings through, and [`parse_json`]/[`Json`]
+//! are the reader used by [`crate::export::chrome::validate_chrome_trace`]
+//! and `validate_otlp`.
 
-/// Escape a string for embedding inside a JSON string literal (without the
-/// surrounding quotes).
-pub fn esc(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+use std::fmt;
+
+/// A string escaped for embedding inside a JSON string literal (without
+/// the surrounding quotes), formatted straight into whatever it is written
+/// to: runs that need no escaping are copied from the borrowed input, so a
+/// clean string is one `write_str` and nothing is allocated.
+#[derive(Clone, Copy)]
+pub struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        let mut run = 0;
+        // every byte that needs escaping is ASCII, so `i` is always a char
+        // boundary
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            f.write_str(&s[run..i])?;
+            if esc.is_empty() {
+                write!(f, "\\u{b:04x}")?;
+            } else {
+                f.write_str(esc)?;
             }
-            c => out.push(c),
+            run = i + 1;
         }
+        f.write_str(&s[run..])
     }
-    out
-}
-
-/// A complete JSON string literal: `quote("a\"b")` is `"a\"b"` with quotes.
-pub fn quote(s: &str) -> String {
-    format!("\"{}\"", esc(s))
 }
 
 /// A parsed JSON value.
@@ -77,6 +88,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -84,6 +96,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Self {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         }
@@ -140,8 +153,8 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number at byte {start}"))
     }
@@ -184,12 +197,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // advance one UTF-8 scalar
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the run up to the next quote or escape; both are
+                    // ASCII, so the run ends on a char boundary
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..run]);
+                    self.pos = run;
                 }
                 None => return Err("unterminated string".to_owned()),
             }
@@ -280,8 +295,10 @@ mod tests {
 
     #[test]
     fn escaper_and_parser_agree() {
-        let nasty = "a\"b\\c\nd\te\r\u{1}end";
-        let doc = parse_json(&format!("{{\"k\":{}}}", quote(nasty))).unwrap();
+        let nasty = "a\"b\\c\nd\te\r\u{1}\u{1f}énd✓";
+        let doc = parse_json(&format!("{{\"k\":\"{}\"}}", Escaped(nasty))).unwrap();
         assert_eq!(doc.get("k").and_then(Json::as_str), Some(nasty));
+        assert_eq!(Escaped("clean").to_string(), "clean");
+        assert_eq!(Escaped("\u{1}\u{8}").to_string(), "\\u0001\\u0008");
     }
 }

@@ -85,9 +85,6 @@ pub use monitor::{FamilyDelta, Ipm, IpmConfig, Snapshot, TraceDelta};
 pub use mpi_mon::IpmMpi;
 pub use numlib_mon::{IpmBlas, IpmFft};
 pub use papi::{BoundResource, CounterRow, GpuCounterReport};
-#[cfg(feature = "otlp")]
-pub use parse::otlp_from_xml;
-pub use parse::{banner_from_xml, chrome_trace_from_xml, cluster_banner_from_xml};
 pub use profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfile};
 pub use sig::{EventSignature, SigKey};
 pub use table::PerfTable;

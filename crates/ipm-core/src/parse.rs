@@ -8,28 +8,10 @@
 //! HTML report, and the CUBE conversion (see [`crate::cube`]).
 
 use crate::aggregate::ClusterReport;
-use crate::banner::{render_banner, render_cluster_banner};
-use crate::export::{ChromeTrace, Export};
+use crate::export::Export;
 use crate::profile::RankProfile;
 use crate::xml::{from_xml, trace_epoch_from_xml, trace_from_xml, XmlError};
 use std::fmt::Write as _;
-
-/// Parse one XML log and regenerate the single-rank banner.
-pub fn banner_from_xml(xml: &str) -> Result<String, XmlError> {
-    Ok(render_banner(&from_xml(xml)?, 0))
-}
-
-/// Parse one XML log per rank and produce the cluster banner.
-pub fn cluster_banner_from_xml(xmls: &[String], nodes: usize) -> Result<String, XmlError> {
-    let profiles = xmls
-        .iter()
-        .map(|x| from_xml(x))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(render_cluster_banner(
-        &ClusterReport::from_profiles(profiles, nodes),
-        0,
-    ))
-}
 
 /// Rebuild the canonical export view from a set of XML logs (one per
 /// rank): each rank carries its parsed profile, the embedded `<trace>`
@@ -49,24 +31,6 @@ pub fn export_from_xml(xmls: &[String]) -> Result<Export, XmlError> {
         export = export.rank(profile).with_trace(records).with_epoch(epoch);
     }
     Ok(export)
-}
-
-/// Parse one XML log per rank and render the embedded `<trace>` sections
-/// as Chrome trace-event JSON (the `ipm_parse trace` subcommand). Logs
-/// written without tracing contribute a process entry with empty lanes.
-/// Each log's recorded clock-alignment epoch is threaded through, so
-/// merged multi-rank exports line their lanes up at `ts = 0`.
-pub fn chrome_trace_from_xml(xmls: &[String]) -> Result<String, XmlError> {
-    let export = export_from_xml(xmls)?;
-    Ok(export.to(ChromeTrace).expect("ranks present"))
-}
-
-/// Parse one XML log per rank and render the embedded `<trace>` sections
-/// as OTLP-shaped JSON (the `ipm_parse otlp` subcommand).
-#[cfg(feature = "otlp")]
-pub fn otlp_from_xml(xmls: &[String]) -> Result<String, XmlError> {
-    let export = export_from_xml(xmls)?;
-    Ok(export.to(crate::export::Otlp).expect("ranks present"))
 }
 
 /// Generate the HTML report page for a set of rank profiles — the format
@@ -157,6 +121,7 @@ fn html_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::{Banner, ChromeTrace, ExportError};
     use crate::profile::ProfileEntry;
     use crate::xml::to_xml;
     use ipm_sim_core::RunningStats;
@@ -195,7 +160,7 @@ mod tests {
     #[test]
     fn banner_regenerates_from_xml() {
         let xml = to_xml(&profile(0));
-        let banner = banner_from_xml(&xml).unwrap();
+        let banner = export_from_xml(&[xml]).unwrap().to(Banner).unwrap();
         assert!(banner.contains("MPI_Allreduce"));
         assert!(banner.contains("##IPMv2.0"));
     }
@@ -203,9 +168,21 @@ mod tests {
     #[test]
     fn cluster_banner_from_multiple_xmls() {
         let xmls = vec![to_xml(&profile(0)), to_xml(&profile(1))];
-        let banner = cluster_banner_from_xml(&xmls, 2).unwrap();
+        let banner = export_from_xml(&xmls).unwrap().nodes(2).to(Banner).unwrap();
         assert!(banner.contains("mpi_tasks : 2 on 2 nodes"));
         assert!(banner.contains("MPI_Allreduce"));
+    }
+
+    #[test]
+    fn empty_log_set_is_an_error_not_a_panic() {
+        let export = export_from_xml(&[]).unwrap();
+        assert_eq!(export.to(Banner).unwrap_err(), ExportError::NoRanks);
+        assert_eq!(export.to(ChromeTrace).unwrap_err(), ExportError::NoRanks);
+        #[cfg(feature = "otlp")]
+        assert_eq!(
+            export.to(crate::export::Otlp).unwrap_err(),
+            ExportError::NoRanks
+        );
     }
 
     #[test]
@@ -221,7 +198,7 @@ mod tests {
 
     #[test]
     fn bad_xml_propagates_error() {
-        assert!(banner_from_xml("not xml").is_err());
+        assert!(export_from_xml(&["not xml".to_owned()]).is_err());
     }
 
     #[test]
@@ -262,7 +239,10 @@ mod tests {
                 .to(Xml)
                 .unwrap()
         };
-        let json = chrome_trace_from_xml(&[mk(0), mk(1)]).unwrap();
+        let json = export_from_xml(&[mk(0), mk(1)])
+            .unwrap()
+            .to(ChromeTrace)
+            .unwrap();
         let stats = validate_chrome_trace(&json).expect("valid chrome trace");
         assert_eq!(stats.processes, 2);
         assert_eq!(stats.lanes, 4, "host + stream lane per rank");
@@ -309,7 +289,10 @@ mod tests {
                 .to(Xml)
                 .unwrap()
         };
-        let json = otlp_from_xml(&[mk(0), mk(1)]).unwrap();
+        let json = export_from_xml(&[mk(0), mk(1)])
+            .unwrap()
+            .to(crate::export::Otlp)
+            .unwrap();
         let stats = validate_otlp(&json).expect("valid OTLP");
         assert_eq!(stats.resources, 2);
         assert_eq!(stats.spans, 4);
@@ -344,7 +327,10 @@ mod tests {
                 .to(Xml)
                 .unwrap()
         };
-        let json = chrome_trace_from_xml(&[mk(0, 5.0), mk(1, 9.0)]).unwrap();
+        let json = export_from_xml(&[mk(0, 5.0), mk(1, 9.0)])
+            .unwrap()
+            .to(ChromeTrace)
+            .unwrap();
         validate_chrome_trace(&json).expect("valid chrome trace");
         assert_eq!(
             json.matches("\"ts\":250000,").count() + json.matches("\"ts\":250000}").count(),

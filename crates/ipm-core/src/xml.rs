@@ -23,7 +23,8 @@ use crate::compact::TraceAgg;
 use crate::profile::{MonitorInfo, ProfileEntry, RankProfile};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_sim_core::RunningStats;
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// XML parsing failure.
@@ -49,45 +50,74 @@ impl std::fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
+/// A string escaped for an XML attribute value or text node, formatted
+/// straight into the output: runs without `&<>"` are copied from the
+/// borrowed input, so nothing is allocated.
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                b'"' => "&quot;",
+                _ => continue,
+            };
+            f.write_str(&s[run..i])?;
+            f.write_str(esc)?;
+            run = i + 1;
+        }
+        f.write_str(&s[run..])
+    }
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("&quot;", "\"")
-        .replace("&gt;", ">")
-        .replace("&lt;", "<")
-        .replace("&amp;", "&")
+/// Inverse of [`Escaped`]; borrows values that hold no entity.
+fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('&') {
+        return Cow::Borrowed(s);
+    }
+    Cow::Owned(
+        s.replace("&quot;", "\"")
+            .replace("&gt;", ">")
+            .replace("&lt;", "<")
+            .replace("&amp;", "&"),
+    )
 }
+
+/// About what one `<event/>` line takes, for reserving the output up front.
+pub(crate) const EVENT_BYTES: usize = 160;
 
 /// Serialize one rank's profile to the IPM XML dialect (no trace section;
 /// use `Export::…​.to(Xml)` to embed one).
 pub fn to_xml(p: &RankProfile) -> String {
-    to_xml_with_trace_at(p, &[], 0.0)
+    let mut out = String::new();
+    write_xml(&mut out, p, &[], 0.0);
+    out
 }
 
-/// Serialize a profile plus its event trace: the trace's records are
+/// Append a profile plus its event trace to `out`: the trace's records are
 /// embedded as `<event/>` lines in a `<trace>` section (with the rank's
 /// clock-alignment epoch on the `<trace>` element, so multi-rank exports
 /// line up their lanes), and a single XML log carries everything
 /// `ipm_parse trace` needs. This is the one real XML writer; the `Xml`
-/// backend of [`crate::export`] renders through it.
-pub(crate) fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch: f64) -> String {
-    let mut out = String::new();
+/// backend of [`crate::export`] renders every rank through it into one
+/// buffer.
+pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord], epoch: f64) {
     out.push_str("<ipm version=\"2.0\">\n");
     let _ = writeln!(
         out,
         "  <task rank=\"{}\" nranks=\"{}\" host=\"{}\" wallclock=\"{}\" dropped=\"{}\">",
         p.rank,
         p.nranks,
-        escape(&p.host),
+        Escaped(&p.host),
         p.wallclock,
         p.dropped_events,
     );
-    let _ = writeln!(out, "    <command>{}</command>", escape(&p.command));
+    let _ = writeln!(out, "    <command>{}</command>", Escaped(&p.command));
     let m = &p.monitor;
     let _ = writeln!(
         out,
@@ -96,7 +126,7 @@ pub(crate) fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch
     );
     out.push_str("    <regions>\n");
     for (i, r) in p.regions.iter().enumerate() {
-        let _ = writeln!(out, "      <region id=\"{}\">{}</region>", i, escape(r));
+        let _ = writeln!(out, "      <region id=\"{}\">{}</region>", i, Escaped(r));
     }
     out.push_str("    </regions>\n");
     if !trace.is_empty() {
@@ -106,89 +136,102 @@ pub(crate) fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch
             out.push_str("    <trace>\n");
         }
         for t in trace {
-            let detail = t
-                .detail
-                .as_ref()
-                .map(|d| format!(" detail=\"{}\"", escape(d)))
-                .unwrap_or_default();
-            let stream = t
-                .stream
-                .map(|s| format!(" stream=\"{s}\""))
-                .unwrap_or_default();
-            let agg = t
-                .agg
-                .map(|a| {
-                    format!(
-                        " count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\" ex_begin=\"{}\" ex_end=\"{}\"",
-                        a.count, a.total, a.min, a.max, a.exemplar.0, a.exemplar.1
-                    )
-                })
-                .unwrap_or_default();
-            let _ = writeln!(
+            let _ = write!(
                 out,
-                "      <event kind=\"{}\" name=\"{}\"{} begin=\"{}\" end=\"{}\" bytes=\"{}\" region=\"{}\"{} corr=\"{}\"{}/>",
+                "      <event kind=\"{}\" name=\"{}\"",
                 t.kind.tag(),
-                escape(&t.name),
-                detail,
-                t.begin,
-                t.end,
-                t.bytes,
-                t.region,
-                stream,
-                t.corr,
-                agg,
+                Escaped(&t.name)
             );
+            if let Some(d) = &t.detail {
+                let _ = write!(out, " detail=\"{}\"", Escaped(d));
+            }
+            let _ = write!(
+                out,
+                " begin=\"{}\" end=\"{}\" bytes=\"{}\" region=\"{}\"",
+                t.begin, t.end, t.bytes, t.region
+            );
+            if let Some(s) = t.stream {
+                let _ = write!(out, " stream=\"{s}\"");
+            }
+            let _ = write!(out, " corr=\"{}\"", t.corr);
+            if let Some(a) = t.agg {
+                let _ = write!(
+                    out,
+                    " count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\" ex_begin=\"{}\" ex_end=\"{}\"",
+                    a.count, a.total, a.min, a.max, a.exemplar.0, a.exemplar.1
+                );
+            }
+            out.push_str("/>\n");
         }
         out.push_str("    </trace>\n");
     }
     out.push_str("    <hash>\n");
     for e in &p.entries {
-        let detail = e
-            .detail
-            .as_ref()
-            .map(|d| format!(" detail=\"{}\"", escape(d)))
-            .unwrap_or_default();
+        let _ = write!(out, "      <entry name=\"{}\"", Escaped(&e.name));
+        if let Some(d) = &e.detail {
+            let _ = write!(out, " detail=\"{}\"", Escaped(d));
+        }
         let _ = writeln!(
             out,
-            "      <entry name=\"{}\"{} bytes=\"{}\" region=\"{}\" count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\"/>",
-            escape(&e.name),
-            detail,
-            e.bytes,
-            e.region,
-            e.stats.count,
-            e.stats.total,
-            e.stats.min,
-            e.stats.max,
+            " bytes=\"{}\" region=\"{}\" count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\"/>",
+            e.bytes, e.region, e.stats.count, e.stats.total, e.stats.min, e.stats.max,
         );
     }
     out.push_str("    </hash>\n  </task>\n</ipm>\n");
-    out
 }
 
-/// Pull the value of `attr` out of a tag body like `rank="0" host="x"`.
-fn attr(tag: &str, name: &str) -> Option<String> {
-    let pat = format!("{name}=\"");
-    let start = tag.find(&pat)? + pat.len();
-    let end = tag[start..].find('"')? + start;
-    Some(unescape(&tag[start..end]))
-}
+/// The attributes of one start tag such as `<task rank="0" host="x">`,
+/// split in one pass into `(name, raw value)` pairs borrowed from the tag.
+/// Lookups compare whole names, so `begin` never matches inside
+/// `ex_begin`, nor inside another attribute's value. The pair buffer is
+/// reused from one tag to the next.
+#[derive(Default)]
+struct Attrs<'a>(Vec<(&'a str, &'a str)>);
 
-fn num_attr<T: std::str::FromStr>(tag: &str, name: &'static str) -> Result<T, XmlError> {
-    let raw = attr(tag, name).ok_or(XmlError::Missing(name))?;
-    raw.parse().map_err(|_| XmlError::BadNumber(raw))
-}
+impl<'a> Attrs<'a> {
+    /// Split `tag` (leading whitespace and the `<element` name skipped),
+    /// replacing the previous tag's attributes.
+    fn split(&mut self, tag: &'a str) -> &Self {
+        self.0.clear();
+        let tag = tag.trim_start();
+        let Some(start) = tag.find(char::is_whitespace) else {
+            return self;
+        };
+        let mut rest = &tag[start..];
+        while let Some(eq) = rest.find('=') {
+            let Some(value) = rest[eq + 1..].strip_prefix('"') else {
+                break;
+            };
+            let Some(close) = value.find('"') else {
+                break;
+            };
+            self.0.push((rest[..eq].trim_start(), &value[..close]));
+            rest = &value[close + 1..];
+        }
+        self
+    }
 
-/// Numeric attribute that may legitimately be absent (fields added after
-/// logs in the wild were written): absent parses as `default`, present but
-/// unparseable is still an error.
-fn opt_num_attr<T: std::str::FromStr>(
-    tag: &str,
-    name: &'static str,
-    default: T,
-) -> Result<T, XmlError> {
-    match attr(tag, name) {
-        Some(raw) => raw.parse().map_err(|_| XmlError::BadNumber(raw)),
-        None => Ok(default),
+    /// The raw (still escaped) value of attribute `name`.
+    fn raw(&self, name: &str) -> Option<&'a str> {
+        self.0.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
+    }
+
+    /// The unescaped value of attribute `name`.
+    fn text(&self, name: &str) -> Option<Cow<'a, str>> {
+        self.raw(name).map(unescape)
+    }
+
+    fn num<T: std::str::FromStr>(&self, name: &'static str) -> Result<T, XmlError> {
+        self.opt_num(name)?.ok_or(XmlError::Missing(name))
+    }
+
+    /// Numeric attribute that may legitimately be absent (fields added
+    /// after logs in the wild were written): absent is `None`, present but
+    /// unparseable is still an error.
+    fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, XmlError> {
+        self.raw(name)
+            .map(|raw| raw.parse().map_err(|_| XmlError::BadNumber(raw.to_owned())))
+            .transpose()
     }
 }
 
@@ -198,11 +241,16 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
         .lines()
         .find(|l| l.trim_start().starts_with("<task "))
         .ok_or(XmlError::Missing("<task>"))?;
-    let rank: usize = num_attr(task_tag, "rank")?;
-    let nranks: usize = num_attr(task_tag, "nranks")?;
-    let wallclock: f64 = num_attr(task_tag, "wallclock")?;
-    let dropped_events: u64 = num_attr(task_tag, "dropped")?;
-    let host = attr(task_tag, "host").ok_or(XmlError::Missing("host"))?;
+    let mut attrs = Attrs::default();
+    let task = attrs.split(task_tag);
+    let rank: usize = task.num("rank")?;
+    let nranks: usize = task.num("nranks")?;
+    let wallclock: f64 = task.num("wallclock")?;
+    let dropped_events: u64 = task.num("dropped")?;
+    let host = task
+        .text("host")
+        .ok_or(XmlError::Missing("host"))?
+        .into_owned();
 
     let command = {
         let line = xml
@@ -214,7 +262,7 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
             .strip_prefix("<command>")
             .and_then(|s| s.strip_suffix("</command>"))
             .ok_or_else(|| XmlError::Malformed(line.to_owned()))?;
-        unescape(inner)
+        unescape(inner).into_owned()
     };
 
     // default-if-missing keeps logs from older monitors parseable
@@ -223,15 +271,18 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
         .map(str::trim)
         .find(|l| l.starts_with("<monitor "))
     {
-        Some(line) => MonitorInfo {
-            self_wall_ns: num_attr(line, "self_wall_ns")?,
-            trace_emitted: num_attr(line, "emitted")?,
-            trace_captured: num_attr(line, "captured")?,
-            trace_dropped: num_attr(line, "dropped")?,
-            // absent in pre-compaction logs
-            trace_compacted: opt_num_attr(line, "compacted", 0)?,
-            ring_hwm_bytes: num_attr(line, "ring_hwm_bytes")?,
-        },
+        Some(line) => {
+            let m = attrs.split(line);
+            MonitorInfo {
+                self_wall_ns: m.num("self_wall_ns")?,
+                trace_emitted: m.num("emitted")?,
+                trace_captured: m.num("captured")?,
+                trace_dropped: m.num("dropped")?,
+                // absent in pre-compaction logs
+                trace_compacted: m.opt_num("compacted")?.unwrap_or(0),
+                ring_hwm_bytes: m.num("ring_hwm_bytes")?,
+            }
+        }
         None => MonitorInfo::default(),
     };
 
@@ -243,19 +294,23 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
                 .split_once('>')
                 .and_then(|(_, rest)| rest.strip_suffix("</region>"))
                 .ok_or_else(|| XmlError::Malformed(line.to_owned()))?;
-            regions.push(unescape(inner));
+            regions.push(unescape(inner).into_owned());
         } else if line.starts_with("<entry ") {
+            let e = attrs.split(line);
             let stats = RunningStats {
-                count: num_attr(line, "count")?,
-                total: num_attr(line, "total")?,
-                min: num_attr(line, "min")?,
-                max: num_attr(line, "max")?,
+                count: e.num("count")?,
+                total: e.num("total")?,
+                min: e.num("min")?,
+                max: e.num("max")?,
             };
             entries.push(ProfileEntry {
-                name: attr(line, "name").ok_or(XmlError::Missing("name"))?,
-                detail: attr(line, "detail"),
-                bytes: num_attr(line, "bytes")?,
-                region: num_attr(line, "region")?,
+                name: e
+                    .text("name")
+                    .ok_or(XmlError::Missing("name"))?
+                    .into_owned(),
+                detail: e.text("detail").map(Cow::into_owned),
+                bytes: e.num("bytes")?,
+                region: e.num("region")?,
                 stats,
             });
         }
@@ -276,15 +331,17 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
     })
 }
 
-/// Parse the `<trace>` section back out of a log written by
-/// [`to_xml_with_trace_at`]. Logs without a trace yield an empty vector.
+/// Parse the `<trace>` section back out of a log written by the `Xml`
+/// export backend. Logs without a trace yield an empty vector.
 pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
     let mut out = Vec::new();
+    let mut attrs = Attrs::default();
     for line in xml.lines().map(str::trim) {
         if !line.starts_with("<event ") {
             continue;
         }
-        let kind_raw = attr(line, "kind").ok_or(XmlError::Missing("kind"))?;
+        let a = attrs.split(line);
+        let kind_raw = a.text("kind").ok_or(XmlError::Missing("kind"))?;
         let kind = kind_raw
             .chars()
             .next()
@@ -292,26 +349,23 @@ pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
             .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
         out.push(TraceRecord {
             kind,
-            name: Arc::from(attr(line, "name").ok_or(XmlError::Missing("name"))?),
-            detail: attr(line, "detail").map(Arc::from),
-            begin: num_attr(line, "begin")?,
-            end: num_attr(line, "end")?,
-            bytes: num_attr(line, "bytes")?,
-            region: num_attr(line, "region")?,
-            stream: match attr(line, "stream") {
-                Some(raw) => Some(raw.parse().map_err(|_| XmlError::BadNumber(raw))?),
-                None => None,
-            },
-            corr: num_attr(line, "corr")?,
+            name: Arc::from(a.text("name").ok_or(XmlError::Missing("name"))?),
+            detail: a.text("detail").map(Arc::from),
+            begin: a.num("begin")?,
+            end: a.num("end")?,
+            bytes: a.num("bytes")?,
+            region: a.num("region")?,
+            stream: a.opt_num("stream")?,
+            corr: a.num("corr")?,
             // summary records carry the aggregate attributes, keyed on
             // `count`; raw records (and pre-compaction logs) omit them
-            agg: match attr(line, "count") {
+            agg: match a.raw("count") {
                 Some(_) => Some(TraceAgg {
-                    count: num_attr(line, "count")?,
-                    total: num_attr(line, "total")?,
-                    min: num_attr(line, "min")?,
-                    max: num_attr(line, "max")?,
-                    exemplar: (num_attr(line, "ex_begin")?, num_attr(line, "ex_end")?),
+                    count: a.num("count")?,
+                    total: a.num("total")?,
+                    min: a.num("min")?,
+                    max: a.num("max")?,
+                    exemplar: (a.num("ex_begin")?, a.num("ex_end")?),
                 }),
                 None => None,
             },
@@ -328,7 +382,10 @@ pub fn trace_epoch_from_xml(xml: &str) -> Result<f64, XmlError> {
         .map(str::trim)
         .find(|l| *l == "<trace>" || l.starts_with("<trace "))
     {
-        Some(line) => opt_num_attr(line, "epoch", 0.0),
+        Some(line) => Ok(Attrs::default()
+            .split(line)
+            .opt_num("epoch")?
+            .unwrap_or(0.0)),
         None => Ok(0.0),
     }
 }
@@ -336,6 +393,12 @@ pub fn trace_epoch_from_xml(xml: &str) -> Result<f64, XmlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn with_trace(p: &RankProfile, trace: &[TraceRecord], epoch: f64) -> String {
+        let mut out = String::new();
+        write_xml(&mut out, p, trace, epoch);
+        out
+    }
 
     fn sample() -> RankProfile {
         let mut stats = RunningStats::new();
@@ -468,7 +531,7 @@ mod tests {
                 agg: None,
             },
         ];
-        let xml = to_xml_with_trace_at(&sample(), &trace, 0.0);
+        let xml = with_trace(&sample(), &trace, 0.0);
         let back = trace_from_xml(&xml).unwrap();
         assert_eq!(back, trace);
         // and the profile parse still works with the trace embedded
@@ -497,17 +560,49 @@ mod tests {
                 exemplar: (2.0, 2.125),
             }),
         }];
-        let xml = to_xml_with_trace_at(&sample(), &trace, 0.5);
+        let xml = with_trace(&sample(), &trace, 0.5);
         assert!(xml.contains("<trace epoch=\"0.5\">"));
         assert!(xml.contains("count=\"123\""));
         assert_eq!(trace_from_xml(&xml).unwrap(), trace);
         assert_eq!(trace_epoch_from_xml(&xml).unwrap(), 0.5);
         // epoch 0 writes the bare element, which parses back to 0
-        let xml0 = to_xml_with_trace_at(&sample(), &trace, 0.0);
+        let xml0 = with_trace(&sample(), &trace, 0.0);
         assert!(xml0.contains("<trace>"));
         assert_eq!(trace_epoch_from_xml(&xml0).unwrap(), 0.0);
         // traceless logs have epoch 0 too
         assert_eq!(trace_epoch_from_xml(&to_xml(&sample())).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn event_attributes_match_whole_names_in_any_order() {
+        let trace = vec![TraceRecord {
+            kind: TraceKind::Call,
+            name: Arc::from("cudaLaunch"),
+            detail: None,
+            begin: 1.0,
+            end: 4.75,
+            bytes: 0,
+            region: 0,
+            stream: None,
+            corr: 0,
+            agg: Some(TraceAgg {
+                count: 3,
+                total: 2.5,
+                min: 0.5,
+                max: 1.0,
+                exemplar: (2.0, 2.125),
+            }),
+        }];
+        let xml = with_trace(&sample(), &trace, 0.0);
+        let moved = " ex_begin=\"2\" ex_end=\"2.125\"";
+        assert!(xml.contains(moved), "{xml}");
+        // `ex_begin`/`ex_end` now precede `begin`/`end` on the line
+        let reordered = xml.replace(moved, "").replace(
+            "name=\"cudaLaunch\" begin=",
+            &format!("name=\"cudaLaunch\"{moved} begin="),
+        );
+        assert_ne!(reordered, xml);
+        assert_eq!(trace_from_xml(&reordered).unwrap(), trace);
     }
 
     #[test]

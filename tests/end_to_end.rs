@@ -9,9 +9,9 @@ use ipm_repro::apps::{
     SquareConfig,
 };
 use ipm_repro::gpu::{GpuConfig, GpuRuntime};
+use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
-    banner_from_xml, cluster_banner_from_xml, from_xml, to_xml, Banner, ClusterReport, Export,
-    Html, Ipm, IpmConfig, IpmCuda,
+    from_xml, to_xml, Banner, ClusterReport, Export, Html, Ipm, IpmConfig, IpmCuda,
 };
 use std::sync::Arc;
 
@@ -31,7 +31,10 @@ fn square_profile_survives_the_xml_roundtrip() {
     let xml = to_xml(&profile);
     let parsed = from_xml(&xml).expect("parse own XML");
     assert_eq!(parsed, profile);
-    let reparsed_banner = banner_from_xml(&xml).expect("banner from XML");
+    let reparsed_banner = export_from_xml(&[xml])
+        .expect("parse own XML")
+        .to(Banner)
+        .expect("banner from XML");
     assert_eq!(direct_banner, reparsed_banner);
 }
 
@@ -62,7 +65,11 @@ fn cluster_run_feeds_every_report_format() {
 
     // per-rank XML logs, like the files IPM writes at job exit
     let xmls: Vec<String> = run.profiles.iter().map(to_xml).collect();
-    let banner = cluster_banner_from_xml(&xmls, 2).expect("cluster banner");
+    let banner = export_from_xml(&xmls)
+        .expect("parse XML logs")
+        .nodes(2)
+        .to(Banner)
+        .expect("cluster banner");
     assert!(banner.contains("mpi_tasks : 4 on 2 nodes"));
     assert!(banner.contains("dgemm_nn_e_kernel") || banner.contains("@CUDA_EXEC_STRM"));
 
