@@ -59,6 +59,13 @@ impl FacadeCore {
     /// The Fig. 2 anatomy without any KTT sweep — safe to call while the
     /// KTT lock is held (launch wrappers do exactly that). Calls in the
     /// implicit blocking set are probed for host idle first.
+    ///
+    /// `#[inline]` keeps this per-call path inlined into every facade entry
+    /// point whatever codegen unit rustc puts it in: left to the default
+    /// heuristics, an unrelated change elsewhere in the crate once turned it
+    /// into an out-of-line call inside `cudaLaunch` and cost the
+    /// CUDA-call storm about 7% CPU time.
+    #[inline]
     pub(crate) fn wrapped_no_sweep<R>(
         &self,
         call: CallHandle,
