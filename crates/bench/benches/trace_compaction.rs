@@ -27,7 +27,7 @@ const Q: f64 = 1.0 / (1 << 20) as f64;
 fn rec(name: &'static str, begin: f64, end: f64) -> TraceRecord {
     TraceRecord {
         kind: TraceKind::Call,
-        name: name.into(),
+        name,
         detail: None,
         begin,
         end,
@@ -95,8 +95,8 @@ fn compaction_report() {
         let drained = ring.drain();
         let drain_ms = ms(t.elapsed());
         let effective: u64 = drained.iter().map(|r| r.event_count()).sum();
-        assert_eq!(effective, EVENTS - ring.dropped(), "conservation");
-        (peak, resident, drain_ms, ring.compacted_away())
+        assert_eq!(effective, EVENTS - ring.counters().dropped, "conservation");
+        (peak, resident, drain_ms, ring.counters().compacted)
     };
     let mut plain = (0, 0, f64::INFINITY, 0);
     let mut compacted = (0, 0, f64::INFINITY, 0);

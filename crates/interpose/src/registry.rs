@@ -28,7 +28,7 @@ use crate::spec::{
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// Index of a call in the global registry / name table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -111,46 +111,115 @@ pub struct CallHandle {
     pub has_bytes: bool,
 }
 
+#[derive(Clone, Copy)]
 struct NameRow {
-    name: Arc<str>,
+    name: &'static str,
     implicit_sync: bool,
     has_bytes: bool,
 }
 
-struct NameTableInner {
-    rows: Vec<NameRow>,
-    by_name: HashMap<Arc<str>, CallId>,
+impl NameRow {
+    fn handle(&self, id: CallId) -> CallHandle {
+        CallHandle {
+            id,
+            implicit_sync: self.implicit_sync,
+            has_bytes: self.has_bytes,
+        }
+    }
+}
+
+/// Log2 of the rows in the first chunk of the id → row table; chunk `k`
+/// holds `64 << k` rows, so [`CHUNKS`] chunks cover every `u32` id.
+const ROWS0_SHIFT: u32 = 6;
+const CHUNKS: usize = 32 - ROWS0_SHIFT as usize;
+
+/// An id's `(chunk, offset)` in the doubling chunk layout.
+#[inline]
+fn locate(id: CallId) -> (usize, usize) {
+    let v = id.0 as usize + (1 << ROWS0_SHIFT);
+    let top = usize::BITS - 1 - v.leading_zeros();
+    ((top - ROWS0_SHIFT) as usize, v - (1 << top))
+}
+
+/// The string → id half of the interner: only lookup by name and the
+/// append itself take this lock.
+struct NameIndex {
+    by_name: HashMap<&'static str, CallId>,
+    len: u32,
 }
 
 /// The process-wide name interner (see the module docs).
+///
+/// Every name lives for the rest of the process (a spec name is already
+/// `'static`; a dynamic one is leaked once, when first interned), so a
+/// resolved name is a plain `&'static str` that records can carry by
+/// value. Rows sit in an append-only table of fixed doubling chunks, each
+/// row a write-once cell published before its id is handed out: resolving
+/// an id ([`NameTable::name`], [`NameTable::handle`]) takes no lock and
+/// touches no shared counter.
 pub struct NameTable {
-    inner: RwLock<NameTableInner>,
+    chunks: [OnceLock<Box<[OnceLock<NameRow>]>>; CHUNKS],
+    index: RwLock<NameIndex>,
 }
 
 impl NameTable {
     fn build() -> Self {
         let reg = Registry::global();
-        let mut rows = Vec::with_capacity(reg.len());
-        let mut by_name = HashMap::with_capacity(reg.len());
-        for i in 0..reg.len() {
-            let spec = reg.spec(CallId(i as u32));
-            let name: Arc<str> = Arc::from(spec.name);
-            rows.push(NameRow {
-                name: name.clone(),
-                implicit_sync: spec.blocking == BlockingClass::ImplicitSync,
-                has_bytes: spec.has_bytes,
-            });
-            by_name.insert(name, CallId(i as u32));
+        let table = Self {
+            chunks: [const { OnceLock::new() }; CHUNKS],
+            index: RwLock::new(NameIndex {
+                by_name: HashMap::with_capacity(reg.len()),
+                len: 0,
+            }),
+        };
+        {
+            let mut index = table.index.write().expect("name table poisoned");
+            for i in 0..reg.len() {
+                let spec = reg.spec(CallId(i as u32));
+                table.append(
+                    &mut index,
+                    NameRow {
+                        name: spec.name,
+                        implicit_sync: spec.blocking == BlockingClass::ImplicitSync,
+                        has_bytes: spec.has_bytes,
+                    },
+                );
+            }
         }
-        Self {
-            inner: RwLock::new(NameTableInner { rows, by_name }),
-        }
+        table
     }
 
     /// The process-wide interner, seeded from [`Registry::global`].
     pub fn global() -> &'static NameTable {
         static TABLE: OnceLock<NameTable> = OnceLock::new();
         TABLE.get_or_init(NameTable::build)
+    }
+
+    /// Publish `row` under the next id (write lock held by the caller).
+    fn append(&self, index: &mut NameIndex, row: NameRow) -> CallId {
+        let id = CallId(index.len);
+        let (chunk, offset) = locate(id);
+        let rows = self.chunks[chunk].get_or_init(|| {
+            (0..1usize << (chunk as u32 + ROWS0_SHIFT))
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        if rows[offset].set(row).is_err() {
+            unreachable!("interner row {} published twice", id.0);
+        }
+        index.by_name.insert(row.name, id);
+        index.len += 1;
+        id
+    }
+
+    /// The published row for an id this table issued.
+    #[inline]
+    fn row(&self, id: CallId) -> &NameRow {
+        let (chunk, offset) = locate(id);
+        self.chunks[chunk]
+            .get()
+            .and_then(|rows| rows[offset].get())
+            .unwrap_or_else(|| panic!("call id {} was never issued", id.0))
     }
 
     /// Intern `name`, returning its handle. Spec attributes come from the
@@ -167,68 +236,47 @@ impl NameTable {
         let (implicit_sync, has_bytes) = spec
             .map(|s| (s.blocking == BlockingClass::ImplicitSync, s.has_bytes))
             .unwrap_or((false, false));
-        let mut inner = self.inner.write().expect("name table poisoned");
+        let mut index = self.index.write().expect("name table poisoned");
         // double-check: another thread may have interned it meanwhile
-        if let Some(&id) = inner.by_name.get(name) {
-            let row = &inner.rows[id.0 as usize];
-            return CallHandle {
-                id,
-                implicit_sync: row.implicit_sync,
-                has_bytes: row.has_bytes,
-            };
+        if let Some(&id) = index.by_name.get(name) {
+            return self.row(id).handle(id);
         }
-        let id = CallId(inner.rows.len() as u32);
-        let arc: Arc<str> = Arc::from(name);
-        inner.rows.push(NameRow {
-            name: arc.clone(),
+        let row = NameRow {
+            name: Box::leak(Box::<str>::from(name)),
             implicit_sync,
             has_bytes,
-        });
-        inner.by_name.insert(arc, id);
-        CallHandle {
-            id,
-            implicit_sync,
-            has_bytes,
-        }
+        };
+        let id = self.append(&mut index, row);
+        row.handle(id)
     }
 
     /// The handle for an already-interned name, if any.
     pub fn lookup(&self, name: &str) -> Option<CallHandle> {
-        let inner = self.inner.read().expect("name table poisoned");
-        inner.by_name.get(name).map(|&id| {
-            let row = &inner.rows[id.0 as usize];
-            CallHandle {
-                id,
-                implicit_sync: row.implicit_sync,
-                has_bytes: row.has_bytes,
-            }
-        })
+        let index = self.index.read().expect("name table poisoned");
+        let id = *index.by_name.get(name)?;
+        drop(index);
+        Some(self.row(id).handle(id))
     }
 
-    /// The interned name for an id — report/export-time resolution. O(1);
-    /// clones the shared `Arc`, so no allocation.
+    /// The interned name for an id — O(1), lock-free, no allocation.
     ///
     /// Panics on an id this table never issued (there is no way to obtain
     /// one through the public API).
-    pub fn name(&self, id: CallId) -> Arc<str> {
-        let inner = self.inner.read().expect("name table poisoned");
-        inner.rows[id.0 as usize].name.clone()
+    #[inline]
+    pub fn name(&self, id: CallId) -> &'static str {
+        self.row(id).name
     }
 
-    /// The handle for an id this table issued.
+    /// The handle for an id this table issued (lock-free, like
+    /// [`NameTable::name`]).
+    #[inline]
     pub fn handle(&self, id: CallId) -> CallHandle {
-        let inner = self.inner.read().expect("name table poisoned");
-        let row = &inner.rows[id.0 as usize];
-        CallHandle {
-            id,
-            implicit_sync: row.implicit_sync,
-            has_bytes: row.has_bytes,
-        }
+        self.row(id).handle(id)
     }
 
     /// Number of interned names (≥ the registry size).
     pub fn len(&self) -> usize {
-        self.inner.read().expect("name table poisoned").rows.len()
+        self.index.read().expect("name table poisoned").len as usize
     }
 
     /// Never true; for API completeness.
@@ -246,8 +294,8 @@ impl CallHandle {
         NameTable::global().intern(name)
     }
 
-    /// The interned name (report-time lookup).
-    pub fn name(&self) -> Arc<str> {
+    /// The interned name (lock-free; see [`NameTable::name`]).
+    pub fn name(&self) -> &'static str {
         NameTable::global().name(self.id)
     }
 }
@@ -374,7 +422,7 @@ mod tests {
         // a spec name's interned id IS its registry id
         let h = names.intern("cudaMemcpy");
         assert_eq!(Some(h.id), reg.id("cudaMemcpy"));
-        assert_eq!(&*names.name(h.id), "cudaMemcpy");
+        assert_eq!(names.name(h.id), "cudaMemcpy");
         assert!(h.implicit_sync && h.has_bytes);
     }
 
@@ -395,7 +443,71 @@ mod tests {
         assert!(!idle.implicit_sync && !idle.has_bytes);
         // interning is idempotent
         assert_eq!(names.intern("cudaMemcpy(D2H)"), split);
-        assert_eq!(&*names.name(split.id), "cudaMemcpy(D2H)");
+        assert_eq!(names.name(split.id), "cudaMemcpy(D2H)");
+    }
+
+    #[test]
+    fn chunk_layout_covers_ids_contiguously() {
+        assert_eq!(locate(CallId(0)), (0, 0));
+        assert_eq!(locate(CallId(63)), (0, 63));
+        assert_eq!(locate(CallId(64)), (1, 0));
+        assert_eq!(locate(CallId(191)), (1, 127));
+        assert_eq!(locate(CallId(192)), (2, 0));
+        assert_eq!(locate(CallId(u32::MAX - 64)).0, CHUNKS - 1);
+    }
+
+    #[test]
+    fn concurrent_interning_publishes_rows_before_ids() {
+        // a private table, so the chunk boundaries crossed are known
+        let table = NameTable::build();
+        let start = table.len();
+        const WRITERS: usize = 4;
+        const PER_WRITER: usize = 400;
+        let (tx, rx) = std::sync::mpsc::channel::<(String, CallHandle)>();
+        let rx = std::sync::Mutex::new(rx);
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let tx = tx.clone();
+                let table = &table;
+                scope.spawn(move || {
+                    for i in 0..PER_WRITER {
+                        // every other name is a derived name, so resolved
+                        // handles carry spec flags too
+                        let name = if i % 2 == 0 {
+                            format!("stress_{w}_{i}")
+                        } else {
+                            format!("cudaMemcpy(stress_{w}_{i})")
+                        };
+                        let h = table.intern(&name);
+                        tx.send((name, h)).unwrap();
+                    }
+                });
+            }
+            drop(tx);
+            for _ in 0..2 {
+                let (rx, table) = (&rx, &table);
+                scope.spawn(move || loop {
+                    let Ok((name, h)) = rx.lock().unwrap().recv() else {
+                        break;
+                    };
+                    // resolved on a thread that never interned it
+                    assert_eq!(table.name(h.id), name);
+                    assert_eq!(table.handle(h.id), h);
+                    assert_eq!(h.implicit_sync, name.starts_with("cudaMemcpy("));
+                });
+            }
+        });
+        let end = table.len();
+        assert_eq!(end, start + WRITERS * PER_WRITER);
+        assert!(
+            locate(CallId(end as u32 - 1)).0 >= locate(CallId(start as u32)).0 + 2,
+            "the stress run must cross at least two chunk boundaries"
+        );
+        // every id resolves, and lookup by name agrees with it
+        for id in 0..end as u32 {
+            let id = CallId(id);
+            assert_eq!(table.lookup(table.name(id)).map(|h| h.id), Some(id));
+        }
     }
 
     #[test]

@@ -141,7 +141,7 @@ mod tests {
         let events = sink.events.lock();
         assert_eq!(events.len(), 1);
         let (call, bytes, duration) = events[0];
-        assert_eq!(&*call.name(), "cudaMemcpy");
+        assert_eq!(call.name(), "cudaMemcpy");
         assert_eq!(bytes, 4096);
         assert!((duration - 0.25).abs() < 1e-12);
     }
@@ -187,7 +187,7 @@ mod tests {
         let spans = sink.spans.lock();
         assert_eq!(spans.len(), 1);
         let (call, begin, end) = spans[0];
-        assert_eq!(&*call.name(), "cudaLaunch");
+        assert_eq!(call.name(), "cudaLaunch");
         assert!((begin - 1.0).abs() < 1e-12);
         assert!((end - 1.5).abs() < 1e-12);
     }
@@ -207,7 +207,7 @@ mod tests {
         assert_eq!(got.unwrap().len(), 512);
         let events = sink.events.lock();
         assert_eq!(events[0].1, 512);
-        assert_eq!(&*events[0].0.name(), "MPI_Recv");
+        assert_eq!(events[0].0.name(), "MPI_Recv");
         // errors pass through and record zero bytes
         drop(events);
         let err: Result<Vec<u8>, &str> = wrap_call_sized(
@@ -236,8 +236,8 @@ mod tests {
             clock.advance(0.05);
         });
         let events = sink.events.lock();
-        assert_eq!(&*events[0].0.name(), "cudaLaunch");
-        assert_eq!(&*events[1].0.name(), "cublasDgemm");
+        assert_eq!(events[0].0.name(), "cudaLaunch");
+        assert_eq!(events[1].0.name(), "cublasDgemm");
         assert!(events[1].2 > events[0].2);
         assert!((events[1].2 - 0.15).abs() < 1e-12);
     }

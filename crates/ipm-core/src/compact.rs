@@ -214,12 +214,11 @@ fn merge_two(a: Vec<TraceRecord>, b: Vec<TraceRecord>) -> Vec<TraceRecord> {
 mod tests {
     use super::*;
     use crate::trace::TraceKind;
-    use std::sync::Arc;
 
-    fn rec(name: &str, begin: f64, end: f64) -> TraceRecord {
+    fn rec(name: &'static str, begin: f64, end: f64) -> TraceRecord {
         TraceRecord {
             kind: TraceKind::Call,
-            name: Arc::from(name),
+            name,
             detail: None,
             begin,
             end,
@@ -243,7 +242,7 @@ mod tests {
         assert_eq!(removed, 2);
         assert_eq!(buf.len(), 2);
         let s = &buf[0];
-        assert_eq!(&*s.name, "cudaLaunch");
+        assert_eq!(s.name, "cudaLaunch");
         assert_eq!(s.begin, 0.0, "first_begin");
         assert_eq!(s.end, 0.7, "last_end");
         let a = s.agg.expect("summary");
@@ -323,7 +322,7 @@ mod tests {
         let merged = merge_runs(runs);
         assert_eq!(merged, reference);
         // the (0.0, 1.0) tie resolved to run 0's record first
-        assert_eq!(&*merged[0].name, "a");
-        assert_eq!(&*merged[1].name, "b");
+        assert_eq!(merged[0].name, "a");
+        assert_eq!(merged[1].name, "b");
     }
 }

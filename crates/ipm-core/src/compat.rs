@@ -47,7 +47,7 @@ impl LegacyMirror {
     /// name resolution and `Arc` allocation, string-keyed insert.
     pub fn update(&self, call: CallHandle, bytes: u64, region: u16, duration: f64) {
         let sig = EventSignature {
-            name: Arc::from(&*call.name()),
+            name: Arc::from(call.name()),
             bytes,
             region,
             detail: None,
@@ -59,10 +59,10 @@ impl LegacyMirror {
     pub fn pseudo(&self, name: CallId, detail: Option<CallId>, region: u16, duration: f64) {
         let names = NameTable::global();
         let sig = EventSignature {
-            name: Arc::from(&*names.name(name)),
+            name: Arc::from(names.name(name)),
             bytes: 0,
             region,
-            detail: detail.map(|d| Arc::from(&*names.name(d))),
+            detail: detail.map(|d| Arc::from(names.name(d))),
         };
         self.table.lock().entry(sig).or_default().record(duration);
     }

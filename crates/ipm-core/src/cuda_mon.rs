@@ -22,7 +22,7 @@
 //! `cudaMemcpy(H2D)` probes while `cudaMemset` (the paper's noted
 //! exception) does not.
 
-use crate::facade::FacadeCore;
+use crate::facade::{kernel_id, FacadeCore};
 use crate::monitor::Ipm;
 use ipm_gpu_sim::{
     CudaApi, CudaResult, DeviceProperties, DevicePtr, EventId, Kernel, KernelArg, LaunchConfig,
@@ -198,14 +198,14 @@ impl CudaApi for IpmCuda {
             .pop()
             .unwrap_or(StreamId::DEFAULT);
         if self.ipm().config().gpu_timing {
-            let name: Arc<str> = Arc::from(kernel.name());
+            let kernel_id = kernel_id(kernel.name());
             // the KTT lock is held across the bracketed launch, so the
             // wrapper inside must not sweep (EveryCall would self-deadlock);
             // sweep after the lock is released instead
             // speccheck: allow(lock-across-call) — KTT bracketing requires it
             let ret = {
                 let mut ktt = self.ipm().ktt().lock();
-                ktt.time_launch(self.inner.as_ref(), name, stream, || {
+                ktt.time_launch(self.inner.as_ref(), kernel_id, stream, || {
                     self.wrapped_no_sweep(site!("cudaLaunch"), 0, || self.inner.cuda_launch(kernel))
                 })
             };
@@ -421,7 +421,7 @@ mod tests {
         // kernel execution it enqueued
         let mut launch_corrs: Vec<u64> = records
             .iter()
-            .filter(|r| r.kind == TraceKind::Call && &*r.name == "cudaLaunch")
+            .filter(|r| r.kind == TraceKind::Call && r.name == "cudaLaunch")
             .map(|r| r.corr)
             .collect();
         let mut exec_corrs: Vec<u64> = records

@@ -17,7 +17,7 @@
 //!    probe for accumulated device work first; `cuMemsetD8` is the paper's
 //!    noted exception and gets no probe.
 
-use crate::facade::FacadeCore;
+use crate::facade::{kernel_id, FacadeCore};
 use crate::monitor::Ipm;
 use ipm_gpu_sim::{
     CudaApi, CudaResult, DevicePtr, DriverContext, EventId, Kernel, KernelArg, LaunchConfig,
@@ -277,7 +277,7 @@ impl IpmDriver {
     /// the default stream: that is all `cuLaunchGrid` can target).
     pub fn cu_launch_grid(&self, kernel: &Kernel, grid_x: u32, grid_y: u32) -> CudaResult<()> {
         if self.ipm().config().gpu_timing {
-            let name: Arc<str> = Arc::from(kernel.name());
+            let kernel_id = kernel_id(kernel.name());
             // the KTT lock is held across the bracketed launch, so the
             // wrapper inside must not sweep (EveryCall would self-deadlock);
             // sweep after the lock is released instead
@@ -286,7 +286,7 @@ impl IpmDriver {
                 let mut ktt = self.ipm().ktt().lock();
                 ktt.time_launch(
                     self.inner.runtime().as_ref(),
-                    name,
+                    kernel_id,
                     StreamId::DEFAULT,
                     || {
                         self.wrapped_no_sweep(site!("cuLaunchGrid"), 0, || {
@@ -425,7 +425,7 @@ mod tests {
         let records = ipm.drain_trace();
         let launch = records
             .iter()
-            .find(|r| r.kind == TraceKind::Call && &*r.name == "cuLaunchGrid")
+            .find(|r| r.kind == TraceKind::Call && r.name == "cuLaunchGrid")
             .expect("launch record");
         assert_ne!(launch.corr, 0);
         let exec = records

@@ -251,7 +251,7 @@ pub(crate) fn chrome_trace_json(ranks: &[ExportRank]) -> String {
             .iter()
             .filter(|t| t.kind != TraceKind::KernelExec)
             .map(|t| LaneSlice {
-                name: &t.name,
+                name: t.name,
                 begin: t.begin - r.epoch,
                 end: t.end - r.epoch,
                 args: Args::Host(t),
@@ -289,7 +289,7 @@ pub(crate) fn chrome_trace_json(ranks: &[ExportRank]) -> String {
                     .entry(t.stream.unwrap_or(0))
                     .or_default()
                     .push(LaneSlice {
-                        name: t.detail.as_deref().unwrap_or(&t.name),
+                        name: t.detail.unwrap_or(t.name),
                         begin: t.begin - r.epoch,
                         end: t.end - r.epoch,
                         args: Args::Kernel(t),
@@ -486,12 +486,12 @@ pub(crate) mod tests {
     use crate::export::{ChromeTrace, Export};
     use crate::trace::{TraceRank, TraceRing, DEFAULT_TRACE_SHARDS};
     use ipm_gpu_sim::{ProfRecord, StreamId};
-    use std::sync::Arc;
+    use ipm_interpose::CallHandle;
 
-    fn call(name: &str, begin: f64, end: f64) -> TraceRecord {
+    fn call(name: &'static str, begin: f64, end: f64) -> TraceRecord {
         TraceRecord {
             kind: TraceKind::Call,
-            name: Arc::from(name),
+            name,
             detail: None,
             begin,
             end,
@@ -529,7 +529,7 @@ pub(crate) mod tests {
             let t = i as f64 * 1e-3;
             assert!(ring.push(call("cudaLaunch", t, t + 5e-4)));
         }
-        assert!(ring.compacted_away() > 0, "burst must compact");
+        assert!(ring.counters().compacted > 0, "burst must compact");
         let records = ring.drain();
         let summaries: Vec<&TraceRecord> = records.iter().filter(|r| r.is_summary()).collect();
         assert!(
@@ -563,8 +563,8 @@ pub(crate) mod tests {
             let stream = (i % 2) as u32;
             records.push(TraceRecord {
                 kind: TraceKind::KernelExec,
-                name: Arc::from(format!("@CUDA_EXEC_STRM0{stream}")),
-                detail: Some(Arc::from("kernel")),
+                name: CallHandle::of(&format!("@CUDA_EXEC_STRM0{stream}")).name(),
+                detail: Some("kernel"),
                 begin: t + 3e-5,
                 end: t + 1.5e-4,
                 bytes: 0,
@@ -635,10 +635,10 @@ pub(crate) mod tests {
     fn chrome_trace_is_valid_and_has_flows() {
         let mut launch = call("cudaLaunch", 1.0, 1.00001);
         launch.corr = 42;
-        let mut exec = TraceRecord {
+        let exec = TraceRecord {
             kind: TraceKind::KernelExec,
-            name: Arc::from("@CUDA_EXEC_STRM00"),
-            detail: Some(Arc::from("square")),
+            name: "@CUDA_EXEC_STRM00",
+            detail: Some("square"),
             begin: 1.0001,
             end: 2.15,
             bytes: 0,
@@ -653,13 +653,13 @@ pub(crate) mod tests {
             epoch: 0.0,
             records: vec![
                 call("cudaMalloc", 0.0, 0.5),
-                launch.clone(),
+                launch,
                 call("cudaMemcpy(D2H)", 2.2, 2.3),
             ],
             prof: Vec::new(),
         };
         let mut with_exec = rank.clone();
-        with_exec.records.push(exec.clone());
+        with_exec.records.push(exec);
         let json = export(vec![with_exec]);
         let stats = validate_chrome_trace(&json).expect("valid trace");
         assert_eq!(stats.processes, 1);
@@ -668,7 +668,6 @@ pub(crate) mod tests {
         assert_eq!(stats.flow_pairs, 1);
 
         // prof records take precedence for device lanes when present
-        exec.corr = 0;
         launch.corr = 7;
         let prof_rank = TraceRank {
             rank: 1,

@@ -166,14 +166,14 @@ fn rank_spans(out: &mut String, r: &ExportRank, trace_id: u128) {
     } else {
         for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
             let mut attrs = spans.open(
-                &t.name,
+                t.name,
                 KIND_CONSUMER,
                 ns(t.begin, r.epoch),
                 ns(t.end, r.epoch),
             );
             attrs.int("ipm.stream", u64::from(t.stream.unwrap_or(0)));
             attrs.int("ipm.region", u64::from(t.region));
-            if let Some(detail) = t.detail.as_deref() {
+            if let Some(detail) = t.detail {
                 attrs.str("ipm.kernel", detail);
             }
             if t.corr != 0 {
@@ -195,7 +195,7 @@ fn rank_spans(out: &mut String, r: &ExportRank, trace_id: u128) {
             None
         };
         let mut attrs = spans.open(
-            &t.name,
+            t.name,
             KIND_INTERNAL,
             ns(t.begin, r.epoch),
             ns(t.end, r.epoch),
@@ -420,12 +420,11 @@ mod tests {
     use crate::compact::TraceAgg;
     use crate::export::{Export, Otlp};
     use crate::trace::TraceRank;
-    use std::sync::Arc;
 
-    fn rec(kind: TraceKind, name: &str, begin: f64, end: f64, corr: u64) -> TraceRecord {
+    fn rec(kind: TraceKind, name: &'static str, begin: f64, end: f64, corr: u64) -> TraceRecord {
         TraceRecord {
             kind,
-            name: Arc::from(name),
+            name,
             detail: None,
             begin,
             end,

@@ -22,13 +22,45 @@ use crate::sig::EventSignature;
 use ipm_gpu_sim::CudaApi;
 use ipm_interpose::{site, wrap_call, wrap_call_sized, CallHandle, CallId, NameTable};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The interned id of a kernel symbol, for the launch wrappers.
+///
+/// A launch resolves its kernel's symbol every time, and the interner's
+/// lookup by string takes a lock every rank thread shares plus a hash. A
+/// small per-thread cache keyed by the symbol's address answers a repeat
+/// launch of the same kernel object instead; a hit is checked against the
+/// interned name, so a freed and reused address can never alias another
+/// kernel.
+pub(crate) fn kernel_id(symbol: &str) -> CallId {
+    const WAYS: usize = 64;
+    thread_local! {
+        static BY_ADDRESS: [Cell<(usize, CallId)>; WAYS] =
+            const { [const { Cell::new((0, CallId(0))) }; WAYS] };
+    }
+    let addr = symbol.as_ptr() as usize;
+    BY_ADDRESS.with(|cache| {
+        let way = &cache[(addr >> 4 ^ addr >> 10) % WAYS];
+        let (cached_addr, id) = way.get();
+        if cached_addr == addr && NameTable::global().name(id) == symbol {
+            return id;
+        }
+        let id = CallHandle::of(symbol).id;
+        way.set((addr, id));
+        id
+    })
+}
 
 /// The state every monitored facade shares: the monitoring context, the
 /// *real* device API used for IPM-internal probing (invisible to the
 /// profile), the cached per-call overhead charge, and the interned
 /// `@CUDA_EXEC_STRMxx` ids.
+///
+/// Lock order: the KTT, then the `@CUDA_EXEC_STRMxx` cache, then the
+/// table's and ring's own stripes (booking a completion deposits into
+/// them). Nothing takes the KTT while holding a later lock.
 pub(crate) struct FacadeCore {
     ipm: Arc<Ipm>,
     /// The bare (unmonitored) device API for host-idle probes and KTT
@@ -138,14 +170,16 @@ impl FacadeCore {
     }
 
     /// Sweep the KTT for completed kernels and book `@CUDA_EXEC_STRMxx`
-    /// entries (paper: done in D2H transfer wrappers).
+    /// entries (paper: done in D2H transfer wrappers). Completions are
+    /// booked while the KTT lock is still held: they come out of the
+    /// table's reused buffer, so a sweep allocates nothing.
     pub(crate) fn sweep_ktt(&self) {
         let Some(device) = &self.device else { return };
         if !self.ipm.config().gpu_timing {
             return;
         }
-        let completed = self.ipm.ktt().lock().collect_completed(device.as_ref());
-        self.book_completed(completed);
+        let mut ktt = self.ipm.ktt().lock();
+        self.book_completed(ktt.collect_completed(device.as_ref()));
     }
 
     /// Sweep only under `KttCheckPolicy::EveryCall` — the tail of the full
@@ -156,33 +190,31 @@ impl FacadeCore {
         }
     }
 
-    fn book_completed(&self, completed: Vec<CompletedKernel>) {
+    fn book_completed(&self, completed: impl ExactSizeIterator<Item = CompletedKernel>) {
+        if completed.len() == 0 {
+            return;
+        }
         let correction = self.ipm.config().exec_time_correction.unwrap_or(0.0);
+        let names = NameTable::global();
+        // the stream → `@CUDA_EXEC_STRMxx` cache is consulted once per
+        // sweep, not per completion (format + intern run once per stream)
+        let mut exec_ids = self.exec_ids.lock();
         for c in completed {
-            let exec = self.exec_stream_id(c.stream.0);
+            let exec = *exec_ids.entry(c.stream.0).or_insert_with(|| {
+                CallHandle::of(&EventSignature::exec_stream_name(c.stream.0)).id
+            });
             let duration = (c.duration - correction).max(0.0);
             if let Some(interval) = c.interval {
                 self.ipm.trace_kernel_exec(
-                    NameTable::global().name(exec),
-                    c.kernel.clone(),
+                    names.name(exec),
+                    names.name(c.kernel),
                     c.stream.0,
                     interval,
                     c.corr,
                 );
             }
-            self.ipm
-                .update_pseudo(exec, Some(CallHandle::of(&c.kernel).id), duration);
+            self.ipm.update_pseudo(exec, Some(c.kernel), duration);
         }
-    }
-
-    /// The interned `@CUDA_EXEC_STRMxx` id for a stream (cached: the format
-    /// + intern cost is paid once per stream, not per completion).
-    fn exec_stream_id(&self, stream: u32) -> CallId {
-        *self
-            .exec_ids
-            .lock()
-            .entry(stream)
-            .or_insert_with(|| CallHandle::of(&EventSignature::exec_stream_name(stream)).id)
     }
 
     /// Drain any in-flight kernel timings (call before producing the
@@ -192,8 +224,8 @@ impl FacadeCore {
         if !self.ipm.config().gpu_timing {
             return;
         }
-        let completed = self.ipm.ktt().lock().drain(device.as_ref());
-        self.book_completed(completed);
+        let mut ktt = self.ipm.ktt().lock();
+        self.book_completed(ktt.drain(device.as_ref()));
     }
 }
 
@@ -216,6 +248,20 @@ mod tests {
         let p = ipm.profile();
         assert_eq!(p.count_of("cublasSetMatrix"), 1);
         assert_eq!(p.host_idle_time(), 0.0);
+    }
+
+    #[test]
+    fn kernel_ids_follow_the_symbol_not_its_address() {
+        let mut symbol = String::from("kernel_id_first");
+        let first = kernel_id(&symbol);
+        assert_eq!(first, CallHandle::of("kernel_id_first").id);
+        assert_eq!(kernel_id(&symbol), first, "a repeat launch hits the cache");
+        // same address, same length, new symbol: the cached id must not
+        // be reused
+        symbol.replace_range(.., "kernel_id_other");
+        let other = kernel_id(&symbol);
+        assert_eq!(other, CallHandle::of("kernel_id_other").id);
+        assert_ne!(other, first);
     }
 
     #[test]

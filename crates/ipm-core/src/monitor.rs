@@ -391,11 +391,13 @@ impl Ipm {
     }
 
     /// Capture a kernel-execution interval in the trace (KTT completion
-    /// with device timestamps). No-op when tracing is disabled.
+    /// with device timestamps): `name` is the interned `@CUDA_EXEC_STRMxx`
+    /// pseudo-event, `kernel` the interned kernel symbol. No-op when
+    /// tracing is disabled.
     pub fn trace_kernel_exec(
         &self,
-        name: Arc<str>,
-        kernel: Arc<str>,
+        name: &'static str,
+        kernel: &'static str,
         stream: u32,
         interval: (f64, f64),
         corr: u64,
@@ -423,15 +425,9 @@ impl Ipm {
     pub fn trace_host_idle(&self, begin: f64, end: f64) {
         let Some(ring) = &self.trace else { return };
         let t = Instant::now();
-        // resolved once per process: cloning the interner's Arc, not
-        // re-allocating the pseudo-event name per idle interval
-        static IDLE_NAME: OnceLock<Arc<str>> = OnceLock::new();
-        let name = IDLE_NAME
-            .get_or_init(|| CallHandle::of(crate::sig::EventSignature::HOST_IDLE).name())
-            .clone();
         ring.push(TraceRecord {
             kind: TraceKind::HostIdle,
-            name,
+            name: NameTable::global().name(site!("@CUDA_HOST_IDLE").id),
             detail: None,
             begin,
             end,
@@ -636,8 +632,8 @@ impl MonitorSink for Ipm {
             };
             ring.push(TraceRecord {
                 kind: TraceKind::Call,
-                // O(1) interner lookup cloning the shared Arc — the record
-                // path still performs no allocation
+                // lock-free interner lookup of a `'static` name: no
+                // allocation and no shared refcount on the record path
                 name: NameTable::global().name(call.id),
                 detail: None,
                 begin,

@@ -205,13 +205,12 @@ mod tests {
     fn chrome_trace_from_xml_logs_is_valid() {
         use crate::export::{validate_chrome_trace, Xml};
         use crate::trace::{TraceKind, TraceRecord};
-        use std::sync::Arc;
 
         let mk = |rank: usize| {
             let trace = vec![
                 TraceRecord {
                     kind: TraceKind::Call,
-                    name: Arc::from("cudaLaunch"),
+                    name: "cudaLaunch",
                     detail: None,
                     begin: 0.1 * rank as f64,
                     end: 0.1 * rank as f64 + 0.001,
@@ -223,8 +222,8 @@ mod tests {
                 },
                 TraceRecord {
                     kind: TraceKind::KernelExec,
-                    name: Arc::from("@CUDA_EXEC_STRM00"),
-                    detail: Some(Arc::from("zgemm_kernel_NN")),
+                    name: "@CUDA_EXEC_STRM00",
+                    detail: Some("zgemm_kernel_NN"),
                     begin: 0.1 * rank as f64 + 0.002,
                     end: 0.1 * rank as f64 + 0.05,
                     bytes: 0,
@@ -255,13 +254,12 @@ mod tests {
     fn otlp_from_xml_logs_is_valid_and_linked() {
         use crate::export::{validate_otlp, Xml};
         use crate::trace::{TraceKind, TraceRecord};
-        use std::sync::Arc;
 
         let mk = |rank: usize| {
             let trace = vec![
                 TraceRecord {
                     kind: TraceKind::Call,
-                    name: Arc::from("cudaLaunch"),
+                    name: "cudaLaunch",
                     detail: None,
                     begin: 0.1,
                     end: 0.101,
@@ -273,8 +271,8 @@ mod tests {
                 },
                 TraceRecord {
                     kind: TraceKind::KernelExec,
-                    name: Arc::from("@CUDA_EXEC_STRM00"),
-                    detail: Some(Arc::from("zgemm_kernel_NN")),
+                    name: "@CUDA_EXEC_STRM00",
+                    detail: Some("zgemm_kernel_NN"),
                     begin: 0.102,
                     end: 0.2,
                     bytes: 0,
@@ -303,7 +301,6 @@ mod tests {
     fn chrome_trace_from_xml_applies_recorded_epochs() {
         use crate::export::{validate_chrome_trace, Xml};
         use crate::trace::{TraceKind, TraceRecord};
-        use std::sync::Arc;
 
         // two ranks whose clocks disagree: each records the shared cluster
         // instant at a different local time; after alignment both slices
@@ -311,7 +308,7 @@ mod tests {
         let mk = |rank: usize, epoch: f64| {
             let trace = vec![TraceRecord {
                 kind: TraceKind::Call,
-                name: Arc::from("MPI_Allreduce"),
+                name: "MPI_Allreduce",
                 detail: None,
                 begin: epoch + 0.25,
                 end: epoch + 0.5,

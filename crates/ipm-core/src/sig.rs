@@ -104,14 +104,14 @@ impl SigKey {
     }
 
     /// Resolve back to the string-keyed form through the global interner
-    /// (report/export time only).
+    /// (report/export time only: this copies the names into fresh `Arc`s).
     pub fn resolve(&self) -> EventSignature {
         let names = NameTable::global();
         EventSignature {
-            name: names.name(self.id),
+            name: Arc::from(names.name(self.id)),
             bytes: self.bytes,
             region: self.region,
-            detail: self.detail.map(|d| names.name(d)),
+            detail: self.detail.map(|d| Arc::from(names.name(d))),
         }
     }
 }

@@ -90,6 +90,10 @@ pub struct PerfTable {
     /// Every delta cell ever handed to a thread. The table holds the
     /// strong reference, so a thread exiting never takes deltas with it.
     cells: Mutex<Vec<Arc<DeltaCell>>>,
+    /// Serializes flushes, and holds the scratch buffer a flush drains a
+    /// cell into. Taken before any cell or shard lock, and never while
+    /// one is held.
+    flushing: Mutex<Vec<(SigKey, RunningStats)>>,
     /// Maximum total entries across all shards.
     capacity: usize,
     /// Entries currently stored (approximate upper bound maintained
@@ -114,6 +118,7 @@ impl PerfTable {
             id: next_table_id(),
             shards: vec.into_boxed_slice(),
             cells: Mutex::new(Vec::new()),
+            flushing: Mutex::new(Vec::new()),
             capacity,
             len: AtomicU64::new(0),
             overflow: AtomicU64::new(0),
@@ -190,11 +195,23 @@ impl PerfTable {
     /// read paths call this first, so reads observe every completed
     /// `update_key`. Draining keeps each cell's map capacity, preserving
     /// the no-allocation steady state.
+    ///
+    /// Flushes are serialized: a delta drained out of its cell is merged
+    /// into its shard before any other flush can start. Otherwise a reader
+    /// racing another reader's flush could find a cell already emptied
+    /// and a shard not yet merged, and miss an update that completed
+    /// before its read began.
     fn flush_cells(&self) {
+        let mut scratch = self.flushing.lock();
+        self.drain_cells_into_shards(&mut scratch);
+    }
+
+    /// The body of [`Self::flush_cells`], run under its serializing lock.
+    fn drain_cells_into_shards(&self, scratch: &mut Vec<(SigKey, RunningStats)>) {
         let cells: Vec<Arc<DeltaCell>> = self.cells.lock().iter().cloned().collect();
         for cell in cells {
-            let drained: Vec<(SigKey, RunningStats)> = cell.deltas.lock().drain().collect();
-            for (key, stats) in drained {
+            scratch.extend(cell.deltas.lock().drain());
+            for (key, stats) in scratch.drain(..) {
                 self.merge(key, stats);
             }
         }

@@ -28,7 +28,6 @@ use ipm_gpu_sim::ProfRecord;
 use std::cell::UnsafeCell;
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Records
@@ -66,16 +65,17 @@ impl TraceKind {
     }
 }
 
-/// One captured event: a compact, fixed-shape record (interned names keep
-/// it cheap to clone under the ring lock).
-#[derive(Clone, Debug, PartialEq)]
+/// One captured event: a compact, fixed-shape `Copy` record. Its names are
+/// interned (`NameTable::name`), so they live for the rest of the process
+/// and a push copies two pointers instead of touching a shared refcount.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceRecord {
     pub kind: TraceKind,
     /// Registry name (`cudaMemcpy(D2H)`, `MPI_Allreduce`, …) or, for
     /// `KernelExec`, the `@CUDA_EXEC_STRMxx` pseudo-event name.
-    pub name: Arc<str>,
+    pub name: &'static str,
     /// Kernel symbol for `KernelExec` records.
-    pub detail: Option<Arc<str>>,
+    pub detail: Option<&'static str>,
     /// Begin timestamp, virtual seconds.
     pub begin: f64,
     /// End timestamp, virtual seconds.
@@ -328,9 +328,18 @@ impl TraceRing {
         // a sequential fill could hit a full stripe while others have room,
         // dropping before `capacity` records are resident
         let rot_shift = if per_shard.is_multiple_of(64) { 6 } else { 0 };
+        // each stripe's buffer is reserved to its full share up front (and
+        // again by the first push after a drain), so no push ever grows a
+        // buffer by reallocating it; untouched capacity costs address
+        // space, not memory
         Self {
             shards: (0..shards)
-                .map(|_| SpinLock::new(Shard::default()))
+                .map(|_| {
+                    SpinLock::new(Shard {
+                        buf: Vec::with_capacity(per_shard),
+                        ..Shard::default()
+                    })
+                })
                 .collect(),
             per_shard,
             policy,
@@ -404,6 +413,13 @@ impl TraceRing {
             shard.dropped += 1;
             return false;
         }
+        if shard.buf.capacity() == 0 {
+            // first push after a drain: reserve the stripe's whole share
+            // again. Drains leave the stripe empty instead, so a final
+            // drain does not hold reserved memory the post-mortem that
+            // follows could have reused.
+            shard.buf.reserve_exact(self.per_shard);
+        }
         if shard
             .buf
             .last()
@@ -419,24 +435,14 @@ impl TraceRing {
         true
     }
 
-    /// Records offered so far (captured plus dropped plus compacted away).
-    pub fn emitted(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let g = s.lock();
-                g.captured + g.dropped + g.compacted_away
-            })
-            .sum()
-    }
-
     /// All cumulative counters in one sweep, each stripe read under a
     /// single lock acquisition. Because every stripe's triple is sampled
     /// atomically (and `emitted` is their sum by definition), the returned
     /// snapshot satisfies `captured + dropped + compacted == emitted` even
-    /// while writers and compaction passes are running — unlike combining
-    /// the individual accessors, which sweep the stripes once each and can
-    /// interleave with concurrent pushes.
+    /// while writers and compaction passes are running. Summary records
+    /// carry the count and busy time of the records compacted away:
+    /// Σ `event_count` over resident + drained records always equals
+    /// `emitted - dropped`.
     pub fn counters(&self) -> TraceCounters {
         let mut c = TraceCounters::default();
         for shard in &self.shards {
@@ -447,26 +453,6 @@ impl TraceRing {
             c.emitted += g.captured + g.dropped + g.compacted_away;
         }
         c
-    }
-
-    /// Records stored and still individually accounted for (drained
-    /// records still count; records absorbed into summaries move to
-    /// [`TraceRing::compacted_away`]).
-    pub fn captured(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().captured).sum()
-    }
-
-    /// Records refused because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().dropped).sum()
-    }
-
-    /// Records absorbed into summary records by compaction passes. Their
-    /// count and busy time live on in the summaries' [`TraceAgg`]s:
-    /// Σ `event_count` over resident + drained records always equals
-    /// `emitted - dropped`.
-    pub fn compacted_away(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().compacted_away).sum()
     }
 
     /// Records currently resident.
@@ -583,11 +569,12 @@ pub use crate::jsonw::{parse_json, Json};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    fn call(name: &str, begin: f64, end: f64) -> TraceRecord {
+    fn call(name: &'static str, begin: f64, end: f64) -> TraceRecord {
         TraceRecord {
             kind: TraceKind::Call,
-            name: Arc::from(name),
+            name,
             detail: None,
             begin,
             end,
@@ -605,10 +592,11 @@ mod tests {
         for i in 0..10 {
             assert!(ring.push(call("x", i as f64, i as f64 + 0.5)));
         }
-        assert_eq!(ring.emitted(), 10);
-        assert_eq!(ring.captured(), 10);
-        assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.captured() + ring.dropped(), ring.emitted());
+        let c = ring.counters();
+        assert_eq!(c.emitted, 10);
+        assert_eq!(c.captured, 10);
+        assert_eq!(c.dropped, 0);
+        assert_eq!(c.captured + c.dropped, c.emitted);
         assert_eq!(ring.len(), 10);
         assert_eq!(ring.high_water_mark(), 10);
     }
@@ -623,10 +611,11 @@ mod tests {
             }
         }
         assert_eq!(accepted, 4);
-        assert_eq!(ring.emitted(), 20);
-        assert_eq!(ring.captured(), 4);
-        assert_eq!(ring.dropped(), 16);
-        assert_eq!(ring.captured() + ring.dropped(), ring.emitted());
+        let c = ring.counters();
+        assert_eq!(c.emitted, 20);
+        assert_eq!(c.captured, 4);
+        assert_eq!(c.dropped, 16);
+        assert_eq!(c.captured + c.dropped, c.emitted);
     }
 
     #[test]
@@ -641,7 +630,7 @@ mod tests {
         assert!(ring.is_empty());
         // freed space accepts new records
         assert!(ring.push(call("y", 9.0, 9.5)));
-        assert_eq!(ring.captured(), 4);
+        assert_eq!(ring.counters().captured, 4);
     }
 
     #[test]
@@ -657,9 +646,10 @@ mod tests {
                 });
             }
         });
-        assert_eq!(ring.emitted(), 800);
-        assert_eq!(ring.captured() + ring.dropped(), 800);
-        assert_eq!(ring.len() as u64, ring.captured());
+        let c = ring.counters();
+        assert_eq!(c.emitted, 800);
+        assert_eq!(c.captured + c.dropped, 800);
+        assert_eq!(ring.len() as u64, c.captured);
     }
 
     #[test]
@@ -671,12 +661,10 @@ mod tests {
             let t = i as f64 * 0.001;
             assert!(ring.push(call("cudaLaunch", t, t + 0.0005)), "never drops");
         }
-        assert_eq!(ring.emitted(), n);
-        assert_eq!(ring.dropped(), 0);
-        assert_eq!(
-            ring.captured() + ring.dropped() + ring.compacted_away(),
-            ring.emitted()
-        );
+        let c = ring.counters();
+        assert_eq!(c.emitted, n);
+        assert_eq!(c.dropped, 0);
+        assert_eq!(c.captured + c.dropped + c.compacted, c.emitted);
         // the gate lets a stripe overshoot the high-water mark by at most
         // len/8 between passes; it must stay far below the raw count
         assert!(ring.len() <= 64 + 64 / 8 + 1, "resident: {}", ring.len());
@@ -693,9 +681,10 @@ mod tests {
         for i in 0..20 {
             ring.push(call("x", i as f64, i as f64));
         }
-        assert_eq!(ring.captured(), 4);
-        assert_eq!(ring.dropped(), 16);
-        assert_eq!(ring.compacted_away(), 0);
+        let c = ring.counters();
+        assert_eq!(c.captured, 4);
+        assert_eq!(c.dropped, 16);
+        assert_eq!(c.compacted, 0);
     }
 
     #[test]
@@ -714,17 +703,20 @@ mod tests {
     }
 
     #[test]
-    fn counters_sweep_matches_individual_accessors() {
+    fn counters_sweep_closes_and_matches_drained_events() {
         let ring = TraceRing::with_policy(8, 2, CompactPolicy::with_high_water(2));
         for i in 0..50 {
             ring.push(call("x", i as f64, i as f64 + 0.5));
         }
         let c = ring.counters();
-        assert_eq!(c.emitted, ring.emitted());
-        assert_eq!(c.captured, ring.captured());
-        assert_eq!(c.dropped, ring.dropped());
-        assert_eq!(c.compacted, ring.compacted_away());
+        assert_eq!(c.emitted, 50);
+        assert!(c.compacted > 0, "high-water 2 must compact");
         assert_eq!(c.captured + c.dropped + c.compacted, c.emitted);
+        // summaries carry the compacted-away records: what drains accounts
+        // for every offer the ring did not drop
+        let events: u64 = ring.drain().iter().map(TraceRecord::event_count).sum();
+        assert_eq!(events, c.emitted - c.dropped);
+        assert_eq!(ring.counters(), c, "drains leave the counters alone");
     }
 
     #[test]

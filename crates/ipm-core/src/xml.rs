@@ -22,10 +22,10 @@
 use crate::compact::TraceAgg;
 use crate::profile::{MonitorInfo, ProfileEntry, RankProfile};
 use crate::trace::{TraceKind, TraceRecord};
+use ipm_interpose::CallHandle;
 use ipm_sim_core::RunningStats;
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
 
 /// XML parsing failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -140,7 +140,7 @@ pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord]
                 out,
                 "      <event kind=\"{}\" name=\"{}\"",
                 t.kind.tag(),
-                Escaped(&t.name)
+                Escaped(t.name)
             );
             if let Some(d) = &t.detail {
                 let _ = write!(out, " detail=\"{}\"", Escaped(d));
@@ -331,6 +331,13 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
     })
 }
 
+/// A parsed name as the process-lifetime string records carry: names
+/// repeat across a log's events, so each distinct one is stored once (and
+/// kept for the rest of the process, like every interned name).
+fn interned(name: &str) -> &'static str {
+    CallHandle::of(name).name()
+}
+
 /// Parse the `<trace>` section back out of a log written by the `Xml`
 /// export backend. Logs without a trace yield an empty vector.
 pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
@@ -349,8 +356,8 @@ pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
             .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
         out.push(TraceRecord {
             kind,
-            name: Arc::from(a.text("name").ok_or(XmlError::Missing("name"))?),
-            detail: a.text("detail").map(Arc::from),
+            name: interned(&a.text("name").ok_or(XmlError::Missing("name"))?),
+            detail: a.text("detail").map(|d| interned(&d)),
             begin: a.num("begin")?,
             end: a.num("end")?,
             bytes: a.num("bytes")?,
@@ -508,7 +515,7 @@ mod tests {
         let trace = vec![
             TraceRecord {
                 kind: TraceKind::Call,
-                name: Arc::from("cudaLaunch"),
+                name: "cudaLaunch",
                 detail: None,
                 begin: 1.0,
                 end: 1.25,
@@ -520,8 +527,8 @@ mod tests {
             },
             TraceRecord {
                 kind: TraceKind::KernelExec,
-                name: Arc::from("@CUDA_EXEC_STRM02"),
-                detail: Some("square<T>".to_owned().into()),
+                name: "@CUDA_EXEC_STRM02",
+                detail: Some("square<T>"),
                 begin: 1.25,
                 end: 2.5,
                 bytes: 0,
@@ -544,7 +551,7 @@ mod tests {
     fn summary_records_and_epoch_roundtrip() {
         let trace = vec![TraceRecord {
             kind: TraceKind::Call,
-            name: Arc::from("cudaLaunch"),
+            name: "cudaLaunch",
             detail: None,
             begin: 1.0,
             end: 4.75,
@@ -577,7 +584,7 @@ mod tests {
     fn event_attributes_match_whole_names_in_any_order() {
         let trace = vec![TraceRecord {
             kind: TraceKind::Call,
-            name: Arc::from("cudaLaunch"),
+            name: "cudaLaunch",
             detail: None,
             begin: 1.0,
             end: 4.75,

@@ -12,13 +12,14 @@
 #![cfg(loom)]
 
 use ipm_core::{CompactPolicy, EventSignature, PerfTable, TraceKind, TraceRecord, TraceRing};
+use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
 use loom::thread;
 
-fn rec(name: &str, begin: f64) -> TraceRecord {
+fn rec(name: &'static str, begin: f64) -> TraceRecord {
     TraceRecord {
         kind: TraceKind::Call,
-        name: name.into(),
+        name,
         detail: None,
         begin,
         end: begin + 1e-6,
@@ -54,12 +55,13 @@ fn trace_ring_accounting_is_exact_under_concurrent_emit() {
             .collect();
         let accepted: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
 
-        assert_eq!(ring.emitted(), 4);
-        assert_eq!(ring.captured() + ring.dropped(), ring.emitted());
-        assert_eq!(ring.captured(), accepted);
-        assert_eq!(ring.captured(), 3);
-        assert_eq!(ring.dropped(), 1);
-        assert_eq!(ring.len() as u64, ring.captured());
+        let c = ring.counters();
+        assert_eq!(c.emitted, 4);
+        assert_eq!(c.captured + c.dropped, c.emitted);
+        assert_eq!(c.captured, accepted);
+        assert_eq!(c.captured, 3);
+        assert_eq!(c.dropped, 1);
+        assert_eq!(ring.len() as u64, c.captured);
     });
 }
 
@@ -80,13 +82,14 @@ fn trace_ring_drain_races_emitters_without_losing_records() {
         let drained_mid = ring.drain().len() as u64;
         emitter.join().unwrap();
 
-        assert_eq!(ring.captured() + ring.dropped(), ring.emitted());
-        assert_eq!(ring.emitted(), 2);
-        assert_eq!(ring.dropped(), 0);
+        let c = ring.counters();
+        assert_eq!(c.captured + c.dropped, c.emitted);
+        assert_eq!(c.emitted, 2);
+        assert_eq!(c.dropped, 0);
         // counters are cumulative: the mid-flight drain removed records but
         // not history, and no accepted record vanished.
-        assert_eq!(drained_mid + ring.len() as u64, ring.captured());
-        assert_eq!(ring.captured(), 2);
+        assert_eq!(drained_mid + ring.len() as u64, c.captured);
+        assert_eq!(c.captured, 2);
     });
 }
 
@@ -125,13 +128,14 @@ fn trace_ring_compaction_races_writers_without_losing_accounting() {
             .collect();
         let accepted: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
 
-        assert_eq!(ring.emitted(), 6);
+        let c = ring.counters();
+        assert_eq!(c.emitted, 6);
         assert_eq!(
-            ring.captured() + ring.dropped() + ring.compacted_away(),
-            ring.emitted(),
+            c.captured + c.dropped + c.compacted,
+            c.emitted,
             "compaction ledger must close"
         );
-        assert_eq!(ring.emitted() - ring.dropped(), accepted);
+        assert_eq!(c.emitted - c.dropped, accepted);
 
         // stripe runs are pre-sorted: a merge pass must never leave a
         // stripe interleaved out of time order
@@ -197,6 +201,49 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
         let total: u64 = table.snapshot().iter().map(|(_, stats)| stats.count).sum();
         assert_eq!(total, 4, "flush lost or double-counted a delta cell");
         assert_eq!(table.overflow(), 0);
+    });
+}
+
+/// A read that starts after an update completed must see it, even while
+/// another reader is mid-flush. One thread updates and then signals; a
+/// second thread flushes (any read does); a third thread, once it sees the
+/// signal, reads and must find the update. Without serialized flushes the
+/// second thread could have drained the update out of its delta cell but
+/// not yet merged it into a shard when the third thread looks.
+#[test]
+fn flushing_read_never_hides_a_completed_update() {
+    loom::model(|| {
+        let table = Arc::new(PerfTable::new());
+        let done = Arc::new(AtomicBool::new(false));
+        let updater = {
+            let (table, done) = (Arc::clone(&table), Arc::clone(&done));
+            thread::spawn(move || {
+                table.update(&EventSignature::call("cudaLaunch", 0), 1e-6);
+                done.store(true, Ordering::SeqCst);
+            })
+        };
+        let flusher = {
+            let table = Arc::clone(&table);
+            thread::spawn(move || {
+                table.len();
+            })
+        };
+        let reader = {
+            let (table, done) = (Arc::clone(&table), Arc::clone(&done));
+            thread::spawn(move || {
+                if done.load(Ordering::SeqCst) {
+                    let seen = table.get(&EventSignature::call("cudaLaunch", 0));
+                    assert_eq!(
+                        seen.map(|s| s.count),
+                        Some(1),
+                        "read after the update completed missed it"
+                    );
+                }
+            })
+        };
+        for h in [updater, flusher, reader] {
+            h.join().unwrap();
+        }
     });
 }
 

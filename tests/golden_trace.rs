@@ -15,6 +15,7 @@
 //! ```
 
 use ipm_repro::gpu::{ProfKind, ProfRecord, StreamId};
+use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::{
     validate_chrome_trace, ChromeTrace, CompactPolicy, Export, MonitorInfo, ProfileEntry,
     RankProfile, TraceAgg, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
@@ -31,7 +32,7 @@ fn rec(
 ) -> TraceRecord {
     TraceRecord {
         kind,
-        name: name.into(),
+        name: CallHandle::of(name).name(),
         detail: None,
         begin,
         end,
@@ -86,10 +87,10 @@ fn rank(r: usize, e: f64, corr: u64) -> TraceRank {
         0,
     ));
     assert_eq!(
-        ring.captured() + ring.dropped() + ring.compacted_away(),
-        ring.emitted()
+        ring.counters().captured + ring.counters().dropped + ring.counters().compacted,
+        ring.counters().emitted
     );
-    assert!(ring.compacted_away() > 0, "burst must compact");
+    assert!(ring.counters().compacted > 0, "burst must compact");
     TraceRank {
         rank: r,
         host: format!("dirac{r:02}"),
@@ -308,7 +309,7 @@ fn mixed_export() -> Export {
         Some(0),
         11,
     );
-    exec.detail = Some("ignored when prof is present".into());
+    exec.detail = Some("ignored when prof is present");
     let rank0 = vec![
         copy,
         rec(TraceKind::Call, "cudaLaunch", 0.5, 0.52, None, 11),
@@ -365,7 +366,7 @@ fn mixed_export() -> Export {
         Some(0),
         21,
     );
-    k21.detail = Some(format!("kern{NASTY}").into());
+    k21.detail = Some(CallHandle::of(&format!("kern{NASTY}")).name());
     let rank1 = vec![
         copy,
         rec(TraceKind::Call, "cudaLaunch", e1 + 0.4, e1 + 0.41, None, 21),

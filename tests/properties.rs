@@ -336,7 +336,7 @@ proptest! {
 
 fn trace_rec(
     kind: TraceKind,
-    name: &str,
+    name: &'static str,
     begin: f64,
     end: f64,
     stream: Option<u32>,
@@ -344,7 +344,7 @@ fn trace_rec(
 ) -> TraceRecord {
     TraceRecord {
         kind,
-        name: name.into(),
+        name,
         detail: None,
         begin,
         end,
@@ -383,20 +383,20 @@ proptest! {
             }
         });
         let total: u64 = pushes.iter().map(|&n| n as u64).sum();
-        prop_assert_eq!(ring.emitted(), total);
-        prop_assert_eq!(ring.captured() + ring.dropped(), ring.emitted());
-        prop_assert!(ring.captured() <= ring.capacity() as u64);
+        prop_assert_eq!(ring.counters().emitted, total);
+        prop_assert_eq!(ring.counters().captured + ring.counters().dropped, ring.counters().emitted);
+        prop_assert!(ring.counters().captured <= ring.capacity() as u64);
         prop_assert!(ring.high_water_mark() <= ring.capacity() as u64);
         let drained = ring.drain();
-        prop_assert_eq!(drained.len() as u64, ring.captured());
+        prop_assert_eq!(drained.len() as u64, ring.counters().captured);
         for w in drained.windows(2) {
             prop_assert!(w[0].begin <= w[1].begin, "drain not time-sorted");
         }
         // Counters are cumulative; draining frees space without forgetting.
         prop_assert!(ring.is_empty());
-        prop_assert_eq!(ring.captured() + ring.dropped(), total);
+        prop_assert_eq!(ring.counters().captured + ring.counters().dropped, total);
         prop_assert!(ring.push(trace_rec(TraceKind::Call, "x", 0.0, 1.0, None, 0)));
-        prop_assert_eq!(ring.emitted(), total + 1);
+        prop_assert_eq!(ring.counters().emitted, total + 1);
     }
 }
 
@@ -543,11 +543,11 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            ring.captured() + ring.dropped() + ring.compacted_away(),
-            ring.emitted()
+            ring.counters().captured + ring.counters().dropped + ring.counters().compacted,
+            ring.counters().emitted
         );
-        prop_assert_eq!(ring.emitted(), stream.len() as u64);
-        prop_assert_eq!(ring.emitted() - ring.dropped(), accepted);
+        prop_assert_eq!(ring.counters().emitted, stream.len() as u64);
+        prop_assert_eq!(ring.counters().emitted - ring.counters().dropped, accepted);
         let drained = ring.drain();
         let mut got = std::collections::HashMap::<usize, (u64, f64)>::new();
         for r in &drained {
@@ -684,10 +684,10 @@ fn million_event_run_stays_under_cap_and_conserves() {
         pushed_per_sig[sig] += 1;
         t += dur + Q;
     }
-    assert_eq!(ring.emitted(), N);
-    assert_eq!(ring.dropped(), 0);
+    assert_eq!(ring.counters().emitted, N);
+    assert_eq!(ring.counters().dropped, 0);
     assert_eq!(
-        ring.captured() + ring.compacted_away(),
+        ring.counters().captured + ring.counters().compacted,
         N,
         "accounting closes"
     );
@@ -819,7 +819,7 @@ mod otlp_props {
             prop_assert_eq!(stats.resources, 1);
             // every span comes from a drained record; a link needs a live
             // launch, so compaction can only shrink these
-            prop_assert!(stats.spans as u64 <= ring.captured());
+            prop_assert!(stats.spans as u64 <= ring.counters().captured);
             prop_assert!(stats.links <= launches);
         }
     }
