@@ -141,13 +141,6 @@ fn locate(id: CallId) -> (usize, usize) {
     ((top - ROWS0_SHIFT) as usize, v - (1 << top))
 }
 
-/// The string → id half of the interner: only lookup by name and the
-/// append itself take this lock.
-struct NameIndex {
-    by_name: HashMap<&'static str, CallId>,
-    len: u32,
-}
-
 /// The process-wide name interner (see the module docs).
 ///
 /// Every name lives for the rest of the process (a spec name is already
@@ -159,7 +152,9 @@ struct NameIndex {
 /// touches no shared counter.
 pub struct NameTable {
     chunks: [OnceLock<Box<[OnceLock<NameRow>]>>; CHUNKS],
-    index: RwLock<NameIndex>,
+    /// The string → id half: only lookup by name and the append itself
+    /// take this lock.
+    by_name: RwLock<HashMap<&'static str, CallId>>,
 }
 
 impl NameTable {
@@ -167,17 +162,14 @@ impl NameTable {
         let reg = Registry::global();
         let table = Self {
             chunks: [const { OnceLock::new() }; CHUNKS],
-            index: RwLock::new(NameIndex {
-                by_name: HashMap::with_capacity(reg.len()),
-                len: 0,
-            }),
+            by_name: RwLock::new(HashMap::with_capacity(reg.len())),
         };
         {
-            let mut index = table.index.write().expect("name table poisoned");
+            let mut by_name = table.by_name.write().expect("name table poisoned");
             for i in 0..reg.len() {
                 let spec = reg.spec(CallId(i as u32));
                 table.append(
-                    &mut index,
+                    &mut by_name,
                     NameRow {
                         name: spec.name,
                         implicit_sync: spec.blocking == BlockingClass::ImplicitSync,
@@ -196,8 +188,8 @@ impl NameTable {
     }
 
     /// Publish `row` under the next id (write lock held by the caller).
-    fn append(&self, index: &mut NameIndex, row: NameRow) -> CallId {
-        let id = CallId(index.len);
+    fn append(&self, by_name: &mut HashMap<&'static str, CallId>, row: NameRow) -> CallId {
+        let id = CallId(by_name.len() as u32);
         let (chunk, offset) = locate(id);
         let rows = self.chunks[chunk].get_or_init(|| {
             (0..1usize << (chunk as u32 + ROWS0_SHIFT))
@@ -207,8 +199,7 @@ impl NameTable {
         if rows[offset].set(row).is_err() {
             unreachable!("interner row {} published twice", id.0);
         }
-        index.by_name.insert(row.name, id);
-        index.len += 1;
+        by_name.insert(row.name, id);
         id
     }
 
@@ -236,9 +227,9 @@ impl NameTable {
         let (implicit_sync, has_bytes) = spec
             .map(|s| (s.blocking == BlockingClass::ImplicitSync, s.has_bytes))
             .unwrap_or((false, false));
-        let mut index = self.index.write().expect("name table poisoned");
+        let mut by_name = self.by_name.write().expect("name table poisoned");
         // double-check: another thread may have interned it meanwhile
-        if let Some(&id) = index.by_name.get(name) {
+        if let Some(&id) = by_name.get(name) {
             return self.row(id).handle(id);
         }
         let row = NameRow {
@@ -246,15 +237,17 @@ impl NameTable {
             implicit_sync,
             has_bytes,
         };
-        let id = self.append(&mut index, row);
+        let id = self.append(&mut by_name, row);
         row.handle(id)
     }
 
     /// The handle for an already-interned name, if any.
     pub fn lookup(&self, name: &str) -> Option<CallHandle> {
-        let index = self.index.read().expect("name table poisoned");
-        let id = *index.by_name.get(name)?;
-        drop(index);
+        let id = *self
+            .by_name
+            .read()
+            .expect("name table poisoned")
+            .get(name)?;
         Some(self.row(id).handle(id))
     }
 
@@ -276,7 +269,7 @@ impl NameTable {
 
     /// Number of interned names (≥ the registry size).
     pub fn len(&self) -> usize {
-        self.index.read().expect("name table poisoned").len as usize
+        self.by_name.read().expect("name table poisoned").len()
     }
 
     /// Never true; for API completeness.
