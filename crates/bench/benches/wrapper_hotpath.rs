@@ -9,10 +9,10 @@
 //! * **interned** — [`Ipm`] as [`MonitorSink`]: `SigKey` built from the
 //!   interned [`CallHandle`], deposited into the calling thread's delta
 //!   cell (no shared lock, no allocation in steady state);
-//! * **legacy** — [`LegacyMirror`] behind the same self-overhead
-//!   accounting the old monitor did: name resolved *per call*, a fresh
-//!   `Arc<str>` allocated for the signature, one string-hashed map behind
-//!   one global mutex.
+//! * **legacy** — the pre-interning record path, kept here as the
+//!   baseline, behind the same self-overhead accounting the old monitor
+//!   did: name resolved *per call*, a fresh `Arc<str>` allocated for the
+//!   signature, one string-hashed map behind one global mutex.
 //!
 //! The report is written to `BENCH_wrapper.json` at the workspace root.
 //! With `IPM_BENCH_SMOKE=1` the run additionally gates against the
@@ -21,13 +21,14 @@
 //! non-zero — the CI bench-smoke step. Smoke runs never rewrite the
 //! committed baseline.
 
-use ipm_core::{Ipm, IpmConfig, LegacyMirror};
+use ipm_core::{Ipm, IpmConfig};
 use ipm_interpose::{wrap_call, CallHandle, MonitorSink};
-use ipm_sim_core::SimClock;
+use ipm_sim_core::{RunningStats, SimClock};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -64,24 +65,22 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 // representation (per-call string/Arc + global mutex vs. SigKey + TLS cell).
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct LegacySink {
-    mirror: Arc<LegacyMirror>,
+    table: Mutex<HashMap<(Arc<str>, u64), RunningStats>>,
     self_ns: AtomicU64,
-}
-
-impl LegacySink {
-    fn new() -> Self {
-        Self {
-            mirror: LegacyMirror::new(),
-            self_ns: AtomicU64::new(0),
-        }
-    }
 }
 
 impl MonitorSink for LegacySink {
     fn update(&self, call: CallHandle, bytes: u64, duration: f64) {
         let t = Instant::now();
-        self.mirror.update(call, bytes, 0, duration);
+        let key = (Arc::from(call.name()), bytes);
+        self.table
+            .lock()
+            .unwrap()
+            .entry(key)
+            .or_default()
+            .record(duration);
         self.self_ns
             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -164,7 +163,7 @@ fn main() {
     // the record path under test, not the event ring)
     let clock = SimClock::new();
     let ipm = Ipm::new(clock.clone(), IpmConfig::default().without_tracing());
-    let legacy = LegacySink::new();
+    let legacy = LegacySink::default();
 
     let mut interned = 0.0f64;
     let mut string_keyed = 0.0f64;

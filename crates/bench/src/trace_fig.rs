@@ -11,7 +11,7 @@
 
 use ipm_apps::{run_square, SquareConfig};
 use ipm_core::{
-    validate_chrome_trace, ChromeTrace, Export, Ipm, IpmConfig, IpmCuda, TraceRank, TraceStats,
+    validate_chrome_trace, ChromeTrace, Export, ExportRank, Ipm, IpmConfig, IpmCuda, TraceStats,
 };
 use ipm_gpu_sim::{
     launch_kernel, CudaApi, GpuConfig, GpuRuntime, Kernel, KernelArg, KernelCost, LaunchConfig,
@@ -68,12 +68,13 @@ pub fn demo_export(nranks: usize) -> (Export, u64, u64) {
         let m = ipm.monitor_info();
         captured += m.trace_captured;
         dropped += m.trace_dropped;
-        export = export.with_trace_rank(TraceRank {
+        export = export.with_trace_rank(ExportRank {
             rank: r,
             host,
             epoch: ipm.epoch(),
             records: ipm.drain_trace(),
             prof: rt.profiler_records(),
+            profile: None,
         });
     }
     (export, captured, dropped)

@@ -280,7 +280,7 @@ impl NameTable {
 
 impl CallHandle {
     /// Intern `name` in the global table — the dynamic-name path (tests,
-    /// legacy mirrors, derived names built at run time). Wrap sites with a
+    /// parsed logs, derived names built at run time). Wrap sites with a
     /// literal name should use the [`site!`](crate::site) macro instead,
     /// which caches this resolution in a per-site static.
     pub fn of(name: &str) -> CallHandle {

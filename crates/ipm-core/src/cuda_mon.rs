@@ -403,8 +403,8 @@ mod tests {
 
     #[test]
     fn trace_captures_the_run_end_to_end() {
-        use crate::export::{validate_chrome_trace, ChromeTrace, Export};
-        use crate::trace::{TraceKind, TraceRank};
+        use crate::export::{validate_chrome_trace, ChromeTrace, Export, ExportRank};
+        use crate::trace::TraceKind;
         let (ipm, _cuda) = square_run(IpmConfig::default());
 
         // exact accounting all the way through the monitored run
@@ -441,12 +441,12 @@ mod tests {
         // and the whole thing exports as a valid Chrome trace with the
         // launch → kernel flow resolved
         let json = Export::new()
-            .with_trace_rank(TraceRank {
+            .with_trace_rank(ExportRank {
                 rank: 0,
                 host: "dirac00".to_owned(),
                 epoch: 0.0,
                 records,
-                prof: Vec::new(),
+                ..ExportRank::default()
             })
             .to(ChromeTrace)
             .unwrap();

@@ -484,7 +484,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::compact::{CompactPolicy, TraceAgg};
     use crate::export::{ChromeTrace, Export};
-    use crate::trace::{TraceRank, TraceRing, DEFAULT_TRACE_SHARDS};
+    use crate::trace::{TraceRing, DEFAULT_TRACE_SHARDS};
     use ipm_gpu_sim::{ProfRecord, StreamId};
     use ipm_interpose::CallHandle;
 
@@ -503,7 +503,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn export(ranks: Vec<TraceRank>) -> String {
+    fn export(ranks: Vec<ExportRank>) -> String {
         let mut e = Export::new();
         for r in ranks {
             e = e.with_trace_rank(r);
@@ -538,12 +538,12 @@ pub(crate) mod tests {
                 .any(|w| w[1].begin < w[0].end && w[0].begin < w[1].end),
             "want partially overlapping summaries from several stripes"
         );
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: String::new(),
             epoch: 0.0,
             records,
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = export(vec![rank]);
         let stats = validate_chrome_trace(&json).expect("multi-stripe compacted export invalid");
@@ -552,7 +552,7 @@ pub(crate) mod tests {
 
     /// `n` launches on the host lane, each with its kernel execution on
     /// one of two streams: `2 * n` records, `n` flows.
-    pub(crate) fn launch_storm(n: usize) -> TraceRank {
+    pub(crate) fn launch_storm(n: usize) -> ExportRank {
         let mut records = Vec::with_capacity(2 * n);
         for i in 0..n {
             let t = i as f64 * 1e-4;
@@ -574,12 +574,12 @@ pub(crate) mod tests {
                 agg: None,
             });
         }
-        TraceRank {
+        ExportRank {
             rank: 0,
             host: "dirac00".to_owned(),
             epoch: 0.0,
             records,
-            prof: Vec::new(),
+            ..ExportRank::default()
         }
     }
 
@@ -594,12 +594,12 @@ pub(crate) mod tests {
 
     #[test]
     fn epoch_shifts_exported_timestamps() {
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: String::new(),
             epoch: 10.0,
             records: vec![call("cudaMalloc", 10.5, 11.0)],
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = export(vec![rank]);
         validate_chrome_trace(&json).expect("valid trace");
@@ -618,12 +618,12 @@ pub(crate) mod tests {
             max: 0.2,
             exemplar: (1.4, 1.6),
         });
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: String::new(),
             epoch: 0.0,
             records: vec![rec],
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = export(vec![rank]);
         validate_chrome_trace(&json).expect("valid trace");
@@ -647,7 +647,7 @@ pub(crate) mod tests {
             corr: 42,
             agg: None,
         };
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: "dirac00".to_owned(),
             epoch: 0.0,
@@ -656,7 +656,7 @@ pub(crate) mod tests {
                 launch,
                 call("cudaMemcpy(D2H)", 2.2, 2.3),
             ],
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let mut with_exec = rank.clone();
         with_exec.records.push(exec);
@@ -669,7 +669,7 @@ pub(crate) mod tests {
 
         // prof records take precedence for device lanes when present
         launch.corr = 7;
-        let prof_rank = TraceRank {
+        let prof_rank = ExportRank {
             rank: 1,
             host: String::new(),
             epoch: 0.0,
@@ -683,6 +683,7 @@ pub(crate) mod tests {
                 cputime: 1e-5,
                 corr: 7,
             }],
+            profile: None,
         };
         let json = export(vec![prof_rank]);
         let stats = validate_chrome_trace(&json).expect("valid trace");
@@ -692,7 +693,7 @@ pub(crate) mod tests {
     #[test]
     fn nested_and_adjacent_slices_emit_proper_b_e() {
         // outer call wrapping an inner call, then an adjacent one
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: String::new(),
             epoch: 0.0,
@@ -701,7 +702,7 @@ pub(crate) mod tests {
                 call("cudaLaunch", 0.2, 0.4),
                 call("cudaFree", 1.0, 1.1),
             ],
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = export(vec![rank]);
         let stats = validate_chrome_trace(&json).expect("valid trace");

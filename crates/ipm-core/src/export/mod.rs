@@ -50,7 +50,7 @@ pub use otlp::{validate_otlp, OtlpStats};
 use crate::aggregate::ClusterReport;
 use crate::monitor::Ipm;
 use crate::profile::RankProfile;
-use crate::trace::{TraceRank, TraceRecord};
+use crate::trace::TraceRecord;
 use ipm_gpu_sim::ProfRecord;
 use std::sync::Arc;
 
@@ -60,11 +60,19 @@ pub struct ExportRank {
     pub rank: usize,
     /// Host name (Perfetto process label, OTLP `host.name`).
     pub host: String,
-    /// Clock-alignment epoch, virtual seconds (see [`TraceRank::epoch`]).
+    /// This rank's clock-alignment epoch, virtual seconds: the shared
+    /// cluster instant (first `MPI_Init` return) expressed on the rank's
+    /// own clock. The trace exporters subtract it from every timestamp, so
+    /// merged multi-rank lanes line up at `ts = 0` even when ranks booted
+    /// at different absolute times. 0 means unaligned (single-rank export
+    /// or pre-epoch logs).
     pub epoch: f64,
     /// Host-side trace records (drained or snapshotted from the ring).
     pub records: Vec<TraceRecord>,
-    /// Device-side ground truth from the simulator profiler, when captured.
+    /// Device-side ground truth from the simulator profiler. When present,
+    /// device lanes are built from these (they include memcpys and carry
+    /// true durations); the ring's `KernelExec` records are the fallback
+    /// when the profiler was disabled.
     pub prof: Vec<ProfRecord>,
     /// The aggregated profile (hash-table contents + monitor
     /// self-accounting). Absent for trace-only sources.
@@ -80,17 +88,6 @@ impl ExportRank {
             records: Vec::new(),
             prof: Vec::new(),
             profile: Some(p),
-        }
-    }
-
-    pub(crate) fn from_trace_rank(t: TraceRank) -> Self {
-        ExportRank {
-            rank: t.rank,
-            host: t.host,
-            epoch: t.epoch,
-            records: t.records,
-            prof: t.prof,
-            profile: None,
         }
     }
 }
@@ -307,9 +304,9 @@ impl Export {
         self
     }
 
-    /// Append a trace-only rank (no profile attached).
-    pub fn with_trace_rank(mut self, t: TraceRank) -> Self {
-        self.src.ranks.push(ExportRank::from_trace_rank(t));
+    /// Append one rank as given (a trace-only rank leaves `profile` empty).
+    pub fn with_trace_rank(mut self, r: ExportRank) -> Self {
+        self.src.ranks.push(r);
         self
     }
 
@@ -440,9 +437,9 @@ mod tests {
 
     #[test]
     fn profile_renderings_reject_trace_only_sources() {
-        let t = TraceRank {
+        let t = ExportRank {
             rank: 3,
-            ..TraceRank::default()
+            ..ExportRank::default()
         };
         let e = Export::new().with_trace_rank(t);
         assert_eq!(

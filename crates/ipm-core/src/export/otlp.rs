@@ -419,7 +419,6 @@ mod tests {
     use super::*;
     use crate::compact::TraceAgg;
     use crate::export::{Export, Otlp};
-    use crate::trace::TraceRank;
 
     fn rec(kind: TraceKind, name: &'static str, begin: f64, end: f64, corr: u64) -> TraceRecord {
         TraceRecord {
@@ -440,13 +439,13 @@ mod tests {
         }
     }
 
-    fn export(rank: TraceRank) -> String {
+    fn export(rank: ExportRank) -> String {
         Export::new().with_trace_rank(rank).to(Otlp).unwrap()
     }
 
     #[test]
     fn launch_and_kernel_produce_a_resolved_link() {
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: "dirac00".to_owned(),
             epoch: 0.0,
@@ -454,7 +453,7 @@ mod tests {
                 rec(TraceKind::Call, "cudaLaunch", 1.0, 1.1, 42),
                 rec(TraceKind::KernelExec, "@CUDA_EXEC_STRM00", 1.2, 2.0, 42),
             ],
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = export(rank);
         let stats = validate_otlp(&json).expect("valid OTLP");
@@ -473,12 +472,12 @@ mod tests {
 
     #[test]
     fn pre_epoch_records_get_negative_nanos_and_still_validate() {
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: String::new(),
             epoch: 10.0,
             records: vec![rec(TraceKind::Call, "cudaMalloc", 9.5, 9.75, 0)],
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = export(rank);
         validate_otlp(&json).expect("valid OTLP");
@@ -498,12 +497,12 @@ mod tests {
             max: 0.3,
             exemplar: (1.2, 1.5),
         });
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 2,
             host: "dirac02".to_owned(),
             epoch: 0.0,
             records: vec![r],
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = export(rank);
         let stats = validate_otlp(&json).expect("valid OTLP");
@@ -513,12 +512,12 @@ mod tests {
 
     #[test]
     fn names_with_escapes_survive() {
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: "h\"x\\y".to_owned(),
             epoch: 0.0,
             records: vec![rec(TraceKind::Call, "weird\"\\\nname", 0.0, 1.0, 0)],
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = export(rank);
         validate_otlp(&json).expect("valid OTLP");

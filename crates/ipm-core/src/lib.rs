@@ -44,7 +44,6 @@
 pub mod aggregate;
 pub mod banner;
 pub mod compact;
-pub mod compat;
 pub mod cube;
 pub mod cuda_mon;
 pub mod driver_mon;
@@ -68,7 +67,6 @@ pub mod xml;
 
 pub use aggregate::{ClusterReport, ClusterSnapshot, RankSpread};
 pub use compact::{compact_records, merge_runs, same_signature, CompactPolicy, TraceAgg};
-pub use compat::LegacyMirror;
 pub use cube::{build_cube, cube_to_xml, render_cube_text, CubeMetric};
 pub use cuda_mon::IpmCuda;
 pub use driver_mon::IpmDriver;
@@ -89,13 +87,5 @@ pub use profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfile}
 pub use sig::{EventSignature, SigKey};
 pub use table::PerfTable;
 pub use timeline::render_timeline;
-pub use trace::{TraceCounters, TraceKind, TraceRank, TraceRecord, TraceRing};
+pub use trace::{TraceCounters, TraceKind, TraceRecord, TraceRing};
 pub use xml::{from_xml, to_xml, trace_epoch_from_xml, trace_from_xml, XmlError};
-
-// Pre-pipeline names, kept for external compatibility only (every one is a
-// deprecated shim over the `export` builder).
-#[allow(deprecated)]
-pub use compat::{
-    chrome_trace, html_report, render_banner, render_cluster_banner, render_region_report,
-    to_xml_with_trace, to_xml_with_trace_at,
-};

@@ -7,7 +7,6 @@
 //! ([`crate::cuda_mon::IpmCuda`] and friends) share it via `Arc`.
 
 use crate::compact::CompactPolicy;
-use crate::compat::LegacyMirror;
 use crate::ktt::{Ktt, KttCheckPolicy};
 use crate::profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfile};
 use crate::sig::SigKey;
@@ -18,7 +17,7 @@ use ipm_sim_core::SimClock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Self-accounting sampling period: one recorded event in this many gets
@@ -241,10 +240,6 @@ pub struct Ipm {
     /// ~2 ns amortized instead of ~85 ns exact.
     self_events: AtomicU64,
     snap: Mutex<SnapState>,
-    /// Differential-test hook: a secondary recorder fed the same events as
-    /// the primary table through the *legacy string-keyed* path. Costs one
-    /// uncontended atomic load per record when absent (the normal case).
-    mirror: OnceLock<Arc<LegacyMirror>>,
 }
 
 #[derive(Clone, Debug)]
@@ -277,7 +272,6 @@ impl Ipm {
             self_ns: AtomicU64::new(0),
             self_events: AtomicU64::new(0),
             snap: Mutex::new(SnapState::default()),
-            mirror: OnceLock::new(),
             cfg,
             clock,
             start,
@@ -308,14 +302,9 @@ impl Ipm {
         &self.ktt
     }
 
-    /// Direct table access (reports, tests).
-    pub fn table(&self) -> &PerfTable {
-        &self.table
-    }
-
     /// The one signature-construction site of the record path: every
-    /// table update — wrapped call, pseudo-event, mirror — keys through
-    /// here, so the attributes can never diverge between paths.
+    /// table update — wrapped call or pseudo-event — keys through here, so
+    /// the attributes can never diverge between the two.
     #[inline]
     fn sig_key(&self, id: CallId, bytes: u64, detail: Option<CallId>) -> SigKey {
         SigKey {
@@ -352,23 +341,9 @@ impl Ipm {
     /// `@CUDA_EXEC_*` entries.
     pub fn update_pseudo(&self, name: CallId, detail: Option<CallId>, duration: f64) {
         let t = self.self_begin();
-        let key = self.sig_key(name, 0, detail);
-        self.table.update_key(key, duration);
-        if let Some(m) = self.mirror.get() {
-            m.pseudo(name, detail, key.region, duration);
-        }
+        self.table
+            .update_key(self.sig_key(name, 0, detail), duration);
         self.self_end(t);
-    }
-
-    /// Install the legacy string-keyed mirror (differential testing only).
-    /// First call wins; returns false if a mirror was already installed.
-    pub fn install_mirror(&self, mirror: Arc<LegacyMirror>) -> bool {
-        self.mirror.set(mirror).is_ok()
-    }
-
-    /// Whether the trace ring is active.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// Pin the cluster clock-alignment epoch to the current virtual time.
@@ -495,7 +470,7 @@ impl Ipm {
         let mut snap = self.snap.lock();
         let mut totals: HashMap<EventFamily, (u64, u64, f64)> = HashMap::new();
         for (sig, stats) in self.table.snapshot() {
-            let e = totals.entry(classify(&sig.name)).or_default();
+            let e = totals.entry(classify(sig.name)).or_default();
             e.0 += stats.count;
             e.1 += sig.bytes * stats.count;
             e.2 += stats.total;
@@ -568,11 +543,6 @@ impl Ipm {
         self.region.store(0, Ordering::Relaxed);
     }
 
-    /// The currently active region id.
-    pub fn current_region(&self) -> u16 {
-        self.region.load(Ordering::Relaxed)
-    }
-
     /// Produce the rank's profile (the XML log content). Does **not**
     /// drain the KTT — call the CUDA facade's `finalize` first if GPU
     /// timing is on.
@@ -583,8 +553,8 @@ impl Ipm {
             .snapshot()
             .into_iter()
             .map(|(sig, stats)| ProfileEntry {
-                name: sig.name.to_string(),
-                detail: sig.detail.as_ref().map(|d| d.to_string()),
+                name: sig.name.to_owned(),
+                detail: sig.detail.map(str::to_owned),
                 bytes: sig.bytes,
                 region: sig.region,
                 stats,
@@ -607,11 +577,8 @@ impl Ipm {
 impl MonitorSink for Ipm {
     fn update(&self, call: CallHandle, bytes: u64, duration: f64) {
         let t = self.self_begin();
-        let key = self.sig_key(call.id, bytes, None);
-        self.table.update_key(key, duration);
-        if let Some(m) = self.mirror.get() {
-            m.update(call, bytes, key.region, duration);
-        }
+        self.table
+            .update_key(self.sig_key(call.id, bytes, None), duration);
         self.self_end(t);
     }
 
@@ -619,9 +586,6 @@ impl MonitorSink for Ipm {
         let t = self.self_begin();
         let key = self.sig_key(call.id, bytes, None);
         self.table.update_key(key, end - begin);
-        if let Some(m) = self.mirror.get() {
-            m.update(call, bytes, key.region, end - begin);
-        }
         if let Some(ring) = &self.trace {
             // a launch wrapper just ran the real call on this thread, so the
             // runtime's thread-local correlation id belongs to this record
@@ -675,17 +639,17 @@ mod tests {
         assert_eq!(r, 1);
         m.update(CallHandle::of("MPI_Send"), 8, 2.0);
         m.region_exit();
-        assert_eq!(m.current_region(), 0);
+        m.update(CallHandle::of("MPI_Send"), 8, 4.0);
         let p = m.profile();
         assert_eq!(p.regions, vec!["<program>", "solver"]);
-        let by_region: Vec<u16> = p
+        let by_region: Vec<(u16, u64)> = p
             .entries
             .iter()
             .filter(|e| e.name == "MPI_Send")
-            .map(|e| e.region)
+            .map(|e| (e.region, e.stats.count))
             .collect();
-        assert_eq!(by_region.len(), 2);
-        assert!(by_region.contains(&0) && by_region.contains(&1));
+        // the call after `region_exit` is booked back in region 0
+        assert_eq!(by_region, vec![(0, 2), (1, 1)]);
     }
 
     #[test]

@@ -9,30 +9,31 @@
 
 use ipm_interpose::{CallHandle, CallId, NameTable};
 use std::fmt;
-use std::sync::Arc;
 
 /// Pseudo-event prefix: entries that do not correspond to a host function
 /// (paper §III-B uses `@` for this).
 pub const PSEUDO_PREFIX: char = '@';
 
-/// The key of one performance-table entry.
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// The key of one performance-table entry, in its string form. Names are
+/// `'static`: spec names are literals, and every other name the monitor
+/// sees is interned for the life of the process (see [`NameTable`]).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventSignature {
     /// Call or pseudo-event name.
-    pub name: Arc<str>,
+    pub name: &'static str,
     /// Byte-count attribute (0 when the event carries none).
     pub bytes: u64,
     /// User region id (0 = whole program).
     pub region: u16,
     /// Extra attribute: kernel symbol for `@CUDA_EXEC_*` entries.
-    pub detail: Option<Arc<str>>,
+    pub detail: Option<&'static str>,
 }
 
 impl EventSignature {
     /// Signature for a plain call in the global region.
-    pub fn call(name: impl Into<Arc<str>>, bytes: u64) -> Self {
+    pub fn call(name: &'static str, bytes: u64) -> Self {
         Self {
-            name: name.into(),
+            name,
             bytes,
             region: 0,
             detail: None,
@@ -46,8 +47,8 @@ impl EventSignature {
     }
 
     /// Attach a detail attribute.
-    pub fn with_detail(mut self, detail: impl Into<Arc<str>>) -> Self {
-        self.detail = Some(detail.into());
+    pub fn with_detail(mut self, detail: &'static str) -> Self {
+        self.detail = Some(detail);
         self
     }
 
@@ -68,10 +69,10 @@ impl EventSignature {
     /// Intern this signature into its hot-path [`SigKey`] form.
     pub fn key(&self) -> SigKey {
         SigKey {
-            id: CallHandle::of(&self.name).id,
+            id: CallHandle::of(self.name).id,
             bytes: self.bytes,
             region: self.region,
-            detail: self.detail.as_deref().map(|d| CallHandle::of(d).id),
+            detail: self.detail.map(|d| CallHandle::of(d).id),
         }
     }
 }
@@ -103,15 +104,15 @@ impl SigKey {
         }
     }
 
-    /// Resolve back to the string-keyed form through the global interner
-    /// (report/export time only: this copies the names into fresh `Arc`s).
+    /// Resolve back to the string-keyed form through the global interner's
+    /// lock-free id → name lookup; nothing is copied.
     pub fn resolve(&self) -> EventSignature {
         let names = NameTable::global();
         EventSignature {
-            name: Arc::from(names.name(self.id)),
+            name: names.name(self.id),
             bytes: self.bytes,
             region: self.region,
-            detail: self.detail.map(|d| Arc::from(names.name(d))),
+            detail: self.detail.map(|d| names.name(d)),
         }
     }
 }

@@ -268,9 +268,7 @@ impl PerfTable {
                 out.push((key.resolve(), *stats));
             }
         }
-        out.sort_by(|(a, _), (b, _)| {
-            (&a.name, a.bytes, a.region, &a.detail).cmp(&(&b.name, b.bytes, b.region, &b.detail))
-        });
+        out.sort_by_key(|(s, _)| (s.name, s.bytes, s.region, s.detail));
         out
     }
 
@@ -290,7 +288,7 @@ impl PerfTable {
     pub fn time_where(&self, pred: impl Fn(&str) -> bool) -> f64 {
         self.snapshot()
             .iter()
-            .filter(|(s, _)| pred(&s.name))
+            .filter(|(s, _)| pred(s.name))
             .map(|(_, st)| st.total)
             .sum()
     }

@@ -9,11 +9,10 @@
 //!   `@CUDA_HOST_IDLE` interval, with **exact drop accounting**: the
 //!   invariant `captured + dropped == emitted` holds at every instant,
 //!   under concurrent emission, whether or not the ring overflowed.
-//! * [`TraceRank`] — one rank's exporter input: its records, the device
-//!   ground truth (`gpu-sim` [`ProfRecord`]s), and the clock-alignment
-//!   epoch. Rendering lives in the unified [`crate::export`] pipeline
-//!   (`Export::…​.to(ChromeTrace | Otlp)`); the validator and JSON parser
-//!   are re-exported below so established `trace::` paths keep working.
+//!
+//! Rendering lives in the unified [`crate::export`] pipeline
+//! (`Export::…​.to(ChromeTrace | Otlp)`), whose per-rank input is
+//! [`crate::export::ExportRank`].
 //!
 //! Retention is layered on by [`crate::compact`]: a [`CompactPolicy`] makes
 //! a stripe past its high-water mark merge adjacent same-signature records
@@ -23,7 +22,6 @@
 //! `captured + dropped + compacted_away == emitted`.
 
 use crate::compact::{cmp_time, compact_records, CompactPolicy, TraceAgg};
-use ipm_gpu_sim::ProfRecord;
 #[cfg(not(loom))]
 use std::cell::UnsafeCell;
 #[cfg(not(loom))]
@@ -526,45 +524,6 @@ impl TraceRing {
         runs
     }
 }
-
-// ---------------------------------------------------------------------------
-// Chrome trace-event export
-// ---------------------------------------------------------------------------
-
-/// One rank's inputs to the exporter.
-#[derive(Clone, Debug, Default)]
-pub struct TraceRank {
-    pub rank: usize,
-    /// Host name, shown in the Perfetto process label.
-    pub host: String,
-    /// This rank's clock-alignment epoch, virtual seconds: the shared
-    /// cluster instant (first `MPI_Init` return) expressed on the rank's
-    /// own clock. The exporter subtracts it from every timestamp, so
-    /// merged multi-rank lanes line up at `ts = 0` even when ranks booted
-    /// at different absolute times. 0 means unaligned (single-rank export
-    /// or pre-epoch logs).
-    pub epoch: f64,
-    /// Host-side records (drained or snapshotted from the rank's ring).
-    pub records: Vec<TraceRecord>,
-    /// Device-side ground truth from the simulator profiler. When present,
-    /// device lanes are built from these (they include memcpys and carry
-    /// true durations); the ring's `KernelExec` records are used as the
-    /// fallback when the profiler was disabled.
-    pub prof: Vec<ProfRecord>,
-}
-
-// ---------------------------------------------------------------------------
-// Moved items
-// ---------------------------------------------------------------------------
-
-// The Chrome exporter, its validator, and the JSON parser now live in the
-// unified export pipeline (`crate::export::chrome`) and the shared JSON
-// module (`crate::jsonw`); re-exported here so the established
-// `ipm_core::trace::…` paths keep working.
-#[allow(deprecated)]
-pub use crate::compat::chrome_trace;
-pub use crate::export::chrome::{validate_chrome_trace, TraceStats};
-pub use crate::jsonw::{parse_json, Json};
 
 #[cfg(test)]
 mod tests {

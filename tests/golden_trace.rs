@@ -17,8 +17,8 @@
 use ipm_repro::gpu::{ProfKind, ProfRecord, StreamId};
 use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::{
-    validate_chrome_trace, ChromeTrace, CompactPolicy, Export, MonitorInfo, ProfileEntry,
-    RankProfile, TraceAgg, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
+    validate_chrome_trace, ChromeTrace, CompactPolicy, Export, ExportRank, MonitorInfo,
+    ProfileEntry, RankProfile, TraceAgg, TraceKind, TraceRecord, TraceRing, Xml,
 };
 use ipm_repro::sim::RunningStats;
 
@@ -47,7 +47,7 @@ fn rec(
 /// One rank's worth of deterministic workload, expressed in that rank's own
 /// clock (everything offset by its epoch `e`). Dyadic timestamps keep the
 /// exported microsecond values integral, so the JSON is stable digit-for-digit.
-fn rank(r: usize, e: f64, corr: u64) -> TraceRank {
+fn rank(r: usize, e: f64, corr: u64) -> ExportRank {
     let ring = TraceRing::with_policy(64, 1, CompactPolicy::with_high_water(4));
     for i in 0..6 {
         let b = e + i as f64 * 0.25;
@@ -91,12 +91,12 @@ fn rank(r: usize, e: f64, corr: u64) -> TraceRank {
         ring.counters().emitted
     );
     assert!(ring.counters().compacted > 0, "burst must compact");
-    TraceRank {
+    ExportRank {
         rank: r,
         host: format!("dirac{r:02}"),
         epoch: e,
         records: ring.drain(),
-        prof: Vec::new(),
+        ..ExportRank::default()
     }
 }
 

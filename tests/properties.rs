@@ -2,7 +2,7 @@
 
 use ipm_repro::ipm::{
     from_xml, merge_runs, to_xml, validate_chrome_trace, ChromeTrace, CompactPolicy,
-    EventSignature, Export, PerfTable, ProfileEntry, RankProfile, TraceKind, TraceRank,
+    EventSignature, Export, ExportRank, PerfTable, ProfileEntry, RankProfile, TraceKind,
     TraceRecord, TraceRing,
 };
 use ipm_repro::numlib::{blaskernels, fftkernels, Complex64, FftDirection, Transpose};
@@ -430,7 +430,7 @@ proptest! {
         let mut launches = 0usize;
         let mut total = 0usize;
         let mut lanes = 0usize;
-        let ranks: Vec<TraceRank> = plans
+        let ranks: Vec<ExportRank> = plans
             .iter()
             .enumerate()
             .map(|(r, plan)| {
@@ -472,12 +472,12 @@ proptest! {
                     }
                 }
                 lanes += 1 + streams_used.len(); // host lane + device lanes
-                TraceRank {
+                ExportRank {
                     rank: r,
                     host: format!("dirac{r:02}"),
                     epoch: 0.0,
                     records,
-                    prof: Vec::new(),
+                    ..ExportRank::default()
                 }
             })
             .collect();
@@ -601,12 +601,12 @@ proptest! {
             };
             ring.push(trace_rec(kind, names[sig], begin, end, stream_id, 0));
         }
-        let rank = TraceRank {
+        let rank = ExportRank {
             rank: 0,
             host: "dirac00".to_owned(),
             epoch: 0.0,
             records: ring.drain(),
-            prof: Vec::new(),
+            ..ExportRank::default()
         };
         let json = Export::new()
             .with_trace_rank(rank)
@@ -803,12 +803,12 @@ mod otlp_props {
                 }
             }
             let json = Export::new()
-                .with_trace_rank(TraceRank {
+                .with_trace_rank(ExportRank {
                     rank: 3,
                     host: "dirac03".to_owned(),
                     epoch,
                     records: ring.drain(),
-                    prof: Vec::new(),
+                    ..ExportRank::default()
                 })
                 .to(Otlp)
                 .expect("rank present");
