@@ -77,7 +77,7 @@ impl MonitorSink for LegacySink {
         let key = (Arc::from(call.name()), bytes);
         self.table
             .lock()
-            .unwrap()
+            .expect("a recorder thread panicked")
             .entry(key)
             .or_default()
             .record(duration);

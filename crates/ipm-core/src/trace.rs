@@ -1,4 +1,4 @@
-//! Streaming event trace: bounded per-rank rings and Perfetto export.
+//! Streaming event trace: bounded per-rank rings.
 //!
 //! The paper's IPM is strictly post-mortem: the hash table aggregates, the
 //! banner summarizes, event ordering is lost. This module adds the
@@ -10,8 +10,8 @@
 //!   invariant `captured + dropped == emitted` holds at every instant,
 //!   under concurrent emission, whether or not the ring overflowed.
 //!
-//! Rendering lives in the unified [`crate::export`] pipeline
-//! (`Export::…​.to(ChromeTrace | Otlp)`), whose per-rank input is
+//! Rendering (`Export::….to(ChromeTrace | Otlp)`) lives in the unified
+//! [`crate::export`] pipeline, whose per-rank input is
 //! [`crate::export::ExportRank`].
 //!
 //! Retention is layered on by [`crate::compact`]: a [`CompactPolicy`] makes

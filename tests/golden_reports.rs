@@ -23,6 +23,10 @@ use ipm_repro::apps::{
 };
 use ipm_repro::ipm::{Banner, Export, IpmConfig, RankProfile, RegionReport, Xml};
 
+#[path = "support/golden.rs"]
+mod golden;
+use golden::check_golden;
+
 /// Run `app` monitored on one rank of a one-node Dirac cluster and return
 /// its profile with the wall-clock self-cost zeroed.
 fn profiled_run<R: Send>(
@@ -37,16 +41,6 @@ fn profiled_run<R: Send>(
     let mut profile = run.profiles.into_iter().next().expect("one rank");
     profile.monitor.self_wall_ns = 0;
     profile
-}
-
-fn check_golden(name: &str, text: &str) {
-    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, text).expect("write golden");
-    }
-    let golden =
-        std::fs::read_to_string(&path).expect("golden file missing — run with UPDATE_GOLDEN=1");
-    assert_eq!(text, golden, "report drifted from tests/golden/{name}");
 }
 
 /// Banner, region report and XML for `p`, each against its golden.

@@ -22,6 +22,10 @@ use ipm_repro::ipm::{
 };
 use ipm_repro::sim::RunningStats;
 
+#[path = "support/golden.rs"]
+mod golden;
+use golden::check_golden;
+
 fn rec(
     kind: TraceKind,
     name: &str,
@@ -413,16 +417,6 @@ fn mixed_export() -> Export {
         .rank(p(1, "dirac01"))
         .with_trace(rank1)
         .with_epoch(e1)
-}
-
-fn check_golden(name: &str, text: &str) {
-    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, text).expect("write golden");
-    }
-    let golden =
-        std::fs::read_to_string(&path).expect("golden file missing — run with UPDATE_GOLDEN=1");
-    assert_eq!(text, golden, "export drifted from tests/golden/{name}");
 }
 
 /// Every trace writer over [`mixed_export`], pinned byte for byte against
