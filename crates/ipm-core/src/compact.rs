@@ -19,9 +19,10 @@
 //!   in `tests/properties.rs`, model-checked under loom).
 //! * [`merge_runs`] — k-way merge of per-stripe pre-sorted runs. Records
 //!   are appended in virtual-time order per rank, so each stripe's buffer
-//!   is already (nearly) sorted; merging runs on drain replaces the old
-//!   sort-everything-on-the-consumer-thread path and produces the *same
-//!   record-for-record order* the stable global sort did.
+//!   is already (nearly) sorted; one merge pass on drain, copying whole
+//!   blocks, replaces the old sort-everything-on-the-consumer-thread path
+//!   and produces the *same record-for-record order* the stable global
+//!   sort did.
 
 use crate::trace::TraceRecord;
 use std::cmp::Ordering;
@@ -164,50 +165,140 @@ pub fn compact_records(buf: &mut Vec<TraceRecord>, policy: &CompactPolicy) -> us
     before - write
 }
 
-/// K-way merge of pre-sorted runs into one `(begin, end)`-ordered vector.
-/// Ties across runs resolve to the lower run index, which reproduces the
-/// old stable global sort of the runs' concatenation record-for-record
-/// (proptested in `tests/properties.rs`).
-pub fn merge_runs(mut runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-    runs.retain(|r| !r.is_empty());
-    // tournament of two-way merges: log2(stripes) passes of the cheapest
-    // possible inner loop (one comparison, move not clone, per record).
-    // Merging *adjacent* runs keeps equal keys in run-index order at every
-    // round, so the result is the stable global sort of the concatenation.
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, b)),
-                None => next.push(a),
+/// K-way merge of runs into one `(begin, end)`-ordered vector, equal
+/// record-for-record to the stable sort of the runs' concatenation (ties
+/// resolve to the lower run index; proptested in `tests/properties.rs`).
+///
+/// The runs are expected to be mostly sorted, as a ring stripe's are: a
+/// stripe is appended in time order except where a kernel sweep appends
+/// executions that began earlier. Each run is cut where its order breaks,
+/// and the sorted pieces are merged in one pass into one reserved vector:
+/// the piece whose head comes first in `((begin, end), piece index)` order
+/// hands over, as one block copy, every record that still comes before
+/// the next piece's head. Writers fill a stripe in blocks of consecutive
+/// records, so blocks are long and each record is copied once.
+pub fn merge_runs(runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
+    let mut pieces = Vec::new();
+    for run in &runs {
+        let mut start = 0;
+        for i in 1..run.len() {
+            if cmp_time(&run[i], &run[i - 1]).is_lt() {
+                pieces.push(&run[start..i]);
+                start = i;
             }
         }
-        runs = next;
-    }
-    runs.pop().unwrap_or_default()
-}
-
-/// Stable two-way merge: ties go to `a`, the lower-index run.
-fn merge_two(a: Vec<TraceRecord>, b: Vec<TraceRecord>) -> Vec<TraceRecord> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut a = a.into_iter();
-    let mut b = b.into_iter();
-    let (mut x, mut y) = (a.next(), b.next());
-    while let (Some(ra), Some(rb)) = (&x, &y) {
-        if cmp_time(rb, ra) == Ordering::Less {
-            out.push(y.take().expect("checked Some"));
-            y = b.next();
-        } else {
-            out.push(x.take().expect("checked Some"));
-            x = a.next();
+        if start < run.len() {
+            pieces.push(&run[start..]);
         }
     }
-    out.extend(x);
-    out.extend(a);
-    out.extend(y);
-    out.extend(b);
+    if pieces.len() <= 1 {
+        // one sorted run, or none: hand it back as it is
+        return runs.into_iter().find(|r| !r.is_empty()).unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut heads = Heads::new(pieces);
+    while let Some(f) = heads.first() {
+        let run = heads.pieces[f];
+        let take = match heads.second() {
+            None => run.len(),
+            Some(s) => {
+                // piece `f`'s records ahead of piece `s`'s head: earlier,
+                // or tied and from the lower-index piece
+                let head = &heads.pieces[s][0];
+                gallop(run, |r| match cmp_time(r, head) {
+                    Ordering::Less => true,
+                    Ordering::Equal => f < s,
+                    Ordering::Greater => false,
+                })
+            }
+        };
+        out.extend_from_slice(&run[..take]);
+        heads.advance(take);
+    }
     out
+}
+
+/// The sorted pieces still being merged: a binary min-heap of piece
+/// indices, ordered by each piece's head in `((begin, end), index)` order.
+/// Exhausted pieces leave the heap.
+struct Heads<'r> {
+    /// The unmerged rest of each piece.
+    pieces: Vec<&'r [TraceRecord]>,
+    heap: Vec<usize>,
+}
+
+impl<'r> Heads<'r> {
+    fn new(pieces: Vec<&'r [TraceRecord]>) -> Self {
+        let mut h = Heads {
+            heap: (0..pieces.len()).collect(),
+            pieces,
+        };
+        for i in (0..h.heap.len() / 2).rev() {
+            h.sift_down(i);
+        }
+        h
+    }
+
+    /// Whether piece `a`'s head comes before piece `b`'s.
+    fn before(&self, a: usize, b: usize) -> bool {
+        cmp_time(&self.pieces[a][0], &self.pieces[b][0])
+            .then(a.cmp(&b))
+            .is_lt()
+    }
+
+    /// The piece whose head comes first.
+    fn first(&self) -> Option<usize> {
+        self.heap.first().copied()
+    }
+
+    /// The piece whose head comes second: one of the root's children.
+    fn second(&self) -> Option<usize> {
+        match (self.heap.get(1), self.heap.get(2)) {
+            (Some(&a), Some(&b)) => Some(if self.before(a, b) { a } else { b }),
+            (a, _) => a.copied(),
+        }
+    }
+
+    /// Drop the first piece's first `n` records and restore the order.
+    fn advance(&mut self, n: usize) {
+        let f = self.heap[0];
+        self.pieces[f] = &self.pieces[f][n..];
+        if self.pieces[f].is_empty() {
+            self.heap.swap_remove(0);
+        }
+        self.sift_down(0);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let mut min = i;
+            for c in [2 * i + 1, 2 * i + 2] {
+                if c < self.heap.len() && self.before(self.heap[c], self.heap[min]) {
+                    min = c;
+                }
+            }
+            if min == i {
+                return;
+            }
+            self.heap.swap(i, min);
+            i = min;
+        }
+    }
+}
+
+/// The length of the prefix of `run` whose records satisfy `pred`, for a
+/// `pred` that holds on `run[0]` and, once false, stays false. Probes
+/// indices 1, 2, 4, … and then bisects the last gap, so a prefix of `k`
+/// records costs O(log k) comparisons, however long the run.
+fn gallop(run: &[TraceRecord], pred: impl Fn(&TraceRecord) -> bool) -> usize {
+    let mut hi = 1;
+    while hi < run.len() && pred(&run[hi]) {
+        hi *= 2;
+    }
+    // `run[hi / 2]` is the last record known to satisfy `pred`
+    let lo = hi / 2 + 1;
+    let hi = hi.min(run.len());
+    lo + run[lo..hi].partition_point(pred)
 }
 
 #[cfg(test)]
@@ -324,5 +415,13 @@ mod tests {
         // the (0.0, 1.0) tie resolved to run 0's record first
         assert_eq!(merged[0].name, "a");
         assert_eq!(merged[1].name, "b");
+    }
+
+    #[test]
+    fn gallop_finds_every_prefix_length() {
+        let run: Vec<TraceRecord> = (0..40).map(|i| rec("x", i as f64, i as f64)).collect();
+        for k in 1..=run.len() {
+            assert_eq!(gallop(&run, |r| r.begin < k as f64), k, "prefix of {k}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! subcommand.
 
 use super::ExportRank;
-use crate::jsonw::{parse_json, Escaped, Json};
+use crate::jsonw::{parse_json, push_escaped, push_u64, Escaped, Json};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_gpu_sim::{ProfKind, ProfRecord};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -50,35 +50,39 @@ impl Args<'_> {
             Args::Prof(_) => false,
         }
     }
-}
 
-/// The members of the `args` object, without braces. A summary's
-/// aggregate fields come last, so Perfetto shows how many events a
-/// compacted slice stands for.
-impl fmt::Display for Args<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let t = match *self {
-            Args::Prof(p) => return write!(f, "\"gputime_us\":{}", p.gputime * 1e6),
+    /// Append the members of the `args` object, without braces. A
+    /// summary's aggregate fields come last, so Perfetto shows how many
+    /// events a compacted slice stands for.
+    fn push(self, out: &mut String) {
+        let t = match self {
+            Args::Prof(p) => {
+                let _ = write!(out, "\"gputime_us\":{}", p.gputime * 1e6);
+                return;
+            }
             Args::Host(t) => {
                 if t.bytes > 0 {
-                    write!(f, "\"bytes\":{},", t.bytes)?;
+                    out.push_str("\"bytes\":");
+                    push_u64(out, t.bytes);
+                    out.push(',');
                 }
                 t
             }
             Args::Kernel(t) => t,
         };
-        write!(f, "\"region\":{}", t.region)?;
+        out.push_str("\"region\":");
+        push_u64(out, u64::from(t.region));
         if let Some(a) = t.agg {
-            write!(
-                f,
-                ",\"count\":{},\"total_us\":{},\"min_us\":{},\"max_us\":{}",
-                a.count,
+            out.push_str(",\"count\":");
+            push_u64(out, a.count);
+            let _ = write!(
+                out,
+                ",\"total_us\":{},\"min_us\":{},\"max_us\":{}",
                 us(a.total),
                 us(a.min),
                 us(a.max)
-            )?;
+            );
         }
-        Ok(())
     }
 }
 
@@ -100,19 +104,19 @@ struct LaneSlice<'a> {
 
 /// The `traceEvents` array under construction, written straight into the
 /// output document with `,\n` between events.
-struct Events {
-    out: String,
+struct Events<'o> {
+    out: &'o mut String,
     n: usize,
 }
 
-impl Events {
+impl Events<'_> {
     /// The output, positioned for the next event.
     fn next(&mut self) -> &mut String {
         if self.n > 0 {
             self.out.push_str(",\n");
         }
         self.n += 1;
-        &mut self.out
+        self.out
     }
 
     fn meta(&mut self, pid: usize, tid: Option<u32>, which: &str, label: fmt::Arguments<'_>) {
@@ -123,6 +127,18 @@ impl Events {
         }
         let _ = write!(out, ",\"args\":{{\"name\":\"{label}\"}}}}");
     }
+}
+
+/// `,"pid":<pid>,"tid":<tid>,"ts":` — what every event on one lane
+/// writes between its name and its timestamp.
+fn lane_key(pid: usize, tid: u32) -> String {
+    let mut key = String::with_capacity(40);
+    key.push_str(",\"pid\":");
+    push_u64(&mut key, pid as u64);
+    key.push_str(",\"tid\":");
+    push_u64(&mut key, u64::from(tid));
+    key.push_str(",\"ts\":");
+    key
 }
 
 /// Emit one lane's slices: raw records as properly nested `B`/`E` pairs,
@@ -137,6 +153,7 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u32, mut slices: Vec<LaneSlice<'_
             .expect("finite timestamps")
             .then(b.end.partial_cmp(&a.end).expect("finite timestamps"))
     });
+    let lane = lane_key(pid, tid);
     // stack of pending end timestamps with their slice names
     let mut stack: Vec<(f64, &str)> = Vec::new();
     let close = |stack: &mut Vec<(f64, &str)>, upto: f64, ev: &mut Events| {
@@ -145,172 +162,171 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u32, mut slices: Vec<LaneSlice<'_
                 break;
             }
             stack.pop();
-            let _ = write!(
-                ev.next(),
-                "{{\"ph\":\"E\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                Escaped(name),
-                pid,
-                tid,
-                us(end)
-            );
+            let out = ev.next();
+            out.push_str("{\"ph\":\"E\",\"name\":\"");
+            push_escaped(out, name);
+            out.push('"');
+            out.push_str(&lane);
+            let _ = write!(out, "{}}}", us(end));
         }
     };
     for s in slices {
         close(&mut stack, s.begin, ev);
-        if s.flow_in != 0 {
-            let _ = write!(
-                ev.next(),
-                "{{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"launch\",\"name\":\"launch\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                s.flow_in, pid, tid, us(s.begin)
-            );
+        for (id, head) in [
+            (
+                s.flow_in,
+                "{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"launch\",\"name\":\"launch\",\"id\":",
+            ),
+            (
+                s.flow_out,
+                "{\"ph\":\"s\",\"cat\":\"launch\",\"name\":\"launch\",\"id\":",
+            ),
+        ] {
+            if id != 0 {
+                let out = ev.next();
+                out.push_str(head);
+                push_u64(out, id);
+                out.push_str(&lane);
+                let _ = write!(out, "{}}}", us(s.begin));
+            }
         }
-        if s.flow_out != 0 {
-            let _ = write!(
-                ev.next(),
-                "{{\"ph\":\"s\",\"cat\":\"launch\",\"name\":\"launch\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                s.flow_out, pid, tid, us(s.begin)
-            );
-        }
-        if s.args.summary() {
-            let _ = write!(
-                ev.next(),
-                "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
-                Escaped(s.name),
-                pid,
-                tid,
-                us(s.begin),
-                us(s.end - s.begin),
-                s.args
-            );
+        let summary = s.args.summary();
+        let out = ev.next();
+        out.push_str(if summary {
+            "{\"ph\":\"X\",\"name\":\""
         } else {
-            let _ = write!(
-                ev.next(),
-                "{{\"ph\":\"B\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{},\"args\":{{{}}}}}",
-                Escaped(s.name),
-                pid,
-                tid,
-                us(s.begin),
-                s.args
-            );
+            "{\"ph\":\"B\",\"name\":\""
+        });
+        push_escaped(out, s.name);
+        out.push('"');
+        out.push_str(&lane);
+        if summary {
+            let _ = write!(out, "{},\"dur\":{}", us(s.begin), us(s.end - s.begin));
+        } else {
+            let _ = write!(out, "{}", us(s.begin));
             stack.push((s.end, s.name));
         }
+        out.push_str(",\"args\":{");
+        s.args.push(out);
+        out.push_str("}}");
     }
     close(&mut stack, f64::INFINITY, ev);
 }
 
 /// Render ranks into Chrome trace-event JSON (the `{"traceEvents": [...]}`
 /// object form), in one pass over the borrowed records into one output
-/// buffer. One process per rank; `tid 0` is the host lane and `tid 1 + s`
-/// is device stream `s`. `cudaLaunch` slices originate flow arrows
-/// (`ph:"s"`) that terminate (`ph:"f"`) at the kernel slice with the same
-/// correlation id. Raw records render as `B`/`E` pairs; compaction
-/// summaries render as `X` (complete) events carrying their aggregate in
-/// `args`, since summaries from different ring stripes may partially
-/// overlap in time.
-pub(crate) fn chrome_trace_json(ranks: &[ExportRank]) -> String {
-    let mut ev = Events {
-        out: super::trace_buffer(ranks, RECORD_BYTES),
-        n: 0,
-    };
-    ev.out
-        .push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for r in ranks {
-        let pid = r.rank;
-        if r.host.is_empty() {
-            ev.meta(pid, None, "process_name", format_args!("rank {}", r.rank));
-        } else {
-            let host = Escaped(&r.host);
-            ev.meta(
-                pid,
-                None,
-                "process_name",
-                format_args!("rank {} ({host})", r.rank),
-            );
-        }
-        ev.meta(pid, Some(0), "thread_name", format_args!("host"));
+/// buffer, on up to `threads` threads (see [`super::render_ranks`]). One
+/// process per rank; `tid 0` is the host lane and `tid 1 + s` is device
+/// stream `s`. `cudaLaunch` slices originate flow arrows (`ph:"s"`) that
+/// terminate (`ph:"f"`) at the kernel slice with the same correlation id.
+/// Raw records render as `B`/`E` pairs; compaction summaries render as `X`
+/// (complete) events carrying their aggregate in `args`, since summaries
+/// from different ring stripes may partially overlap in time. `ranks` must
+/// not be empty.
+pub(crate) fn chrome_trace_json(ranks: &[ExportRank], threads: usize) -> String {
+    let mut out = super::trace_buffer(ranks, RECORD_BYTES);
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    super::render_ranks(&mut out, ranks, RECORD_BYTES, threads, |out, i, r| {
+        // every rank writes metadata events, so all but the first rank's
+        // start after an earlier event
+        let mut ev = Events { out, n: i };
+        rank_events(&mut ev, r);
+    });
+    out.push_str("\n]}\n");
+    out
+}
 
-        // Which correlation ids have a device-side slice to land on?
-        let use_prof = !r.prof.is_empty();
-        let device_corrs: HashSet<u64> = if use_prof {
-            r.prof
-                .iter()
-                .filter(|p| p.corr != 0)
-                .map(|p| p.corr)
-                .collect()
-        } else {
-            r.records
-                .iter()
-                .filter(|t| t.kind == TraceKind::KernelExec && t.corr != 0)
-                .map(|t| t.corr)
-                .collect()
-        };
+/// One rank's events: its process and lane names, the host lane, then one
+/// lane per device stream.
+fn rank_events(ev: &mut Events, r: &ExportRank) {
+    let pid = r.rank;
+    if r.host.is_empty() {
+        ev.meta(pid, None, "process_name", format_args!("rank {}", r.rank));
+    } else {
+        let host = Escaped(&r.host);
+        ev.meta(
+            pid,
+            None,
+            "process_name",
+            format_args!("rank {} ({host})", r.rank),
+        );
+    }
+    ev.meta(pid, Some(0), "thread_name", format_args!("host"));
 
-        // Host lane: wrapped calls + host-idle intervals.
-        let host_slices: Vec<LaneSlice> = r
-            .records
+    // Which correlation ids have a device-side slice to land on?
+    let use_prof = !r.prof.is_empty();
+    let device_corrs: HashSet<u64> = if use_prof {
+        r.prof
             .iter()
-            .filter(|t| t.kind != TraceKind::KernelExec)
-            .map(|t| LaneSlice {
-                name: t.name,
-                begin: t.begin - r.epoch,
-                end: t.end - r.epoch,
-                args: Args::Host(t),
-                flow_in: 0,
-                flow_out: if t.corr != 0 && device_corrs.contains(&t.corr) {
-                    t.corr
+            .filter(|p| p.corr != 0)
+            .map(|p| p.corr)
+            .collect()
+    } else {
+        r.records
+            .iter()
+            .filter(|t| t.kind == TraceKind::KernelExec && t.corr != 0)
+            .map(|t| t.corr)
+            .collect()
+    };
+
+    // Host lane: wrapped calls + host-idle intervals.
+    let host_slices: Vec<LaneSlice> = r
+        .records
+        .iter()
+        .filter(|t| t.kind != TraceKind::KernelExec)
+        .map(|t| LaneSlice {
+            name: t.name,
+            begin: t.begin - r.epoch,
+            end: t.end - r.epoch,
+            args: Args::Host(t),
+            flow_in: 0,
+            flow_out: if t.corr != 0 && device_corrs.contains(&t.corr) {
+                t.corr
+            } else {
+                0
+            },
+        })
+        .collect();
+    emit_lane(ev, pid, 0, host_slices);
+
+    // Device lanes: one per stream, in stream order, from the profiler
+    // ground truth when available, otherwise from KTT KernelExec records.
+    let mut lanes: BTreeMap<u32, Vec<LaneSlice>> = BTreeMap::new();
+    if use_prof {
+        for p in &r.prof {
+            lanes.entry(p.stream.0).or_default().push(LaneSlice {
+                name: &p.method,
+                begin: p.start - r.epoch,
+                end: p.start + p.gputime - r.epoch,
+                args: Args::Prof(p),
+                flow_in: if p.kind == ProfKind::Kernel {
+                    p.corr
                 } else {
                     0
                 },
-            })
-            .collect();
-        emit_lane(&mut ev, pid, 0, host_slices);
-
-        // Device lanes: one per stream, in stream order, from the profiler
-        // ground truth when available, otherwise from KTT KernelExec records.
-        let mut lanes: BTreeMap<u32, Vec<LaneSlice>> = BTreeMap::new();
-        if use_prof {
-            for p in &r.prof {
-                lanes.entry(p.stream.0).or_default().push(LaneSlice {
-                    name: &p.method,
-                    begin: p.start - r.epoch,
-                    end: p.start + p.gputime - r.epoch,
-                    args: Args::Prof(p),
-                    flow_in: if p.kind == ProfKind::Kernel {
-                        p.corr
-                    } else {
-                        0
-                    },
+                flow_out: 0,
+            });
+        }
+    } else {
+        for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
+            lanes
+                .entry(t.stream.unwrap_or(0))
+                .or_default()
+                .push(LaneSlice {
+                    name: t.detail.unwrap_or(t.name),
+                    begin: t.begin - r.epoch,
+                    end: t.end - r.epoch,
+                    args: Args::Kernel(t),
+                    flow_in: t.corr,
                     flow_out: 0,
                 });
-            }
-        } else {
-            for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
-                lanes
-                    .entry(t.stream.unwrap_or(0))
-                    .or_default()
-                    .push(LaneSlice {
-                        name: t.detail.unwrap_or(t.name),
-                        begin: t.begin - r.epoch,
-                        end: t.end - r.epoch,
-                        args: Args::Kernel(t),
-                        flow_in: t.corr,
-                        flow_out: 0,
-                    });
-            }
-        }
-        for (s, slices) in lanes {
-            let tid = 1 + s;
-            ev.meta(pid, Some(tid), "thread_name", format_args!("stream {s}"));
-            emit_lane(&mut ev, pid, tid, slices);
         }
     }
-
-    let mut out = ev.out;
-    if ev.n > 0 {
-        out.push('\n');
+    for (s, slices) in lanes {
+        let tid = 1 + s;
+        ev.meta(pid, Some(tid), "thread_name", format_args!("stream {s}"));
+        emit_lane(ev, pid, tid, slices);
     }
-    out.push_str("]}\n");
-    out
 }
 
 /// Structural facts about a validated trace, for assertions and the CLI

@@ -92,12 +92,82 @@ impl ExportRank {
     }
 }
 
+/// Host and device records of `ranks`.
+fn records(ranks: &[ExportRank]) -> usize {
+    ranks.iter().map(|r| r.records.len() + r.prof.len()).sum()
+}
+
 /// An empty output buffer for a trace rendering of `ranks`, reserved at
 /// `bytes_per_record` per host and device record, so the document is not
 /// regrown and copied while it is written.
 fn trace_buffer(ranks: &[ExportRank], bytes_per_record: usize) -> String {
-    let records: usize = ranks.iter().map(|r| r.records.len() + r.prof.len()).sum();
-    String::with_capacity(4096 + records * bytes_per_record)
+    String::with_capacity(4096 + records(ranks) * bytes_per_record)
+}
+
+/// Records a multi-rank trace rendering must hold before its ranks are
+/// rendered on several threads. Below it, starting threads costs more
+/// than they save (and so does asking how many cores there are).
+const PARALLEL_RECORDS: usize = 1 << 14;
+
+/// How many threads a trace rendering of `ranks` uses: one for a single
+/// rank or a small trace, else one per core up to one per rank. The
+/// record count is checked first because `available_parallelism` reads
+/// cgroup files, which would cost an empty export more than its render.
+fn render_threads(ranks: &[ExportRank]) -> usize {
+    if ranks.len() < 2 || records(ranks) < PARALLEL_RECORDS {
+        return 1;
+    }
+    std::thread::available_parallelism()
+        .map_or(1, usize::from)
+        .min(ranks.len())
+}
+
+/// Render every rank into `out` in rank order, calling
+/// `render(out, index, rank)` once per rank. With `threads > 1` the ranks
+/// are cut into that many contiguous chunks of (nearly) equal rank counts;
+/// the first is rendered into `out` on the calling thread, each other one
+/// into its own buffer on a scoped thread, and the buffers are appended
+/// in order, so the output is the same for every thread count.
+///
+/// Each helper's buffer is allocated here, before its thread starts: a
+/// buffer the helper allocated itself would come from that thread's own
+/// malloc arena, whose pages outlive the thread and add to the process's
+/// peak resident set.
+fn render_ranks<F>(
+    out: &mut String,
+    ranks: &[ExportRank],
+    bytes_per_record: usize,
+    threads: usize,
+    render: F,
+) where
+    F: Fn(&mut String, usize, &ExportRank) + Sync,
+{
+    let per = ranks.len().div_ceil(threads.max(1)).max(1);
+    let mut chunks = ranks.chunks(per);
+    let first = chunks.next().unwrap_or_default();
+    let rest: Vec<&[ExportRank]> = chunks.collect();
+    let mut bufs: Vec<String> = rest
+        .iter()
+        .map(|chunk| trace_buffer(chunk, bytes_per_record))
+        .collect();
+    let render = &render;
+    let render_chunk = move |out: &mut String, k: usize, chunk: &[ExportRank]| {
+        for (i, r) in chunk.iter().enumerate() {
+            render(out, k * per + i, r);
+        }
+    };
+    if rest.is_empty() {
+        return render_chunk(out, 0, first);
+    }
+    std::thread::scope(|s| {
+        for (k, (chunk, buf)) in rest.iter().zip(&mut bufs).enumerate() {
+            s.spawn(move || render_chunk(buf, k + 1, chunk));
+        }
+        render_chunk(out, 0, first);
+    });
+    for buf in &bufs {
+        out.push_str(buf);
+    }
 }
 
 /// The canonical view every exporter renders: per-rank data plus the few
@@ -214,16 +284,31 @@ impl Exporter for Xml {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        let mut out = trace_buffer(&src.ranks, crate::xml::EVENT_BYTES);
-        for r in &src.ranks {
+        if let Some(r) = src.ranks.iter().find(|r| r.profile.is_none()) {
+            return Err(ExportError::MissingProfile { rank: r.rank });
+        }
+        Ok(xml_logs(&src.ranks, render_threads(&src.ranks)))
+    }
+}
+
+/// One XML log per rank, in rank order, on up to `threads` threads; every
+/// rank must carry a profile.
+fn xml_logs(ranks: &[ExportRank], threads: usize) -> String {
+    let mut out = trace_buffer(ranks, crate::xml::EVENT_BYTES);
+    render_ranks(
+        &mut out,
+        ranks,
+        crate::xml::EVENT_BYTES,
+        threads,
+        |out, _, r| {
             let p = r
                 .profile
                 .as_ref()
-                .ok_or(ExportError::MissingProfile { rank: r.rank })?;
-            crate::xml::write_xml(&mut out, p, &r.records, r.epoch);
-        }
-        Ok(out)
-    }
+                .expect("profiles checked before rendering");
+            crate::xml::write_xml(out, p, &r.records, r.epoch);
+        },
+    );
+    out
 }
 
 /// The `ipm_parse -html`-style report page.
@@ -244,7 +329,10 @@ impl Exporter for ChromeTrace {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        Ok(chrome::chrome_trace_json(&src.ranks))
+        Ok(chrome::chrome_trace_json(
+            &src.ranks,
+            render_threads(&src.ranks),
+        ))
     }
 }
 
@@ -259,7 +347,7 @@ impl Exporter for Otlp {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        Ok(otlp::otlp_trace_json(src))
+        Ok(otlp::otlp_trace_json(src, render_threads(&src.ranks)))
     }
 }
 
@@ -451,6 +539,115 @@ mod tests {
             Export::new().to(ChromeTrace).unwrap_err(),
             ExportError::NoRanks
         );
+    }
+
+    /// Rank `rank` with `launches` launch/kernel pairs (none: a rank
+    /// without records), its device lanes fed by the profiler when `prof`,
+    /// and a profile so the XML backend can render it too.
+    fn traced_rank(rank: usize, launches: usize, prof: bool) -> ExportRank {
+        let mut r = chrome::tests::launch_storm(launches);
+        r.rank = rank;
+        r.host = format!("dirac{rank:02}");
+        r.epoch = rank as f64 * 0.25;
+        if launches > 0 {
+            r.records.push(TraceRecord {
+                kind: crate::trace::TraceKind::Call,
+                name: "cudaGetLastError",
+                detail: None,
+                begin: 1.0,
+                end: 1.1,
+                bytes: 0,
+                region: 0,
+                stream: None,
+                corr: 0,
+                agg: Some(crate::compact::TraceAgg {
+                    count: 3,
+                    total: 2.5e-2,
+                    min: 5e-3,
+                    max: 1e-2,
+                    exemplar: (1.0, 1.01),
+                }),
+            });
+        }
+        if prof {
+            r.prof = r
+                .records
+                .iter()
+                .filter(|t| t.kind == crate::trace::TraceKind::KernelExec)
+                .map(|t| ProfRecord {
+                    method: t.detail.unwrap_or(t.name).to_owned(),
+                    kind: ipm_gpu_sim::ProfKind::Kernel,
+                    stream: ipm_gpu_sim::StreamId(t.stream.unwrap_or(0)),
+                    start: t.begin,
+                    gputime: t.end - t.begin,
+                    cputime: 1e-6,
+                    corr: t.corr,
+                })
+                .collect();
+        }
+        r.profile = Some(RankProfile {
+            rank,
+            nranks: 1,
+            host: r.host.clone(),
+            command: "storm".to_owned(),
+            wallclock: 1.5,
+            regions: vec!["<program>".to_owned()],
+            entries: Vec::new(),
+            dropped_events: 0,
+            monitor: Default::default(),
+        });
+        r
+    }
+
+    #[test]
+    fn rendering_on_several_threads_is_byte_identical() {
+        // launches per rank such that two such ranks pass the threshold
+        let big = PARALLEL_RECORDS / 4 + 1;
+        let cases: Vec<Vec<ExportRank>> = vec![
+            vec![traced_rank(0, 40, false)],
+            vec![traced_rank(0, big, false), traced_rank(1, big, true)],
+            vec![
+                traced_rank(0, 30, true),
+                traced_rank(1, 0, false),
+                traced_rank(2, 50, false),
+            ],
+            (0..5)
+                .map(|r| traced_rank(r, [10, 0, 0, 200, 3][r], r % 2 == 1))
+                .collect(),
+            (0..9)
+                .map(|r| traced_rank(r, if r == 4 { 2 * big } else { r * 7 }, r % 3 == 0))
+                .collect(),
+        ];
+        let mut above = 0;
+        for ranks in cases {
+            let src = ExportSource {
+                ranks,
+                ..ExportSource::default()
+            };
+            let n = src.ranks.len();
+            above += usize::from(records(&src.ranks) >= PARALLEL_RECORDS);
+            let chrome = chrome::chrome_trace_json(&src.ranks, 1);
+            validate_chrome_trace(&chrome).expect("valid chrome trace");
+            let xml = xml_logs(&src.ranks, 1);
+            #[cfg(feature = "otlp")]
+            let otlp = otlp::otlp_trace_json(&src, 1);
+            for threads in [2, 3, 4, 16] {
+                let what = format!("{n} ranks on {threads} threads");
+                assert!(
+                    chrome::chrome_trace_json(&src.ranks, threads) == chrome,
+                    "chrome, {what}"
+                );
+                assert!(xml_logs(&src.ranks, threads) == xml, "xml, {what}");
+                #[cfg(feature = "otlp")]
+                assert!(otlp::otlp_trace_json(&src, threads) == otlp, "otlp, {what}");
+            }
+            // the backends pick their own thread count
+            assert!(ChromeTrace.render(&src).unwrap() == chrome);
+            assert!(Xml.render(&src).unwrap() == xml);
+            #[cfg(feature = "otlp")]
+            assert!(Otlp.render(&src).unwrap() == otlp);
+        }
+        assert_eq!(above, 2, "cases on both sides of the threshold");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! mirroring [`super::validate_chrome_trace`].
 
 use super::{ExportRank, ExportSource};
-use crate::jsonw::{parse_json, Escaped, Json};
+use crate::jsonw::{parse_json, push_escaped, push_hex16, push_hex32, push_i64, push_u64, Json};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_gpu_sim::ProfKind;
 use std::collections::{HashMap, HashSet};
@@ -51,16 +51,24 @@ impl<'o> Attrs<'o> {
             self.out.push(',');
         }
         self.empty = false;
-        let _ = write!(self.out, "{{\"key\":\"{}\",\"value\":{{", Escaped(key));
+        self.out.push_str("{\"key\":\"");
+        push_escaped(self.out, key);
+        self.out.push_str("\",\"value\":{");
         self.out
     }
 
     fn int(&mut self, key: &str, val: u64) {
-        let _ = write!(self.key(key), "\"intValue\":\"{val}\"}}}}");
+        let out = self.key(key);
+        out.push_str("\"intValue\":\"");
+        push_u64(out, val);
+        out.push_str("\"}}");
     }
 
     fn str(&mut self, key: &str, val: &str) {
-        let _ = write!(self.key(key), "\"stringValue\":\"{}\"}}}}", Escaped(val));
+        let out = self.key(key);
+        out.push_str("\"stringValue\":\"");
+        push_escaped(out, val);
+        out.push_str("\"}}");
     }
 
     fn f64(&mut self, key: &str, val: f64) {
@@ -82,10 +90,11 @@ impl<'o> Attrs<'o> {
     fn end(self, link: Option<(u128, usize)>) {
         self.out.push(']');
         if let Some((trace_id, span_id)) = link {
-            let _ = write!(
-                self.out,
-                ",\"links\":[{{\"traceId\":\"{trace_id:032x}\",\"spanId\":\"{span_id:016x}\"}}]"
-            );
+            self.out.push_str(",\"links\":[{\"traceId\":\"");
+            push_hex32(self.out, trace_id);
+            self.out.push_str("\",\"spanId\":\"");
+            push_hex16(self.out, span_id as u64);
+            self.out.push_str("\"}]");
         }
         self.out.push('}');
     }
@@ -108,18 +117,21 @@ impl Spans<'_> {
             self.out.push_str(",\n");
         }
         self.n += 1;
-        let _ = write!(
-            self.out,
-            "{{\"traceId\":\"{:032x}\",\"spanId\":\"{:016x}\",\"name\":\"{}\",\"kind\":{},\
-             \"startTimeUnixNano\":\"{}\",\"endTimeUnixNano\":\"{}\",\"attributes\":",
-            self.trace_id,
-            self.n,
-            Escaped(name),
-            kind,
-            start,
-            end
-        );
-        Attrs::open(self.out)
+        let out = &mut *self.out;
+        out.push_str("{\"traceId\":\"");
+        push_hex32(out, self.trace_id);
+        out.push_str("\",\"spanId\":\"");
+        push_hex16(out, self.n as u64);
+        out.push_str("\",\"name\":\"");
+        push_escaped(out, name);
+        out.push_str("\",\"kind\":");
+        push_u64(out, u64::from(kind));
+        out.push_str(",\"startTimeUnixNano\":\"");
+        push_i64(out, start);
+        out.push_str("\",\"endTimeUnixNano\":\"");
+        push_i64(out, end);
+        out.push_str("\",\"attributes\":");
+        Attrs::open(out)
     }
 }
 
@@ -217,13 +229,15 @@ fn rank_spans(out: &mut String, r: &ExportRank, trace_id: u128) {
 
 /// Render the source as OTLP/JSON: `{"resourceSpans":[...]}`, one entry
 /// per rank, one span per trace record, one line per span — in one pass
-/// over the borrowed records into one output buffer.
-pub(crate) fn otlp_trace_json(src: &ExportSource) -> String {
-    let mut out = super::trace_buffer(&src.ranks, SPAN_BYTES);
+/// over the borrowed records into one output buffer, on up to `threads`
+/// threads (see [`super::render_ranks`]).
+pub(crate) fn otlp_trace_json(src: &ExportSource, threads: usize) -> String {
+    let ranks = &src.ranks;
+    let mut out = super::trace_buffer(ranks, SPAN_BYTES);
     out.push_str("{\"resourceSpans\":[\n");
-    for (i, r) in src.ranks.iter().enumerate() {
+    super::render_ranks(&mut out, ranks, SPAN_BYTES, threads, |out, i, r| {
         out.push_str("{\"resource\":{\"attributes\":");
-        let mut attrs = Attrs::open(&mut out);
+        let mut attrs = Attrs::open(out);
         attrs.int("ipm.rank", r.rank as u64);
         attrs.str("host.name", &r.host);
         if let Some(p) = &r.profile {
@@ -235,13 +249,13 @@ pub(crate) fn otlp_trace_json(src: &ExportSource) -> String {
         out.push_str(
             ",\"scopeSpans\":[{\"scope\":{\"name\":\"ipm.trace\",\"version\":\"2.0\"},\"spans\":[\n",
         );
-        rank_spans(&mut out, r, r.rank as u128 + 1);
+        rank_spans(out, r, r.rank as u128 + 1);
         out.push_str("]}]}");
-        if i + 1 < src.ranks.len() {
+        if i + 1 < ranks.len() {
             out.push(',');
         }
         out.push('\n');
-    }
+    });
     out.push_str("]}\n");
     out
 }

@@ -3,12 +3,68 @@
 //! The repo has no serde (no external deps are available), so every JSON
 //! producer writes strings by hand and every validator parses them with
 //! the minimal recursive-descent parser below. This module is the single
-//! home for both halves: [`Escaped`] is the writer primitive the Chrome and
-//! OTLP exporters format their strings through, and [`parse_json`]/[`Json`]
+//! home for both halves: [`Escaped`] and the `push_*` writers are the
+//! primitives the Chrome and OTLP exporters (and the XML log's trace
+//! section) write strings and integers through, and [`parse_json`]/[`Json`]
 //! are the reader used by [`crate::export::chrome::validate_chrome_trace`]
 //! and `validate_otlp`.
+//!
+//! The writers append straight to the output without going through
+//! `core::fmt`, and write exactly what `{}` (or `{:016x}`, `{:032x}`) would:
+//! a trace export writes several integers, ids and names per record, and
+//! formatting them through `write!` was most of its cost. `f64`s still go
+//! through `{}`, whose shortest round-trip form has no cheap equivalent.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Append `v` in decimal, as `{}` writes it.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
+}
+
+/// Append `v` in decimal, as `{}` writes it.
+pub(crate) fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Append `v` as 16 lowercase hex digits, as `{:016x}` writes it.
+pub(crate) fn push_hex16(out: &mut String, v: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut buf = [0u8; 16];
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = HEX[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("hex digits are ASCII"));
+}
+
+/// Append `v` as 32 lowercase hex digits, as `{:032x}` writes it.
+pub(crate) fn push_hex32(out: &mut String, v: u128) {
+    push_hex16(out, (v >> 64) as u64);
+    push_hex16(out, v as u64);
+}
+
+/// Append `s` escaped as by [`Escaped`]. Names almost never need escaping,
+/// so a clean string is checked once and copied whole.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        let _ = write!(out, "{}", Escaped(s));
+    }
+}
 
 /// A string escaped for embedding inside a JSON string literal (without
 /// the surrounding quotes), formatted straight into whatever it is written
@@ -280,6 +336,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn json_parser_roundtrips_basics() {
@@ -300,5 +357,111 @@ mod tests {
         assert_eq!(doc.get("k").and_then(Json::as_str), Some(nasty));
         assert_eq!(Escaped("clean").to_string(), "clean");
         assert_eq!(Escaped("\u{1}\u{8}").to_string(), "\\u0001\\u0008");
+    }
+
+    fn pushed(push: impl FnOnce(&mut String)) -> String {
+        let mut out = String::from("prefix:");
+        push(&mut out);
+        out.strip_prefix("prefix:")
+            .expect("writers append")
+            .to_owned()
+    }
+
+    #[test]
+    fn integer_writers_match_display_on_edge_values() {
+        let mut edges = vec![
+            0,
+            1,
+            9,
+            10,
+            11,
+            99,
+            100,
+            101,
+            999,
+            1000,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for p in 1..20 {
+            let t = 10u64.pow(p);
+            edges.extend([t - 1, t, t + 1]);
+        }
+        for v in edges {
+            assert_eq!(pushed(|o| push_u64(o, v)), format!("{v}"));
+            assert_eq!(pushed(|o| push_hex16(o, v)), format!("{v:016x}"));
+        }
+        for v in [0, -1, 9, -9, 10, -10, i64::MIN, i64::MIN + 1, i64::MAX] {
+            assert_eq!(pushed(|o| push_i64(o, v)), format!("{v}"));
+        }
+        // nanoseconds of a record captured half a second before the epoch
+        let pre_epoch = ((9.5f64 - 10.0) * 1e9).round() as i64;
+        assert_eq!(pushed(|o| push_i64(o, pre_epoch)), "-500000000");
+    }
+
+    #[test]
+    fn trace_ids_match_zero_padded_hex() {
+        for v in [
+            0u128,
+            1,
+            2,
+            0xf,
+            u64::MAX as u128,
+            u64::MAX as u128 + 1,
+            0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
+            u128::MAX,
+        ] {
+            assert_eq!(pushed(|o| push_hex32(o, v)), format!("{v:032x}"));
+        }
+    }
+
+    #[test]
+    fn escaper_fast_path_matches_escaped() {
+        for s in [
+            "",
+            "cudaLaunch",
+            "@CUDA_EXEC_STRM00",
+            "cudaMemcpy(D2H)",
+            "square<T>(float*, int) & more",
+            "énd✓",
+            "q\"uote",
+            "back\\slash",
+            "line\nbreak",
+            "\u{1}\u{1f}",
+            "tab\there\r",
+            "\u{7f} is not a control character in JSON",
+        ] {
+            assert_eq!(
+                pushed(|o| push_escaped(o, s)),
+                Escaped(s).to_string(),
+                "{s:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        fn writers_match_fmt_on_random_values(
+            u in any::<u64>(),
+            i in any::<i64>(),
+            shift in 0u32..64,
+            hi in any::<u64>(),
+        ) {
+            // `u >> shift` covers every digit count, not only 19-20 digits
+            let small = u >> shift;
+            prop_assert_eq!(pushed(|o| push_u64(o, u)), format!("{u}"));
+            prop_assert_eq!(pushed(|o| push_u64(o, small)), format!("{small}"));
+            prop_assert_eq!(pushed(|o| push_i64(o, i)), format!("{i}"));
+            let neg = -((small >> 1) as i64);
+            prop_assert_eq!(pushed(|o| push_i64(o, neg)), format!("{neg}"));
+            prop_assert_eq!(pushed(|o| push_hex16(o, small)), format!("{small:016x}"));
+            let id = (u128::from(hi >> shift) << 64) | u128::from(u);
+            prop_assert_eq!(pushed(|o| push_hex32(o, id)), format!("{id:032x}"));
+        }
+
+        fn escaper_matches_escaped_on_random_names(s in "[a-zA-Z0-9_@()<>&\"\\\n\t\u{1}é ]{0,24}") {
+            prop_assert_eq!(pushed(|o| push_escaped(o, &s)), Escaped(&s).to_string());
+        }
     }
 }

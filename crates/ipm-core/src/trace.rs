@@ -478,22 +478,17 @@ impl TraceRing {
 
     /// Remove and return every resident record in `(begin, end)` order.
     /// Frees ring space for further capture; counters are cumulative and
-    /// unaffected. Each stripe hands over a pre-sorted run (sorting only
-    /// if interleaved writers actually broke its order) and the runs are
-    /// k-way merged — same record-for-record output as the old global
-    /// sort, without re-sorting the already-ordered bulk on the consumer
-    /// thread.
+    /// unaffected. Each stripe hands over its buffer as it stands and
+    /// [`merge_runs`](crate::compact::merge_runs) merges them in one pass,
+    /// cutting a stripe only where late appends broke its order — the
+    /// same record-for-record output as the old global sort, with each
+    /// record copied once and nothing sorted.
     pub fn drain(&self) -> Vec<TraceRecord> {
         let mut runs = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {
-            let (mut run, unsorted) = {
-                let mut g = shard.lock();
-                (std::mem::take(&mut g.buf), std::mem::take(&mut g.unsorted))
-            };
-            if unsorted {
-                run.sort_by(cmp_time);
-            }
-            runs.push(run);
+            let mut g = shard.lock();
+            g.unsorted = false;
+            runs.push(std::mem::take(&mut g.buf));
         }
         crate::compact::merge_runs(runs)
     }

@@ -20,6 +20,7 @@
 //! ```
 
 use crate::compact::TraceAgg;
+use crate::jsonw::push_u64;
 use crate::profile::{MonitorInfo, ProfileEntry, RankProfile};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_interpose::CallHandle;
@@ -73,6 +74,43 @@ impl fmt::Display for Escaped<'_> {
         }
         f.write_str(&s[run..])
     }
+}
+
+/// Append `s` escaped as by [`Escaped`]; a string without `&<>"` (almost
+/// every name) is copied whole.
+fn push_escaped(out: &mut String, s: &str) {
+    if s.bytes().any(|b| matches!(b, b'&' | b'<' | b'>' | b'"')) {
+        let _ = write!(out, "{}", Escaped(s));
+    } else {
+        out.push_str(s);
+    }
+}
+
+/// Append ` name="<v>"` for an integer attribute.
+fn push_int_attr(out: &mut String, name: &str, v: u64) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    push_u64(out, v);
+    out.push('"');
+}
+
+/// Append ` name="<v>"` for an `f64` attribute, written by `{}`.
+fn push_f64_attr(out: &mut String, name: &str, v: f64) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    let _ = write!(out, "{v}");
+    out.push('"');
+}
+
+/// Append ` name="<s>"`, escaped.
+fn push_str_attr(out: &mut String, name: &str, s: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    push_escaped(out, s);
+    out.push('"');
 }
 
 /// Inverse of [`Escaped`]; borrows values that hold no entity.
@@ -136,30 +174,28 @@ pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord]
             out.push_str("    <trace>\n");
         }
         for t in trace {
-            let _ = write!(
-                out,
-                "      <event kind=\"{}\" name=\"{}\"",
-                t.kind.tag(),
-                Escaped(t.name)
-            );
-            if let Some(d) = &t.detail {
-                let _ = write!(out, " detail=\"{}\"", Escaped(d));
+            out.push_str("      <event kind=\"");
+            out.push(t.kind.tag());
+            out.push('"');
+            push_str_attr(out, "name", t.name);
+            if let Some(d) = t.detail {
+                push_str_attr(out, "detail", d);
             }
-            let _ = write!(
-                out,
-                " begin=\"{}\" end=\"{}\" bytes=\"{}\" region=\"{}\"",
-                t.begin, t.end, t.bytes, t.region
-            );
+            push_f64_attr(out, "begin", t.begin);
+            push_f64_attr(out, "end", t.end);
+            push_int_attr(out, "bytes", t.bytes);
+            push_int_attr(out, "region", u64::from(t.region));
             if let Some(s) = t.stream {
-                let _ = write!(out, " stream=\"{s}\"");
+                push_int_attr(out, "stream", u64::from(s));
             }
-            let _ = write!(out, " corr=\"{}\"", t.corr);
+            push_int_attr(out, "corr", t.corr);
             if let Some(a) = t.agg {
-                let _ = write!(
-                    out,
-                    " count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\" ex_begin=\"{}\" ex_end=\"{}\"",
-                    a.count, a.total, a.min, a.max, a.exemplar.0, a.exemplar.1
-                );
+                push_int_attr(out, "count", a.count);
+                push_f64_attr(out, "total", a.total);
+                push_f64_attr(out, "min", a.min);
+                push_f64_attr(out, "max", a.max);
+                push_f64_attr(out, "ex_begin", a.exemplar.0);
+                push_f64_attr(out, "ex_end", a.exemplar.1);
             }
             out.push_str("/>\n");
         }
@@ -167,15 +203,18 @@ pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord]
     }
     out.push_str("    <hash>\n");
     for e in &p.entries {
-        let _ = write!(out, "      <entry name=\"{}\"", Escaped(&e.name));
+        out.push_str("      <entry");
+        push_str_attr(out, "name", &e.name);
         if let Some(d) = &e.detail {
-            let _ = write!(out, " detail=\"{}\"", Escaped(d));
+            push_str_attr(out, "detail", d);
         }
-        let _ = writeln!(
-            out,
-            " bytes=\"{}\" region=\"{}\" count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\"/>",
-            e.bytes, e.region, e.stats.count, e.stats.total, e.stats.min, e.stats.max,
-        );
+        push_int_attr(out, "bytes", e.bytes);
+        push_int_attr(out, "region", u64::from(e.region));
+        push_int_attr(out, "count", e.stats.count);
+        push_f64_attr(out, "total", e.stats.total);
+        push_f64_attr(out, "min", e.stats.min);
+        push_f64_attr(out, "max", e.stats.max);
+        out.push_str("/>\n");
     }
     out.push_str("    </hash>\n  </task>\n</ipm>\n");
 }
@@ -232,6 +271,22 @@ impl<'a> Attrs<'a> {
         self.raw(name)
             .map(|raw| raw.parse().map_err(|_| XmlError::BadNumber(raw.to_owned())))
             .transpose()
+    }
+
+    /// A finite `f64` attribute: trace times and aggregates are sorted
+    /// and rendered as numbers, so `NaN` and infinities are bad numbers.
+    fn time(&self, name: &'static str) -> Result<f64, XmlError> {
+        self.opt_time(name)?.ok_or(XmlError::Missing(name))
+    }
+
+    /// [`Attrs::time`] for an attribute that may be absent.
+    fn opt_time(&self, name: &str) -> Result<Option<f64>, XmlError> {
+        match self.opt_num::<f64>(name)? {
+            Some(v) if !v.is_finite() => Err(XmlError::BadNumber(
+                self.raw(name).unwrap_or_default().to_owned(),
+            )),
+            v => Ok(v),
+        }
     }
 }
 
@@ -358,8 +413,8 @@ pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
             kind,
             name: interned(&a.text("name").ok_or(XmlError::Missing("name"))?),
             detail: a.text("detail").map(|d| interned(&d)),
-            begin: a.num("begin")?,
-            end: a.num("end")?,
+            begin: a.time("begin")?,
+            end: a.time("end")?,
             bytes: a.num("bytes")?,
             region: a.num("region")?,
             stream: a.opt_num("stream")?,
@@ -369,10 +424,10 @@ pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
             agg: match a.raw("count") {
                 Some(_) => Some(TraceAgg {
                     count: a.num("count")?,
-                    total: a.num("total")?,
-                    min: a.num("min")?,
-                    max: a.num("max")?,
-                    exemplar: (a.num("ex_begin")?, a.num("ex_end")?),
+                    total: a.time("total")?,
+                    min: a.time("min")?,
+                    max: a.time("max")?,
+                    exemplar: (a.time("ex_begin")?, a.time("ex_end")?),
                 }),
                 None => None,
             },
@@ -391,7 +446,7 @@ pub fn trace_epoch_from_xml(xml: &str) -> Result<f64, XmlError> {
     {
         Some(line) => Ok(Attrs::default()
             .split(line)
-            .opt_num("epoch")?
+            .opt_time("epoch")?
             .unwrap_or(0.0)),
         None => Ok(0.0),
     }
@@ -610,6 +665,75 @@ mod tests {
         );
         assert_ne!(reordered, xml);
         assert_eq!(trace_from_xml(&reordered).unwrap(), trace);
+    }
+
+    #[test]
+    fn xml_escaper_fast_path_matches_escaped() {
+        for s in [
+            "",
+            "cudaLaunch",
+            "cudaMemcpy(D2H)",
+            "@CUDA_EXEC_STRM00",
+            "./app <input> & \"stuff\"",
+            "square<T>",
+            "a&b",
+            "énd✓ \\ \n",
+        ] {
+            let mut out = String::from("<x>");
+            push_escaped(&mut out, s);
+            assert_eq!(out, format!("<x>{}", Escaped(s)), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_trace_numbers_are_rejected() {
+        let trace = vec![TraceRecord {
+            kind: TraceKind::Call,
+            name: "cudaLaunch",
+            detail: None,
+            begin: 1.0,
+            end: 4.75,
+            bytes: 0,
+            region: 0,
+            stream: None,
+            corr: 0,
+            agg: Some(TraceAgg {
+                count: 3,
+                total: 2.5,
+                min: 0.5,
+                max: 1.0,
+                exemplar: (2.0, 2.125),
+            }),
+        }];
+        let xml = with_trace(&sample(), &trace, 0.5);
+        assert_eq!(trace_from_xml(&xml).unwrap(), trace);
+        for attr in [
+            "begin=\"1\"",
+            "end=\"4.75\"",
+            "total=\"2.5\"",
+            "min=\"0.5\"",
+            "max=\"1\"",
+            "ex_begin=\"2\"",
+            "ex_end=\"2.125\"",
+        ] {
+            let (name, _) = attr.split_once('=').unwrap();
+            for bad in ["NaN", "inf", "-inf", "infinity"] {
+                let xml = xml.replacen(&format!(" {attr}"), &format!(" {name}=\"{bad}\""), 1);
+                assert_ne!(xml, with_trace(&sample(), &trace, 0.5), "{attr}");
+                assert_eq!(
+                    trace_from_xml(&xml).unwrap_err(),
+                    XmlError::BadNumber(bad.to_owned()),
+                    "{name}={bad}"
+                );
+            }
+        }
+        for bad in ["NaN", "inf", "-inf"] {
+            let xml = xml.replace("<trace epoch=\"0.5\">", &format!("<trace epoch=\"{bad}\">"));
+            assert_eq!(
+                trace_epoch_from_xml(&xml).unwrap_err(),
+                XmlError::BadNumber(bad.to_owned())
+            );
+        }
     }
 
     #[test]

@@ -661,6 +661,54 @@ proptest! {
         prop_assert_eq!(&ring.snapshot(), &reference);
         prop_assert_eq!(&ring.drain(), &reference);
     }
+
+    /// `merge_runs` on direct input, beyond what a ring's stripes hand it:
+    /// up to 12 runs, empty ones among them, keys drawn from a handful of
+    /// values so ties across runs are the rule, and runs sorted, blocky
+    /// (sorted stretches whose order breaks, like a stripe a kernel sweep
+    /// appended to) or unsorted. The result is the stable sort of the
+    /// runs' concatenation.
+    #[test]
+    fn merge_runs_equals_stable_sort_of_any_runs(
+        runs in prop::collection::vec(
+            (prop::collection::vec((0u32..6, 0u32..3), 0..40), 0u8..3),
+            0..13,
+        ),
+    ) {
+        let mut id = 0u64;
+        let runs: Vec<Vec<TraceRecord>> = runs
+            .into_iter()
+            .map(|(keys, shape)| {
+                let mut keys = keys;
+                match shape {
+                    0 => keys.sort_unstable(),
+                    1 => keys.chunks_mut(5).for_each(<[_]>::sort_unstable),
+                    _ => {}
+                }
+                keys.into_iter()
+                    .map(|(begin, dur)| {
+                        id += 1; // distinct corrs make records distinguishable
+                        trace_rec(
+                            TraceKind::Call,
+                            "m",
+                            f64::from(begin),
+                            f64::from(begin + dur),
+                            None,
+                            id,
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut reference: Vec<TraceRecord> = runs.iter().flatten().copied().collect();
+        reference.sort_by(|a, b| {
+            a.begin
+                .partial_cmp(&b.begin)
+                .unwrap()
+                .then(a.end.partial_cmp(&b.end).unwrap())
+        });
+        prop_assert_eq!(merge_runs(runs), reference);
+    }
 }
 
 /// The ISSUE acceptance case, pinned as a plain test: a 1M-event synthetic
