@@ -17,12 +17,12 @@
 //!   [`TraceRecord::event_count`] / [`TraceRecord::busy_total`] over the
 //!   output equals the same sums over the input, per signature (proptested
 //!   in `tests/properties.rs`, model-checked under loom).
-//! * [`merge_runs`] — k-way merge of per-stripe pre-sorted runs. Records
-//!   are appended in virtual-time order per rank, so each stripe's buffer
-//!   is already (nearly) sorted; one merge pass on drain, copying whole
-//!   blocks, replaces the old sort-everything-on-the-consumer-thread path
-//!   and produces the *same record-for-record order* the stable global
-//!   sort did.
+//! * [`merge_runs`] — k-way merge of per-stripe runs. Records are
+//!   appended in virtual-time order per rank, so each stripe's buffer is
+//!   already (nearly) sorted; one merge pass on drain, cutting runs where
+//!   their order breaks and copying whole blocks, replaces the old
+//!   sort-everything-on-the-consumer-thread path and produces the *same
+//!   record-for-record order* the stable global sort did.
 
 use crate::trace::TraceRecord;
 use std::cmp::Ordering;

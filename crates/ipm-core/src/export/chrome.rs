@@ -147,6 +147,9 @@ fn lane_key(pid: usize, tid: u32) -> String {
 /// slice's begin or a pending end ≤ it, so timestamps are non-decreasing
 /// even when summary spans partially overlap raw slices or each other.
 fn emit_lane(ev: &mut Events, pid: usize, tid: u32, mut slices: Vec<LaneSlice<'_>>) {
+    if slices.is_empty() {
+        return;
+    }
     slices.sort_by(|a, b| {
         a.begin
             .partial_cmp(&b.begin)

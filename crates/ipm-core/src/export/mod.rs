@@ -124,7 +124,7 @@ fn render_threads(ranks: &[ExportRank]) -> usize {
 
 /// Render every rank into `out` in rank order, calling
 /// `render(out, index, rank)` once per rank. With `threads > 1` the ranks
-/// are cut into that many contiguous chunks of (nearly) equal rank counts;
+/// are cut into at most that many contiguous chunks of equal rank counts;
 /// the first is rendered into `out` on the calling thread, each other one
 /// into its own buffer on a scoped thread, and the buffers are appended
 /// in order, so the output is the same for every thread count.
