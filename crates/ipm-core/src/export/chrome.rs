@@ -14,7 +14,7 @@ use super::ExportRank;
 use crate::jsonw::{parse_json, push_escaped, push_u64, Escaped, Json};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_gpu_sim::{ProfKind, ProfRecord};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write as _};
 
 /// Microseconds for the `ts` field (Chrome's unit).
@@ -119,7 +119,7 @@ impl Events<'_> {
         self.out
     }
 
-    fn meta(&mut self, pid: usize, tid: Option<u32>, which: &str, label: fmt::Arguments<'_>) {
+    fn meta(&mut self, pid: usize, tid: Option<u64>, which: &str, label: fmt::Arguments<'_>) {
         let out = self.next();
         let _ = write!(out, "{{\"ph\":\"M\",\"name\":\"{which}\",\"pid\":{pid}");
         if let Some(tid) = tid {
@@ -131,22 +131,23 @@ impl Events<'_> {
 
 /// `,"pid":<pid>,"tid":<tid>,"ts":` — what every event on one lane
 /// writes between its name and its timestamp.
-fn lane_key(pid: usize, tid: u32) -> String {
+fn lane_key(pid: usize, tid: u64) -> String {
     let mut key = String::with_capacity(40);
     key.push_str(",\"pid\":");
     push_u64(&mut key, pid as u64);
     key.push_str(",\"tid\":");
-    push_u64(&mut key, u64::from(tid));
+    push_u64(&mut key, tid);
     key.push_str(",\"ts\":");
     key
 }
 
 /// Emit one lane's slices: raw records as properly nested `B`/`E` pairs,
-/// summaries as self-contained `X` events. Events are produced in
+/// summaries (and raw records that overlap an open slice without nesting
+/// in it) as self-contained `X` events. Events are produced in
 /// `(begin, -end)` order and every event's `ts` is either the current
 /// slice's begin or a pending end ≤ it, so timestamps are non-decreasing
 /// even when summary spans partially overlap raw slices or each other.
-fn emit_lane(ev: &mut Events, pid: usize, tid: u32, mut slices: Vec<LaneSlice<'_>>) {
+fn emit_lane(ev: &mut Events, pid: usize, tid: u64, mut slices: Vec<LaneSlice<'_>>) {
     if slices.is_empty() {
         return;
     }
@@ -193,9 +194,11 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u32, mut slices: Vec<LaneSlice<'_
                 let _ = write!(out, "{}}}", us(s.begin));
             }
         }
-        let summary = s.args.summary();
+        // a raw slice that overlaps the open one without nesting in it
+        // (only a malformed log has one) is drawn whole, like a summary
+        let whole = s.args.summary() || stack.last().is_some_and(|&(end, _)| s.end > end);
         let out = ev.next();
-        out.push_str(if summary {
+        out.push_str(if whole {
             "{\"ph\":\"X\",\"name\":\""
         } else {
             "{\"ph\":\"B\",\"name\":\""
@@ -203,7 +206,7 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u32, mut slices: Vec<LaneSlice<'_
         push_escaped(out, s.name);
         out.push('"');
         out.push_str(&lane);
-        if summary {
+        if whole {
             let _ = write!(out, "{},\"dur\":{}", us(s.begin), us(s.end - s.begin));
         } else {
             let _ = write!(out, "{}", us(s.begin));
@@ -256,20 +259,37 @@ fn rank_events(ev: &mut Events, r: &ExportRank) {
     }
     ev.meta(pid, Some(0), "thread_name", format_args!("host"));
 
-    // Which correlation ids have a device-side slice to land on?
+    // Flow arrows link a launch to the kernel it submitted. Only a
+    // correlation id with exactly one kernel slice and one host slice
+    // gets one, so a log that lost or repeated either end still renders
+    // matched pairs.
     let use_prof = !r.prof.is_empty();
-    let device_corrs: HashSet<u64> = if use_prof {
-        r.prof
-            .iter()
-            .filter(|p| p.corr != 0)
-            .map(|p| p.corr)
-            .collect()
+    let mut ends: HashMap<u64, [u32; 2]> = HashMap::new();
+    let mut kernel = |corr: u64| {
+        if corr != 0 {
+            ends.entry(corr).or_default()[1] += 1;
+        }
+    };
+    if use_prof {
+        let kernels = r.prof.iter().filter(|p| p.kind == ProfKind::Kernel);
+        kernels.for_each(|p| kernel(p.corr));
     } else {
-        r.records
-            .iter()
-            .filter(|t| t.kind == TraceKind::KernelExec && t.corr != 0)
-            .map(|t| t.corr)
-            .collect()
+        let kernels = r.records.iter().filter(|t| t.kind == TraceKind::KernelExec);
+        kernels.for_each(|t| kernel(t.corr));
+    }
+    for t in &r.records {
+        if t.kind != TraceKind::KernelExec && t.corr != 0 {
+            if let Some(n) = ends.get_mut(&t.corr) {
+                n[0] += 1;
+            }
+        }
+    }
+    let flow = |corr: u64| {
+        if corr != 0 && ends.get(&corr) == Some(&[1, 1]) {
+            corr
+        } else {
+            0
+        }
     };
 
     // Host lane: wrapped calls + host-idle intervals.
@@ -283,11 +303,7 @@ fn rank_events(ev: &mut Events, r: &ExportRank) {
             end: t.end - r.epoch,
             args: Args::Host(t),
             flow_in: 0,
-            flow_out: if t.corr != 0 && device_corrs.contains(&t.corr) {
-                t.corr
-            } else {
-                0
-            },
+            flow_out: flow(t.corr),
         })
         .collect();
     emit_lane(ev, pid, 0, host_slices);
@@ -303,7 +319,7 @@ fn rank_events(ev: &mut Events, r: &ExportRank) {
                 end: p.start + p.gputime - r.epoch,
                 args: Args::Prof(p),
                 flow_in: if p.kind == ProfKind::Kernel {
-                    p.corr
+                    flow(p.corr)
                 } else {
                     0
                 },
@@ -320,13 +336,13 @@ fn rank_events(ev: &mut Events, r: &ExportRank) {
                     begin: t.begin - r.epoch,
                     end: t.end - r.epoch,
                     args: Args::Kernel(t),
-                    flow_in: t.corr,
+                    flow_in: flow(t.corr),
                     flow_out: 0,
                 });
         }
     }
     for (s, slices) in lanes {
-        let tid = 1 + s;
+        let tid = 1 + u64::from(s);
         ev.meta(pid, Some(tid), "thread_name", format_args!("stream {s}"));
         emit_lane(ev, pid, tid, slices);
     }
@@ -567,6 +583,40 @@ pub(crate) mod tests {
         let json = export(vec![rank]);
         let stats = validate_chrome_trace(&json).expect("multi-stripe compacted export invalid");
         assert!(stats.slices > 0);
+    }
+
+    #[test]
+    fn records_a_malformed_log_can_hold_still_export_valid_traces() {
+        let kernel = |corr: u64, stream: u32, begin: f64, end: f64| TraceRecord {
+            kind: TraceKind::KernelExec,
+            name: "@CUDA_EXEC_STRM00",
+            detail: Some("k"),
+            begin,
+            end,
+            bytes: 0,
+            region: 0,
+            stream: Some(stream),
+            corr,
+            agg: None,
+        };
+        let mut launch = call("cudaLaunch", 1.0, 1.1);
+        launch.corr = 5;
+        let rank = ExportRank {
+            records: vec![
+                // corr 5: one launch, two kernels; corr 9: no launch
+                launch,
+                kernel(5, 0, 2.0, 3.0),
+                kernel(5, 0, 2.5, 3.5),
+                kernel(9, u32::MAX, 4.0, 5.0),
+            ],
+            ..ExportRank::default()
+        };
+        let json = export(vec![rank]);
+        let stats = validate_chrome_trace(&json).expect("valid trace");
+        assert_eq!(stats.flow_pairs, 0);
+        assert_eq!(stats.lanes, 3);
+        assert!(json.contains("\"tid\":4294967296"), "{json}");
+        assert!(json.contains("\"ph\":\"X\",\"name\":\"k\""), "{json}");
     }
 
     /// `n` launches on the host lane, each with its kernel execution on

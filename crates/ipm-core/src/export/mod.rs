@@ -105,8 +105,12 @@ fn trace_buffer(ranks: &[ExportRank], bytes_per_record: usize) -> String {
 }
 
 /// Records a multi-rank trace rendering must hold before its ranks are
-/// rendered on several threads. Below it, starting threads costs more
-/// than they save (and so does asking how many cores there are).
+/// rendered on several threads. This is not a measured crossover: on a
+/// 2-vCPU VM (two ranks of launch/kernel pairs, best of 60 renders) two
+/// threads already beat one at 2,048 records for Chrome (0.9 → 0.7 ms),
+/// while OTLP gained 0–25% at every size from 2,048 to 131,072. The
+/// value only keeps traces that render in a few ms off threads and off
+/// `available_parallelism`.
 const PARALLEL_RECORDS: usize = 1 << 14;
 
 /// How many threads a trace rendering of `ranks` uses: one for a single
@@ -126,8 +130,9 @@ fn render_threads(ranks: &[ExportRank]) -> usize {
 /// `render(out, index, rank)` once per rank. With `threads > 1` the ranks
 /// are cut into at most that many contiguous chunks of equal rank counts;
 /// the first is rendered into `out` on the calling thread, each other one
-/// into its own buffer on a scoped thread, and the buffers are appended
-/// in order, so the output is the same for every thread count.
+/// into its own buffer on a scoped thread (or on the calling thread, if
+/// the OS refuses the thread), and the buffers are appended in order, so
+/// the output is the same for every thread count.
 ///
 /// Each helper's buffer is allocated here, before its thread starts: a
 /// buffer the helper allocated itself would come from that thread's own
@@ -145,29 +150,38 @@ fn render_ranks<F>(
     let per = ranks.len().div_ceil(threads.max(1)).max(1);
     let mut chunks = ranks.chunks(per);
     let first = chunks.next().unwrap_or_default();
-    let rest: Vec<&[ExportRank]> = chunks.collect();
-    let mut bufs: Vec<String> = rest
-        .iter()
-        .map(|chunk| trace_buffer(chunk, bytes_per_record))
-        .collect();
     let render = &render;
     let render_chunk = move |out: &mut String, k: usize, chunk: &[ExportRank]| {
         for (i, r) in chunk.iter().enumerate() {
             render(out, k * per + i, r);
         }
     };
-    if rest.is_empty() {
+    let rendered = move |k: usize, chunk: &[ExportRank], mut buf: String| {
+        render_chunk(&mut buf, k, chunk);
+        buf
+    };
+    if chunks.len() == 0 {
         return render_chunk(out, 0, first);
     }
     std::thread::scope(|s| {
-        for (k, (chunk, buf)) in rest.iter().zip(&mut bufs).enumerate() {
-            s.spawn(move || render_chunk(buf, k + 1, chunk));
-        }
+        let helpers: Vec<_> = chunks
+            .enumerate()
+            .map(|(k, chunk)| {
+                let buf = trace_buffer(chunk, bytes_per_record);
+                std::thread::Builder::new()
+                    .spawn_scoped(s, move || rendered(k + 1, chunk, buf))
+                    .map_err(|_| rendered(k + 1, chunk, trace_buffer(chunk, bytes_per_record)))
+            })
+            .collect();
         render_chunk(out, 0, first);
+        for helper in helpers {
+            let buf = helper.map_or_else(
+                |buf| buf,
+                |h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+            out.push_str(&buf);
+        }
     });
-    for buf in &bufs {
-        out.push_str(buf);
-    }
 }
 
 /// The canonical view every exporter renders: per-rank data plus the few
@@ -284,31 +298,16 @@ impl Exporter for Xml {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        if let Some(r) = src.ranks.iter().find(|r| r.profile.is_none()) {
-            return Err(ExportError::MissingProfile { rank: r.rank });
-        }
-        Ok(xml_logs(&src.ranks, render_threads(&src.ranks)))
-    }
-}
-
-/// One XML log per rank, in rank order, on up to `threads` threads; every
-/// rank must carry a profile.
-fn xml_logs(ranks: &[ExportRank], threads: usize) -> String {
-    let mut out = trace_buffer(ranks, crate::xml::EVENT_BYTES);
-    render_ranks(
-        &mut out,
-        ranks,
-        crate::xml::EVENT_BYTES,
-        threads,
-        |out, _, r| {
+        let mut out = trace_buffer(&src.ranks, crate::xml::EVENT_BYTES);
+        for r in &src.ranks {
             let p = r
                 .profile
                 .as_ref()
-                .expect("profiles checked before rendering");
-            crate::xml::write_xml(out, p, &r.records, r.epoch);
-        },
-    );
-    out
+                .ok_or(ExportError::MissingProfile { rank: r.rank })?;
+            crate::xml::write_xml(&mut out, p, &r.records, r.epoch);
+        }
+        Ok(out)
+    }
 }
 
 /// The `ipm_parse -html`-style report page.
@@ -543,7 +542,7 @@ mod tests {
 
     /// Rank `rank` with `launches` launch/kernel pairs (none: a rank
     /// without records), its device lanes fed by the profiler when `prof`,
-    /// and a profile so the XML backend can render it too.
+    /// and a profile (OTLP labels the rank with its command).
     fn traced_rank(rank: usize, launches: usize, prof: bool) -> ExportRank {
         let mut r = chrome::tests::launch_storm(launches);
         r.rank = rank;
@@ -628,7 +627,6 @@ mod tests {
             above += usize::from(records(&src.ranks) >= PARALLEL_RECORDS);
             let chrome = chrome::chrome_trace_json(&src.ranks, 1);
             validate_chrome_trace(&chrome).expect("valid chrome trace");
-            let xml = xml_logs(&src.ranks, 1);
             #[cfg(feature = "otlp")]
             let otlp = otlp::otlp_trace_json(&src, 1);
             for threads in [2, 3, 4, 16] {
@@ -637,13 +635,11 @@ mod tests {
                     chrome::chrome_trace_json(&src.ranks, threads) == chrome,
                     "chrome, {what}"
                 );
-                assert!(xml_logs(&src.ranks, threads) == xml, "xml, {what}");
                 #[cfg(feature = "otlp")]
                 assert!(otlp::otlp_trace_json(&src, threads) == otlp, "otlp, {what}");
             }
             // the backends pick their own thread count
             assert!(ChromeTrace.render(&src).unwrap() == chrome);
-            assert!(Xml.render(&src).unwrap() == xml);
             #[cfg(feature = "otlp")]
             assert!(Otlp.render(&src).unwrap() == otlp);
         }

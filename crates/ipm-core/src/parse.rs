@@ -16,7 +16,8 @@ use std::fmt::Write as _;
 /// Rebuild the canonical export view from a set of XML logs (one per
 /// rank): each rank carries its parsed profile, the embedded `<trace>`
 /// records, and the recorded clock-alignment epoch, sorted by rank. Every
-/// `ipm_parse` rendering goes through this one loader.
+/// `ipm_parse` rendering goes through this one loader. Two logs of the
+/// same rank are malformed: their trace lanes would share one process.
 pub fn export_from_xml(xmls: &[String]) -> Result<Export, XmlError> {
     let mut parsed = Vec::new();
     for xml in xmls {
@@ -26,6 +27,12 @@ pub fn export_from_xml(xmls: &[String]) -> Result<Export, XmlError> {
         parsed.push((profile, records, epoch));
     }
     parsed.sort_by_key(|(p, _, _)| p.rank);
+    if let Some(w) = parsed.windows(2).find(|w| w[0].0.rank == w[1].0.rank) {
+        return Err(XmlError::Malformed(format!(
+            "two logs of rank {}",
+            w[0].0.rank
+        )));
+    }
     let mut export = Export::new();
     for (profile, records, epoch) in parsed {
         export = export.rank(profile).with_trace(records).with_epoch(epoch);
@@ -163,6 +170,19 @@ mod tests {
         let banner = export_from_xml(&[xml]).unwrap().to(Banner).unwrap();
         assert!(banner.contains("MPI_Allreduce"));
         assert!(banner.contains("##IPMv2.0"));
+    }
+
+    #[test]
+    fn two_logs_of_one_rank_are_malformed() {
+        let xmls = vec![
+            to_xml(&profile(1)),
+            to_xml(&profile(0)),
+            to_xml(&profile(1)),
+        ];
+        assert_eq!(
+            export_from_xml(&xmls).unwrap_err(),
+            XmlError::Malformed("two logs of rank 1".to_owned())
+        );
     }
 
     #[test]

@@ -268,7 +268,8 @@ struct Shard {
     /// Records absorbed into summaries by compaction passes.
     compacted_away: u64,
     /// Set when an append broke the buffer's `(begin, end)` order; cleared
-    /// by the sort that precedes a compaction pass or drain. Records are
+    /// by the sort that precedes a compaction pass, and by a drain, which
+    /// leaves the stripe empty (`snapshot_runs` sorts a copy). Records are
     /// appended in virtual-time order per thread, so this trips only when
     /// stripe rotation interleaves writers — the common case is a cheap
     /// tail comparison and no sort at all.

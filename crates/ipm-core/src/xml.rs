@@ -227,6 +227,11 @@ pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord]
 #[derive(Default)]
 struct Attrs<'a>(Vec<(&'a str, &'a str)>);
 
+/// The largest magnitude a parsed trace time may have, in seconds (some
+/// 31,700 years): far past any run, and small enough that every
+/// difference of two times stays finite when scaled to ns.
+const MAX_TIME: f64 = 1e12;
+
 impl<'a> Attrs<'a> {
     /// Split `tag` (leading whitespace and the `<element` name skipped),
     /// replacing the previous tag's attributes.
@@ -273,8 +278,11 @@ impl<'a> Attrs<'a> {
             .transpose()
     }
 
-    /// A finite `f64` attribute: trace times and aggregates are sorted
-    /// and rendered as numbers, so `NaN` and infinities are bad numbers.
+    /// A time or duration attribute, in seconds, of magnitude at most
+    /// [`MAX_TIME`]: trace times and aggregates are sorted, subtracted and
+    /// scaled to µs or ns before they are rendered as numbers, so `NaN`,
+    /// infinities and values whose scaled differences overflow are bad
+    /// numbers.
     fn time(&self, name: &'static str) -> Result<f64, XmlError> {
         self.opt_time(name)?.ok_or(XmlError::Missing(name))
     }
@@ -282,7 +290,7 @@ impl<'a> Attrs<'a> {
     /// [`Attrs::time`] for an attribute that may be absent.
     fn opt_time(&self, name: &str) -> Result<Option<f64>, XmlError> {
         match self.opt_num::<f64>(name)? {
-            Some(v) if !v.is_finite() => Err(XmlError::BadNumber(
+            Some(v) if v.is_nan() || v.abs() > MAX_TIME => Err(XmlError::BadNumber(
                 self.raw(name).unwrap_or_default().to_owned(),
             )),
             v => Ok(v),
@@ -300,7 +308,7 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
     let task = attrs.split(task_tag);
     let rank: usize = task.num("rank")?;
     let nranks: usize = task.num("nranks")?;
-    let wallclock: f64 = task.num("wallclock")?;
+    let wallclock = task.time("wallclock")?;
     let dropped_events: u64 = task.num("dropped")?;
     let host = task
         .text("host")
@@ -354,7 +362,8 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
             let e = attrs.split(line);
             let stats = RunningStats {
                 count: e.num("count")?,
-                total: e.num("total")?,
+                // min and max of an empty entry are the infinities
+                total: e.time("total")?,
                 min: e.num("min")?,
                 max: e.num("max")?,
             };
@@ -409,12 +418,18 @@ pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
             .next()
             .and_then(TraceKind::from_tag)
             .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
+        let (begin, end) = (a.time("begin")?, a.time("end")?);
+        if end < begin {
+            return Err(XmlError::Malformed(format!(
+                "event ends at {end} before it begins at {begin}"
+            )));
+        }
         out.push(TraceRecord {
             kind,
             name: interned(&a.text("name").ok_or(XmlError::Missing("name"))?),
             detail: a.text("detail").map(|d| interned(&d)),
-            begin: a.time("begin")?,
-            end: a.time("end")?,
+            begin,
+            end,
             bytes: a.num("bytes")?,
             region: a.num("region")?,
             stream: a.opt_num("stream")?,
@@ -717,7 +732,7 @@ mod tests {
             "ex_end=\"2.125\"",
         ] {
             let (name, _) = attr.split_once('=').unwrap();
-            for bad in ["NaN", "inf", "-inf", "infinity"] {
+            for bad in ["NaN", "inf", "-inf", "infinity", "1e303", "-1e308"] {
                 let xml = xml.replacen(&format!(" {attr}"), &format!(" {name}=\"{bad}\""), 1);
                 assert_ne!(xml, with_trace(&sample(), &trace, 0.5), "{attr}");
                 assert_eq!(
@@ -727,13 +742,34 @@ mod tests {
                 );
             }
         }
-        for bad in ["NaN", "inf", "-inf"] {
+        for bad in ["NaN", "inf", "-inf", "1e303", "-1e308"] {
             let xml = xml.replace("<trace epoch=\"0.5\">", &format!("<trace epoch=\"{bad}\">"));
             assert_eq!(
                 trace_epoch_from_xml(&xml).unwrap_err(),
                 XmlError::BadNumber(bad.to_owned())
             );
         }
+    }
+
+    #[test]
+    fn an_event_ending_before_it_begins_is_malformed() {
+        let trace = vec![TraceRecord {
+            kind: TraceKind::Call,
+            name: "cudaLaunch",
+            detail: None,
+            begin: 1.0,
+            end: 4.75,
+            bytes: 0,
+            region: 0,
+            stream: None,
+            corr: 0,
+            agg: None,
+        }];
+        let xml = with_trace(&sample(), &trace, 0.0).replace("end=\"4.75\"", "end=\"0.5\"");
+        assert!(matches!(
+            trace_from_xml(&xml).unwrap_err(),
+            XmlError::Malformed(_)
+        ));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! the Chrome and OTLP documents — are truncated and mutated at random.
 //! Every mutant must either be rejected (`export_from_xml`,
 //! `validate_chrome_trace` or `validate_otlp` returns `Err`) or load into
-//! a source that every backend renders without a panic.
+//! a source that every backend renders without a panic, into Chrome and
+//! OTLP documents that validate.
 #![cfg(feature = "otlp")]
 
 use ipm_repro::ipm::parse::export_from_xml;
@@ -92,14 +93,21 @@ fn mutate(s: &mut String, (op, pos, len, tok): (u8, u64, usize, usize)) {
     }
 }
 
-/// Render a loaded source through every backend; only a panic fails.
+/// Render a loaded source through every backend without a panic; the
+/// trace documents it writes must be valid.
 fn render_everything(e: &Export) {
     let _ = e.to(Banner);
     let _ = e.to(RegionReport);
     let _ = e.to(Xml);
     let _ = e.to(Html);
-    let _ = e.to(ChromeTrace);
-    let _ = e.to(Otlp);
+    let chrome = e.to(ChromeTrace).expect("a loaded source has ranks");
+    if let Err(err) = validate_chrome_trace(&chrome) {
+        panic!("invalid Chrome trace: {err}\n{chrome}");
+    }
+    let otlp = e.to(Otlp).expect("a loaded source has ranks");
+    if let Err(err) = validate_otlp(&otlp) {
+        panic!("invalid OTLP document: {err}\n{otlp}");
+    }
 }
 
 fn edits() -> impl Strategy<Value = Vec<(u8, u64, usize, usize)>> {
@@ -118,8 +126,9 @@ proptest! {
         if let Ok(e) = export_from_xml(std::slice::from_ref(&xml)) {
             render_everything(&e);
         }
-        // the same log twice: the cluster renderings and several ranks
-        if let Ok(e) = export_from_xml(&[xml.clone(), xml]) {
+        // the log again as rank 1: the cluster renderings and several ranks
+        let again = xml.replacen("<task rank=\"0\"", "<task rank=\"1\"", 1);
+        if let Ok(e) = export_from_xml(&[xml, again]) {
             render_everything(&e);
         }
     }
