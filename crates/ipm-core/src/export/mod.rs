@@ -107,10 +107,10 @@ fn trace_buffer(ranks: &[ExportRank], bytes_per_record: usize) -> String {
 /// Records a multi-rank trace rendering must hold before its ranks are
 /// rendered on several threads. This is not a measured crossover: on a
 /// 2-vCPU VM (two ranks of launch/kernel pairs, best of 60 renders) two
-/// threads already beat one at 2,048 records for Chrome (0.9 → 0.7 ms),
-/// while OTLP gained 0–25% at every size from 2,048 to 131,072. The
-/// value only keeps traces that render in a few ms off threads and off
-/// `available_parallelism`.
+/// threads already beat one at 2,048 records for Chrome (1.0 → 0.7 ms),
+/// while OTLP gained at most a quarter at any size from 2,048 to 131,072
+/// records, and nothing in some runs. The value only keeps traces that
+/// render in a few ms off threads and off `available_parallelism`.
 const PARALLEL_RECORDS: usize = 1 << 14;
 
 /// How many threads a trace rendering of `ranks` uses: one for a single
