@@ -12,11 +12,10 @@
 //! ipm_parse otlp rank*.xml                 # OTLP resourceSpans JSON
 //! ```
 
-use ipm_core::export::{Banner, Export, Html};
+use ipm_core::export::{Banner, Html};
 use ipm_core::parse::export_from_xml;
 use ipm_core::{
-    build_cube, cube_to_xml, from_xml, render_cube_text, validate_chrome_trace, ChromeTrace,
-    ClusterReport,
+    build_cube, cube_to_xml, render_cube_text, validate_chrome_trace, ChromeTrace, ClusterReport,
 };
 use std::process::ExitCode;
 
@@ -65,19 +64,20 @@ fn main() -> ExitCode {
         return usage();
     }
 
-    if mode == "trace" || mode == "otlp" {
-        let xmls = match read_all(files) {
-            Ok(x) => x,
-            Err(code) => return code,
-        };
-        let export = match export_from_xml(&xmls) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("ipm_parse: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let json = if mode == "trace" {
+    let xmls = match read_all(files) {
+        Ok(x) => x,
+        Err(code) => return code,
+    };
+    let export = match export_from_xml(&xmls) {
+        Ok(e) => e,
+        Err(e) => {
+            eprintln!("ipm_parse: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    match mode {
+        "trace" => {
             let json = export.to(ChromeTrace).expect("ranks present");
             match validate_chrome_trace(&json) {
                 Ok(stats) => eprintln!(
@@ -89,8 +89,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            json
-        } else {
+            print!("{json}");
+        }
+        "otlp" => {
             #[cfg(feature = "otlp")]
             {
                 let json = export.to(ipm_core::export::Otlp).expect("ranks present");
@@ -104,48 +105,21 @@ fn main() -> ExitCode {
                         return ExitCode::FAILURE;
                     }
                 }
-                json
+                print!("{json}");
             }
             #[cfg(not(feature = "otlp"))]
             {
                 eprintln!("ipm_parse: built without the `otlp` feature");
                 return ExitCode::FAILURE;
             }
-        };
-        print!("{json}");
-        return ExitCode::SUCCESS;
-    }
-
-    let mut profiles = Vec::new();
-    for path in files {
-        let xml = match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("ipm_parse: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match from_xml(&xml) {
-            Ok(p) => profiles.push(p),
-            Err(e) => {
-                eprintln!("ipm_parse: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
         }
-    }
-
-    match mode {
         "banner" => {
             // node count is inferred from the distinct hosts by the builder
-            let banner = Export::from_profiles(profiles)
-                .to(Banner)
-                .expect("profiles present");
+            let banner = export.to(Banner).expect("profiles present");
             print!("{banner}");
         }
         "html" => {
-            let html = Export::from_profiles(profiles)
-                .to(Html)
-                .expect("profiles present");
+            let html = export.to(Html).expect("profiles present");
             let out = html_out.expect("checked");
             if let Err(e) = std::fs::write(&out, html) {
                 eprintln!("ipm_parse: cannot write {out}: {e}");
@@ -154,13 +128,8 @@ fn main() -> ExitCode {
             eprintln!("ipm_parse: wrote {out}");
         }
         "cube" | "cubexml" => {
-            let nodes = {
-                let mut hosts: Vec<&str> = profiles.iter().map(|p| p.host.as_str()).collect();
-                hosts.sort_unstable();
-                hosts.dedup();
-                hosts.len().max(1)
-            };
-            let report = ClusterReport::from_profiles(profiles, nodes);
+            let src = export.source();
+            let report = ClusterReport::from_profiles(src.profiles(), src.node_count());
             let cube = build_cube(&report);
             if mode == "cube" {
                 print!("{}", render_cube_text(&cube));

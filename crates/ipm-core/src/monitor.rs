@@ -11,7 +11,7 @@ use crate::ktt::{Ktt, KttCheckPolicy};
 use crate::profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfile};
 use crate::sig::SigKey;
 use crate::table::PerfTable;
-use crate::trace::{TraceCounters, TraceKind, TraceRecord, TraceRing};
+use crate::trace::{TraceCounters, TraceKind, TraceRecord, TraceRing, DEFAULT_TRACE_SHARDS};
 use ipm_interpose::{site, CallHandle, CallId, MonitorSink, NameTable};
 use ipm_sim_core::SimClock;
 use parking_lot::Mutex;
@@ -32,6 +32,9 @@ const SELF_SAMPLE: u64 = 64;
 /// self cost.
 const SELF_CLAMP_NS: u64 = 10_000;
 
+/// Kernel timing table slots.
+const KTT_CAPACITY: usize = 1024;
+
 /// Monitoring configuration (what the paper toggles between Figs. 4/5/6).
 #[derive(Clone, Copy, Debug)]
 pub struct IpmConfig {
@@ -43,14 +46,8 @@ pub struct IpmConfig {
     /// the dilatation study (Fig. 8) measures. Calibrated so full MPI+CUDA
     /// monitoring of HPL costs ~0.2% of runtime.
     pub wrapper_overhead: f64,
-    /// Kernel timing table slots.
-    pub ktt_capacity: usize,
     /// When to sweep the KTT.
     pub ktt_policy: KttCheckPolicy,
-    /// Performance-table capacity (distinct signatures).
-    pub table_capacity: usize,
-    /// Performance-table lock stripes.
-    pub table_shards: usize,
     /// Optional per-invocation correction subtracted from event-bracketed
     /// kernel durations (the paper's "future work" overhead correction,
     /// evaluated as an ablation of Table I).
@@ -58,8 +55,6 @@ pub struct IpmConfig {
     /// Trace-ring capacity in records; 0 disables event tracing entirely
     /// (the aggregate-only mode of the original paper).
     pub trace_capacity: usize,
-    /// Trace-ring lock stripes.
-    pub trace_shards: usize,
     /// Trace retention policy: when a stripe passes its high-water mark,
     /// adjacent same-signature records merge into summary records instead
     /// of the ring dropping once full. Disabled by default.
@@ -79,13 +74,9 @@ impl Default for IpmConfig {
             gpu_timing: true,
             host_idle: true,
             wrapper_overhead: 0.3e-6,
-            ktt_capacity: 1024,
             ktt_policy: KttCheckPolicy::D2hOnly,
-            table_capacity: crate::table::DEFAULT_CAPACITY,
-            table_shards: crate::table::DEFAULT_SHARDS,
             exec_time_correction: None,
             trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
-            trace_shards: crate::trace::DEFAULT_TRACE_SHARDS,
             trace_compaction: CompactPolicy::DISABLED,
             snapshot_overhead_budget: 0.01,
         }
@@ -255,8 +246,8 @@ impl Ipm {
     pub fn new(clock: SimClock, cfg: IpmConfig) -> Arc<Self> {
         let start = clock.now();
         Arc::new(Self {
-            table: PerfTable::with_shape(cfg.table_capacity, cfg.table_shards),
-            ktt: Mutex::new(Ktt::new(cfg.ktt_capacity)),
+            table: PerfTable::new(),
+            ktt: Mutex::new(Ktt::new(KTT_CAPACITY)),
             region: AtomicU16::new(0),
             regions: Mutex::new(vec!["<program>".to_owned()]),
             meta: Mutex::new(Meta {
@@ -267,7 +258,11 @@ impl Ipm {
             }),
             epoch: Mutex::new(None),
             trace: (cfg.trace_capacity > 0).then(|| {
-                TraceRing::with_policy(cfg.trace_capacity, cfg.trace_shards, cfg.trace_compaction)
+                TraceRing::with_policy(
+                    cfg.trace_capacity,
+                    DEFAULT_TRACE_SHARDS,
+                    cfg.trace_compaction,
+                )
             }),
             self_ns: AtomicU64::new(0),
             self_events: AtomicU64::new(0),
@@ -727,7 +722,6 @@ mod tests {
         let clock = SimClock::new();
         let cfg = IpmConfig {
             trace_capacity: 1 << 10,
-            trace_shards: 1,
             ..IpmConfig::default()
         }
         .with_trace_compaction(8);

@@ -259,6 +259,31 @@ mod tests {
     }
 
     #[test]
+    fn totals_by_name_merge_variants_and_sort_descending_then_by_name() {
+        let mut h2d_small = entry("cudaMemcpy(H2D)", 0.5);
+        h2d_small.bytes = 100;
+        let mut h2d_large = entry("cudaMemcpy(H2D)", 1.5);
+        h2d_large.bytes = 200;
+        let p = profile(vec![
+            entry("small", 0.1),
+            h2d_small,
+            entry("big", 5.0),
+            h2d_large,
+            entry("tie_b", 2.0),
+            entry("tie_a", 2.0),
+        ]);
+        let totals = p.totals_by_name();
+        let names: Vec<&str> = totals.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["big", "cudaMemcpy(H2D)", "tie_a", "tie_b", "small"],
+            "byte variants merge; descending total; equal totals by name"
+        );
+        assert_eq!(totals[1].1.count, 2);
+        assert_eq!(totals[1].1.total, 2.0);
+    }
+
+    #[test]
     fn zero_wallclock_is_safe() {
         let mut p = profile(vec![entry("MPI_Send", 1.0)]);
         p.wallclock = 0.0;

@@ -5,56 +5,74 @@
 //! The real IPM uses a fixed-size open-addressing table so monitoring
 //! never allocates unboundedly on the hot path; we keep that property with
 //! a **capacity cap** (overflowing signatures are counted, not stored) and
-//! two layers of concurrency structure:
+//! two layers:
 //!
 //! * **Per-thread delta cells**: the record path ([`PerfTable::update_key`])
 //!   deposits into a cell owned by the calling thread — an uncontended
 //!   private mutex around a small [`SigKey`] → [`RunningStats`] map whose
 //!   capacity survives flushes, so a steady-state recorded call performs
 //!   no shared-lock acquisition and no heap allocation.
-//! * **Lock-striped shards**: every read path first *flushes* the delta
-//!   cells into the shared shards (where the capacity cap is enforced),
-//!   then reads. Flushing drains each cell, so no observation is ever
-//!   counted twice, and cells are registered in the table so no
-//!   observation is lost when a thread exits.
-//!
-//! The striping degree is an explicit parameter because it is one of the
-//! ablations benchmarked in `ipm-bench`.
+//! * **One shared map**: every read path first *flushes* the delta cells
+//!   into the shared map (where the capacity cap is enforced), then reads,
+//!   all under the map's lock. Flushing drains each cell, so no
+//!   observation is ever counted twice, and cells are registered in the
+//!   table so no observation is lost when a thread exits.
 
 use crate::sig::{EventSignature, SigKey};
 use ipm_sim_core::RunningStats;
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Weak};
 
-// Model-checking flavour: under `--cfg loom` the stripe/cell mutexes and
-// the len/overflow atomics become loom primitives so every interleaving of
-// the update/flush path is explored (see `tests/loom.rs`). The APIs are
-// identical.
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering};
+// Model-checking flavour: under `--cfg loom` the cell and map mutexes
+// become loom primitives so every interleaving of the update/flush path is
+// explored (see `tests/loom.rs`). The APIs are identical.
 #[cfg(loom)]
 use loom::sync::Mutex;
 #[cfg(not(loom))]
 use parking_lot::Mutex;
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default maximum number of distinct signatures (mirrors IPM's
 /// `MAXSIZE_HASH`-style compile-time bound).
 pub const DEFAULT_CAPACITY: usize = 32 * 1024;
 
-/// Default number of lock stripes.
-pub const DEFAULT_SHARDS: usize = 16;
-
 /// One thread's private accumulator: deltas not yet merged into the
-/// shared shards. The mutex is uncontended in steady state (only the
-/// owning thread and an occasional flusher touch it).
+/// shared map. The mutex is uncontended in steady state (only the owning
+/// thread and an occasional flusher touch it).
 #[derive(Default)]
 struct DeltaCell {
     deltas: Mutex<HashMap<SigKey, RunningStats>>,
+}
+
+/// Everything a flush merges into, behind the table's one shared lock.
+#[derive(Default)]
+struct Merged {
+    map: HashMap<SigKey, RunningStats>,
+    /// Observations dropped because the map was full.
+    overflow: u64,
+    /// Reused buffer a flush copies one cell into, so the cell's lock is
+    /// held only for the copy, never for the merge.
+    scratch: Vec<(SigKey, RunningStats)>,
+}
+
+impl Merged {
+    /// Drain every cell and merge its deltas, enforcing the capacity cap
+    /// (a dropped delta counts all its observations as overflow). Runs
+    /// under the shared lock, taking each cell's lock inside it.
+    fn absorb(&mut self, cells: &[Arc<DeltaCell>], capacity: usize) {
+        for cell in cells {
+            self.scratch.extend(cell.deltas.lock().drain());
+            for (key, delta) in self.scratch.drain(..) {
+                if let Some(stats) = self.map.get_mut(&key) {
+                    stats.merge(&delta);
+                } else if self.map.len() < capacity {
+                    self.map.insert(key, delta);
+                } else {
+                    self.overflow += delta.count;
+                }
+            }
+        }
+    }
 }
 
 thread_local! {
@@ -82,55 +100,34 @@ fn next_table_id() -> u64 {
     NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Sharded, capacity-bounded statistics table with per-thread delta cells.
+/// Capacity-bounded statistics table with per-thread delta cells.
 pub struct PerfTable {
     /// Identity for the thread-local cell cache.
     id: u64,
-    shards: Box<[Mutex<HashMap<SigKey, RunningStats>>]>,
     /// Every delta cell ever handed to a thread. The table holds the
     /// strong reference, so a thread exiting never takes deltas with it.
     cells: Mutex<Vec<Arc<DeltaCell>>>,
-    /// Serializes flushes, and holds the scratch buffer a flush drains a
-    /// cell into. Taken before any cell or shard lock, and never while
-    /// one is held.
-    flushing: Mutex<Vec<(SigKey, RunningStats)>>,
-    /// Maximum total entries across all shards.
+    /// The shared map. Taken after the cell list is copied, and before
+    /// any cell lock.
+    merged: Mutex<Merged>,
+    /// Maximum number of entries in the shared map.
     capacity: usize,
-    /// Entries currently stored (approximate upper bound maintained
-    /// atomically; never undercounts).
-    len: AtomicU64,
-    /// Observations dropped because the table was full.
-    overflow: AtomicU64,
 }
 
 impl PerfTable {
-    /// Table with default capacity and striping.
+    /// Table with the default capacity.
     pub fn new() -> Self {
-        Self::with_shape(DEFAULT_CAPACITY, DEFAULT_SHARDS)
+        Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// Table with explicit capacity and stripe count (stripes are rounded
-    /// up to a power of two).
-    pub fn with_shape(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        let vec: Vec<_> = (0..shards).map(|_| Mutex::new(HashMap::new())).collect();
+    /// Table holding at most `capacity` distinct signatures.
+    pub fn with_capacity(capacity: usize) -> Self {
         Self {
             id: next_table_id(),
-            shards: vec.into_boxed_slice(),
             cells: Mutex::new(Vec::new()),
-            flushing: Mutex::new(Vec::new()),
+            merged: Mutex::new(Merged::default()),
             capacity,
-            len: AtomicU64::new(0),
-            overflow: AtomicU64::new(0),
         }
-    }
-
-    #[inline]
-    fn shard_for(&self, key: &SigKey) -> &Mutex<HashMap<SigKey, RunningStats>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        let idx = (h.finish() as usize) & (self.shards.len() - 1);
-        &self.shards[idx]
     }
 
     /// Run `f` against this thread's delta cell, creating and registering
@@ -191,59 +188,31 @@ impl PerfTable {
         self.update_key(sig.key(), duration);
     }
 
-    /// Merge every thread's pending deltas into the shared shards. All
-    /// read paths call this first, so reads observe every completed
-    /// `update_key`. Draining keeps each cell's map capacity, preserving
-    /// the no-allocation steady state.
+    /// Merge every thread's pending deltas into the shared map, then
+    /// answer `read` from it under the same lock. All read paths go
+    /// through here, so reads observe every completed `update_key`.
+    /// Draining keeps each cell's map capacity, preserving the
+    /// no-allocation steady state.
     ///
-    /// Flushes are serialized: a delta drained out of its cell is merged
-    /// into its shard before any other flush can start. Otherwise a reader
-    /// racing another reader's flush could find a cell already emptied
-    /// and a shard not yet merged, and miss an update that completed
-    /// before its read began.
-    fn flush_cells(&self) {
-        let mut scratch = self.flushing.lock();
-        self.drain_cells_into_shards(&mut scratch);
-    }
-
-    /// The body of [`Self::flush_cells`], run under its serializing lock.
-    fn drain_cells_into_shards(&self, scratch: &mut Vec<(SigKey, RunningStats)>) {
-        let cells: Vec<Arc<DeltaCell>> = self.cells.lock().iter().cloned().collect();
-        for cell in cells {
-            scratch.extend(cell.deltas.lock().drain());
-            for (key, stats) in scratch.drain(..) {
-                self.merge(key, stats);
-            }
-        }
-    }
-
-    /// Merge one flushed delta into its shard, enforcing the capacity cap
-    /// (a dropped delta counts all its observations as overflow).
-    fn merge(&self, key: SigKey, delta: RunningStats) {
-        let mut shard = self.shard_for(&key).lock();
-        if let Some(stats) = shard.get_mut(&key) {
-            stats.merge(&delta);
-            return;
-        }
-        if self.len.load(Ordering::Relaxed) as usize >= self.capacity {
-            self.overflow.fetch_add(delta.count, Ordering::Relaxed);
-            return;
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
-        shard.insert(key, delta);
+    /// Drain and merge happen under one lock, so a reader racing another
+    /// reader's flush can never find a cell already emptied and its delta
+    /// not yet merged.
+    fn flushed<R>(&self, read: impl FnOnce(&Merged) -> R) -> R {
+        let cells = self.cells.lock().clone();
+        let mut merged = self.merged.lock();
+        merged.absorb(&cells, self.capacity);
+        read(&merged)
     }
 
     /// Look up the statistics for a signature.
     pub fn get(&self, sig: &EventSignature) -> Option<RunningStats> {
-        self.flush_cells();
         let key = sig.key();
-        self.shard_for(&key).lock().get(&key).copied()
+        self.flushed(|m| m.map.get(&key).copied())
     }
 
     /// Number of distinct signatures stored.
     pub fn len(&self) -> usize {
-        self.flush_cells();
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.flushed(|m| m.map.len())
     }
 
     /// True when no events were recorded.
@@ -253,44 +222,21 @@ impl PerfTable {
 
     /// Observations dropped due to the capacity cap.
     pub fn overflow(&self) -> u64 {
-        self.flush_cells();
-        self.overflow.load(Ordering::Relaxed)
+        self.flushed(|m| m.overflow)
     }
 
     /// Snapshot all entries with names resolved, deterministically ordered
     /// by (name, bytes, region, detail). Used at report time; not a hot
     /// path.
     pub fn snapshot(&self) -> Vec<(EventSignature, RunningStats)> {
-        self.flush_cells();
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            for (key, stats) in shard.lock().iter() {
-                out.push((key.resolve(), *stats));
-            }
-        }
+        let mut out: Vec<_> = self.flushed(|m| {
+            m.map
+                .iter()
+                .map(|(key, stats)| (key.resolve(), *stats))
+                .collect()
+        });
         out.sort_by_key(|(s, _)| (s.name, s.bytes, s.region, s.detail));
         out
-    }
-
-    /// Aggregate total time per *name* (summing over bytes/region/detail) —
-    /// the banner's view of the table.
-    pub fn totals_by_name(&self) -> Vec<(String, RunningStats)> {
-        let mut map: HashMap<String, RunningStats> = HashMap::new();
-        for (sig, stats) in self.snapshot() {
-            map.entry(sig.name.to_string()).or_default().merge(&stats);
-        }
-        let mut out: Vec<_> = map.into_iter().collect();
-        out.sort_by(|a, b| b.1.total.partial_cmp(&a.1.total).expect("finite totals"));
-        out
-    }
-
-    /// Sum of total durations over entries whose name satisfies `pred`.
-    pub fn time_where(&self, pred: impl Fn(&str) -> bool) -> f64 {
-        self.snapshot()
-            .iter()
-            .filter(|(s, _)| pred(s.name))
-            .map(|(_, st)| st.total)
-            .sum()
     }
 }
 
@@ -336,26 +282,20 @@ mod tests {
         t.update(&EventSignature::call("cudaMemcpy(H2D)", 100), 0.1);
         t.update(&EventSignature::call("cudaMemcpy(H2D)", 200), 0.2);
         assert_eq!(t.len(), 2);
-        // but the banner view merges them by name
-        let totals = t.totals_by_name();
-        assert_eq!(totals.len(), 1);
-        assert_eq!(totals[0].1.count, 2);
     }
 
     #[test]
     fn capacity_cap_counts_overflow() {
-        let t = PerfTable::with_shape(4, 2);
+        let t = PerfTable::with_capacity(4);
         for i in 0..10u64 {
             t.update(&EventSignature::call("x", i), 0.1);
         }
-        assert!(t.len() <= 4);
-        assert!(t.overflow() >= 6);
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.overflow(), 6);
         // existing entries still update after saturation
-        let first = EventSignature::call("x", 0);
-        if let Some(before) = t.get(&first) {
-            t.update(&first, 0.1);
-            assert_eq!(t.get(&first).unwrap().count, before.count + 1);
-        }
+        let (stored, before) = t.snapshot().remove(0);
+        t.update(&stored, 0.1);
+        assert_eq!(t.get(&stored).unwrap().count, before.count + 1);
     }
 
     #[test]
@@ -396,26 +336,6 @@ mod tests {
                 ("zeta".to_owned(), 0, 0),
             ]
         );
-    }
-
-    #[test]
-    fn totals_sorted_descending() {
-        let t = PerfTable::new();
-        t.update(&EventSignature::call("small", 0), 0.1);
-        t.update(&EventSignature::call("big", 0), 5.0);
-        t.update(&EventSignature::call("mid", 0), 1.0);
-        let names: Vec<_> = t.totals_by_name().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["big", "mid", "small"]);
-    }
-
-    #[test]
-    fn time_where_filters_by_family() {
-        let t = PerfTable::new();
-        t.update(&EventSignature::call("MPI_Send", 8), 1.0);
-        t.update(&EventSignature::call("MPI_Recv", 8), 2.0);
-        t.update(&EventSignature::call("cudaMemcpy(D2H)", 8), 4.0);
-        assert_eq!(t.time_where(|n| n.starts_with("MPI_")), 3.0);
-        assert_eq!(t.time_where(|n| n.starts_with("cuda")), 4.0);
     }
 
     #[test]
@@ -489,6 +409,5 @@ mod tests {
         let t = PerfTable::new();
         assert!(t.is_empty());
         assert!(t.snapshot().is_empty());
-        assert!(t.totals_by_name().is_empty());
     }
 }

@@ -15,6 +15,7 @@
 //! on its own; the monitored paths are therefore compared against the same
 //! calls made on the bare runtime, and must add nothing.
 
+use ipm_core::trace::DEFAULT_TRACE_SHARDS;
 use ipm_core::{Ipm, IpmConfig, IpmCuda};
 use ipm_gpu_sim::{
     launch_kernel, CudaApi, GpuConfig, GpuRuntime, Kernel, KernelCost, LaunchConfig,
@@ -93,7 +94,7 @@ fn traced_span_allocates_nothing() {
     // a drain empties the stripes; the first push into each reserves its
     // share again (once), and pushes after that allocate nothing
     assert_eq!(ipm.drain_trace().len(), 64 + n);
-    let stripes = IpmConfig::default().trace_shards;
+    let stripes = DEFAULT_TRACE_SHARDS;
     let refill = allocs(|| (0..64 * stripes).for_each(span));
     assert!(refill <= stripes as u64, "{refill} allocations refilling");
     let counted = allocs(|| (0..n).for_each(span));

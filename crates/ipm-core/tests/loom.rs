@@ -1,6 +1,7 @@
 //! Exhaustive schedule exploration of the two concurrency-critical monitor
-//! structures: the lock-striped trace ring and the perf-table stripe update
-//! path. Compiled (and run) only under `RUSTFLAGS="--cfg loom"`:
+//! structures: the lock-striped trace ring and the perf table's delta-cell
+//! flush into its shared map. Compiled (and run) only under
+//! `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p ipm-core --test loom --release
@@ -194,7 +195,7 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
 
         // after the recorders retire, a flushing read recovers every
         // completed update exactly once — across cells *and* across the
-        // earlier drain (flushed deltas merged into shards stay there)
+        // earlier drain (flushed deltas merged into the map stay there)
         let hot_stats = table.get(&hot).unwrap();
         assert_eq!(hot_stats.count, 2, "hot-key delta lost or doubled");
         assert_eq!(hot_stats.total, 2e-6);
@@ -209,7 +210,7 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
 /// second thread flushes (any read does); a third thread, once it sees the
 /// signal, reads and must find the update. Without serialized flushes the
 /// second thread could have drained the update out of its delta cell but
-/// not yet merged it into a shard when the third thread looks.
+/// not yet merged it into the shared map when the third thread looks.
 #[test]
 fn flushing_read_never_hides_a_completed_update() {
     loom::model(|| {
@@ -247,13 +248,14 @@ fn flushing_read_never_hides_a_completed_update() {
     });
 }
 
-/// The stripe update path: concurrent updates to one hot signature must
-/// merge (no lost counts), and the capacity-cap accounting must never store
-/// more than `capacity` entries no matter how len-check/insert interleave.
+/// The shared-map merge: concurrent updates to one hot signature must
+/// merge (no lost counts), and the capacity cap is exact — it never stores
+/// more than `capacity` entries, and every offer is either stored or
+/// counted as overflow.
 #[test]
-fn perf_table_stripe_updates_merge_and_respect_capacity() {
+fn perf_table_updates_merge_and_respect_exact_capacity() {
     loom::model(|| {
-        let table = Arc::new(PerfTable::with_shape(2, 1));
+        let table = Arc::new(PerfTable::with_capacity(2));
         let handles: Vec<_> = (0..2)
             .map(|t| {
                 let table = Arc::clone(&table);
@@ -269,12 +271,9 @@ fn perf_table_stripe_updates_merge_and_respect_capacity() {
 
         let hot = table.get(&EventSignature::call("hot", 0)).unwrap();
         assert_eq!(hot.count, 2, "hot-signature update lost");
-        // 3 distinct signatures offered into capacity 2. The cap is
-        // advisory under races (the len check and the insert are separate
-        // steps), so concurrent inserters may over-admit by at most one
-        // entry each — but no offer may vanish: entries stored plus
-        // overflowed updates must cover all 4 offers exactly.
-        assert!(table.len() <= 3);
+        // 3 distinct signatures offered into capacity 2: no offer may
+        // vanish, so entries stored plus overflowed updates cover all 4
+        assert!(table.len() <= 2);
         let stored_updates: u64 = [
             table.get(&EventSignature::call("hot", 0)),
             table.get(&EventSignature::call("own", 0)),

@@ -138,8 +138,8 @@ fn trace_compaction_never_perturbs_the_profile() {
     for (a, b) in off.profiles.iter().zip(&on.profiles) {
         assert_eq!(a.wallclock, b.wallclock);
         assert_eq!(a.regions, b.regions);
-        // entry-for-entry equal perf tables (iteration order over the
-        // table's hash stripes is scheduling-dependent, so sort first)
+        // entry-for-entry equal perf tables, compared as sets of entries
+        // (sort first)
         let sorted = |p: &ipm_repro::ipm::RankProfile| {
             let mut e = p.entries.clone();
             e.sort_by(|x, y| {
