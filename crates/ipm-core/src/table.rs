@@ -9,9 +9,14 @@
 //!
 //! * **Per-thread delta cells**: the record path ([`PerfTable::update_key`])
 //!   deposits into a cell owned by the calling thread — an uncontended
-//!   private mutex around a small [`SigKey`] → [`RunningStats`] map whose
-//!   capacity survives flushes, so a steady-state recorded call performs
-//!   no shared-lock acquisition and no heap allocation.
+//!   private mutex around a fixed array of [`CELL_SLOTS`] open-addressing
+//!   `(SigKey, RunningStats)` slots, allocated once when the cell is
+//!   registered. The slot is found by a multiplicative hash of the key's
+//!   integer fields and a linear probe, so a steady-state recorded call
+//!   performs no shared-lock acquisition and no heap allocation. A cell
+//!   admits new keys up to [`CELL_LOAD_LIMIT`]; a new key that finds its
+//!   cell full flushes the cell into the shared map first, so a cell never
+//!   grows.
 //! * **One shared map**: every read path first *flushes* the delta cells
 //!   into the shared map (where the capacity cap is enforced), then reads,
 //!   all under the map's lock. Flushing drains each cell, so no
@@ -19,6 +24,7 @@
 //!   table so no observation is lost when a thread exits.
 
 use crate::sig::{EventSignature, SigKey};
+use ipm_interpose::CallId;
 use ipm_sim_core::RunningStats;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -36,12 +42,99 @@ use parking_lot::Mutex;
 /// `MAXSIZE_HASH`-style compile-time bound).
 pub const DEFAULT_CAPACITY: usize = 32 * 1024;
 
+/// Slots in one delta cell, a power of two. Under `--cfg loom` a cell has
+/// two, so the models reach the full-cell path with a key or two.
+#[cfg(not(loom))]
+pub const CELL_SLOTS: usize = 512;
+#[cfg(loom)]
+pub const CELL_SLOTS: usize = 2;
+
+/// Distinct keys a cell admits between flushes: ¾ of its slots, so a
+/// probe always ends at an empty slot.
+pub const CELL_LOAD_LIMIT: usize = CELL_SLOTS * 3 / 4;
+
+/// Home slot of `key`: one multiply per integer field, high bits kept.
+/// Not collision-resistant (byte counts come from the application), but
+/// the load limit bounds any probe to one walk of the cell.
+#[inline]
+fn home_slot(key: &SigKey) -> usize {
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+    let detail = key.detail.map_or(0, |d| u64::from(d.0) + 1);
+    let fields = [
+        u64::from(key.id.0),
+        key.bytes,
+        u64::from(key.region),
+        detail,
+    ];
+    let hash = fields
+        .into_iter()
+        .fold(0u64, |h, field| (h ^ field).wrapping_mul(MUL));
+    (hash >> (64 - CELL_SLOTS.trailing_zeros())) as usize
+}
+
 /// One thread's private accumulator: deltas not yet merged into the
 /// shared map. The mutex is uncontended in steady state (only the owning
 /// thread and an occasional flusher touch it).
-#[derive(Default)]
 struct DeltaCell {
-    deltas: Mutex<HashMap<SigKey, RunningStats>>,
+    slots: Mutex<Slots>,
+}
+
+/// A cell's open-addressing array. A slot whose `count` is 0 is empty.
+struct Slots {
+    slots: Box<[(SigKey, RunningStats); CELL_SLOTS]>,
+    /// Indices of the slots holding a delta, so a drain visits only those.
+    /// Reserved to the load limit, so it never reallocates.
+    occupied: Vec<u16>,
+}
+
+const _: () = assert!(CELL_SLOTS <= 1 << 16, "slot indices are u16");
+
+impl DeltaCell {
+    fn new() -> Self {
+        let empty = (SigKey::call(CallId(0), 0), RunningStats::default());
+        let slots = vec![empty; CELL_SLOTS].into_boxed_slice();
+        Self {
+            slots: Mutex::new(Slots {
+                slots: slots.try_into().expect("CELL_SLOTS slots"),
+                occupied: Vec::with_capacity(CELL_LOAD_LIMIT),
+            }),
+        }
+    }
+}
+
+impl Slots {
+    /// Record one observation of `key`. False, with nothing recorded, when
+    /// `key` is new and the cell is at its load limit.
+    #[inline]
+    fn record(&mut self, key: SigKey, duration: f64) -> bool {
+        let mut i = home_slot(&key);
+        loop {
+            let (slot_key, stats) = &mut self.slots[i];
+            if stats.count == 0 {
+                if self.occupied.len() == CELL_LOAD_LIMIT {
+                    return false;
+                }
+                self.occupied.push(i as u16);
+                debug_assert!(self.occupied.len() <= CELL_LOAD_LIMIT);
+                *slot_key = key;
+                *stats = RunningStats::default();
+            } else if *slot_key != key {
+                i = (i + 1) % CELL_SLOTS;
+                continue;
+            }
+            stats.record(duration);
+            return true;
+        }
+    }
+
+    /// Move every delta into `out` and empty the cell.
+    fn drain_into(&mut self, out: &mut Vec<(SigKey, RunningStats)>) {
+        for i in self.occupied.drain(..) {
+            let slot = &mut self.slots[usize::from(i)];
+            out.push(*slot);
+            slot.1.count = 0;
+        }
+    }
 }
 
 /// Everything a flush merges into, behind the table's one shared lock.
@@ -56,20 +149,18 @@ struct Merged {
 }
 
 impl Merged {
-    /// Drain every cell and merge its deltas, enforcing the capacity cap
-    /// (a dropped delta counts all its observations as overflow). Runs
-    /// under the shared lock, taking each cell's lock inside it.
-    fn absorb(&mut self, cells: &[Arc<DeltaCell>], capacity: usize) {
-        for cell in cells {
-            self.scratch.extend(cell.deltas.lock().drain());
-            for (key, delta) in self.scratch.drain(..) {
-                if let Some(stats) = self.map.get_mut(&key) {
-                    stats.merge(&delta);
-                } else if self.map.len() < capacity {
-                    self.map.insert(key, delta);
-                } else {
-                    self.overflow += delta.count;
-                }
+    /// Drain one cell and merge its deltas, enforcing the capacity cap (a
+    /// dropped delta counts all its observations as overflow). Runs under
+    /// the shared lock, taking the cell's lock inside it.
+    fn absorb(&mut self, cell: &DeltaCell, capacity: usize) {
+        cell.slots.lock().drain_into(&mut self.scratch);
+        for (key, delta) in self.scratch.drain(..) {
+            if let Some(stats) = self.map.get_mut(&key) {
+                stats.merge(&delta);
+            } else if self.map.len() < capacity {
+                self.map.insert(key, delta);
+            } else {
+                self.overflow += delta.count;
             }
         }
     }
@@ -131,19 +222,20 @@ impl PerfTable {
     }
 
     /// Run `f` against this thread's delta cell, creating and registering
-    /// the cell on first use.
+    /// the cell on first use. The cached cell is borrowed, not cloned, so
+    /// `f` must not re-enter the thread's cell cache.
     #[inline]
     fn with_cell(&self, f: impl FnOnce(&DeltaCell)) {
         THREAD_CELLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
-            if tls.fast_id == self.id {
-                if let Some(cell) = tls.fast.clone() {
-                    drop(tls);
-                    return f(&cell);
+            {
+                let cached = tls.borrow();
+                if cached.fast_id == self.id {
+                    if let Some(cell) = &cached.fast {
+                        return f(cell);
+                    }
                 }
             }
-            let cell = self.lookup_or_register_cell(&mut tls);
-            drop(tls);
+            let cell = self.lookup_or_register_cell(&mut tls.borrow_mut());
             f(&cell);
         });
     }
@@ -153,7 +245,7 @@ impl PerfTable {
         let cell = match tls.others.get(&self.id).and_then(Weak::upgrade) {
             Some(cell) => cell,
             None => {
-                let cell = Arc::new(DeltaCell::default());
+                let cell = Arc::new(DeltaCell::new());
                 self.cells.lock().push(cell.clone());
                 // drop cache entries for tables that no longer exist
                 tls.others.retain(|_, w| w.strong_count() > 0);
@@ -171,14 +263,27 @@ impl PerfTable {
 
     /// Record one observation of `key` with the given duration — the
     /// `UPDATE_DATA` of the wrapper anatomy (Fig. 2). Lands in the calling
-    /// thread's delta cell: no shared lock, and no allocation once the
-    /// cell has seen the key (the cell map keeps its capacity across
-    /// flushes).
+    /// thread's delta cell: no shared lock and no allocation.
     #[inline]
     pub fn update_key(&self, key: SigKey, duration: f64) {
         self.with_cell(|cell| {
-            cell.deltas.lock().entry(key).or_default().record(duration);
+            let stored = cell.slots.lock().record(key, duration);
+            if !stored {
+                self.record_past_full_cell(cell, key, duration);
+            }
         });
+    }
+
+    /// A new key found `cell` full: flush the cell into the shared map,
+    /// where the capacity cap applies, then record into the emptied cell.
+    /// The cell never grows, and this thread's deltas reach the map in the
+    /// order they were deposited. The cell's guard is already dropped,
+    /// keeping the lock order map, then cell.
+    #[cold]
+    fn record_past_full_cell(&self, cell: &DeltaCell, key: SigKey, duration: f64) {
+        self.merged.lock().absorb(cell, self.capacity);
+        let stored = cell.slots.lock().record(key, duration);
+        debug_assert!(stored, "an emptied cell admits any key");
     }
 
     /// [`PerfTable::update_key`] for a string-keyed signature: interns the
@@ -191,8 +296,6 @@ impl PerfTable {
     /// Merge every thread's pending deltas into the shared map, then
     /// answer `read` from it under the same lock. All read paths go
     /// through here, so reads observe every completed `update_key`.
-    /// Draining keeps each cell's map capacity, preserving the
-    /// no-allocation steady state.
     ///
     /// Drain and merge happen under one lock, so a reader racing another
     /// reader's flush can never find a cell already emptied and its delta
@@ -200,7 +303,9 @@ impl PerfTable {
     fn flushed<R>(&self, read: impl FnOnce(&Merged) -> R) -> R {
         let cells = self.cells.lock().clone();
         let mut merged = self.merged.lock();
-        merged.absorb(&cells, self.capacity);
+        for cell in &cells {
+            merged.absorb(cell, self.capacity);
+        }
         read(&merged)
     }
 
@@ -296,6 +401,39 @@ mod tests {
         let (stored, before) = t.snapshot().remove(0);
         t.update(&stored, 0.1);
         assert_eq!(t.get(&stored).unwrap().count, before.count + 1);
+    }
+
+    #[test]
+    fn keys_past_a_full_cell_come_back_exactly() {
+        // twice the cell's slots with no read in between: the cell fills
+        // and flushes itself several times on every pass
+        let t = PerfTable::new();
+        let keys = 2 * CELL_SLOTS as u64;
+        for pass in 0..3 {
+            for i in 0..keys {
+                t.update(&EventSignature::call("k", i), (i + pass) as f64);
+            }
+        }
+        for i in 0..keys {
+            let stats = t.get(&EventSignature::call("k", i)).unwrap();
+            assert_eq!(
+                (stats.count, stats.min, stats.max),
+                (3, i as f64, (i + 2) as f64)
+            );
+        }
+        assert_eq!(t.len(), keys as usize);
+        assert_eq!(t.overflow(), 0);
+    }
+
+    #[test]
+    fn a_full_cell_still_counts_overflow_exactly() {
+        let t = PerfTable::with_capacity(4);
+        let keys = 2 * CELL_SLOTS as u64;
+        for i in 0..keys {
+            t.update(&EventSignature::call("x", i), 0.1);
+        }
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.overflow(), keys - 4);
     }
 
     #[test]

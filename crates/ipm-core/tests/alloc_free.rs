@@ -11,12 +11,17 @@
 //! * a booked kernel completion (KTT sweep, `@CUDA_EXEC_STRMxx` deposit and
 //!   its kernel-execution trace record).
 //!
+//! A thread whose keys outnumber its delta cell is checked too: the cell
+//! flushes itself into the table's shared map whenever it fills, and once
+//! that map holds every key, those deposits allocate nothing either.
+//!
 //! The device behind the CUDA facade is the simulator, which may allocate
 //! on its own; the monitored paths are therefore compared against the same
 //! calls made on the bare runtime, and must add nothing.
 
+use ipm_core::table::CELL_SLOTS;
 use ipm_core::trace::DEFAULT_TRACE_SHARDS;
-use ipm_core::{Ipm, IpmConfig, IpmCuda};
+use ipm_core::{EventSignature, Ipm, IpmConfig, IpmCuda, PerfTable, SigKey};
 use ipm_gpu_sim::{
     launch_kernel, CudaApi, GpuConfig, GpuRuntime, Kernel, KernelCost, LaunchConfig,
 };
@@ -99,6 +104,32 @@ fn traced_span_allocates_nothing() {
     assert!(refill <= stripes as u64, "{refill} allocations refilling");
     let counted = allocs(|| (0..n).for_each(span));
     assert_eq!(counted, 0, "{counted} allocations after a drain");
+}
+
+#[test]
+fn deposits_past_a_full_cell_allocate_nothing() {
+    let table = PerfTable::new();
+    let keys: Vec<SigKey> = (0..2 * CELL_SLOTS as u64)
+        .map(|i| EventSignature::call("alloc_free_key", i).key())
+        .collect();
+    let deposit_all = || {
+        for (i, &key) in keys.iter().enumerate() {
+            table.update_key(key, i as f64 * 1e-9);
+        }
+    };
+    // warm-up: the cell fills and flushes itself into the shared map,
+    // which sizes the map and the drain buffer
+    deposit_all();
+    assert_eq!(table.len(), keys.len());
+    let counted = allocs(|| (0..4).for_each(|_| deposit_all()));
+    assert_eq!(
+        counted,
+        0,
+        "{counted} allocations over {} deposits",
+        4 * keys.len()
+    );
+    assert_eq!(table.len(), keys.len());
+    assert_eq!(table.overflow(), 0);
 }
 
 /// A monitored facade and the bare runtime it wraps, traced, with one

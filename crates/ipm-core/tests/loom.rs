@@ -1,7 +1,8 @@
 //! Exhaustive schedule exploration of the two concurrency-critical monitor
 //! structures: the lock-striped trace ring and the perf table's delta-cell
 //! flush into its shared map. Compiled (and run) only under
-//! `RUSTFLAGS="--cfg loom"`:
+//! `RUSTFLAGS="--cfg loom"`, where a delta cell admits one key, so the table
+//! models also reach the path a new key takes past a full cell:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p ipm-core --test loom --release
@@ -219,6 +220,9 @@ fn flushing_read_never_hides_a_completed_update() {
         let updater = {
             let (table, done) = (Arc::clone(&table), Arc::clone(&done));
             thread::spawn(move || {
+                // fills the one-key loom cell, so the watched update takes
+                // the full-cell path unless the flusher drained it first
+                table.update(&EventSignature::call("cudaMemcpy(H2D)", 64), 1e-6);
                 table.update(&EventSignature::call("cudaLaunch", 0), 1e-6);
                 done.store(true, Ordering::SeqCst);
             })
@@ -284,5 +288,44 @@ fn perf_table_updates_merge_and_respect_exact_capacity() {
         .map(|s| s.count)
         .sum();
         assert_eq!(stored_updates + table.overflow(), 4);
+    });
+}
+
+/// A new key that finds its cell full flushes the cell into the shared map,
+/// racing another thread's flushing read. Whatever the interleaving, no
+/// delta is lost or doubled, and the map never holds more than its
+/// capacity: three keys into capacity 2, so one key's offer overflows.
+#[test]
+fn full_cell_flush_races_a_read_without_losing_or_doubling() {
+    loom::model(|| {
+        let table = Arc::new(PerfTable::with_capacity(2));
+        let recorder = {
+            let table = Arc::clone(&table);
+            thread::spawn(move || {
+                // the first key fills the cell; the next two take the
+                // full-cell path unless the read drained it in between
+                for bytes in [0, 64, 128] {
+                    table.update(&EventSignature::call("cudaMemcpy(D2H)", bytes), 1e-6);
+                }
+            })
+        };
+        let flusher = {
+            let table = Arc::clone(&table);
+            thread::spawn(move || {
+                let mid = table.len();
+                assert!(mid <= 2, "mid-flight map holds {mid} entries");
+            })
+        };
+        for h in [recorder, flusher] {
+            h.join().unwrap();
+        }
+
+        assert_eq!(table.len(), 2);
+        let stored: u64 = table.snapshot().iter().map(|(_, stats)| stats.count).sum();
+        assert_eq!(
+            stored + table.overflow(),
+            3,
+            "full-cell delta lost or doubled"
+        );
     });
 }

@@ -1,5 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
+use ipm_repro::ipm::table::CELL_SLOTS;
 use ipm_repro::ipm::{
     from_xml, merge_runs, to_xml, validate_chrome_trace, ChromeTrace, CompactPolicy,
     EventSignature, Export, ExportRank, PerfTable, ProfileEntry, RankProfile, TraceKind,
@@ -54,6 +55,56 @@ proptest! {
                 prop_assert!(table.len() <= cap);
                 prop_assert_eq!(table.len() as u64 + table.overflow(), i + 1);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The table does not depend on the flush schedule, including past a
+    /// full delta cell. One thread offers up to twice a cell's slots in
+    /// distinct keys (each once in order, then a random tail over them),
+    /// reading after every `k`-th update. With room for every key the
+    /// table equals a naive model; without it the map holds exactly `cap`
+    /// entries, and stored counts plus overflow cover every update.
+    #[test]
+    fn perf_table_is_independent_of_the_flush_schedule(
+        distinct in 1usize..(2 * CELL_SLOTS + 1),
+        cap in 1usize..(2 * CELL_SLOTS + 1),
+        k in 1usize..(2 * CELL_SLOTS),
+        tail in prop::collection::vec((any::<u64>(), 0.0f64..10.0), 0..1024),
+    ) {
+        let table = PerfTable::with_capacity(cap);
+        let mut model: std::collections::HashMap<u64, RunningStats> =
+            std::collections::HashMap::new();
+        let first = (0..distinct as u64).map(|i| (i, (i % 7) as f64 * 0.5));
+        let rest = tail.iter().map(|&(raw, dur)| (raw % distinct as u64, dur));
+        let mut updates = 0u64;
+        for (i, dur) in first.chain(rest) {
+            table.update(&EventSignature::call("flush_schedule", i), dur);
+            model.entry(i).or_default().record(dur);
+            updates += 1;
+            if updates.is_multiple_of(k as u64) {
+                prop_assert!(table.len() <= cap);
+            }
+        }
+        if cap >= distinct {
+            prop_assert_eq!(table.len(), distinct);
+            prop_assert_eq!(table.overflow(), 0);
+            for (i, want) in model {
+                let got = table
+                    .get(&EventSignature::call("flush_schedule", i))
+                    .expect("entry exists");
+                prop_assert_eq!(got.count, want.count);
+                prop_assert!((got.total - want.total).abs() <= 1e-9 * want.total.abs());
+                prop_assert_eq!(got.min, want.min);
+                prop_assert_eq!(got.max, want.max);
+            }
+        } else {
+            prop_assert_eq!(table.len(), cap);
+            let stored: u64 = table.snapshot().iter().map(|(_, s)| s.count).sum();
+            prop_assert_eq!(stored + table.overflow(), updates);
         }
     }
 }
