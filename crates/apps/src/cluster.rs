@@ -164,6 +164,12 @@ pub struct ClusterObserver {
 const MIN_SAMPLE_PERIOD: Duration = Duration::from_millis(1);
 const MAX_SAMPLE_PERIOD: Duration = Duration::from_secs(5);
 
+/// Live-telemetry overhead budget: the fraction of wall-clock time the
+/// observer may spend taking [`Ipm::snapshot`]s. The auto-tuned period is
+/// the measured sweep cost divided by it, so expensive snapshots are
+/// polled less often.
+const SNAPSHOT_OVERHEAD_BUDGET: f64 = 0.01;
+
 /// The polling period that keeps observer overhead within `budget`: the
 /// measured per-sweep cost divided by the budget fraction, clamped to
 /// [`MIN_SAMPLE_PERIOD`, `MAX_SAMPLE_PERIOD`]. A 50 µs sweep on a 1%
@@ -239,23 +245,15 @@ impl ClusterObserver {
 
     /// The auto-tuned polling period (ROADMAP: sampling-rate auto-tuning):
     /// the EWMA per-sweep cost measured by [`ClusterObserver::sample`]
-    /// against the tightest [`IpmConfig::snapshot_overhead_budget`] of the
-    /// registered ranks, clamped to sane bounds. `None` until the first
-    /// sweep has been measured — callers fall back to a fixed warm-up
-    /// period.
+    /// against a budget of 1% of wall-clock time, clamped to sane bounds.
+    /// `None` until the first sweep has been measured — callers fall back
+    /// to a fixed warm-up period.
     pub fn auto_period(&self) -> Option<Duration> {
         let cost = (*self.sample_cost.lock().expect("sample cost poisoned"))?;
-        let budget = self
-            .ipms
-            .lock()
-            .expect("observer registry poisoned")
-            .iter()
-            .map(|(_, ipm)| ipm.config().snapshot_overhead_budget)
-            .fold(f64::INFINITY, f64::min);
-        if !budget.is_finite() {
-            return None;
-        }
-        Some(period_for_budget(Duration::from_secs_f64(cost), budget))
+        Some(period_for_budget(
+            Duration::from_secs_f64(cost),
+            SNAPSHOT_OVERHEAD_BUDGET,
+        ))
     }
 }
 
@@ -364,7 +362,7 @@ pub fn run_cluster_observed<R: Send>(
                             Arc::new(IpmBlas::new(ipm.clone(), blas_inner)),
                             Arc::new(IpmFft::new(ipm.clone(), fft_inner)),
                         ),
-                        None => (Arc::new(blas_inner), Arc::new(IpmFftLess(fft_inner))),
+                        None => (Arc::new(blas_inner), fft_inner),
                     };
 
                     let rank_fs = RankFs {
@@ -420,40 +418,6 @@ pub fn run_cluster_observed<R: Send>(
         outputs,
         wallclocks,
         profiles,
-    }
-}
-
-/// Adapter exposing an unmonitored `CufftContext` as `FftApi` behind an
-/// `Arc` (the context itself implements the trait; this just forwards).
-struct IpmFftLess(Arc<CufftContext>);
-
-impl FftApi for IpmFftLess {
-    fn cufft_plan_1d(
-        &self,
-        n: usize,
-        ty: ipm_numlib::FftType,
-        batch: usize,
-    ) -> ipm_gpu_sim::CudaResult<ipm_numlib::PlanId> {
-        self.0.plan_1d(n, ty, batch)
-    }
-    fn cufft_set_stream(
-        &self,
-        plan: ipm_numlib::PlanId,
-        stream: ipm_gpu_sim::StreamId,
-    ) -> ipm_gpu_sim::CudaResult<()> {
-        self.0.set_stream(plan, stream)
-    }
-    fn cufft_exec_z2z(
-        &self,
-        plan: ipm_numlib::PlanId,
-        idata: ipm_gpu_sim::DevicePtr,
-        odata: ipm_gpu_sim::DevicePtr,
-        dir: ipm_numlib::FftDirection,
-    ) -> ipm_gpu_sim::CudaResult<()> {
-        self.0.exec_z2z(plan, idata, odata, dir)
-    }
-    fn cufft_destroy(&self, plan: ipm_numlib::PlanId) -> ipm_gpu_sim::CudaResult<()> {
-        self.0.destroy(plan)
     }
 }
 
@@ -677,9 +641,7 @@ mod tests {
 
     #[test]
     fn observer_auto_tunes_its_polling_period() {
-        let cfg = ClusterConfig::dirac(2, 1)
-            .with_ipm(IpmConfig::default().with_snapshot_budget(0.02))
-            .with_command("tuned");
+        let cfg = ClusterConfig::dirac(2, 1).with_command("tuned");
         let periods = Mutex::new(Vec::new());
         run_cluster_observed(
             &cfg,

@@ -4,7 +4,8 @@
 //! all back; at tens of thousands of ranks the serialization cost matters.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ipm_core::{from_xml, to_xml, ProfileEntry, RankProfile};
+use ipm_core::parse::export_from_xml;
+use ipm_core::{Export, ProfileEntry, RankProfile, Xml};
 use ipm_sim_core::RunningStats;
 use std::hint::black_box;
 
@@ -38,15 +39,15 @@ fn big_profile(entries: usize) -> RankProfile {
 }
 
 fn bench_xml(c: &mut Criterion) {
-    let profile = big_profile(2_000);
-    let xml = to_xml(&profile);
+    let export = Export::from_profile(big_profile(2_000));
+    let xml = export.to(Xml).expect("one profiled rank");
     let mut group = c.benchmark_group("xml");
     group.throughput(Throughput::Bytes(xml.len() as u64));
     group.bench_function("write_2k_entries", |b| {
-        b.iter(|| black_box(to_xml(&profile)))
+        b.iter(|| black_box(export.to(Xml).expect("one profiled rank")))
     });
     group.bench_function("parse_2k_entries", |b| {
-        b.iter(|| black_box(from_xml(&xml).expect("roundtrip")))
+        b.iter(|| black_box(export_from_xml(std::slice::from_ref(&xml)).expect("roundtrip")))
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! 2–5 s per task of manual `cudaEventSynchronize`.
 
 use ipm_apps::{run_cluster, run_hpl, ClusterConfig, HplConfig};
-use ipm_core::{build_cube, cube_to_xml, render_cube_text, ClusterReport, CubeMetric};
+use ipm_core::{build_cube, ClusterReport, Cube, CubeMetric, CubeXml, Export};
 
 /// Outcome of the Fig. 9 experiment.
 pub struct Fig9Result {
@@ -25,14 +25,23 @@ pub fn run_fig9(nranks: usize, hpl: HplConfig) -> Fig9Result {
 }
 
 impl Fig9Result {
+    /// The run's profiles, one node per rank.
+    fn export(&self) -> Export {
+        Export::from_profiles(self.report.profiles().to_vec()).nodes(self.report.nranks)
+    }
+
     /// The textual CUBE rendering (the Fig. 9 stand-in).
     pub fn render(&self) -> String {
-        render_cube_text(&self.cube)
+        self.export()
+            .to(Cube)
+            .expect("every rank carries a profile")
     }
 
     /// The CUBE XML document.
     pub fn cube_xml(&self) -> String {
-        cube_to_xml(&self.cube, &self.report)
+        self.export()
+            .to(CubeXml)
+            .expect("every rank carries a profile")
     }
 }
 

@@ -12,9 +12,8 @@
 //!   plus the [`registry::NameTable`] interner and the [`site!`] per-site
 //!   resolution cache: the record path carries only ids; names come back
 //!   at report time.
-//! * [`wrap`] — the wrapper anatomy of Fig. 2: a higher-order `wrap_call`
-//!   plus the `wrap_method!` generator macro, reporting into a
-//!   [`wrap::MonitorSink`].
+//! * [`wrap`] — the wrapper anatomy of Fig. 2: a higher-order `wrap_call`,
+//!   reporting into a [`wrap::MonitorSink`].
 //!
 //! In the real tool, interposition happens at the dynamic linker
 //! (`LD_PRELOAD`) or via `ld --wrap`. Rust has no stable equivalent, so the

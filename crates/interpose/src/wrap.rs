@@ -87,31 +87,6 @@ pub fn wrap_call_sized<R>(
     ret
 }
 
-/// Generate a monitored facade method: times the inner call on `$self`'s
-/// clock and reports to `$self`'s sink. The name literal resolves through
-/// a per-site [`site!`](crate::site) cache.
-///
-/// ```ignore
-/// wrap_method! { self, "cudaMalloc", bytes = size as u64,
-///     self.inner.cuda_malloc(size) }
-/// ```
-#[macro_export]
-macro_rules! wrap_method {
-    ($self:ident, $name:literal, bytes = $bytes:expr, $call:expr) => {{
-        $crate::wrap::wrap_call(
-            $self.wrapper_clock(),
-            $self.wrapper_sink(),
-            $crate::site!($name),
-            $bytes,
-            $self.wrapper_overhead(),
-            || $call,
-        )
-    }};
-    ($self:ident, $name:literal, $call:expr) => {
-        $crate::wrap_method!($self, $name, bytes = 0, $call)
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

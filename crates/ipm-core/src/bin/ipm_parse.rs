@@ -12,11 +12,9 @@
 //! ipm_parse otlp rank*.xml                 # OTLP resourceSpans JSON
 //! ```
 
-use ipm_core::export::{Banner, Html};
+use ipm_core::export::{Banner, Cube, CubeXml, Html};
 use ipm_core::parse::export_from_xml;
-use ipm_core::{
-    build_cube, cube_to_xml, render_cube_text, validate_chrome_trace, ChromeTrace, ClusterReport,
-};
+use ipm_core::{validate_chrome_trace, ChromeTrace};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -127,16 +125,8 @@ fn main() -> ExitCode {
             }
             eprintln!("ipm_parse: wrote {out}");
         }
-        "cube" | "cubexml" => {
-            let src = export.source();
-            let report = ClusterReport::from_profiles(src.profiles(), src.node_count());
-            let cube = build_cube(&report);
-            if mode == "cube" {
-                print!("{}", render_cube_text(&cube));
-            } else {
-                print!("{}", cube_to_xml(&cube, &report));
-            }
-        }
+        "cube" => print!("{}", export.to(Cube).expect("profiles present")),
+        "cubexml" => print!("{}", export.to(CubeXml).expect("profiles present")),
         _ => unreachable!(),
     }
     ExitCode::SUCCESS

@@ -7,11 +7,14 @@
 //! tree** (here: the CUDA metric hierarchy above the MPI hierarchy, as the
 //! Fig. 9 caption describes), and the **system tree** (nodes → ranks).
 //!
-//! This module produces both a machine-readable CUBE-like XML document and
-//! the text rendering used by the `repro-fig9` experiment binary.
+//! This module builds the metric tree; the `Cube` and `CubeXml` backends of
+//! [`crate::export`] render it as the text view used by the `repro-fig9`
+//! experiment binary and as a machine-readable CUBE-like XML document.
 
 use crate::aggregate::ClusterReport;
-use crate::profile::EventFamily;
+use crate::profile::{EventFamily, RankProfile};
+use crate::xml::Escaped;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// One metric node of the CUBE hierarchy with per-rank severity values.
@@ -41,142 +44,97 @@ impl CubeMetric {
 
 /// Build the CUBE metric hierarchy from an aggregated report: the CUDA
 /// hierarchy (per-stream kernel execution, host idle, API time) above the
-/// MPI hierarchy (per-call totals) — Fig. 9's layout.
+/// MPI hierarchy (per-call totals) — Fig. 9's layout. Streams, kernels and
+/// MPI calls are listed in name order.
 pub fn build_cube(report: &ClusterReport) -> CubeMetric {
-    let nranks = report.nranks;
-    let per_rank_of =
-        |name: &str| -> Vec<f64> { report.profiles().iter().map(|p| p.time_of(name)).collect() };
+    let profiles = report.profiles();
+    let per_rank =
+        |f: &dyn Fn(&RankProfile) -> f64| -> Vec<f64> { profiles.iter().map(f).collect() };
+    let entries = || profiles.iter().flat_map(|p| &p.entries);
+    let names = |family: EventFamily| -> BTreeSet<&str> {
+        entries()
+            .filter(|e| e.family() == family)
+            .map(|e| e.name.as_str())
+            .collect()
+    };
+    let leaf = |name: &str, per_rank: Vec<f64>| CubeMetric {
+        name: name.to_owned(),
+        per_rank,
+        children: Vec::new(),
+    };
 
     // CUDA subtree: kernels per stream
-    let mut stream_children: Vec<CubeMetric> = Vec::new();
-    let mut stream_names: Vec<String> = Vec::new();
-    for p in report.profiles() {
-        for e in &p.entries {
-            if e.family() == EventFamily::GpuExec && !stream_names.contains(&e.name) {
-                stream_names.push(e.name.clone());
-            }
-        }
-    }
-    stream_names.sort();
-    for sname in stream_names {
-        // kernels within this stream
-        let mut kernel_names: Vec<String> = Vec::new();
-        for p in report.profiles() {
-            for e in &p.entries {
-                if e.name == sname {
-                    if let Some(d) = &e.detail {
-                        if !kernel_names.contains(d) {
-                            kernel_names.push(d.clone());
-                        }
-                    }
-                }
-            }
-        }
-        kernel_names.sort();
-        let children: Vec<CubeMetric> = kernel_names
-            .into_iter()
-            .map(|k| CubeMetric {
-                per_rank: report
-                    .profiles()
+    let streams: Vec<CubeMetric> = names(EventFamily::GpuExec)
+        .into_iter()
+        .map(|stream| {
+            let kernels: BTreeSet<&str> = entries()
+                .filter(|e| e.name == stream)
+                .filter_map(|e| e.detail.as_deref())
+                .collect();
+            let kernel_time = |p: &RankProfile, k: &str| -> f64 {
+                p.entries
                     .iter()
-                    .map(|p| {
-                        p.entries
-                            .iter()
-                            .filter(|e| e.name == sname && e.detail.as_deref() == Some(&k))
-                            .map(|e| e.stats.total)
-                            .sum()
-                    })
+                    .filter(|e| e.name == stream && e.detail.as_deref() == Some(k))
+                    .map(|e| e.stats.total)
+                    .sum()
+            };
+            CubeMetric {
+                name: stream.to_owned(),
+                per_rank: per_rank(&|p| p.time_of(stream)),
+                children: kernels
+                    .into_iter()
+                    .map(|k| leaf(k, per_rank(&|p| kernel_time(p, k))))
                     .collect(),
-                name: k,
-                children: Vec::new(),
-            })
-            .collect();
-        stream_children.push(CubeMetric {
-            per_rank: per_rank_of(&sname),
-            name: sname,
-            children,
-        });
-    }
-
-    let cuda_api: Vec<f64> = report
-        .profiles()
-        .iter()
-        .map(|p| p.family_time(EventFamily::Cuda))
+            }
+        })
         .collect();
-    let host_idle: Vec<f64> = report
-        .profiles()
-        .iter()
-        .map(|p| p.family_time(EventFamily::HostIdle))
-        .collect();
-    let cuda_subtree = CubeMetric {
+    let api = leaf("API time", per_rank(&|p| p.family_time(EventFamily::Cuda)));
+    let idle = leaf(
+        "@CUDA_HOST_IDLE",
+        per_rank(&|p| p.family_time(EventFamily::HostIdle)),
+    );
+    let cuda = CubeMetric {
         name: "CUDA".to_owned(),
-        per_rank: (0..nranks)
+        per_rank: (0..report.nranks)
             .map(|r| {
-                cuda_api[r]
-                    + host_idle[r]
-                    + stream_children.iter().map(|s| s.per_rank[r]).sum::<f64>()
+                api.per_rank[r]
+                    + idle.per_rank[r]
+                    + streams.iter().map(|s| s.per_rank[r]).sum::<f64>()
             })
             .collect(),
-        children: {
-            let mut ch = vec![
-                CubeMetric {
-                    name: "API time".to_owned(),
-                    per_rank: cuda_api,
-                    children: vec![],
-                },
-                CubeMetric {
-                    name: "@CUDA_HOST_IDLE".to_owned(),
-                    per_rank: host_idle,
-                    children: vec![],
-                },
-            ];
-            ch.extend(stream_children);
-            ch
-        },
+        children: [api, idle].into_iter().chain(streams).collect(),
     };
 
     // MPI subtree: one child per MPI call
-    let mut mpi_names: Vec<String> = Vec::new();
-    for p in report.profiles() {
-        for e in &p.entries {
-            if e.family() == EventFamily::Mpi && !mpi_names.contains(&e.name) {
-                mpi_names.push(e.name.clone());
-            }
-        }
-    }
-    mpi_names.sort();
-    let mpi_children: Vec<CubeMetric> = mpi_names
-        .iter()
-        .map(|n| CubeMetric {
-            name: n.clone(),
-            per_rank: per_rank_of(n),
-            children: vec![],
-        })
-        .collect();
-    let mpi_subtree = CubeMetric {
+    let mpi = CubeMetric {
         name: "MPI".to_owned(),
-        per_rank: report
-            .profiles()
-            .iter()
-            .map(|p| p.family_time(EventFamily::Mpi))
+        per_rank: per_rank(&|p| p.family_time(EventFamily::Mpi)),
+        children: names(EventFamily::Mpi)
+            .into_iter()
+            .map(|n| leaf(n, per_rank(&|p| p.time_of(n))))
             .collect(),
-        children: mpi_children,
     };
 
     CubeMetric {
         name: "time".to_owned(),
-        per_rank: report.profiles().iter().map(|p| p.wallclock).collect(),
+        per_rank: per_rank(&|p| p.wallclock),
         // CUDA hierarchy above MPI, per the Fig. 9 caption
-        children: vec![cuda_subtree, mpi_subtree],
+        children: vec![cuda, mpi],
     }
 }
 
-/// Serialize a metric tree as CUBE-like XML.
-pub fn cube_to_xml(root: &CubeMetric, report: &ClusterReport) -> String {
+/// Serialize a metric tree as CUBE-like XML, names and hosts escaped as in
+/// the profiling log.
+pub(crate) fn cube_to_xml(root: &CubeMetric, report: &ClusterReport) -> String {
     let mut out = String::new();
     out.push_str("<cube version=\"4.0\">\n  <system>\n");
     for p in report.profiles() {
-        let _ = writeln!(out, "    <rank id=\"{}\" host=\"{}\"/>", p.rank, p.host);
+        let _ = writeln!(
+            out,
+            "    <rank id=\"{}\" host=\"{}\"/>",
+            p.rank,
+            Escaped(&p.host)
+        );
     }
     out.push_str("  </system>\n");
     write_metric(&mut out, root, 1);
@@ -190,7 +148,7 @@ fn write_metric(out: &mut String, m: &CubeMetric, depth: usize) {
     let _ = writeln!(
         out,
         "{pad}<metric name=\"{}\" total=\"{:.6}\" severity=\"{}\">",
-        m.name,
+        Escaped(&m.name),
         m.total(),
         values.join(",")
     );
@@ -202,7 +160,7 @@ fn write_metric(out: &mut String, m: &CubeMetric, depth: usize) {
 
 /// Text rendering of the metric tree with per-rank distribution summaries
 /// — the console stand-in for the CUBE GUI view of Fig. 9.
-pub fn render_cube_text(root: &CubeMetric) -> String {
+pub(crate) fn render_cube_text(root: &CubeMetric) -> String {
     let mut out = String::new();
     render_node(&mut out, root, 0);
     out
@@ -309,5 +267,20 @@ mod tests {
         assert!(text.contains("@CUDA_EXEC_STRM00"));
         assert!(text.contains("MPI_Send"));
         assert!(cube.node_count() >= 8);
+    }
+
+    #[test]
+    fn cube_xml_escapes_names_and_hosts() {
+        let mut profiles = report().profiles().to_vec();
+        profiles[0].host = "h\"x".to_owned();
+        profiles[0].entries[0].detail = Some("void k<float>(a&b)".to_owned());
+        let r = ClusterReport::from_profiles(profiles, 2);
+        let xml = cube_to_xml(&build_cube(&r), &r);
+        assert!(xml.contains("<rank id=\"0\" host=\"h&quot;x\"/>"), "{xml}");
+        assert!(
+            xml.contains("<metric name=\"void k&lt;float&gt;(a&amp;b)\""),
+            "{xml}"
+        );
+        assert!(!xml.contains("k<float>") && !xml.contains("h\"x"), "{xml}");
     }
 }

@@ -15,7 +15,8 @@
 //!                  .with_trace(..)   profile          RegionReport
 //!                  .with_epoch(..)   records          Xml
 //!                  .nodes(..)        prof             Html
-//!                  .to(backend) ──►  epoch            ChromeTrace
+//!                  .to(backend) ──►  epoch            Cube, CubeXml
+//!                                                     ChromeTrace
 //!                                                     Otlp  (feature "otlp")
 //! ```
 //!
@@ -48,6 +49,7 @@ pub use chrome::{validate_chrome_trace, TraceStats};
 pub use otlp::{validate_otlp, OtlpStats};
 
 use crate::aggregate::ClusterReport;
+use crate::cube::{build_cube, cube_to_xml, render_cube_text};
 use crate::monitor::Ipm;
 use crate::profile::RankProfile;
 use crate::trace::TraceRecord;
@@ -80,7 +82,7 @@ pub struct ExportRank {
 }
 
 impl ExportRank {
-    fn from_profile(p: RankProfile) -> Self {
+    pub(crate) fn from_profile(p: RankProfile) -> Self {
         ExportRank {
             rank: p.rank,
             host: p.host.clone(),
@@ -320,6 +322,28 @@ impl Exporter for Html {
     }
 }
 
+/// The `ipm_parse -cube` view: the CUBE metric tree (paper Fig. 9) as
+/// text, one line per node with its per-rank distribution.
+pub struct Cube;
+
+impl Exporter for Cube {
+    fn render(&self, src: &ExportSource) -> Result<String, ExportError> {
+        let report = ClusterReport::from_profiles(src.require_profiles()?, src.node_count());
+        Ok(render_cube_text(&build_cube(&report)))
+    }
+}
+
+/// The `ipm_parse -cubexml` document: the CUBE metric tree and the
+/// system tree (ranks and their hosts) as CUBE-like XML.
+pub struct CubeXml;
+
+impl Exporter for CubeXml {
+    fn render(&self, src: &ExportSource) -> Result<String, ExportError> {
+        let report = ClusterReport::from_profiles(src.require_profiles()?, src.node_count());
+        Ok(cube_to_xml(&build_cube(&report), &report))
+    }
+}
+
 /// Chrome trace-event JSON (Perfetto / `chrome://tracing`).
 pub struct ChromeTrace;
 
@@ -374,20 +398,12 @@ impl Export {
 
     /// A source with one profiled rank per element, in iteration order.
     pub fn from_profiles(ps: impl IntoIterator<Item = RankProfile>) -> Self {
-        Export::new().ranks(ps)
+        ps.into_iter().fold(Export::new(), Export::rank)
     }
 
     /// Append one rank from its profile.
     pub fn rank(mut self, p: RankProfile) -> Self {
         self.src.ranks.push(ExportRank::from_profile(p));
-        self
-    }
-
-    /// Append one rank per profile.
-    pub fn ranks(mut self, ps: impl IntoIterator<Item = RankProfile>) -> Self {
-        for p in ps {
-            self.src.ranks.push(ExportRank::from_profile(p));
-        }
         self
     }
 
@@ -489,14 +505,19 @@ mod tests {
         assert!(banner.contains("cudaMalloc"), "{banner}");
 
         let xml = Export::from(&ipm).to(Xml).unwrap();
-        let parsed = crate::xml::from_xml(&xml).expect("roundtrip");
-        assert_eq!(parsed.host, "dirac00");
+        let parsed = crate::parse::export_from_xml(&[xml]).expect("roundtrip");
+        assert_eq!(parsed.source().ranks[0].host, "dirac00");
 
         let chrome = Export::from(&ipm).to(ChromeTrace).unwrap();
         validate_chrome_trace(&chrome).expect("valid chrome trace");
 
         let html = Export::from(&ipm).to(Html).unwrap();
         assert!(html.contains("<html"), "{html}");
+
+        let cube = Export::from(&ipm).to(Cube).unwrap();
+        assert!(cube.contains("API time"), "{cube}");
+        let cube_xml = Export::from(&ipm).to(CubeXml).unwrap();
+        assert!(cube_xml.contains("host=\"dirac00\""), "{cube_xml}");
 
         let regions = Export::from(&ipm).to(RegionReport).unwrap();
         assert!(!regions.is_empty());

@@ -67,12 +67,12 @@ pub mod xml;
 
 pub use aggregate::{ClusterReport, ClusterSnapshot, RankSpread};
 pub use compact::{compact_records, merge_runs, same_signature, CompactPolicy, TraceAgg};
-pub use cube::{build_cube, cube_to_xml, render_cube_text, CubeMetric};
+pub use cube::{build_cube, CubeMetric};
 pub use cuda_mon::IpmCuda;
 pub use driver_mon::IpmDriver;
 pub use export::{
-    validate_chrome_trace, Banner, ChromeTrace, Export, ExportError, ExportRank, ExportSource,
-    Exporter, Html, RegionReport, TraceStats, Xml,
+    validate_chrome_trace, Banner, ChromeTrace, Cube, CubeXml, Export, ExportError, ExportRank,
+    ExportSource, Exporter, Html, RegionReport, TraceStats, Xml,
 };
 #[cfg(feature = "otlp")]
 pub use export::{validate_otlp, Otlp, OtlpStats};
@@ -88,4 +88,4 @@ pub use sig::{EventSignature, SigKey};
 pub use table::PerfTable;
 pub use timeline::render_timeline;
 pub use trace::{TraceCounters, TraceKind, TraceRecord, TraceRing};
-pub use xml::{from_xml, to_xml, trace_epoch_from_xml, trace_from_xml, XmlError};
+pub use xml::XmlError;

@@ -42,10 +42,6 @@ pub struct IpmConfig {
     pub gpu_timing: bool,
     /// Identify implicit host blocking (§III-C; Fig. 6).
     pub host_idle: bool,
-    /// Virtual time charged per wrapped call — the monitoring perturbation
-    /// the dilatation study (Fig. 8) measures. Calibrated so full MPI+CUDA
-    /// monitoring of HPL costs ~0.2% of runtime.
-    pub wrapper_overhead: f64,
     /// When to sweep the KTT.
     pub ktt_policy: KttCheckPolicy,
     /// Optional per-invocation correction subtracted from event-bracketed
@@ -59,13 +55,6 @@ pub struct IpmConfig {
     /// adjacent same-signature records merge into summary records instead
     /// of the ring dropping once full. Disabled by default.
     pub trace_compaction: CompactPolicy,
-    /// Live-telemetry overhead budget: the fraction of wall-clock time the
-    /// observer is allowed to spend taking [`Ipm::snapshot`]s of this
-    /// rank. `ClusterObserver::auto_period` divides the measured
-    /// per-snapshot cost by this budget to derive the polling period, so a
-    /// rank whose snapshots are expensive is polled less often. Default
-    /// 1%.
-    pub snapshot_overhead_budget: f64,
 }
 
 impl Default for IpmConfig {
@@ -73,12 +62,10 @@ impl Default for IpmConfig {
         Self {
             gpu_timing: true,
             host_idle: true,
-            wrapper_overhead: 0.3e-6,
             ktt_policy: KttCheckPolicy::D2hOnly,
             exec_time_correction: None,
             trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
             trace_compaction: CompactPolicy::DISABLED,
-            snapshot_overhead_budget: 0.01,
         }
     }
 }
@@ -114,14 +101,6 @@ impl IpmConfig {
     /// eventually dropping.
     pub fn with_trace_compaction(mut self, high_water: usize) -> Self {
         self.trace_compaction = CompactPolicy::with_high_water(high_water);
-        self
-    }
-
-    /// Set the live-telemetry overhead budget (fraction of wall-clock the
-    /// observer may spend in snapshots of this rank; must be positive).
-    pub fn with_snapshot_budget(mut self, budget: f64) -> Self {
-        assert!(budget > 0.0, "snapshot budget must be positive");
-        self.snapshot_overhead_budget = budget;
         self
     }
 }

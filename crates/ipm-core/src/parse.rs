@@ -10,34 +10,30 @@
 use crate::aggregate::ClusterReport;
 use crate::export::Export;
 use crate::profile::RankProfile;
-use crate::xml::{from_xml, trace_epoch_from_xml, trace_from_xml, XmlError};
+use crate::xml::{read_log, Escaped, XmlError};
 use std::fmt::Write as _;
 
-/// Rebuild the canonical export view from a set of XML logs (one per
-/// rank): each rank carries its parsed profile, the embedded `<trace>`
-/// records, and the recorded clock-alignment epoch, sorted by rank. Every
-/// `ipm_parse` rendering goes through this one loader. Two logs of the
-/// same rank are malformed: their trace lanes would share one process.
+/// Rebuild the canonical export view from a set of XML logs: each
+/// `<task>` of each log becomes one rank carrying its parsed profile, the
+/// embedded `<trace>` records, and the recorded clock-alignment epoch,
+/// sorted by rank. Every `ipm_parse` rendering goes through this one
+/// loader. Two tasks of the same rank, in one log or in two, are
+/// malformed: their trace lanes would share one process.
 pub fn export_from_xml(xmls: &[String]) -> Result<Export, XmlError> {
-    let mut parsed = Vec::new();
+    let mut ranks = Vec::new();
     for xml in xmls {
-        let profile = from_xml(xml)?;
-        let records = trace_from_xml(xml)?;
-        let epoch = trace_epoch_from_xml(xml)?;
-        parsed.push((profile, records, epoch));
+        ranks.extend(read_log(xml)?);
     }
-    parsed.sort_by_key(|(p, _, _)| p.rank);
-    if let Some(w) = parsed.windows(2).find(|w| w[0].0.rank == w[1].0.rank) {
+    ranks.sort_by_key(|r| r.rank);
+    if let Some(w) = ranks.windows(2).find(|w| w[0].rank == w[1].rank) {
         return Err(XmlError::Malformed(format!(
             "two logs of rank {}",
-            w[0].0.rank
+            w[0].rank
         )));
     }
-    let mut export = Export::new();
-    for (profile, records, epoch) in parsed {
-        export = export.rank(profile).with_trace(records).with_epoch(epoch);
-    }
-    Ok(export)
+    Ok(ranks
+        .into_iter()
+        .fold(Export::new(), Export::with_trace_rank))
 }
 
 /// Generate the HTML report page for a set of rank profiles — the format
@@ -50,7 +46,7 @@ pub(crate) fn html_report(profiles: &[RankProfile], nodes: usize) -> String {
     let _ = writeln!(
         out,
         "<title>IPM profile: {}</title>",
-        html_escape(&report.command)
+        Escaped(&report.command)
     );
     out.push_str(
         "<style>body{font-family:monospace}table{border-collapse:collapse}\n\
@@ -62,7 +58,7 @@ pub(crate) fn html_report(profiles: &[RankProfile], nodes: usize) -> String {
         out,
         "<p>command: <b>{}</b><br>tasks: {} on {} nodes<br>wallclock (max): {:.2} s<br>\
          %comm: {:.2}%<br>GPU utilization: {:.2}%</p>",
-        html_escape(&report.command),
+        Escaped(&report.command),
         report.nranks,
         report.nodes,
         report.wallclock_max,
@@ -75,7 +71,7 @@ pub(crate) fn html_report(profiles: &[RankProfile], nodes: usize) -> String {
         let _ = writeln!(
             out,
             "<tr><td class=\"name\">{}</td><td>{:.2}</td><td>{}</td><td>{:.2}</td></tr>",
-            html_escape(&name),
+            Escaped(&name),
             stats.total,
             stats.count,
             100.0 * stats.total / report.wallclock_total.max(f64::MIN_POSITIVE),
@@ -96,7 +92,7 @@ pub(crate) fn html_report(profiles: &[RankProfile], nodes: usize) -> String {
             let _ = writeln!(
                 out,
                 "<tr><td class=\"name\">{}</td><td>{:.2}%</td><td>{:.1}%</td></tr>",
-                html_escape(&k),
+                Escaped(&k),
                 share * 100.0,
                 i * 100.0,
             );
@@ -110,7 +106,7 @@ pub(crate) fn html_report(profiles: &[RankProfile], nodes: usize) -> String {
             out,
             "<tr><td>{}</td><td class=\"name\">{}</td><td>{:.2}</td><td>{:.2}</td></tr>",
             p.rank,
-            html_escape(&p.host),
+            Escaped(&p.host),
             p.wallclock,
             p.family_time(crate::profile::EventFamily::Mpi),
         );
@@ -119,19 +115,16 @@ pub(crate) fn html_report(profiles: &[RankProfile], nodes: usize) -> String {
     out
 }
 
-fn html_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{Banner, ChromeTrace, ExportError};
+    use crate::export::{Banner, ChromeTrace, ExportError, Xml};
     use crate::profile::ProfileEntry;
-    use crate::xml::to_xml;
     use ipm_sim_core::RunningStats;
+
+    fn to_xml(p: &RankProfile) -> String {
+        Export::from_profile(p.clone()).to(Xml).unwrap()
+    }
 
     fn profile(rank: usize) -> RankProfile {
         let mut stats = RunningStats::new();
@@ -183,6 +176,14 @@ mod tests {
             export_from_xml(&xmls).unwrap_err(),
             XmlError::Malformed("two logs of rank 1".to_owned())
         );
+        // two tasks of one rank in one log, as well
+        let one_log = Export::from_profiles([profile(0), profile(1), profile(0)])
+            .to(Xml)
+            .unwrap();
+        assert_eq!(
+            export_from_xml(&[one_log]).unwrap_err(),
+            XmlError::Malformed("two logs of rank 0".to_owned())
+        );
     }
 
     #[test]
@@ -221,48 +222,46 @@ mod tests {
         assert!(export_from_xml(&["not xml".to_owned()]).is_err());
     }
 
-    #[test]
-    fn chrome_trace_from_xml_logs_is_valid() {
-        use crate::export::{validate_chrome_trace, Xml};
+    /// One log per rank of a launch and its kernel.
+    fn launch_logs() -> [String; 2] {
         use crate::trace::{TraceKind, TraceRecord};
-
-        let mk = |rank: usize| {
-            let trace = vec![
-                TraceRecord {
-                    kind: TraceKind::Call,
-                    name: "cudaLaunch",
-                    detail: None,
-                    begin: 0.1 * rank as f64,
-                    end: 0.1 * rank as f64 + 0.001,
-                    bytes: 0,
-                    region: 0,
-                    stream: None,
-                    corr: 1 + rank as u64,
-                    agg: None,
-                },
-                TraceRecord {
-                    kind: TraceKind::KernelExec,
-                    name: "@CUDA_EXEC_STRM00",
-                    detail: Some("zgemm_kernel_NN"),
-                    begin: 0.1 * rank as f64 + 0.002,
-                    end: 0.1 * rank as f64 + 0.05,
-                    bytes: 0,
-                    region: 0,
-                    stream: Some(0),
-                    corr: 1 + rank as u64,
-                    agg: None,
-                },
-            ];
+        [0, 1].map(|rank: usize| {
+            let t = 0.1 * rank as f64;
+            let launch = TraceRecord {
+                kind: TraceKind::Call,
+                name: "cudaLaunch",
+                detail: None,
+                begin: t,
+                end: t + 0.001,
+                bytes: 0,
+                region: 0,
+                stream: None,
+                corr: 1 + rank as u64,
+                agg: None,
+            };
+            let kernel = TraceRecord {
+                kind: TraceKind::KernelExec,
+                name: "@CUDA_EXEC_STRM00",
+                detail: Some("zgemm_kernel_NN"),
+                begin: t + 0.002,
+                end: t + 0.05,
+                stream: Some(0),
+                ..launch
+            };
             Export::from_profile(profile(rank))
-                .with_trace(trace)
+                .with_trace(vec![launch, kernel])
                 .to(Xml)
                 .unwrap()
-        };
-        let json = export_from_xml(&[mk(0), mk(1)])
+        })
+    }
+
+    #[test]
+    fn chrome_trace_from_xml_logs_is_valid() {
+        let json = export_from_xml(&launch_logs())
             .unwrap()
             .to(ChromeTrace)
             .unwrap();
-        let stats = validate_chrome_trace(&json).expect("valid chrome trace");
+        let stats = crate::export::validate_chrome_trace(&json).expect("valid chrome trace");
         assert_eq!(stats.processes, 2);
         assert_eq!(stats.lanes, 4, "host + stream lane per rank");
         assert_eq!(stats.slices, 4);
@@ -272,46 +271,11 @@ mod tests {
     #[cfg(feature = "otlp")]
     #[test]
     fn otlp_from_xml_logs_is_valid_and_linked() {
-        use crate::export::{validate_otlp, Xml};
-        use crate::trace::{TraceKind, TraceRecord};
-
-        let mk = |rank: usize| {
-            let trace = vec![
-                TraceRecord {
-                    kind: TraceKind::Call,
-                    name: "cudaLaunch",
-                    detail: None,
-                    begin: 0.1,
-                    end: 0.101,
-                    bytes: 0,
-                    region: 0,
-                    stream: None,
-                    corr: 5,
-                    agg: None,
-                },
-                TraceRecord {
-                    kind: TraceKind::KernelExec,
-                    name: "@CUDA_EXEC_STRM00",
-                    detail: Some("zgemm_kernel_NN"),
-                    begin: 0.102,
-                    end: 0.2,
-                    bytes: 0,
-                    region: 0,
-                    stream: Some(0),
-                    corr: 5,
-                    agg: None,
-                },
-            ];
-            Export::from_profile(profile(rank))
-                .with_trace(trace)
-                .to(Xml)
-                .unwrap()
-        };
-        let json = export_from_xml(&[mk(0), mk(1)])
+        let json = export_from_xml(&launch_logs())
             .unwrap()
             .to(crate::export::Otlp)
             .unwrap();
-        let stats = validate_otlp(&json).expect("valid OTLP");
+        let stats = crate::export::validate_otlp(&json).expect("valid OTLP");
         assert_eq!(stats.resources, 2);
         assert_eq!(stats.spans, 4);
         assert_eq!(stats.links, 2, "one launch→kernel link per rank");
@@ -319,7 +283,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_from_xml_applies_recorded_epochs() {
-        use crate::export::{validate_chrome_trace, Xml};
+        use crate::export::validate_chrome_trace;
         use crate::trace::{TraceKind, TraceRecord};
 
         // two ranks whose clocks disagree: each records the shared cluster

@@ -2,9 +2,11 @@
 //!
 //! Besides the banner, IPM "writes a more detailed profiling log in XML
 //! format which includes the full details of the hash table" (paper §II).
-//! This module owns that format: a small, self-contained dialect — writer
-//! and parser — that round-trips a [`RankProfile`] exactly. The parser is
-//! what `ipm_parse` (see [`crate::parse`]) consumes.
+//! This module owns that format: a small, self-contained dialect that
+//! round-trips a [`RankProfile`] and its trace exactly. The `Xml` backend
+//! of [`crate::export`] writes it, one `<task>` per rank, and
+//! [`crate::parse::export_from_xml`] (what `ipm_parse` consumes) reads it
+//! back in one pass, one rank per `<task>`.
 //!
 //! ```xml
 //! <ipm version="2.0">
@@ -18,8 +20,12 @@
 //!   </task>
 //! </ipm>
 //! ```
+//!
+//! The reader is line-based: every element sits on a line of its own, so
+//! the writer escapes a newline inside a name or command as `&#10;`.
 
 use crate::compact::TraceAgg;
+use crate::export::ExportRank;
 use crate::jsonw::push_u64;
 use crate::profile::{MonitorInfo, ProfileEntry, RankProfile};
 use crate::trace::{TraceKind, TraceRecord};
@@ -52,9 +58,9 @@ impl std::fmt::Display for XmlError {
 impl std::error::Error for XmlError {}
 
 /// A string escaped for an XML attribute value or text node, formatted
-/// straight into the output: runs without `&<>"` are copied from the
-/// borrowed input, so nothing is allocated.
-struct Escaped<'a>(&'a str);
+/// straight into the output: runs without `&<>"` or a newline are copied
+/// from the borrowed input, so nothing is allocated.
+pub(crate) struct Escaped<'a>(pub(crate) &'a str);
 
 impl fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -66,6 +72,7 @@ impl fmt::Display for Escaped<'_> {
                 b'<' => "&lt;",
                 b'>' => "&gt;",
                 b'"' => "&quot;",
+                b'\n' => "&#10;",
                 _ => continue,
             };
             f.write_str(&s[run..i])?;
@@ -76,10 +83,12 @@ impl fmt::Display for Escaped<'_> {
     }
 }
 
-/// Append `s` escaped as by [`Escaped`]; a string without `&<>"` (almost
-/// every name) is copied whole.
+/// Append `s` escaped as by [`Escaped`]; a string without `&<>"` or a
+/// newline (almost every name) is copied whole.
 fn push_escaped(out: &mut String, s: &str) {
-    if s.bytes().any(|b| matches!(b, b'&' | b'<' | b'>' | b'"')) {
+    if s.bytes()
+        .any(|b| matches!(b, b'&' | b'<' | b'>' | b'"' | b'\n'))
+    {
         let _ = write!(out, "{}", Escaped(s));
     } else {
         out.push_str(s);
@@ -122,6 +131,7 @@ fn unescape(s: &str) -> Cow<'_, str> {
         s.replace("&quot;", "\"")
             .replace("&gt;", ">")
             .replace("&lt;", "<")
+            .replace("&#10;", "\n")
             .replace("&amp;", "&"),
     )
 }
@@ -129,19 +139,11 @@ fn unescape(s: &str) -> Cow<'_, str> {
 /// About what one `<event/>` line takes, for reserving the output up front.
 pub(crate) const EVENT_BYTES: usize = 160;
 
-/// Serialize one rank's profile to the IPM XML dialect (no trace section;
-/// use `Export::…​.to(Xml)` to embed one).
-pub fn to_xml(p: &RankProfile) -> String {
-    let mut out = String::new();
-    write_xml(&mut out, p, &[], 0.0);
-    out
-}
-
 /// Append a profile plus its event trace to `out`: the trace's records are
 /// embedded as `<event/>` lines in a `<trace>` section (with the rank's
 /// clock-alignment epoch on the `<trace>` element, so multi-rank exports
 /// line up their lanes), and a single XML log carries everything
-/// `ipm_parse trace` needs. This is the one real XML writer; the `Xml`
+/// `ipm_parse trace` needs. This is the only writer of the log; the `Xml`
 /// backend of [`crate::export`] renders every rank through it into one
 /// buffer.
 pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord], epoch: f64) {
@@ -298,100 +300,152 @@ impl<'a> Attrs<'a> {
     }
 }
 
-/// Parse a profile back out of the XML dialect produced by [`to_xml`].
-pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
-    let task_tag = xml
-        .lines()
-        .find(|l| l.trim_start().starts_with("<task "))
-        .ok_or(XmlError::Missing("<task>"))?;
+/// The element a trimmed log line opens or closes (`task` for
+/// `<task rank=..>`, `/task` for `</task>`), or `None` for a line that is
+/// not markup.
+fn element(line: &str) -> Option<&str> {
+    let tag = line.strip_prefix('<')?;
+    let end = tag.find(|c: char| c.is_whitespace() || c == '>');
+    Some(&tag[..end.unwrap_or(tag.len())])
+}
+
+/// A `<task>` being read: its start tag's fields, and what its elements
+/// added since.
+struct OpenTask {
+    profile: RankProfile,
+    command: Option<String>,
+    epoch: f64,
+    records: Vec<TraceRecord>,
+}
+
+/// Read a log in one pass over its lines. Each `<task>` becomes one
+/// [`ExportRank`] with its profile, its `<trace>` records and the trace's
+/// clock-alignment epoch (0 when it records none), so the several ranks
+/// one `Xml` export writes load as several ranks. Markup outside a
+/// `<task>`, other than the `<ipm>` wrapper, is malformed, as is a log
+/// without a `<task>` or with one left open.
+pub(crate) fn read_log(xml: &str) -> Result<Vec<ExportRank>, XmlError> {
+    let mut ranks = Vec::new();
     let mut attrs = Attrs::default();
-    let task = attrs.split(task_tag);
-    let rank: usize = task.num("rank")?;
-    let nranks: usize = task.num("nranks")?;
-    let wallclock = task.time("wallclock")?;
-    let dropped_events: u64 = task.num("dropped")?;
-    let host = task
-        .text("host")
-        .ok_or(XmlError::Missing("host"))?
-        .into_owned();
-
-    let command = {
-        let line = xml
-            .lines()
-            .find(|l| l.trim_start().starts_with("<command>"))
-            .ok_or(XmlError::Missing("<command>"))?;
-        let inner = line
-            .trim()
-            .strip_prefix("<command>")
-            .and_then(|s| s.strip_suffix("</command>"))
-            .ok_or_else(|| XmlError::Malformed(line.to_owned()))?;
-        unescape(inner).into_owned()
-    };
-
-    // default-if-missing keeps logs from older monitors parseable
-    let monitor = match xml
-        .lines()
-        .map(str::trim)
-        .find(|l| l.starts_with("<monitor "))
-    {
-        Some(line) => {
-            let m = attrs.split(line);
-            MonitorInfo {
-                self_wall_ns: m.num("self_wall_ns")?,
-                trace_emitted: m.num("emitted")?,
-                trace_captured: m.num("captured")?,
-                trace_dropped: m.num("dropped")?,
-                // absent in pre-compaction logs
-                trace_compacted: m.opt_num("compacted")?.unwrap_or(0),
-                ring_hwm_bytes: m.num("ring_hwm_bytes")?,
-            }
-        }
-        None => MonitorInfo::default(),
-    };
-
-    let mut regions = Vec::new();
-    let mut entries = Vec::new();
+    let mut open: Option<OpenTask> = None;
     for line in xml.lines().map(str::trim) {
-        if line.starts_with("<region ") {
-            let inner = line
-                .split_once('>')
-                .and_then(|(_, rest)| rest.strip_suffix("</region>"))
-                .ok_or_else(|| XmlError::Malformed(line.to_owned()))?;
-            regions.push(unescape(inner).into_owned());
-        } else if line.starts_with("<entry ") {
-            let e = attrs.split(line);
-            let stats = RunningStats {
-                count: e.num("count")?,
-                // min and max of an empty entry are the infinities
-                total: e.time("total")?,
-                min: e.num("min")?,
-                max: e.num("max")?,
-            };
-            entries.push(ProfileEntry {
-                name: e
-                    .text("name")
-                    .ok_or(XmlError::Missing("name"))?
-                    .into_owned(),
-                detail: e.text("detail").map(Cow::into_owned),
-                bytes: e.num("bytes")?,
-                region: e.num("region")?,
-                stats,
-            });
+        let Some(element) = element(line) else {
+            continue;
+        };
+        let Some(task) = open.as_mut() else {
+            match element {
+                "task" => {
+                    open = Some(OpenTask {
+                        profile: task_start(attrs.split(line))?,
+                        command: None,
+                        epoch: 0.0,
+                        records: Vec::new(),
+                    })
+                }
+                "ipm" | "/ipm" => {}
+                _ => return Err(XmlError::Malformed(format!("{line} outside a <task>"))),
+            }
+            continue;
+        };
+        match element {
+            "task" => return Err(XmlError::Malformed(format!("{line} inside a <task>"))),
+            "/task" => {
+                let OpenTask {
+                    mut profile,
+                    command,
+                    epoch,
+                    records,
+                } = open.take().expect("a <task> is open");
+                profile.command = command.ok_or(XmlError::Missing("<command>"))?;
+                if profile.regions.is_empty() {
+                    return Err(XmlError::Missing("<regions>"));
+                }
+                ranks.push(ExportRank {
+                    epoch,
+                    records,
+                    ..ExportRank::from_profile(profile)
+                });
+            }
+            "command" => {
+                let inner = line
+                    .strip_prefix("<command>")
+                    .and_then(|s| s.strip_suffix("</command>"))
+                    .ok_or_else(|| XmlError::Malformed(line.to_owned()))?;
+                task.command = Some(unescape(inner).into_owned());
+            }
+            "monitor" => task.profile.monitor = monitor(attrs.split(line))?,
+            "region" => {
+                let inner = line
+                    .split_once('>')
+                    .and_then(|(_, rest)| rest.strip_suffix("</region>"))
+                    .ok_or_else(|| XmlError::Malformed(line.to_owned()))?;
+                task.profile.regions.push(unescape(inner).into_owned());
+            }
+            "entry" => task.profile.entries.push(entry(attrs.split(line))?),
+            "trace" => task.epoch = attrs.split(line).opt_time("epoch")?.unwrap_or(0.0),
+            "event" => task.records.push(event(attrs.split(line))?),
+            // the section tags `<regions>`, `<hash>`, `</trace>`, …
+            _ => {}
         }
     }
-    if regions.is_empty() {
-        return Err(XmlError::Missing("<regions>"));
+    if open.is_some() {
+        return Err(XmlError::Malformed("a <task> without </task>".to_owned()));
     }
+    if ranks.is_empty() {
+        return Err(XmlError::Missing("<task>"));
+    }
+    Ok(ranks)
+}
+
+/// The profile a `<task>` start tag describes, before its elements fill
+/// in the command, monitor, regions and entries.
+fn task_start(task: &Attrs) -> Result<RankProfile, XmlError> {
     Ok(RankProfile {
-        rank,
-        nranks,
-        host,
-        command,
-        wallclock,
-        regions,
-        entries,
-        dropped_events,
-        monitor,
+        rank: task.num("rank")?,
+        nranks: task.num("nranks")?,
+        wallclock: task.time("wallclock")?,
+        dropped_events: task.num("dropped")?,
+        host: task
+            .text("host")
+            .ok_or(XmlError::Missing("host"))?
+            .into_owned(),
+        command: String::new(),
+        // a log from a monitor older than the element has none
+        monitor: MonitorInfo::default(),
+        regions: Vec::new(),
+        entries: Vec::new(),
+    })
+}
+
+fn monitor(m: &Attrs) -> Result<MonitorInfo, XmlError> {
+    Ok(MonitorInfo {
+        self_wall_ns: m.num("self_wall_ns")?,
+        trace_emitted: m.num("emitted")?,
+        trace_captured: m.num("captured")?,
+        trace_dropped: m.num("dropped")?,
+        // absent in pre-compaction logs
+        trace_compacted: m.opt_num("compacted")?.unwrap_or(0),
+        ring_hwm_bytes: m.num("ring_hwm_bytes")?,
+    })
+}
+
+fn entry(e: &Attrs) -> Result<ProfileEntry, XmlError> {
+    let stats = RunningStats {
+        count: e.num("count")?,
+        // min and max of an empty entry are the infinities
+        total: e.time("total")?,
+        min: e.num("min")?,
+        max: e.num("max")?,
+    };
+    Ok(ProfileEntry {
+        name: e
+            .text("name")
+            .ok_or(XmlError::Missing("name"))?
+            .into_owned(),
+        detail: e.text("detail").map(Cow::into_owned),
+        bytes: e.num("bytes")?,
+        region: e.num("region")?,
+        stats,
     })
 }
 
@@ -402,69 +456,42 @@ fn interned(name: &str) -> &'static str {
     CallHandle::of(name).name()
 }
 
-/// Parse the `<trace>` section back out of a log written by the `Xml`
-/// export backend. Logs without a trace yield an empty vector.
-pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
-    let mut out = Vec::new();
-    let mut attrs = Attrs::default();
-    for line in xml.lines().map(str::trim) {
-        if !line.starts_with("<event ") {
-            continue;
-        }
-        let a = attrs.split(line);
-        let kind_raw = a.text("kind").ok_or(XmlError::Missing("kind"))?;
-        let kind = kind_raw
-            .chars()
-            .next()
-            .and_then(TraceKind::from_tag)
-            .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
-        let (begin, end) = (a.time("begin")?, a.time("end")?);
-        if end < begin {
-            return Err(XmlError::Malformed(format!(
-                "event ends at {end} before it begins at {begin}"
-            )));
-        }
-        out.push(TraceRecord {
-            kind,
-            name: interned(&a.text("name").ok_or(XmlError::Missing("name"))?),
-            detail: a.text("detail").map(|d| interned(&d)),
-            begin,
-            end,
-            bytes: a.num("bytes")?,
-            region: a.num("region")?,
-            stream: a.opt_num("stream")?,
-            corr: a.num("corr")?,
-            // summary records carry the aggregate attributes, keyed on
-            // `count`; raw records (and pre-compaction logs) omit them
-            agg: match a.raw("count") {
-                Some(_) => Some(TraceAgg {
-                    count: a.num("count")?,
-                    total: a.time("total")?,
-                    min: a.time("min")?,
-                    max: a.time("max")?,
-                    exemplar: (a.time("ex_begin")?, a.time("ex_end")?),
-                }),
-                None => None,
-            },
-        });
+fn event(a: &Attrs) -> Result<TraceRecord, XmlError> {
+    let kind_raw = a.text("kind").ok_or(XmlError::Missing("kind"))?;
+    let kind = kind_raw
+        .chars()
+        .next()
+        .and_then(TraceKind::from_tag)
+        .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
+    let (begin, end) = (a.time("begin")?, a.time("end")?);
+    if end < begin {
+        return Err(XmlError::Malformed(format!(
+            "event ends at {end} before it begins at {begin}"
+        )));
     }
-    Ok(out)
-}
-
-/// The clock-alignment epoch recorded on a log's `<trace>` element, or 0
-/// for logs without one (traceless, pre-epoch, or single-rank exports).
-pub fn trace_epoch_from_xml(xml: &str) -> Result<f64, XmlError> {
-    match xml
-        .lines()
-        .map(str::trim)
-        .find(|l| *l == "<trace>" || l.starts_with("<trace "))
-    {
-        Some(line) => Ok(Attrs::default()
-            .split(line)
-            .opt_time("epoch")?
-            .unwrap_or(0.0)),
-        None => Ok(0.0),
-    }
+    Ok(TraceRecord {
+        kind,
+        name: interned(&a.text("name").ok_or(XmlError::Missing("name"))?),
+        detail: a.text("detail").map(|d| interned(&d)),
+        begin,
+        end,
+        bytes: a.num("bytes")?,
+        region: a.num("region")?,
+        stream: a.opt_num("stream")?,
+        corr: a.num("corr")?,
+        // summary records carry the aggregate attributes, keyed on
+        // `count`; raw records (and pre-compaction logs) omit them
+        agg: match a.raw("count") {
+            Some(_) => Some(TraceAgg {
+                count: a.num("count")?,
+                total: a.time("total")?,
+                min: a.time("min")?,
+                max: a.time("max")?,
+                exemplar: (a.time("ex_begin")?, a.time("ex_end")?),
+            }),
+            None => None,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -475,6 +502,25 @@ mod tests {
         let mut out = String::new();
         write_xml(&mut out, p, trace, epoch);
         out
+    }
+
+    fn to_xml(p: &RankProfile) -> String {
+        with_trace(p, &[], 0.0)
+    }
+
+    /// The one rank a log loads as.
+    fn load(xml: &str) -> Result<ExportRank, XmlError> {
+        let mut ranks = read_log(xml)?;
+        assert_eq!(ranks.len(), 1, "{xml}");
+        Ok(ranks.remove(0))
+    }
+
+    fn load_profile(xml: &str) -> Result<RankProfile, XmlError> {
+        Ok(load(xml)?.profile.expect("a loaded rank has a profile"))
+    }
+
+    fn load_records(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
+        Ok(load(xml)?.records)
     }
 
     fn sample() -> RankProfile {
@@ -516,11 +562,33 @@ mod tests {
         }
     }
 
+    /// A summary record, as the compactor writes one.
+    fn summary() -> TraceRecord {
+        TraceRecord {
+            kind: TraceKind::Call,
+            name: "cudaLaunch",
+            detail: None,
+            begin: 1.0,
+            end: 4.75,
+            bytes: 0,
+            region: 0,
+            stream: None,
+            corr: 0,
+            agg: Some(TraceAgg {
+                count: 3,
+                total: 2.5,
+                min: 0.5,
+                max: 1.0,
+                exemplar: (2.0, 2.125),
+            }),
+        }
+    }
+
     #[test]
     fn roundtrip_is_exact() {
         let p = sample();
         let xml = to_xml(&p);
-        let back = from_xml(&xml).unwrap();
+        let back = load_profile(&xml).unwrap();
         assert_eq!(back, p);
     }
 
@@ -539,16 +607,68 @@ mod tests {
         p.command = "./app <input> & \"stuff\"".to_owned();
         let xml = to_xml(&p);
         assert!(!xml.contains("<input>"));
-        let back = from_xml(&xml).unwrap();
+        let back = load_profile(&xml).unwrap();
         assert_eq!(back.command, "./app <input> & \"stuff\"");
         assert_eq!(back.regions[0], "<program>");
     }
 
     #[test]
     fn malformed_inputs_are_rejected() {
-        assert_eq!(from_xml("").unwrap_err(), XmlError::Missing("<task>"));
+        assert_eq!(load_profile("").unwrap_err(), XmlError::Missing("<task>"));
         let bad = "<task rank=\"x\" nranks=\"1\" host=\"h\" wallclock=\"1\" dropped=\"0\">";
-        assert!(matches!(from_xml(bad).unwrap_err(), XmlError::BadNumber(_)));
+        assert!(matches!(
+            load_profile(bad).unwrap_err(),
+            XmlError::BadNumber(_)
+        ));
+        for (element, missing) in [("<command>", "<command>"), ("<region ", "<regions>")] {
+            let without: String = to_xml(&sample())
+                .lines()
+                .filter(|l| !l.contains(element))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            assert_eq!(
+                load_profile(&without).unwrap_err(),
+                XmlError::Missing(missing)
+            );
+        }
+    }
+
+    #[test]
+    fn markup_outside_a_task_is_malformed() {
+        let xml = to_xml(&sample());
+        let entry = xml.lines().find(|l| l.contains("<entry ")).unwrap();
+        for bad in [
+            // an element after the task closed
+            format!("{xml}{entry}\n"),
+            // a task left open, or opened inside another
+            xml.replace("  </task>\n", ""),
+            xml.replace("  </task>\n", "").replace("</ipm>\n", "") + &xml,
+            // a close without an open task
+            format!("</task>\n{xml}"),
+        ] {
+            assert!(
+                matches!(read_log(&bad).unwrap_err(), XmlError::Malformed(_)),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn newlines_survive_the_log() {
+        let mut p = sample();
+        p.command = "mpirun -np 2\n./md".to_owned();
+        p.host = "dirac\n18".to_owned();
+        p.regions[1] = "pme\n".to_owned();
+        p.entries[1].detail = Some("\nk".to_owned());
+        let xml = to_xml(&p);
+        assert!(
+            xml.contains("<command>mpirun -np 2&#10;./md</command>"),
+            "{xml}"
+        );
+        assert_eq!(load_profile(&xml).unwrap(), p);
+        // a literal `&#10;` stays literal
+        p.command = "a&#10;b".to_owned();
+        assert_eq!(load_profile(&to_xml(&p)).unwrap(), p);
     }
 
     #[test]
@@ -557,14 +677,14 @@ mod tests {
         let xml = to_xml(&p);
         assert!(xml.contains("<monitor self_wall_ns=\"12345\""));
         assert!(xml.contains("captured=\"90\" dropped=\"2\" compacted=\"8\""));
-        let back = from_xml(&xml).unwrap();
+        let back = load_profile(&xml).unwrap();
         assert_eq!(back.monitor, p.monitor);
     }
 
     #[test]
     fn pre_compaction_monitor_element_defaults_compacted() {
         let xml = to_xml(&sample()).replace(" compacted=\"8\"", "");
-        let back = from_xml(&xml).unwrap();
+        let back = load_profile(&xml).unwrap();
         assert_eq!(back.monitor.trace_compacted, 0);
         assert_eq!(back.monitor.trace_captured, 90, "other fields untouched");
     }
@@ -576,7 +696,7 @@ mod tests {
             .filter(|l| !l.contains("<monitor"))
             .map(|l| format!("{l}\n"))
             .collect();
-        let back = from_xml(&xml).unwrap();
+        let back = load_profile(&xml).unwrap();
         assert_eq!(back.monitor, MonitorInfo::default());
     }
 
@@ -609,67 +729,33 @@ mod tests {
             },
         ];
         let xml = with_trace(&sample(), &trace, 0.0);
-        let back = trace_from_xml(&xml).unwrap();
+        let back = load_records(&xml).unwrap();
         assert_eq!(back, trace);
         // and the profile parse still works with the trace embedded
-        assert_eq!(from_xml(&xml).unwrap(), sample());
+        assert_eq!(load_profile(&xml).unwrap(), sample());
         // a traceless log parses to an empty trace
-        assert_eq!(trace_from_xml(&to_xml(&sample())).unwrap(), Vec::new());
+        assert_eq!(load_records(&to_xml(&sample())).unwrap(), Vec::new());
     }
 
     #[test]
     fn summary_records_and_epoch_roundtrip() {
-        let trace = vec![TraceRecord {
-            kind: TraceKind::Call,
-            name: "cudaLaunch",
-            detail: None,
-            begin: 1.0,
-            end: 4.75,
-            bytes: 0,
-            region: 0,
-            stream: None,
-            corr: 0,
-            agg: Some(TraceAgg {
-                count: 123,
-                total: 2.5,
-                min: 0.001953125,
-                max: 0.125,
-                exemplar: (2.0, 2.125),
-            }),
-        }];
+        let trace = vec![summary()];
         let xml = with_trace(&sample(), &trace, 0.5);
         assert!(xml.contains("<trace epoch=\"0.5\">"));
-        assert!(xml.contains("count=\"123\""));
-        assert_eq!(trace_from_xml(&xml).unwrap(), trace);
-        assert_eq!(trace_epoch_from_xml(&xml).unwrap(), 0.5);
+        assert!(xml.contains("count=\"3\""));
+        assert_eq!(load_records(&xml).unwrap(), trace);
+        assert_eq!(load(&xml).unwrap().epoch, 0.5);
         // epoch 0 writes the bare element, which parses back to 0
         let xml0 = with_trace(&sample(), &trace, 0.0);
         assert!(xml0.contains("<trace>"));
-        assert_eq!(trace_epoch_from_xml(&xml0).unwrap(), 0.0);
+        assert_eq!(load(&xml0).unwrap().epoch, 0.0);
         // traceless logs have epoch 0 too
-        assert_eq!(trace_epoch_from_xml(&to_xml(&sample())).unwrap(), 0.0);
+        assert_eq!(load(&to_xml(&sample())).unwrap().epoch, 0.0);
     }
 
     #[test]
     fn event_attributes_match_whole_names_in_any_order() {
-        let trace = vec![TraceRecord {
-            kind: TraceKind::Call,
-            name: "cudaLaunch",
-            detail: None,
-            begin: 1.0,
-            end: 4.75,
-            bytes: 0,
-            region: 0,
-            stream: None,
-            corr: 0,
-            agg: Some(TraceAgg {
-                count: 3,
-                total: 2.5,
-                min: 0.5,
-                max: 1.0,
-                exemplar: (2.0, 2.125),
-            }),
-        }];
+        let trace = vec![summary()];
         let xml = with_trace(&sample(), &trace, 0.0);
         let moved = " ex_begin=\"2\" ex_end=\"2.125\"";
         assert!(xml.contains(moved), "{xml}");
@@ -679,7 +765,7 @@ mod tests {
             &format!("name=\"cudaLaunch\"{moved} begin="),
         );
         assert_ne!(reordered, xml);
-        assert_eq!(trace_from_xml(&reordered).unwrap(), trace);
+        assert_eq!(load_records(&reordered).unwrap(), trace);
     }
 
     #[test]
@@ -702,26 +788,9 @@ mod tests {
 
     #[test]
     fn non_finite_trace_numbers_are_rejected() {
-        let trace = vec![TraceRecord {
-            kind: TraceKind::Call,
-            name: "cudaLaunch",
-            detail: None,
-            begin: 1.0,
-            end: 4.75,
-            bytes: 0,
-            region: 0,
-            stream: None,
-            corr: 0,
-            agg: Some(TraceAgg {
-                count: 3,
-                total: 2.5,
-                min: 0.5,
-                max: 1.0,
-                exemplar: (2.0, 2.125),
-            }),
-        }];
+        let trace = vec![summary()];
         let xml = with_trace(&sample(), &trace, 0.5);
-        assert_eq!(trace_from_xml(&xml).unwrap(), trace);
+        assert_eq!(load_records(&xml).unwrap(), trace);
         for attr in [
             "begin=\"1\"",
             "end=\"4.75\"",
@@ -736,7 +805,7 @@ mod tests {
                 let xml = xml.replacen(&format!(" {attr}"), &format!(" {name}=\"{bad}\""), 1);
                 assert_ne!(xml, with_trace(&sample(), &trace, 0.5), "{attr}");
                 assert_eq!(
-                    trace_from_xml(&xml).unwrap_err(),
+                    load_records(&xml).unwrap_err(),
                     XmlError::BadNumber(bad.to_owned()),
                     "{name}={bad}"
                 );
@@ -744,30 +813,19 @@ mod tests {
         }
         for bad in ["NaN", "inf", "-inf", "1e303", "-1e308"] {
             let xml = xml.replace("<trace epoch=\"0.5\">", &format!("<trace epoch=\"{bad}\">"));
-            assert_eq!(
-                trace_epoch_from_xml(&xml).unwrap_err(),
-                XmlError::BadNumber(bad.to_owned())
-            );
+            assert_eq!(load(&xml).unwrap_err(), XmlError::BadNumber(bad.to_owned()));
         }
     }
 
     #[test]
     fn an_event_ending_before_it_begins_is_malformed() {
         let trace = vec![TraceRecord {
-            kind: TraceKind::Call,
-            name: "cudaLaunch",
-            detail: None,
-            begin: 1.0,
-            end: 4.75,
-            bytes: 0,
-            region: 0,
-            stream: None,
-            corr: 0,
             agg: None,
+            ..summary()
         }];
         let xml = with_trace(&sample(), &trace, 0.0).replace("end=\"4.75\"", "end=\"0.5\"");
         assert!(matches!(
-            trace_from_xml(&xml).unwrap_err(),
+            load_records(&xml).unwrap_err(),
             XmlError::Malformed(_)
         ));
     }
@@ -775,7 +833,7 @@ mod tests {
     #[test]
     fn parser_survives_reordered_attributes() {
         let xml = to_xml(&sample()).replace("rank=\"3\" nranks=\"16\"", "nranks=\"16\" rank=\"3\"");
-        let back = from_xml(&xml).unwrap();
+        let back = load_profile(&xml).unwrap();
         assert_eq!(back.rank, 3);
         assert_eq!(back.nranks, 16);
     }

@@ -2,7 +2,7 @@
 //! `parse::export_from_xml`, so a malformed log set is refused the same
 //! way by all of them.
 
-use ipm_core::{to_xml, ProfileEntry, RankProfile};
+use ipm_core::{Export, ProfileEntry, RankProfile, Xml};
 use ipm_sim_core::RunningStats;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -35,7 +35,10 @@ fn log_file(test: &str, n: usize, profile: &RankProfile) -> PathBuf {
         "ipm_parse_cli_{}_{test}_{n}.xml",
         std::process::id()
     ));
-    std::fs::write(&path, to_xml(profile)).expect("temp log writable");
+    let xml = Export::from_profile(profile.clone())
+        .to(Xml)
+        .expect("a profiled rank");
+    std::fs::write(&path, xml).expect("temp log writable");
     path
 }
 
@@ -78,4 +81,26 @@ fn banner_renders_one_good_log() {
     let banner = String::from_utf8_lossy(&out.stdout);
     assert!(banner.contains("##IPMv2.0"), "{banner}");
     assert!(banner.contains("MPI_Allreduce"), "{banner}");
+}
+
+#[test]
+fn cubexml_escapes_the_two_ranks_of_the_mixed_golden() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/mixed_trace.xml"
+    );
+    let out = ipm_parse(&["-cubexml", golden], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let xml = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        xml.contains("<rank id=\"0\" host=\"diracq&quot;b\\c\u{1}t\t&amp;&lt;x&gt;\"/>"),
+        "{xml}"
+    );
+    assert!(xml.contains("<rank id=\"1\" host=\"dirac01\"/>"), "{xml}");
+    assert!(
+        xml.contains("<metric name=\"kernq&quot;b\\c\u{1}t\t&amp;&lt;x&gt;\""),
+        "{xml}"
+    );
+    assert!(!xml.contains("q\"b"), "{xml}");
 }

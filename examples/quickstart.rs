@@ -12,7 +12,7 @@
 
 use ipm_repro::apps::{run_square, SquareConfig};
 use ipm_repro::gpu::{GpuConfig, GpuRuntime};
-use ipm_repro::ipm::{to_xml, Banner, Export, Ipm, IpmConfig, IpmCuda};
+use ipm_repro::ipm::{Banner, Export, Ipm, IpmConfig, IpmCuda, Xml};
 use std::sync::Arc;
 
 fn main() {
@@ -46,7 +46,9 @@ fn main() {
     );
 
     // ... and writes the XML log for ipm_parse
-    let xml = to_xml(&profile);
+    let xml = Export::from_profile(profile.clone())
+        .to(Xml)
+        .expect("profile present");
     println!(
         "XML profiling log: {} bytes (first line: {})",
         xml.len(),

@@ -10,9 +10,7 @@ use ipm_repro::apps::{
 };
 use ipm_repro::gpu::{GpuConfig, GpuRuntime};
 use ipm_repro::ipm::parse::export_from_xml;
-use ipm_repro::ipm::{
-    from_xml, to_xml, Banner, ClusterReport, Export, Html, Ipm, IpmConfig, IpmCuda,
-};
+use ipm_repro::ipm::{Banner, ClusterReport, CubeXml, Export, Html, Ipm, IpmConfig, IpmCuda, Xml};
 use std::sync::Arc;
 
 /// The full Fig. 3→Fig. 6 pipeline: app → monitor → banner → XML →
@@ -28,13 +26,12 @@ fn square_profile_survives_the_xml_roundtrip() {
 
     let profile = ipm.profile();
     let direct_banner = Export::from(&ipm).max_rows(0).to(Banner).expect("profile");
-    let xml = to_xml(&profile);
-    let parsed = from_xml(&xml).expect("parse own XML");
-    assert_eq!(parsed, profile);
-    let reparsed_banner = export_from_xml(&[xml])
-        .expect("parse own XML")
-        .to(Banner)
-        .expect("banner from XML");
+    let xml = Export::from_profile(profile.clone())
+        .to(Xml)
+        .expect("profile");
+    let parsed = export_from_xml(&[xml]).expect("parse own XML");
+    assert_eq!(parsed.source().profiles(), [profile]);
+    let reparsed_banner = parsed.to(Banner).expect("banner from XML");
     assert_eq!(direct_banner, reparsed_banner);
 }
 
@@ -64,7 +61,11 @@ fn cluster_run_feeds_every_report_format() {
     assert_eq!(run.profiles.len(), nranks);
 
     // per-rank XML logs, like the files IPM writes at job exit
-    let xmls: Vec<String> = run.profiles.iter().map(to_xml).collect();
+    let xmls: Vec<String> = run
+        .profiles
+        .iter()
+        .map(|p| Export::from_profile(p.clone()).to(Xml).expect("profile"))
+        .collect();
     let banner = export_from_xml(&xmls)
         .expect("parse XML logs")
         .nodes(2)
@@ -73,16 +74,13 @@ fn cluster_run_feeds_every_report_format() {
     assert!(banner.contains("mpi_tasks : 4 on 2 nodes"));
     assert!(banner.contains("dgemm_nn_e_kernel") || banner.contains("@CUDA_EXEC_STRM"));
 
-    let report = ClusterReport::from_profiles(run.profiles.clone(), 2);
-    let html = Export::from_profiles(report.profiles().to_vec())
-        .nodes(2)
-        .to(Html)
-        .expect("ranks present");
+    let export = Export::from_profiles(run.profiles.clone()).nodes(2);
+    let html = export.to(Html).expect("ranks present");
     assert!(html.contains("dgemm_nn_e_kernel"));
 
-    let cube = ipm_repro::ipm::build_cube(&report);
+    let cube = ipm_repro::ipm::build_cube(&ClusterReport::from_profiles(run.profiles, 2));
     assert!(cube.node_count() > 5);
-    let cube_xml = ipm_repro::ipm::cube_to_xml(&cube, &report);
+    let cube_xml = export.to(CubeXml).expect("ranks present");
     assert!(cube_xml.contains("<cube"));
 }
 

@@ -16,6 +16,7 @@
 
 use ipm_repro::gpu::{ProfKind, ProfRecord, StreamId};
 use ipm_repro::interpose::CallHandle;
+use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
     validate_chrome_trace, ChromeTrace, CompactPolicy, Export, ExportRank, MonitorInfo,
     ProfileEntry, RankProfile, TraceAgg, TraceKind, TraceRecord, TraceRing, Xml,
@@ -451,4 +452,29 @@ fn mixed_two_rank_export_matches_golden_in_every_trace_format() {
         assert_eq!(stats.summary_spans, 3);
         check_golden("mixed_trace.otlp.json", &otlp);
     }
+}
+
+/// The committed two-rank XML golden loads back as its two ranks, each
+/// with its own profile, records and epoch, and re-renders byte for byte.
+#[test]
+fn mixed_xml_golden_loads_as_its_two_ranks() {
+    let golden = include_str!("golden/mixed_trace.xml");
+    let loaded = export_from_xml(&[golden.to_owned()]).expect("golden log parses");
+    let epochs: Vec<(usize, f64)> = loaded
+        .source()
+        .ranks
+        .iter()
+        .map(|r| (r.rank, r.epoch))
+        .collect();
+    assert_eq!(epochs, [(0, 0.1), (1, 2.7)]);
+    for (got, want) in loaded
+        .source()
+        .ranks
+        .iter()
+        .zip(&mixed_export().source().ranks)
+    {
+        assert_eq!(got.profile, want.profile);
+        assert_eq!(got.records, want.records);
+    }
+    assert!(loaded.to(Xml).expect("every rank carries a profile") == golden);
 }

@@ -126,8 +126,9 @@ proptest! {
         if let Ok(e) = export_from_xml(std::slice::from_ref(&xml)) {
             render_everything(&e);
         }
-        // the log again as rank 1: the cluster renderings and several ranks
-        let again = xml.replacen("<task rank=\"0\"", "<task rank=\"1\"", 1);
+        // the log again with its ranks renumbered (0 → 10, 1 → 11): the
+        // cluster renderings and several ranks
+        let again = xml.replace("<task rank=\"", "<task rank=\"1");
         if let Ok(e) = export_from_xml(&[xml, again]) {
             render_everything(&e);
         }

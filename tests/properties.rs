@@ -1,10 +1,10 @@
 //! Property-based tests over the core data structures and invariants.
 
+use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::table::CELL_SLOTS;
 use ipm_repro::ipm::{
-    from_xml, merge_runs, to_xml, validate_chrome_trace, ChromeTrace, CompactPolicy,
-    EventSignature, Export, ExportRank, PerfTable, ProfileEntry, RankProfile, TraceKind,
-    TraceRecord, TraceRing,
+    merge_runs, validate_chrome_trace, ChromeTrace, CompactPolicy, EventSignature, Export,
+    ExportRank, PerfTable, ProfileEntry, RankProfile, TraceKind, TraceRecord, TraceRing, Xml,
 };
 use ipm_repro::numlib::{blaskernels, fftkernels, Complex64, FftDirection, Transpose};
 use ipm_repro::sim::{RunningStats, SimClock, SimRng};
@@ -137,7 +137,7 @@ fn arb_profile() -> impl Strategy<Value = RankProfile> {
         });
     (
         0usize..512,
-        "[ -~]{0,40}",
+        "[ -~\n\r\t]{0,40}",
         prop::collection::vec(entry, 0..20),
         0.0f64..1e5,
     )
@@ -156,12 +156,18 @@ fn arb_profile() -> impl Strategy<Value = RankProfile> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Any profile round-trips exactly through the XML dialect.
+    /// Profiles of distinct ranks written into one log by the `Xml`
+    /// backend load back exactly, one rank per `<task>`.
     #[test]
-    fn xml_roundtrip_is_identity(profile in arb_profile()) {
-        let xml = to_xml(&profile);
-        let back = from_xml(&xml).expect("parse");
-        prop_assert_eq!(back, profile);
+    fn xml_roundtrip_is_identity(profiles in prop::collection::vec(arb_profile(), 1..4)) {
+        let mut profiles = profiles;
+        for (i, p) in profiles.iter_mut().enumerate() {
+            p.rank = 3 * p.rank + i;
+        }
+        let xml = Export::from_profiles(profiles.clone()).to(Xml).expect("profiles");
+        let back = export_from_xml(&[xml]).expect("parse");
+        profiles.sort_by_key(|p| p.rank);
+        prop_assert_eq!(back.source().profiles(), profiles);
     }
 }
 
