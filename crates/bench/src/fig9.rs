@@ -7,21 +7,19 @@
 //! 2–5 s per task of manual `cudaEventSynchronize`.
 
 use ipm_apps::{run_cluster, run_hpl, ClusterConfig, HplConfig};
-use ipm_core::{build_cube, ClusterReport, Cube, CubeMetric, CubeXml, Export};
+use ipm_core::{ClusterReport, Cube, CubeXml, Export};
 
 /// Outcome of the Fig. 9 experiment.
 pub struct Fig9Result {
     pub report: ClusterReport,
-    pub cube: CubeMetric,
 }
 
-/// Run HPL monitored on `nranks` ranks (paper: 16) and build the CUBE.
+/// Run HPL monitored on `nranks` ranks (paper: 16).
 pub fn run_fig9(nranks: usize, hpl: HplConfig) -> Fig9Result {
     let cfg = ClusterConfig::dirac(nranks, nranks).with_command("xhpl.cuda");
     let run = run_cluster(&cfg, |ctx| run_hpl(ctx, hpl).expect("hpl"));
     let report = ClusterReport::from_profiles(run.profiles, nranks);
-    let cube = build_cube(&report);
-    Fig9Result { report, cube }
+    Fig9Result { report }
 }
 
 impl Fig9Result {
@@ -48,6 +46,7 @@ impl Fig9Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipm_core::build_cube;
 
     fn result() -> Fig9Result {
         run_fig9(4, HplConfig::tiny())
@@ -72,7 +71,8 @@ mod tests {
     #[test]
     fn host_idle_is_negligible_in_the_cube() {
         let r = result();
-        let cuda = &r.cube.children[0];
+        let cube = build_cube(&r.report);
+        let cuda = &cube.children[0];
         let idle = cuda
             .children
             .iter()

@@ -12,9 +12,8 @@
 //! experiment binary and as a machine-readable CUBE-like XML document.
 
 use crate::aggregate::ClusterReport;
-use crate::profile::{EventFamily, RankProfile};
+use crate::profile::EventFamily;
 use crate::xml::Escaped;
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// One metric node of the CUBE hierarchy with per-rank severity values.
@@ -44,82 +43,133 @@ impl CubeMetric {
 
 /// Build the CUBE metric hierarchy from an aggregated report: the CUDA
 /// hierarchy (per-stream kernel execution, host idle, API time) above the
-/// MPI hierarchy (per-call totals) — Fig. 9's layout. Streams, kernels and
-/// MPI calls are listed in name order.
+/// MPI hierarchy (per-call totals) — Fig. 9's layout.
 pub fn build_cube(report: &ClusterReport) -> CubeMetric {
-    let profiles = report.profiles();
-    let per_rank =
-        |f: &dyn Fn(&RankProfile) -> f64| -> Vec<f64> { profiles.iter().map(f).collect() };
-    let entries = || profiles.iter().flat_map(|p| &p.entries);
-    let names = |family: EventFamily| -> BTreeSet<&str> {
-        entries()
-            .filter(|e| e.family() == family)
-            .map(|e| e.name.as_str())
-            .collect()
-    };
-    let leaf = |name: &str, per_rank: Vec<f64>| CubeMetric {
-        name: name.to_owned(),
-        per_rank,
-        children: Vec::new(),
-    };
+    let nranks = report.nranks;
+    let per_rank_of =
+        |name: &str| -> Vec<f64> { report.profiles().iter().map(|p| p.time_of(name)).collect() };
 
     // CUDA subtree: kernels per stream
-    let streams: Vec<CubeMetric> = names(EventFamily::GpuExec)
-        .into_iter()
-        .map(|stream| {
-            let kernels: BTreeSet<&str> = entries()
-                .filter(|e| e.name == stream)
-                .filter_map(|e| e.detail.as_deref())
-                .collect();
-            let kernel_time = |p: &RankProfile, k: &str| -> f64 {
-                p.entries
-                    .iter()
-                    .filter(|e| e.name == stream && e.detail.as_deref() == Some(k))
-                    .map(|e| e.stats.total)
-                    .sum()
-            };
-            CubeMetric {
-                name: stream.to_owned(),
-                per_rank: per_rank(&|p| p.time_of(stream)),
-                children: kernels
-                    .into_iter()
-                    .map(|k| leaf(k, per_rank(&|p| kernel_time(p, k))))
-                    .collect(),
+    let mut stream_children: Vec<CubeMetric> = Vec::new();
+    let mut stream_names: Vec<String> = Vec::new();
+    for p in report.profiles() {
+        for e in &p.entries {
+            if e.family() == EventFamily::GpuExec && !stream_names.contains(&e.name) {
+                stream_names.push(e.name.clone());
             }
-        })
+        }
+    }
+    stream_names.sort();
+    for sname in stream_names {
+        // kernels within this stream
+        let mut kernel_names: Vec<String> = Vec::new();
+        for p in report.profiles() {
+            for e in &p.entries {
+                if e.name == sname {
+                    if let Some(d) = &e.detail {
+                        if !kernel_names.contains(d) {
+                            kernel_names.push(d.clone());
+                        }
+                    }
+                }
+            }
+        }
+        kernel_names.sort();
+        let children: Vec<CubeMetric> = kernel_names
+            .into_iter()
+            .map(|k| CubeMetric {
+                per_rank: report
+                    .profiles()
+                    .iter()
+                    .map(|p| {
+                        p.entries
+                            .iter()
+                            .filter(|e| e.name == sname && e.detail.as_deref() == Some(&k))
+                            .map(|e| e.stats.total)
+                            .sum()
+                    })
+                    .collect(),
+                name: k,
+                children: Vec::new(),
+            })
+            .collect();
+        stream_children.push(CubeMetric {
+            per_rank: per_rank_of(&sname),
+            name: sname,
+            children,
+        });
+    }
+
+    let cuda_api: Vec<f64> = report
+        .profiles()
+        .iter()
+        .map(|p| p.family_time(EventFamily::Cuda))
         .collect();
-    let api = leaf("API time", per_rank(&|p| p.family_time(EventFamily::Cuda)));
-    let idle = leaf(
-        "@CUDA_HOST_IDLE",
-        per_rank(&|p| p.family_time(EventFamily::HostIdle)),
-    );
-    let cuda = CubeMetric {
+    let host_idle: Vec<f64> = report
+        .profiles()
+        .iter()
+        .map(|p| p.family_time(EventFamily::HostIdle))
+        .collect();
+    let cuda_subtree = CubeMetric {
         name: "CUDA".to_owned(),
-        per_rank: (0..report.nranks)
+        per_rank: (0..nranks)
             .map(|r| {
-                api.per_rank[r]
-                    + idle.per_rank[r]
-                    + streams.iter().map(|s| s.per_rank[r]).sum::<f64>()
+                cuda_api[r]
+                    + host_idle[r]
+                    + stream_children.iter().map(|s| s.per_rank[r]).sum::<f64>()
             })
             .collect(),
-        children: [api, idle].into_iter().chain(streams).collect(),
+        children: {
+            let mut ch = vec![
+                CubeMetric {
+                    name: "API time".to_owned(),
+                    per_rank: cuda_api,
+                    children: vec![],
+                },
+                CubeMetric {
+                    name: "@CUDA_HOST_IDLE".to_owned(),
+                    per_rank: host_idle,
+                    children: vec![],
+                },
+            ];
+            ch.extend(stream_children);
+            ch
+        },
     };
 
     // MPI subtree: one child per MPI call
-    let mpi = CubeMetric {
+    let mut mpi_names: Vec<String> = Vec::new();
+    for p in report.profiles() {
+        for e in &p.entries {
+            if e.family() == EventFamily::Mpi && !mpi_names.contains(&e.name) {
+                mpi_names.push(e.name.clone());
+            }
+        }
+    }
+    mpi_names.sort();
+    let mpi_children: Vec<CubeMetric> = mpi_names
+        .iter()
+        .map(|n| CubeMetric {
+            name: n.clone(),
+            per_rank: per_rank_of(n),
+            children: vec![],
+        })
+        .collect();
+    let mpi_subtree = CubeMetric {
         name: "MPI".to_owned(),
-        per_rank: per_rank(&|p| p.family_time(EventFamily::Mpi)),
-        children: names(EventFamily::Mpi)
-            .into_iter()
-            .map(|n| leaf(n, per_rank(&|p| p.time_of(n))))
+        per_rank: report
+            .profiles()
+            .iter()
+            .map(|p| p.family_time(EventFamily::Mpi))
             .collect(),
+        children: mpi_children,
     };
 
     CubeMetric {
         name: "time".to_owned(),
-        per_rank: per_rank(&|p| p.wallclock),
+        per_rank: report.profiles().iter().map(|p| p.wallclock).collect(),
         // CUDA hierarchy above MPI, per the Fig. 9 caption
-        children: vec![cuda, mpi],
+        children: vec![cuda_subtree, mpi_subtree],
     }
 }
 

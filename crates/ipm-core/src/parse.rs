@@ -27,7 +27,7 @@ pub fn export_from_xml(xmls: &[String]) -> Result<Export, XmlError> {
     ranks.sort_by_key(|r| r.rank);
     if let Some(w) = ranks.windows(2).find(|w| w[0].rank == w[1].rank) {
         return Err(XmlError::Malformed(format!(
-            "two logs of rank {}",
+            "two <task>s of rank {}",
             w[0].rank
         )));
     }
@@ -174,7 +174,7 @@ mod tests {
         ];
         assert_eq!(
             export_from_xml(&xmls).unwrap_err(),
-            XmlError::Malformed("two logs of rank 1".to_owned())
+            XmlError::Malformed("two <task>s of rank 1".to_owned())
         );
         // two tasks of one rank in one log, as well
         let one_log = Export::from_profiles([profile(0), profile(1), profile(0)])
@@ -182,7 +182,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             export_from_xml(&[one_log]).unwrap_err(),
-            XmlError::Malformed("two logs of rank 0".to_owned())
+            XmlError::Malformed("two <task>s of rank 0".to_owned())
         );
     }
 
@@ -222,11 +222,12 @@ mod tests {
         assert!(export_from_xml(&["not xml".to_owned()]).is_err());
     }
 
-    /// One log per rank of a launch and its kernel.
-    fn launch_logs() -> [String; 2] {
+    /// One log per rank of a launch and its kernel; `at(rank)` gives the
+    /// pair's correlation id and start time.
+    fn launch_logs(at: fn(usize) -> (u64, f64)) -> [String; 2] {
         use crate::trace::{TraceKind, TraceRecord};
         [0, 1].map(|rank: usize| {
-            let t = 0.1 * rank as f64;
+            let (corr, t) = at(rank);
             let launch = TraceRecord {
                 kind: TraceKind::Call,
                 name: "cudaLaunch",
@@ -236,7 +237,7 @@ mod tests {
                 bytes: 0,
                 region: 0,
                 stream: None,
-                corr: 1 + rank as u64,
+                corr,
                 agg: None,
             };
             let kernel = TraceRecord {
@@ -257,7 +258,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_from_xml_logs_is_valid() {
-        let json = export_from_xml(&launch_logs())
+        let json = export_from_xml(&launch_logs(|rank| (1 + rank as u64, 0.1 * rank as f64)))
             .unwrap()
             .to(ChromeTrace)
             .unwrap();
@@ -271,7 +272,9 @@ mod tests {
     #[cfg(feature = "otlp")]
     #[test]
     fn otlp_from_xml_logs_is_valid_and_linked() {
-        let json = export_from_xml(&launch_logs())
+        // both ranks reuse one correlation id at the same local times: each
+        // rank keeps its own link
+        let json = export_from_xml(&launch_logs(|_| (5, 0.1)))
             .unwrap()
             .to(crate::export::Otlp)
             .unwrap();

@@ -739,10 +739,19 @@ mod tests {
 
     #[test]
     fn summary_records_and_epoch_roundtrip() {
-        let trace = vec![summary()];
+        // a multi-digit count and sub-unit dyadic bounds
+        let trace = vec![TraceRecord {
+            agg: Some(TraceAgg {
+                count: 123,
+                min: 0.001953125,
+                max: 0.125,
+                ..summary().agg.unwrap()
+            }),
+            ..summary()
+        }];
         let xml = with_trace(&sample(), &trace, 0.5);
         assert!(xml.contains("<trace epoch=\"0.5\">"));
-        assert!(xml.contains("count=\"3\""));
+        assert!(xml.contains("count=\"123\""));
         assert_eq!(load_records(&xml).unwrap(), trace);
         assert_eq!(load(&xml).unwrap().epoch, 0.5);
         // epoch 0 writes the bare element, which parses back to 0

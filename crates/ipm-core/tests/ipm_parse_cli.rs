@@ -65,7 +65,7 @@ fn banner_cube_and_trace_refuse_two_logs_of_one_rank() {
         let out = ipm_parse(&[mode], &logs);
         assert!(!out.status.success(), "{mode} accepted two logs of rank 0");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("two logs of rank 0"), "{mode}: {stderr}");
+        assert!(stderr.contains("two <task>s of rank 0"), "{mode}: {stderr}");
     }
 }
 
