@@ -14,6 +14,7 @@
 use crate::aggregate::ClusterReport;
 use crate::profile::EventFamily;
 use crate::xml::Escaped;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// One metric node of the CUBE hierarchy with per-rank severity values.
@@ -49,32 +50,26 @@ pub fn build_cube(report: &ClusterReport) -> CubeMetric {
     let per_rank_of =
         |name: &str| -> Vec<f64> { report.profiles().iter().map(|p| p.time_of(name)).collect() };
 
-    // CUDA subtree: kernels per stream
-    let mut stream_children: Vec<CubeMetric> = Vec::new();
-    let mut stream_names: Vec<String> = Vec::new();
-    for p in report.profiles() {
-        for e in &p.entries {
-            if e.family() == EventFamily::GpuExec && !stream_names.contains(&e.name) {
-                stream_names.push(e.name.clone());
+    // the stream names with the kernels each ran, and the MPI call names,
+    // over every rank, in name order
+    let mut streams: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut mpi_names: BTreeSet<&str> = BTreeSet::new();
+    for e in report.profiles().iter().flat_map(|p| &p.entries) {
+        match e.family() {
+            EventFamily::GpuExec => streams
+                .entry(&e.name)
+                .or_default()
+                .extend(e.detail.as_deref()),
+            EventFamily::Mpi => {
+                mpi_names.insert(&e.name);
             }
+            _ => {}
         }
     }
-    stream_names.sort();
-    for sname in stream_names {
-        // kernels within this stream
-        let mut kernel_names: Vec<String> = Vec::new();
-        for p in report.profiles() {
-            for e in &p.entries {
-                if e.name == sname {
-                    if let Some(d) = &e.detail {
-                        if !kernel_names.contains(d) {
-                            kernel_names.push(d.clone());
-                        }
-                    }
-                }
-            }
-        }
-        kernel_names.sort();
+
+    // CUDA subtree: kernels per stream
+    let mut stream_children: Vec<CubeMetric> = Vec::new();
+    for (sname, kernel_names) in streams {
         let children: Vec<CubeMetric> = kernel_names
             .into_iter()
             .map(|k| CubeMetric {
@@ -84,18 +79,18 @@ pub fn build_cube(report: &ClusterReport) -> CubeMetric {
                     .map(|p| {
                         p.entries
                             .iter()
-                            .filter(|e| e.name == sname && e.detail.as_deref() == Some(&k))
+                            .filter(|e| e.name == sname && e.detail.as_deref() == Some(k))
                             .map(|e| e.stats.total)
                             .sum()
                     })
                     .collect(),
-                name: k,
+                name: k.to_owned(),
                 children: Vec::new(),
             })
             .collect();
         stream_children.push(CubeMetric {
-            per_rank: per_rank_of(&sname),
-            name: sname,
+            name: sname.to_owned(),
+            per_rank: per_rank_of(sname),
             children,
         });
     }
@@ -138,19 +133,10 @@ pub fn build_cube(report: &ClusterReport) -> CubeMetric {
     };
 
     // MPI subtree: one child per MPI call
-    let mut mpi_names: Vec<String> = Vec::new();
-    for p in report.profiles() {
-        for e in &p.entries {
-            if e.family() == EventFamily::Mpi && !mpi_names.contains(&e.name) {
-                mpi_names.push(e.name.clone());
-            }
-        }
-    }
-    mpi_names.sort();
     let mpi_children: Vec<CubeMetric> = mpi_names
-        .iter()
+        .into_iter()
         .map(|n| CubeMetric {
-            name: n.clone(),
+            name: n.to_owned(),
             per_rank: per_rank_of(n),
             children: vec![],
         })

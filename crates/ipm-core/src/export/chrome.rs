@@ -11,7 +11,7 @@
 //! subcommand.
 
 use super::ExportRank;
-use crate::jsonw::{parse_json, push_escaped, push_u64, Escaped, Json};
+use crate::jsonw::{parse_json, push_escaped, push_f64, push_u64, Escaped, Json};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_gpu_sim::{ProfKind, ProfRecord};
 use std::collections::{BTreeMap, HashMap};
@@ -57,7 +57,8 @@ impl Args<'_> {
     fn push(self, out: &mut String) {
         let t = match self {
             Args::Prof(p) => {
-                let _ = write!(out, "\"gputime_us\":{}", p.gputime * 1e6);
+                out.push_str("\"gputime_us\":");
+                push_f64(out, us(p.gputime));
                 return;
             }
             Args::Host(t) => {
@@ -75,13 +76,12 @@ impl Args<'_> {
         if let Some(a) = t.agg {
             out.push_str(",\"count\":");
             push_u64(out, a.count);
-            let _ = write!(
-                out,
-                ",\"total_us\":{},\"min_us\":{},\"max_us\":{}",
-                us(a.total),
-                us(a.min),
-                us(a.max)
-            );
+            out.push_str(",\"total_us\":");
+            push_f64(out, us(a.total));
+            out.push_str(",\"min_us\":");
+            push_f64(out, us(a.min));
+            out.push_str(",\"max_us\":");
+            push_f64(out, us(a.max));
         }
     }
 }
@@ -171,7 +171,8 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u64, mut slices: Vec<LaneSlice<'_
             push_escaped(out, name);
             out.push('"');
             out.push_str(&lane);
-            let _ = write!(out, "{}}}", us(end));
+            push_f64(out, us(end));
+            out.push('}');
         }
     };
     for s in slices {
@@ -191,7 +192,8 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u64, mut slices: Vec<LaneSlice<'_
                 out.push_str(head);
                 push_u64(out, id);
                 out.push_str(&lane);
-                let _ = write!(out, "{}}}", us(s.begin));
+                push_f64(out, us(s.begin));
+                out.push('}');
             }
         }
         // a raw slice that overlaps the open one without nesting in it
@@ -207,9 +209,11 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u64, mut slices: Vec<LaneSlice<'_
         out.push('"');
         out.push_str(&lane);
         if whole {
-            let _ = write!(out, "{},\"dur\":{}", us(s.begin), us(s.end - s.begin));
+            push_f64(out, us(s.begin));
+            out.push_str(",\"dur\":");
+            push_f64(out, us(s.end - s.begin));
         } else {
-            let _ = write!(out, "{}", us(s.begin));
+            push_f64(out, us(s.begin));
             stack.push((s.end, s.name));
         }
         out.push_str(",\"args\":{");

@@ -108,11 +108,11 @@ fn trace_buffer(ranks: &[ExportRank], bytes_per_record: usize) -> String {
 
 /// Records a multi-rank trace rendering must hold before its ranks are
 /// rendered on several threads. This is not a measured crossover: on a
-/// 2-vCPU VM (two ranks of launch/kernel pairs, best of 60 renders) two
-/// threads already beat one at 2,048 records for Chrome (1.0 → 0.7 ms),
-/// while OTLP gained at most a quarter at any size from 2,048 to 131,072
-/// records, and nothing in some runs. The value only keeps traces that
-/// render in a few ms off threads and off `available_parallelism`.
+/// 2-vCPU VM (`thread_crossover_table` below) two threads beat one from
+/// 2,048 records on for Chrome, while OTLP gained at most a quarter at any
+/// size from 2,048 to 131,072 records, and lost at some. The value only
+/// keeps traces that render in a few ms off threads and off
+/// `available_parallelism`.
 const PARALLEL_RECORDS: usize = 1 << 14;
 
 /// How many threads a trace rendering of `ranks` uses: one for a single
@@ -665,6 +665,49 @@ mod tests {
             assert!(Otlp.render(&src).unwrap() == otlp);
         }
         assert_eq!(above, 2, "cases on both sides of the threshold");
+    }
+
+    /// The 1 → 2 thread table behind [`PARALLEL_RECORDS`]: two ranks of
+    /// launch/kernel pairs, the best of 60 interleaved renders per thread
+    /// count. It times rather than checks, so it only runs when asked:
+    /// `cargo test --release -p ipm-core --lib thread_crossover_table --
+    /// --ignored --nocapture`.
+    #[test]
+    #[ignore = "a timing table, not a check"]
+    fn thread_crossover_table() {
+        use std::time::Instant;
+        println!("| records | Chrome 1 → 2 threads | OTLP 1 → 2 threads |");
+        for records in [2_048, 4_096, 16_384, 65_536, 131_072] {
+            let src = ExportSource {
+                ranks: vec![
+                    traced_rank(0, records / 4, false),
+                    traced_rank(1, records / 4, false),
+                ],
+                ..ExportSource::default()
+            };
+            // best ms of [Chrome, OTLP] on [1, 2] threads
+            let mut best = [[f64::INFINITY; 2]; 2];
+            for _ in 0..60 {
+                for threads in [1, 2] {
+                    let t = Instant::now();
+                    std::hint::black_box(chrome::chrome_trace_json(&src.ranks, threads));
+                    let ms = t.elapsed().as_secs_f64() * 1e3;
+                    best[0][threads - 1] = best[0][threads - 1].min(ms);
+                    #[cfg(feature = "otlp")]
+                    {
+                        let t = Instant::now();
+                        std::hint::black_box(otlp::otlp_trace_json(&src, threads));
+                        let ms = t.elapsed().as_secs_f64() * 1e3;
+                        best[1][threads - 1] = best[1][threads - 1].min(ms);
+                    }
+                }
+            }
+            let [chrome, otlp] = best;
+            println!(
+                "| {records} | {:.2} → {:.2} ms | {:.2} → {:.2} ms |",
+                chrome[0], chrome[1], otlp[0], otlp[1]
+            );
+        }
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! mirroring [`super::validate_chrome_trace`].
 
 use super::{ExportRank, ExportSource};
-use crate::jsonw::{parse_json, push_escaped, push_hex16, push_hex32, push_i64, push_u64, Json};
+use crate::jsonw::{
+    parse_json, push_escaped, push_f64, push_hex16, push_hex32, push_i64, push_u64, Json,
+};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_gpu_sim::ProfKind;
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 
 /// Signed nanoseconds relative to the epoch, rounded to the nearest tick.
 fn ns(t: f64, epoch: f64) -> i64 {
@@ -72,7 +73,10 @@ impl<'o> Attrs<'o> {
     }
 
     fn f64(&mut self, key: &str, val: f64) {
-        let _ = write!(self.key(key), "\"doubleValue\":{val}}}}}");
+        let out = self.key(key);
+        out.push_str("\"doubleValue\":");
+        push_f64(out, val);
+        out.push_str("}}");
     }
 
     /// Compaction aggregate attributes, mirroring the Chrome `X` event args.

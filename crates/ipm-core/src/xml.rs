@@ -26,7 +26,7 @@
 
 use crate::compact::TraceAgg;
 use crate::export::ExportRank;
-use crate::jsonw::push_u64;
+use crate::jsonw::{push_f64, push_non_finite, push_u64};
 use crate::profile::{MonitorInfo, ProfileEntry, RankProfile};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_interpose::CallHandle;
@@ -104,12 +104,19 @@ fn push_int_attr(out: &mut String, name: &str, v: u64) {
     out.push('"');
 }
 
-/// Append ` name="<v>"` for an `f64` attribute, written by `{}`.
+/// Append ` name="<v>"` for an `f64` attribute, as `{}` writes it. Trace
+/// times are finite, but an empty hash entry's `min` and `max` are the
+/// infinities, and a loaded log's statistics and wallclock are not
+/// bounded.
 fn push_f64_attr(out: &mut String, name: &str, v: f64) {
     out.push(' ');
     out.push_str(name);
     out.push_str("=\"");
-    let _ = write!(out, "{v}");
+    if v.is_finite() {
+        push_f64(out, v);
+    } else {
+        push_non_finite(out, v);
+    }
     out.push('"');
 }
 
@@ -148,15 +155,13 @@ pub(crate) const EVENT_BYTES: usize = 160;
 /// buffer.
 pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord], epoch: f64) {
     out.push_str("<ipm version=\"2.0\">\n");
-    let _ = writeln!(
-        out,
-        "  <task rank=\"{}\" nranks=\"{}\" host=\"{}\" wallclock=\"{}\" dropped=\"{}\">",
-        p.rank,
-        p.nranks,
-        Escaped(&p.host),
-        p.wallclock,
-        p.dropped_events,
-    );
+    out.push_str("  <task");
+    push_int_attr(out, "rank", p.rank as u64);
+    push_int_attr(out, "nranks", p.nranks as u64);
+    push_str_attr(out, "host", &p.host);
+    push_f64_attr(out, "wallclock", p.wallclock);
+    push_int_attr(out, "dropped", p.dropped_events);
+    out.push_str(">\n");
     let _ = writeln!(out, "    <command>{}</command>", Escaped(&p.command));
     let m = &p.monitor;
     let _ = writeln!(
@@ -170,11 +175,11 @@ pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord]
     }
     out.push_str("    </regions>\n");
     if !trace.is_empty() {
+        out.push_str("    <trace");
         if epoch != 0.0 {
-            let _ = writeln!(out, "    <trace epoch=\"{epoch}\">");
-        } else {
-            out.push_str("    <trace>\n");
+            push_f64_attr(out, "epoch", epoch);
         }
+        out.push_str(">\n");
         for t in trace {
             out.push_str("      <event kind=\"");
             out.push(t.kind.tag());

@@ -4,7 +4,8 @@ use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::table::CELL_SLOTS;
 use ipm_repro::ipm::{
     merge_runs, validate_chrome_trace, ChromeTrace, CompactPolicy, EventSignature, Export,
-    ExportRank, PerfTable, ProfileEntry, RankProfile, TraceKind, TraceRecord, TraceRing, Xml,
+    ExportRank, PerfTable, ProfileEntry, RankProfile, TraceAgg, TraceKind, TraceRecord, TraceRing,
+    Xml,
 };
 use ipm_repro::numlib::{blaskernels, fftkernels, Complex64, FftDirection, Transpose};
 use ipm_repro::sim::{RunningStats, SimClock, SimRng};
@@ -168,6 +169,86 @@ proptest! {
         let back = export_from_xml(&[xml]).expect("parse");
         profiles.sort_by_key(|p| p.rank);
         prop_assert_eq!(back.source().profiles(), profiles);
+    }
+}
+
+/// A finite time within the log reader's 1e12 s bound, of either sign:
+/// a subnormal, one of the binade just under the bound (clamped to it), or
+/// one of any binade up to 2^40.
+fn arb_time() -> impl Strategy<Value = f64> {
+    (0u8..4, any::<u64>()).prop_map(|(class, bits)| {
+        let exponent = match class {
+            0 => 0,
+            1 => 1062,
+            _ => (bits >> 52) % 1063,
+        };
+        let t = f64::from_bits(bits & (1 << 63) | exponent << 52 | bits & ((1 << 52) - 1));
+        t.clamp(-1e12, 1e12)
+    })
+}
+
+/// A trace record over two such times, half of them compaction summaries
+/// whose aggregate is three more.
+fn arb_timed_record() -> impl Strategy<Value = TraceRecord> {
+    (
+        (arb_time(), arb_time()),
+        (arb_time(), arb_time(), arb_time()),
+        prop::option::of(1u64..1000),
+    )
+        .prop_map(|((a, b), (total, min, max), count)| {
+            let (begin, end) = if a <= b { (a, b) } else { (b, a) };
+            let mut r = trace_rec(TraceKind::Call, "cudaLaunch", begin, end, None, 0);
+            r.agg = count.map(|count| TraceAgg {
+                count,
+                total,
+                min,
+                max,
+                exemplar: (begin, end),
+            });
+            r
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Trace times written into the log by the `Xml` backend load back bit
+    /// for bit: the writer's shortest digits always read back as the same
+    /// `f64`, from subnormals to the reader's bound.
+    fn xml_trace_times_roundtrip_bit_for_bit(
+        records in prop::collection::vec(arb_timed_record(), 1..64),
+        epoch in arb_time(),
+    ) {
+        let profile = RankProfile {
+            rank: 0,
+            nranks: 1,
+            host: "dirac00".to_owned(),
+            command: "times".to_owned(),
+            wallclock: 1.0,
+            regions: vec!["<program>".to_owned()],
+            entries: Vec::new(),
+            dropped_events: 0,
+            monitor: Default::default(),
+        };
+        let xml = Export::from_profile(profile)
+            .with_trace(records.clone())
+            .with_epoch(epoch)
+            .to(Xml)
+            .expect("a profiled rank");
+        let back = export_from_xml(&[xml]).expect("parse");
+        let rank = &back.source().ranks[0];
+        // an epoch of ±0 means "unaligned" and is left out of the log
+        let epoch = if epoch == 0.0 { 0.0 } else { epoch };
+        prop_assert_eq!(rank.epoch.to_bits(), epoch.to_bits());
+        prop_assert_eq!(rank.records.len(), records.len());
+        let bits = |r: &TraceRecord| {
+            let agg = r.agg.map(|a| {
+                [a.total, a.min, a.max, a.exemplar.0, a.exemplar.1].map(f64::to_bits)
+            });
+            (r.begin.to_bits(), r.end.to_bits(), r.agg.map(|a| a.count), agg)
+        };
+        for (got, want) in rank.records.iter().zip(&records) {
+            prop_assert_eq!(bits(got), bits(want));
+        }
     }
 }
 
