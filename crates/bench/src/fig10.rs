@@ -105,20 +105,24 @@ pub fn render(rows: &[Fig10Row]) -> String {
 mod tests {
     use super::*;
 
-    /// Reduced sweep: the paper's shape at test-friendly sizes.
-    fn quick_sweep() -> Vec<Fig10Row> {
-        let cfg = |backend| ParatecConfig {
-            nbands: 64,
-            npw: 1 << 17,
-            iterations: 4,
-            gemms_per_iter: 6,
-            ffts_per_iter: 2,
-            gather_bytes: 64 * 1024,
-            gathers_per_iter: 8,
-            other_work_per_iter: 16.0,
-            backend,
-        };
-        run_fig10(&[4, 8, 16], cfg)
+    /// Reduced sweep: the paper's shape at test-friendly sizes. It is
+    /// deterministic, so it runs once and the tests below share it.
+    fn quick_sweep() -> &'static [Fig10Row] {
+        static ROWS: std::sync::OnceLock<Vec<Fig10Row>> = std::sync::OnceLock::new();
+        ROWS.get_or_init(|| {
+            let cfg = |backend| ParatecConfig {
+                nbands: 64,
+                npw: 1 << 17,
+                iterations: 4,
+                gemms_per_iter: 6,
+                ffts_per_iter: 2,
+                gather_bytes: 64 * 1024,
+                gathers_per_iter: 8,
+                other_work_per_iter: 16.0,
+                backend,
+            };
+            run_fig10(&[4, 8, 16], cfg)
+        })
     }
 
     #[test]
@@ -194,7 +198,7 @@ mod tests {
     #[test]
     fn rendered_table_has_all_rows() {
         let rows = quick_sweep();
-        let text = render(&rows);
+        let text = render(rows);
         assert_eq!(text.lines().count(), 1 + rows.len());
         assert!(text.contains("CUBLAS"));
         assert!(text.contains("MKL"));

@@ -3,9 +3,9 @@
 //! The benchmark harness of the reproduction: one module per table/figure
 //! of the paper's evaluation, each exposing the experiment as a library
 //! function (so it is unit-tested) plus a `repro-*` binary that prints the
-//! regenerated table or figure. Criterion microbenches of IPM internals
-//! (hash table, wrapper overhead, KTT policies, XML) live under
-//! `benches/`.
+//! regenerated table or figure. `benches/internals.rs` times the internal
+//! figures no perfbench metric covers: the KTT sweep policies, interned vs
+//! string-keyed recording, a contended table and the MPI collectives.
 //!
 //! | Paper | Module | Binary |
 //! |---|---|---|

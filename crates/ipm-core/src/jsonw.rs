@@ -803,6 +803,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
+        #[test]
         fn writers_match_fmt_on_random_values(u in any::<u64>(), shift in 0u32..64) {
             // `u >> shift` covers every digit count, not only 19-20 digits
             let small = u >> shift;
@@ -810,6 +811,7 @@ mod tests {
             prop_assert_eq!(pushed(|o| push_u64(o, small)), format!("{small}"));
         }
 
+        #[test]
         fn escaper_matches_escaped_on_random_names(s in "[a-zA-Z0-9_@()<>&\"\\\n\t\u{1}é ]{0,24}") {
             prop_assert_eq!(pushed(|o| push_escaped(o, &s)), Escaped(&s).to_string());
         }
@@ -819,6 +821,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
+        #[test]
         fn writers_match_fmt_on_random_ids(
             u in any::<u64>(),
             i in any::<i64>(),
@@ -838,6 +841,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
+        #[test]
         fn writers_match_fmt_on_random_f64_bits(bits in any::<u64>()) {
             let v = f64::from_bits(bits);
             if v.is_finite() {
@@ -848,6 +852,7 @@ mod tests {
         /// What the exporters write: times in seconds up to the reader's
         /// 1e12 s bound, spread over every magnitude, as Chrome's µs, as
         /// µs durations, and relative to an epoch (OTLP and the XML epoch).
+        #[test]
         fn writers_match_fmt_on_exported_times(
             t in 0.0f64..1e12,
             scale in 0i32..16,

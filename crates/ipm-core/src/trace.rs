@@ -502,9 +502,9 @@ impl TraceRing {
 
     /// Copy each stripe's resident records as its own sorted run, without
     /// removing anything. This is the merge input [`TraceRing::snapshot`]
-    /// consumes; exposed so tests and benches can compare the k-way merge
-    /// against a reference global sort, and so streaming consumers can
-    /// merge incrementally.
+    /// consumes; exposed so tests can compare the k-way merge against a
+    /// reference global sort, and so streaming consumers can merge
+    /// incrementally.
     pub fn snapshot_runs(&self) -> Vec<Vec<TraceRecord>> {
         let mut runs = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {

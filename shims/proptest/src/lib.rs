@@ -466,7 +466,9 @@ pub mod prop {
 // Macros.
 // ---------------------------------------------------------------------------
 
-/// Defines `#[test]` functions whose arguments are drawn from strategies.
+/// Defines functions whose arguments are drawn from strategies. As in the
+/// real crate, the macro adds no `#[test]`: each function writes its own,
+/// so every property is registered once.
 ///
 /// Supported grammar (the subset this workspace uses):
 ///
@@ -474,6 +476,7 @@ pub mod prop {
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(32))]
 ///     /// doc comments and attributes carry through
+///     #[test]
 ///     fn my_test(x in 0u32..10, (a, b) in (0f64..1.0, any::<bool>())) {
 ///         prop_assert!(x < 10);
 ///     }
@@ -498,7 +501,6 @@ macro_rules! __proptest_fns {
      fn $name:ident($($pat:pat_param in $strat:expr),+ $(,)?) $body:block
      $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let __config = $config;
             $crate::run_proptest(stringify!($name), &__config, |__rng| {
@@ -601,25 +603,30 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Ranges respect their bounds.
+        #[test]
         fn int_range_in_bounds(x in 3u64..17) {
             prop_assert!((3..17).contains(&x));
         }
 
+        #[test]
         fn f64_range_in_bounds(x in -1e3f64..1e3) {
             prop_assert!((-1e3..1e3).contains(&x), "got {}", x);
         }
 
+        #[test]
         fn string_class_respects_len(s in "[a-z_]{1,16}") {
             prop_assert!(!s.is_empty() && s.len() <= 16);
             prop_assert!(s.chars().all(|c| c == '_' || c.is_ascii_lowercase()));
         }
 
+        #[test]
         fn tuples_and_vec((a, b) in (0u8..6, 0u16..3), v in prop::collection::vec(0u32..100, 0usize..8)) {
             prop_assert!(a < 6 && b < 3);
             prop_assert!(v.len() < 8);
             prop_assert!(v.iter().all(|&x| x < 100));
         }
 
+        #[test]
         fn option_and_map(o in prop::option::of(1u64..10), m in (0u8..4).prop_map(|x| x * 2)) {
             if let Some(x) = o {
                 prop_assert!((1..10).contains(&x));

@@ -214,6 +214,7 @@ proptest! {
     /// Trace times written into the log by the `Xml` backend load back bit
     /// for bit: the writer's shortest digits always read back as the same
     /// `f64`, from subnormals to the reader's bound.
+    #[test]
     fn xml_trace_times_roundtrip_bit_for_bit(
         records in prop::collection::vec(arb_timed_record(), 1..64),
         epoch in arb_time(),
