@@ -106,40 +106,93 @@ fn trace_buffer(ranks: &[ExportRank], bytes_per_record: usize) -> String {
     String::with_capacity(4096 + records(ranks) * bytes_per_record)
 }
 
-/// Records a multi-rank trace rendering must hold before its ranks are
-/// rendered on several threads. This is not a measured crossover: on a
-/// 2-vCPU VM (`thread_crossover_table` below) two threads beat one from
-/// 2,048 records on for Chrome, while OTLP gained at most a quarter at any
-/// size from 2,048 to 131,072 records, and lost at some. The value only
-/// keeps traces that render in a few ms off threads and off
-/// `available_parallelism`.
-const PARALLEL_RECORDS: usize = 1 << 14;
+/// Records a multi-rank trace rendering, or a multi-log parse, must hold
+/// before its parts go to several threads. In three runs of
+/// `thread_crossover_table` (below) on a 2-vCPU VM, a two-rank Chrome or
+/// OTLP rendering was faster on two threads than on one at every size
+/// from 2,048 to 131,072 records (OTLP at 16,384: 4.1–4.9 → 3.3–4.2 ms),
+/// and two threads read two 76,703-event logs in about half the time of
+/// one. Below this size a rendering takes a few ms; the threshold keeps
+/// it off threads and off `available_parallelism`.
+pub(crate) const PARALLEL_RECORDS: usize = 1 << 14;
 
-/// How many threads a trace rendering of `ranks` uses: one for a single
-/// rank or a small trace, else one per core up to one per rank. The
-/// record count is checked first because `available_parallelism` reads
-/// cgroup files, which would cost an empty export more than its render.
-fn render_threads(ranks: &[ExportRank]) -> usize {
-    if ranks.len() < 2 || records(ranks) < PARALLEL_RECORDS {
+/// How many threads a job over `parts` parts (ranks, logs) that hold
+/// `records` records in all uses: one for a single part or fewer than
+/// [`PARALLEL_RECORDS`] records, else one per core up to one per part.
+/// The record count is checked first because `available_parallelism`
+/// reads cgroup files, which would cost an empty export more than its
+/// render.
+pub(crate) fn threads_for(parts: usize, records: usize) -> usize {
+    if parts < 2 || records < PARALLEL_RECORDS {
         return 1;
     }
     std::thread::available_parallelism()
         .map_or(1, usize::from)
-        .min(ranks.len())
+        .min(parts)
+}
+
+/// Cut `items` into at most `threads` contiguous chunks of equal item
+/// count and return `work(at, chunk, prepare(at, chunk))` for the first
+/// chunk and for each other one in order, where `at` is the index of the
+/// chunk's first item. The first chunk runs on the calling thread; each
+/// other one runs on a scoped thread of its own (or on the calling
+/// thread, if the OS refuses the thread). A panic in any chunk reaches the
+/// caller.
+///
+/// `prepare` runs on the calling thread, before the chunk's thread starts:
+/// a buffer the helper allocated itself would come from that thread's own
+/// malloc arena, whose pages outlive the thread and add to the process's
+/// peak resident set.
+pub(crate) fn fan_out<T, S, R>(
+    items: &[T],
+    threads: usize,
+    mut prepare: impl FnMut(usize, &[T]) -> S,
+    work: impl Fn(usize, &[T], S) -> R + Sync,
+) -> (R, Vec<R>)
+where
+    T: Sync,
+    S: Send,
+    R: Send,
+{
+    let per = items.len().div_ceil(threads.max(1)).max(1);
+    let mut chunks = items.chunks(per);
+    let head = chunks.next().unwrap_or_default();
+    let head_state = prepare(0, head);
+    let work = &work;
+    if chunks.len() == 0 {
+        return (work(0, head, head_state), Vec::new());
+    }
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = chunks
+            .enumerate()
+            .map(|(k, chunk)| {
+                let at = (k + 1) * per;
+                let run = move |state| work(at, chunk, state);
+                let state = prepare(at, chunk);
+                std::thread::Builder::new()
+                    .spawn_scoped(s, move || run(state))
+                    .map_err(|_| run(prepare(at, chunk)))
+            })
+            .collect();
+        let head = work(0, head, head_state);
+        let rest = helpers
+            .into_iter()
+            .map(|helper| {
+                helper.map_or_else(
+                    |result| result,
+                    |h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
+                )
+            })
+            .collect();
+        (head, rest)
+    })
 }
 
 /// Render every rank into `out` in rank order, calling
-/// `render(out, index, rank)` once per rank. With `threads > 1` the ranks
-/// are cut into at most that many contiguous chunks of equal rank counts;
-/// the first is rendered into `out` on the calling thread, each other one
-/// into its own buffer on a scoped thread (or on the calling thread, if
-/// the OS refuses the thread), and the buffers are appended in order, so
-/// the output is the same for every thread count.
-///
-/// Each helper's buffer is allocated here, before its thread starts: a
-/// buffer the helper allocated itself would come from that thread's own
-/// malloc arena, whose pages outlive the thread and add to the process's
-/// peak resident set.
+/// `render(out, index, rank)` once per rank, on up to `threads` threads
+/// (see [`fan_out`]): the first chunk of ranks renders into `out`, each
+/// other one into its own buffer, and the buffers are appended in order,
+/// so the output is the same for every thread count.
 fn render_ranks<F>(
     out: &mut String,
     ranks: &[ExportRank],
@@ -149,41 +202,24 @@ fn render_ranks<F>(
 ) where
     F: Fn(&mut String, usize, &ExportRank) + Sync,
 {
-    let per = ranks.len().div_ceil(threads.max(1)).max(1);
-    let mut chunks = ranks.chunks(per);
-    let first = chunks.next().unwrap_or_default();
-    let render = &render;
-    let render_chunk = move |out: &mut String, k: usize, chunk: &[ExportRank]| {
-        for (i, r) in chunk.iter().enumerate() {
-            render(out, k * per + i, r);
-        }
-    };
-    let rendered = move |k: usize, chunk: &[ExportRank], mut buf: String| {
-        render_chunk(&mut buf, k, chunk);
-        buf
-    };
-    if chunks.len() == 0 {
-        return render_chunk(out, 0, first);
+    let (head, rest) = fan_out(
+        ranks,
+        threads,
+        |at, chunk| match at {
+            0 => std::mem::take(&mut *out),
+            _ => trace_buffer(chunk, bytes_per_record),
+        },
+        |at, chunk, mut buf| {
+            for (i, r) in chunk.iter().enumerate() {
+                render(&mut buf, at + i, r);
+            }
+            buf
+        },
+    );
+    *out = head;
+    for buf in rest {
+        out.push_str(&buf);
     }
-    std::thread::scope(|s| {
-        let helpers: Vec<_> = chunks
-            .enumerate()
-            .map(|(k, chunk)| {
-                let buf = trace_buffer(chunk, bytes_per_record);
-                std::thread::Builder::new()
-                    .spawn_scoped(s, move || rendered(k + 1, chunk, buf))
-                    .map_err(|_| rendered(k + 1, chunk, trace_buffer(chunk, bytes_per_record)))
-            })
-            .collect();
-        render_chunk(out, 0, first);
-        for helper in helpers {
-            let buf = helper.map_or_else(
-                |buf| buf,
-                |h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)),
-            );
-            out.push_str(&buf);
-        }
-    });
 }
 
 /// The canonical view every exporter renders: per-rank data plus the few
@@ -352,10 +388,8 @@ impl Exporter for ChromeTrace {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        Ok(chrome::chrome_trace_json(
-            &src.ranks,
-            render_threads(&src.ranks),
-        ))
+        let threads = threads_for(src.ranks.len(), records(&src.ranks));
+        Ok(chrome::chrome_trace_json(&src.ranks, threads))
     }
 }
 
@@ -370,7 +404,8 @@ impl Exporter for Otlp {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        Ok(otlp::otlp_trace_json(src, render_threads(&src.ranks)))
+        let threads = threads_for(src.ranks.len(), records(&src.ranks));
+        Ok(otlp::otlp_trace_json(src, threads))
     }
 }
 

@@ -139,8 +139,14 @@ impl Spans<'_> {
     }
 }
 
-/// About what one span line takes, for reserving the output up front.
-const SPAN_BYTES: usize = 320;
+/// About what one span line takes, for reserving the output up front: a
+/// kernel span with its kernel name, or a launch span with its link, takes
+/// some 370 bytes. A rendering that outgrows its reservation is copied
+/// into a buffer twice the size, and on several threads each helper's
+/// buffer that overflows is copied once more; at 320 bytes that made a
+/// two-rank rendering of launch/kernel pairs slower on two threads than on
+/// one.
+const SPAN_BYTES: usize = 400;
 
 /// OTLP span kinds used here: host-side wrapped calls and idle intervals
 /// are `INTERNAL`, device-side executions are `CONSUMER` (they consume the

@@ -8,9 +8,10 @@
 //! HTML report, and the CUBE conversion (see [`crate::cube`]).
 
 use crate::aggregate::ClusterReport;
-use crate::export::Export;
+use crate::export::{fan_out, threads_for, Export};
 use crate::profile::RankProfile;
-use crate::xml::{read_log, Escaped, XmlError};
+use crate::trace::TraceRecord;
+use crate::xml::{read_log, Escaped, XmlError, EVENT_BYTES, MIN_EVENT_BYTES};
 use std::fmt::Write as _;
 
 /// Rebuild the canonical export view from a set of XML logs: each
@@ -19,10 +20,37 @@ use std::fmt::Write as _;
 /// sorted by rank. Every `ipm_parse` rendering goes through this one
 /// loader. Two tasks of the same rank, in one log or in two, are
 /// malformed: their trace lanes would share one process.
+///
+/// Logs whose size puts them at `PARALLEL_RECORDS` `<event>` lines or
+/// more in all are read on one thread per core, up to one per log, as
+/// trace renderings are; the result, and the error of the first malformed
+/// log in input order, are those of a serial read.
 pub fn export_from_xml(xmls: &[String]) -> Result<Export, XmlError> {
+    let records = xmls.iter().map(String::len).sum::<usize>() / EVENT_BYTES;
+    read_logs(xmls, threads_for(xmls.len(), records))
+}
+
+/// [`export_from_xml`] on up to `threads` threads. Each log's record
+/// buffer is reserved on the calling thread (see [`fan_out`]), for as many
+/// records as the log's size allows, so no records land in a helper's
+/// malloc arena and none are regrown and copied. The part of a buffer its
+/// records do not fill is never written, so it adds no resident pages.
+fn read_logs(xmls: &[String], threads: usize) -> Result<Export, XmlError> {
+    let reserve = |_: usize, logs: &[String]| -> Vec<Vec<TraceRecord>> {
+        logs.iter()
+            .map(|xml| Vec::with_capacity(xml.len() / MIN_EVENT_BYTES))
+            .collect()
+    };
+    let read = |_: usize, logs: &[String], buffers: Vec<Vec<TraceRecord>>| {
+        logs.iter()
+            .zip(buffers)
+            .map(|(xml, records)| read_log(xml, records))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    let (head, rest) = fan_out(xmls, threads, reserve, read);
     let mut ranks = Vec::new();
-    for xml in xmls {
-        ranks.extend(read_log(xml)?);
+    for logs in std::iter::once(head).chain(rest) {
+        ranks.extend(logs?.into_iter().flatten());
     }
     ranks.sort_by_key(|r| r.rank);
     if let Some(w) = ranks.windows(2).find(|w| w[0].rank == w[1].rank) {
@@ -118,7 +146,7 @@ pub(crate) fn html_report(profiles: &[RankProfile], nodes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{Banner, ChromeTrace, ExportError, Xml};
+    use crate::export::{Banner, ChromeTrace, ExportError, Xml, PARALLEL_RECORDS};
     use crate::profile::ProfileEntry;
     use ipm_sim_core::RunningStats;
 
@@ -184,6 +212,78 @@ mod tests {
             export_from_xml(&[one_log]).unwrap_err(),
             XmlError::Malformed("two <task>s of rank 0".to_owned())
         );
+    }
+
+    /// Four logs, in the rank order 2, 0, 3, 1, whose size puts them past
+    /// the thread threshold together.
+    fn big_logs() -> Vec<String> {
+        let logs: Vec<String> = [2, 0, 3, 1]
+            .map(|rank| {
+                let records =
+                    crate::export::chrome::tests::launch_storm(PARALLEL_RECORDS / 4).records;
+                Export::from_profile(profile(rank))
+                    .with_trace(records)
+                    .to(Xml)
+                    .unwrap()
+            })
+            .into();
+        let bytes: usize = logs.iter().map(String::len).sum();
+        assert!(bytes / EVENT_BYTES >= PARALLEL_RECORDS, "{bytes} bytes");
+        logs
+    }
+
+    #[test]
+    fn threaded_and_serial_reads_agree() {
+        let logs = big_logs();
+        let mut one_by_one: Vec<(usize, String)> = logs
+            .iter()
+            .map(|log| {
+                let e = export_from_xml(std::slice::from_ref(log)).unwrap();
+                (e.source().ranks[0].rank, e.to(Xml).unwrap())
+            })
+            .collect();
+        one_by_one.sort();
+        let serial: String = one_by_one.into_iter().map(|(_, xml)| xml).collect();
+        for threads in 1..=5 {
+            let xml = read_logs(&logs, threads).unwrap().to(Xml).unwrap();
+            assert!(xml == serial, "{threads} threads");
+        }
+        assert!(export_from_xml(&logs).unwrap().to(Xml).unwrap() == serial);
+    }
+
+    #[test]
+    fn a_threaded_read_returns_the_first_bad_logs_error() {
+        let mut logs = big_logs();
+        // log 2 fails at its last event, log 3 at its first line
+        let last = logs[1].rfind("<event kind=\"C\"").unwrap();
+        logs[1].replace_range(last..last, "<event kind=\"X\"/>\n");
+        logs[2] = logs[2].replacen("rank=\"3\"", "rank=\"three\"", 1);
+        let second = read_logs(&logs[1..2], 1).unwrap_err();
+        assert_eq!(
+            second,
+            XmlError::Malformed("unknown event kind 'X'".to_owned())
+        );
+        assert_eq!(
+            read_logs(&logs[2..3], 1).unwrap_err(),
+            XmlError::BadNumber("three".to_owned())
+        );
+        for threads in 1..=5 {
+            assert_eq!(
+                read_logs(&logs, threads).unwrap_err(),
+                second,
+                "{threads} threads"
+            );
+        }
+        assert_eq!(export_from_xml(&logs).unwrap_err(), second);
+        // two big logs of one rank
+        let mut logs = big_logs();
+        logs[2] = logs[3].clone();
+        for threads in 1..=5 {
+            assert_eq!(
+                read_logs(&logs, threads).unwrap_err(),
+                XmlError::Malformed("two <task>s of rank 1".to_owned())
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,9 @@ use crate::trace::{TraceKind, TraceRecord};
 use ipm_interpose::CallHandle;
 use ipm_sim_core::RunningStats;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 /// XML parsing failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,22 +131,44 @@ fn push_str_attr(out: &mut String, name: &str, s: &str) {
     out.push('"');
 }
 
-/// Inverse of [`Escaped`]; borrows values that hold no entity.
+/// The entities [`Escaped`] writes, and the characters they stand for.
+const ENTITIES: [(&str, char); 5] = [
+    ("&amp;", '&'),
+    ("&lt;", '<'),
+    ("&gt;", '>'),
+    ("&quot;", '"'),
+    ("&#10;", '\n'),
+];
+
+/// Inverse of [`Escaped`], in one scan; borrows values that hold no
+/// entity. An `&` that starts no known entity stays literal.
 fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
         return Cow::Borrowed(s);
     }
-    Cow::Owned(
-        s.replace("&quot;", "\"")
-            .replace("&gt;", ">")
-            .replace("&lt;", "<")
-            .replace("&#10;", "\n")
-            .replace("&amp;", "&"),
-    )
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp..];
+        let (len, c) = ENTITIES
+            .iter()
+            .find(|(entity, _)| rest.starts_with(entity))
+            .map_or((1, '&'), |&(entity, c)| (entity.len(), c));
+        out.push(c);
+        rest = &rest[len..];
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
 }
 
 /// About what one `<event/>` line takes, for reserving the output up front.
 pub(crate) const EVENT_BYTES: usize = 160;
+
+/// The fewest bytes one `<event/>` line [`write_xml`] writes takes (an
+/// empty name and one-digit numbers, indented): a log of `n` bytes holds
+/// at most `n / MIN_EVENT_BYTES` records.
+pub(crate) const MIN_EVENT_BYTES: usize = 80;
 
 /// Append a profile plus its event trace to `out`: the trace's records are
 /// embedded as `<event/>` lines in a `<trace>` section (with the rank's
@@ -272,36 +296,138 @@ impl<'a> Attrs<'a> {
         self.raw(name).map(unescape)
     }
 
-    fn num<T: std::str::FromStr>(&self, name: &'static str) -> Result<T, XmlError> {
-        self.opt_num(name)?.ok_or(XmlError::Missing(name))
+    fn num<T: FromStr>(&self, name: &'static str) -> Result<T, XmlError> {
+        num(self.raw(name), name)
     }
 
-    /// Numeric attribute that may legitimately be absent (fields added
-    /// after logs in the wild were written): absent is `None`, present but
-    /// unparseable is still an error.
-    fn opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, XmlError> {
-        self.raw(name)
-            .map(|raw| raw.parse().map_err(|_| XmlError::BadNumber(raw.to_owned())))
-            .transpose()
+    fn opt_num<T: FromStr>(&self, name: &str) -> Result<Option<T>, XmlError> {
+        opt_num(self.raw(name))
     }
 
-    /// A time or duration attribute, in seconds, of magnitude at most
-    /// [`MAX_TIME`]: trace times and aggregates are sorted, subtracted and
-    /// scaled to µs or ns before they are rendered as numbers, so `NaN`,
-    /// infinities and values whose scaled differences overflow are bad
-    /// numbers.
     fn time(&self, name: &'static str) -> Result<f64, XmlError> {
-        self.opt_time(name)?.ok_or(XmlError::Missing(name))
+        time(self.raw(name), name)
     }
 
-    /// [`Attrs::time`] for an attribute that may be absent.
     fn opt_time(&self, name: &str) -> Result<Option<f64>, XmlError> {
-        match self.opt_num::<f64>(name)? {
-            Some(v) if v.is_nan() || v.abs() > MAX_TIME => Err(XmlError::BadNumber(
-                self.raw(name).unwrap_or_default().to_owned(),
-            )),
-            v => Ok(v),
+        opt_time(self.raw(name))
+    }
+}
+
+/// The numeric value of attribute `name`, whose raw value is `raw`.
+fn num<T: FromStr>(raw: Option<&str>, name: &'static str) -> Result<T, XmlError> {
+    opt_num(raw)?.ok_or(XmlError::Missing(name))
+}
+
+/// A numeric attribute that may legitimately be absent (fields added after
+/// logs in the wild were written): absent is `None`, present but
+/// unparseable is still an error.
+fn opt_num<T: FromStr>(raw: Option<&str>) -> Result<Option<T>, XmlError> {
+    raw.map(|raw| raw.parse().map_err(|_| XmlError::BadNumber(raw.to_owned())))
+        .transpose()
+}
+
+/// A time or duration attribute, in seconds, of magnitude at most
+/// [`MAX_TIME`]: trace times and aggregates are sorted, subtracted and
+/// scaled to µs or ns before they are rendered as numbers, so `NaN`,
+/// infinities and values whose scaled differences overflow are bad
+/// numbers.
+fn time(raw: Option<&str>, name: &'static str) -> Result<f64, XmlError> {
+    opt_time(raw)?.ok_or(XmlError::Missing(name))
+}
+
+/// [`time`] for an attribute that may be absent.
+fn opt_time(raw: Option<&str>) -> Result<Option<f64>, XmlError> {
+    match opt_num::<f64>(raw)? {
+        Some(v) if v.is_nan() || v.abs() > MAX_TIME => {
+            Err(XmlError::BadNumber(raw.unwrap_or_default().to_owned()))
         }
+        v => Ok(v),
+    }
+}
+
+/// The raw (still escaped) values of one `<event/>` tag, one slot per
+/// attribute [`write_xml`] may write; a slot is `None` where the tag lacks
+/// the attribute. Both ways of reading a tag fill these slots, and
+/// [`event`] checks them, so they reject and accept the same tags.
+#[derive(Debug, Default, PartialEq)]
+struct EventAttrs<'a> {
+    kind: Option<&'a str>,
+    name: Option<&'a str>,
+    detail: Option<&'a str>,
+    begin: Option<&'a str>,
+    end: Option<&'a str>,
+    bytes: Option<&'a str>,
+    region: Option<&'a str>,
+    stream: Option<&'a str>,
+    corr: Option<&'a str>,
+    count: Option<&'a str>,
+    total: Option<&'a str>,
+    min: Option<&'a str>,
+    max: Option<&'a str>,
+    ex_begin: Option<&'a str>,
+    ex_end: Option<&'a str>,
+}
+
+impl<'a> EventAttrs<'a> {
+    /// Every slot with its attribute's name, in the order [`write_xml`]
+    /// writes them.
+    fn slots(&mut self) -> [(&'static str, &mut Option<&'a str>); 15] {
+        [
+            ("kind", &mut self.kind),
+            ("name", &mut self.name),
+            ("detail", &mut self.detail),
+            ("begin", &mut self.begin),
+            ("end", &mut self.end),
+            ("bytes", &mut self.bytes),
+            ("region", &mut self.region),
+            ("stream", &mut self.stream),
+            ("corr", &mut self.corr),
+            ("count", &mut self.count),
+            ("total", &mut self.total),
+            ("min", &mut self.min),
+            ("max", &mut self.max),
+            ("ex_begin", &mut self.ex_begin),
+            ("ex_end", &mut self.ex_end),
+        ]
+    }
+
+    /// Read an `<event/>` line as [`write_xml`] writes it, in one scan:
+    /// `<event`, then ` name="value"` for some of the attributes in the
+    /// writer's order, then `/>`. Any other line (attributes reordered,
+    /// other spacing, an unterminated value, trailing text) gives `None`;
+    /// [`Attrs::split`] reads it instead. On a line this accepts, the split
+    /// finds the same pairs, so both ways give the same slots.
+    fn writer_order(line: &'a str) -> Option<Self> {
+        let b = line.as_bytes();
+        if !b.starts_with(b"<event") {
+            return None;
+        }
+        let mut at = "<event".len();
+        let mut e = Self::default();
+        for (name, slot) in e.slots() {
+            let eq = at + 1 + name.len();
+            if b.get(at) != Some(&b' ')
+                || b.get(at + 1..eq) != Some(name.as_bytes())
+                || b.get(eq..eq + 2) != Some(b"=\"")
+            {
+                continue;
+            }
+            let start = eq + 2;
+            let len = b[start..].iter().position(|&c| c == b'"')?;
+            *slot = Some(&line[start..start + len]);
+            at = start + len + 1;
+        }
+        (&b[at..] == b"/>").then_some(e)
+    }
+
+    /// The slots of a tag split by [`Attrs::split`]: each attribute's
+    /// first value.
+    fn from_attrs(a: &Attrs<'a>) -> Self {
+        let mut e = Self::default();
+        for (name, slot) in e.slots() {
+            *slot = a.raw(name);
+        }
+        e
     }
 }
 
@@ -328,10 +454,15 @@ struct OpenTask {
 /// clock-alignment epoch (0 when it records none), so the several ranks
 /// one `Xml` export writes load as several ranks. Markup outside a
 /// `<task>`, other than the `<ipm>` wrapper, is malformed, as is a log
-/// without a `<task>` or with one left open.
-pub(crate) fn read_log(xml: &str) -> Result<Vec<ExportRank>, XmlError> {
+/// without a `<task>` or with one left open. The first `<task>`'s records
+/// go into `records`, an empty buffer the caller may have reserved.
+pub(crate) fn read_log(
+    xml: &str,
+    mut records: Vec<TraceRecord>,
+) -> Result<Vec<ExportRank>, XmlError> {
     let mut ranks = Vec::new();
     let mut attrs = Attrs::default();
+    let mut names = Names::default();
     let mut open: Option<OpenTask> = None;
     for line in xml.lines().map(str::trim) {
         let Some(element) = element(line) else {
@@ -344,7 +475,7 @@ pub(crate) fn read_log(xml: &str) -> Result<Vec<ExportRank>, XmlError> {
                         profile: task_start(attrs.split(line))?,
                         command: None,
                         epoch: 0.0,
-                        records: Vec::new(),
+                        records: std::mem::take(&mut records),
                     })
                 }
                 "ipm" | "/ipm" => {}
@@ -388,7 +519,11 @@ pub(crate) fn read_log(xml: &str) -> Result<Vec<ExportRank>, XmlError> {
             }
             "entry" => task.profile.entries.push(entry(attrs.split(line))?),
             "trace" => task.epoch = attrs.split(line).opt_time("epoch")?.unwrap_or(0.0),
-            "event" => task.records.push(event(attrs.split(line))?),
+            "event" => {
+                let e = EventAttrs::writer_order(line)
+                    .unwrap_or_else(|| EventAttrs::from_attrs(attrs.split(line)));
+                task.records.push(event(&e, &mut names)?)
+            }
             // the section tags `<regions>`, `<hash>`, `</trace>`, …
             _ => {}
         }
@@ -454,21 +589,34 @@ fn entry(e: &Attrs) -> Result<ProfileEntry, XmlError> {
     })
 }
 
-/// A parsed name as the process-lifetime string records carry: names
-/// repeat across a log's events, so each distinct one is stored once (and
-/// kept for the rest of the process, like every interned name).
-fn interned(name: &str) -> &'static str {
-    CallHandle::of(name).name()
+/// A log's event names, each resolved once: raw (still escaped) value →
+/// the process-lifetime string records carry. Names repeat across a log's
+/// events, so almost every lookup hits here and skips both the unescape
+/// and the shared lock of the global name table, which several logs read
+/// on several threads would contend on. A hash map, not a scan, keeps a
+/// log of many distinct names linear.
+#[derive(Default)]
+struct Names<'a>(HashMap<&'a str, &'static str>);
+
+impl<'a> Names<'a> {
+    /// The interned name an escaped value stands for: each distinct one is
+    /// stored once (and kept for the rest of the process, like every
+    /// interned name).
+    fn get(&mut self, raw: &'a str) -> &'static str {
+        self.0
+            .entry(raw)
+            .or_insert_with(|| CallHandle::of(&unescape(raw)).name())
+    }
 }
 
-fn event(a: &Attrs) -> Result<TraceRecord, XmlError> {
-    let kind_raw = a.text("kind").ok_or(XmlError::Missing("kind"))?;
+fn event<'a>(e: &EventAttrs<'a>, names: &mut Names<'a>) -> Result<TraceRecord, XmlError> {
+    let kind_raw = unescape(e.kind.ok_or(XmlError::Missing("kind"))?);
     let kind = kind_raw
         .chars()
         .next()
         .and_then(TraceKind::from_tag)
         .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
-    let (begin, end) = (a.time("begin")?, a.time("end")?);
+    let (begin, end) = (time(e.begin, "begin")?, time(e.end, "end")?);
     if end < begin {
         return Err(XmlError::Malformed(format!(
             "event ends at {end} before it begins at {begin}"
@@ -476,23 +624,23 @@ fn event(a: &Attrs) -> Result<TraceRecord, XmlError> {
     }
     Ok(TraceRecord {
         kind,
-        name: interned(&a.text("name").ok_or(XmlError::Missing("name"))?),
-        detail: a.text("detail").map(|d| interned(&d)),
+        name: names.get(e.name.ok_or(XmlError::Missing("name"))?),
+        detail: e.detail.map(|d| names.get(d)),
         begin,
         end,
-        bytes: a.num("bytes")?,
-        region: a.num("region")?,
-        stream: a.opt_num("stream")?,
-        corr: a.num("corr")?,
+        bytes: num(e.bytes, "bytes")?,
+        region: num(e.region, "region")?,
+        stream: opt_num(e.stream)?,
+        corr: num(e.corr, "corr")?,
         // summary records carry the aggregate attributes, keyed on
         // `count`; raw records (and pre-compaction logs) omit them
-        agg: match a.raw("count") {
+        agg: match e.count {
             Some(_) => Some(TraceAgg {
-                count: a.num("count")?,
-                total: a.time("total")?,
-                min: a.time("min")?,
-                max: a.time("max")?,
-                exemplar: (a.time("ex_begin")?, a.time("ex_end")?),
+                count: num(e.count, "count")?,
+                total: time(e.total, "total")?,
+                min: time(e.min, "min")?,
+                max: time(e.max, "max")?,
+                exemplar: (time(e.ex_begin, "ex_begin")?, time(e.ex_end, "ex_end")?),
             }),
             None => None,
         },
@@ -515,7 +663,7 @@ mod tests {
 
     /// The one rank a log loads as.
     fn load(xml: &str) -> Result<ExportRank, XmlError> {
-        let mut ranks = read_log(xml)?;
+        let mut ranks = read_log(xml, Vec::new())?;
         assert_eq!(ranks.len(), 1, "{xml}");
         Ok(ranks.remove(0))
     }
@@ -652,7 +800,10 @@ mod tests {
             format!("</task>\n{xml}"),
         ] {
             assert!(
-                matches!(read_log(&bad).unwrap_err(), XmlError::Malformed(_)),
+                matches!(
+                    read_log(&bad, Vec::new()).unwrap_err(),
+                    XmlError::Malformed(_)
+                ),
                 "{bad}"
             );
         }
@@ -842,6 +993,180 @@ mod tests {
             load_records(&xml).unwrap_err(),
             XmlError::Malformed(_)
         ));
+    }
+
+    #[test]
+    fn unescape_reads_each_entity_in_one_scan() {
+        for (s, want) in [
+            ("&amp;&lt;&gt;&quot;&#10;", "&<>\"\n"),
+            ("a&lt;&lt;b&gt;&gt;&quot;&quot;", "a<<b>>\"\""),
+            ("&amp;lt;", "&lt;"),
+            ("&amp;amp;", "&amp;"),
+            // a literal `&#10;`, as the writer escapes it
+            ("&amp;#10;", "&#10;"),
+            // unknown or cut-off entities stay literal
+            ("&nbsp;&#9;&lt", "&nbsp;&#9;&lt"),
+            ("a & b&", "a & b&"),
+            ("&&lt;", "&<"),
+            ("plain", "plain"),
+            ("", ""),
+        ] {
+            assert_eq!(unescape(s), want, "{s}");
+        }
+        assert_eq!(Escaped("&#10;").to_string(), "&amp;#10;");
+    }
+
+    use proptest::prelude::*;
+
+    /// Fragments that join into strings dense in entities, whole, cut off
+    /// and nested.
+    const FRAGMENTS: [&str; 14] = [
+        "&amp;", "&lt;", "&gt;", "&quot;", "&#10;", "&", ";", "a", "lt;", "amp;", "#10;", "<",
+        "\"", "\n",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// The one scan reads what five chained replacements (`&amp;`
+        /// last) read, and inverts the escaper.
+        #[test]
+        fn unescape_matches_chained_replacements(
+            parts in prop::collection::vec(0..FRAGMENTS.len(), 0..16),
+        ) {
+            let s: String = parts.iter().map(|&i| FRAGMENTS[i]).collect();
+            let chained = s
+                .replace("&quot;", "\"")
+                .replace("&gt;", ">")
+                .replace("&lt;", "<")
+                .replace("&#10;", "\n")
+                .replace("&amp;", "&");
+            prop_assert_eq!(unescape(&s), chained);
+            let escaped = Escaped(&s).to_string();
+            prop_assert_eq!(unescape(&escaped), s.as_str());
+        }
+    }
+
+    /// An `<event/>` line read as [`read_log`] reads it (the writer-order
+    /// scan, else the split), and by the split alone.
+    fn both_ways(line: &str) -> [Result<TraceRecord, XmlError>; 2] {
+        let mut attrs = Attrs::default();
+        let fast = EventAttrs::writer_order(line)
+            .unwrap_or_else(|| EventAttrs::from_attrs(attrs.split(line)));
+        let general = EventAttrs::from_attrs(Attrs::default().split(line));
+        [
+            event(&fast, &mut Names::default()),
+            event(&general, &mut Names::default()),
+        ]
+    }
+
+    /// A trace record of any kind, with or without a detail, a stream and
+    /// an aggregate, whose names may need escaping.
+    fn arb_record() -> impl Strategy<Value = TraceRecord> {
+        let name = "[a-z_<>&\";#10 \n]{1,10}";
+        (
+            (0u8..3, name, prop::option::of(name)),
+            (0.0f64..1e3, 0.0f64..10.0),
+            (
+                any::<u64>(),
+                any::<u16>(),
+                prop::option::of(any::<u32>()),
+                any::<u64>(),
+            ),
+            prop::option::of((1u64..1000, 0.0f64..10.0, 0.0f64..1.0, 0.0f64..1.0)),
+        )
+            .prop_map(
+                |((kind, name, detail), (begin, dur), (bytes, region, stream, corr), agg)| {
+                    TraceRecord {
+                        kind: [TraceKind::Call, TraceKind::KernelExec, TraceKind::HostIdle]
+                            [kind as usize],
+                        name: CallHandle::of(&name).name(),
+                        detail: detail.map(|d| CallHandle::of(&d).name()),
+                        begin,
+                        end: begin + dur,
+                        bytes,
+                        region,
+                        stream,
+                        corr,
+                        agg: agg.map(|(count, total, min, span)| TraceAgg {
+                            count,
+                            total,
+                            min,
+                            max: min + span,
+                            exemplar: (begin, begin + span),
+                        }),
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The writer-order scan reads every `<event/>` line the writer
+        /// writes, to the slots the general split finds; a log whose
+        /// events have their attributes rotated, which the scan refuses,
+        /// parses to the same records; and a cut-off, unterminated or
+        /// trailing-junk line reads the same either way.
+        #[test]
+        fn writer_order_scan_equals_the_general_split(
+            trace in prop::collection::vec(arb_record(), 1..24),
+            (turn, cut, junk) in (any::<usize>(), any::<usize>(), 0usize..4),
+        ) {
+            let xml = with_trace(&sample(), &trace, 0.0);
+            prop_assert_eq!(&load_records(&xml).unwrap(), &trace);
+            let mut rotated = String::new();
+            for line in xml.lines() {
+                let trimmed = line.trim();
+                if !trimmed.starts_with("<event ") {
+                    rotated.push_str(line);
+                    rotated.push('\n');
+                    continue;
+                }
+                let fast = EventAttrs::writer_order(trimmed);
+                prop_assert!(fast.is_some(), "{trimmed}");
+                let mut attrs = Attrs::default();
+                let split = attrs.split(trimmed);
+                prop_assert_eq!(fast, Some(EventAttrs::from_attrs(split)));
+                let mut turned = split.0.clone();
+                turned.rotate_left(1 + turn % (split.0.len() - 1));
+                let turned: String = turned.iter().map(|(k, v)| format!(" {k}=\"{v}\"")).collect();
+                let turned = format!("<event{turned}/>");
+                prop_assert!(EventAttrs::writer_order(&turned).is_none(), "{turned}");
+                rotated.push_str(&format!("      {turned}\n"));
+
+                let at = cut % trimmed.len();
+                let at = (0..=at).rev().find(|&i| trimmed.is_char_boundary(i)).unwrap_or(0);
+                let close = trimmed.rfind("\"/>").unwrap_or(0);
+                for bad in [
+                    trimmed[..at].to_owned(),
+                    format!("{}{}", &trimmed[..close], &trimmed[close + 1..]),
+                    format!("{trimmed}{}", [" x", "junk", "/>", " a=\"1\""][junk]),
+                ] {
+                    let [fast, general] = both_ways(&bad);
+                    prop_assert_eq!(fast, general, "{}", bad);
+                }
+            }
+            prop_assert_eq!(load_records(&rotated).unwrap(), trace);
+        }
+    }
+
+    #[test]
+    fn a_log_of_ten_thousand_distinct_names_parses() {
+        let trace: Vec<TraceRecord> = (0..10_000)
+            .map(|i| TraceRecord {
+                kind: TraceKind::KernelExec,
+                name: "@CUDA_EXEC_STRM00",
+                detail: Some(CallHandle::of(&format!("distinct_kernel_{i}<float>")).name()),
+                begin: i as f64,
+                end: i as f64 + 0.5,
+                bytes: 0,
+                region: 0,
+                stream: Some(0),
+                corr: i,
+                agg: None,
+            })
+            .collect();
+        let xml = with_trace(&sample(), &trace, 0.0);
+        assert_eq!(load_records(&xml).unwrap(), trace);
     }
 
     #[test]
