@@ -24,7 +24,7 @@
 //! trace push, compaction, merge) and the allocations per call are
 //! perfbench's `--trace 1` ledger, not this bench.
 
-use ipm_core::{EventSignature, Ipm, IpmConfig, IpmCuda, KttCheckPolicy, PerfTable};
+use ipm_core::{Ipm, IpmConfig, IpmCuda, KttCheckPolicy, PerfTable, SigKey};
 use ipm_gpu_sim::{
     launch_kernel, CudaApi, GpuConfig, GpuRuntime, Kernel, KernelCost, LaunchConfig, StreamId,
 };
@@ -148,7 +148,7 @@ struct StringKeyedSink {
 }
 
 impl MonitorSink for StringKeyedSink {
-    fn update(&self, call: CallHandle, bytes: u64, duration: f64) {
+    fn span(&self, call: CallHandle, bytes: u64, begin: f64, end: f64) {
         let t = Instant::now();
         let key = (Arc::from(call.name()), bytes);
         self.table
@@ -156,7 +156,7 @@ impl MonitorSink for StringKeyedSink {
             .expect("a recorder thread panicked")
             .entry(key)
             .or_default()
-            .record(duration);
+            .record(end - begin);
         self.self_ns
             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -227,7 +227,8 @@ fn record_path() -> f64 {
 // ---------------------------------------------------------------------------
 
 /// Eight threads update one `PerfTable`, each into its own delta cell,
-/// then one read flushes the cells into the shared map.
+/// then one read flushes the cells into the shared map. Each thread
+/// interns its key once, outside the loop, so the figure is the table's.
 fn contended_table() {
     const THREADS: u64 = 8;
     const UPDATES: usize = 5_000;
@@ -240,9 +241,9 @@ fn contended_table() {
                     for t in 0..THREADS {
                         let table = &table;
                         s.spawn(move || {
-                            let sig = EventSignature::call("MPI_Send", t);
+                            let key = SigKey::call(CallHandle::of("MPI_Send").id, t);
                             for _ in 0..UPDATES {
-                                table.update(&sig, 1e-6);
+                                table.update_key(key, 1e-6);
                             }
                         });
                     }

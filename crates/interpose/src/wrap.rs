@@ -13,8 +13,8 @@
 //! ```
 //!
 //! [`wrap_call`] is that anatomy as a reusable function: time the *real*
-//! call on the caller's virtual clock, report `(call, bytes, duration)` to
-//! a [`MonitorSink`], pass the return value through unchanged. The call is
+//! call on the caller's virtual clock, report `(call, bytes, begin, end)`
+//! to a [`MonitorSink`], pass the return value through unchanged. The call is
 //! identified by a [`CallHandle`] — the interned `CALL_ID` of the C
 //! original, resolved once per site via the [`site!`](crate::site) macro —
 //! so the steady-state record path never touches the name string.
@@ -23,19 +23,13 @@ use crate::registry::CallHandle;
 use ipm_sim_core::SimClock;
 
 /// Where wrappers deposit measurements. Implemented by `ipm-core`'s
-/// performance hash table; tests use simple recording sinks.
+/// monitoring context; tests use simple recording sinks.
 pub trait MonitorSink: Send + Sync {
     /// Record one completed call: its interned handle, the byte count
-    /// attribute (0 when the call has none), and the host-side duration.
-    fn update(&self, call: CallHandle, bytes: u64, duration: f64);
-
-    /// Record one completed call with its begin/end timestamps. Sinks that
-    /// keep an event stream (the trace ring) override this to capture the
-    /// interval; the default forwards the duration to [`Self::update`], so
-    /// aggregate-only sinks need not care.
-    fn span(&self, call: CallHandle, bytes: u64, begin: f64, end: f64) {
-        self.update(call, bytes, end - begin);
-    }
+    /// attribute (0 when the call has none), and its begin/end timestamps.
+    /// Aggregate-only sinks book `end - begin`; sinks that keep an event
+    /// stream (the trace ring) capture the interval too.
+    fn span(&self, call: CallHandle, bytes: u64, begin: f64, end: f64);
 }
 
 /// A sink that drops everything (monitoring disabled).
@@ -43,11 +37,11 @@ pub trait MonitorSink: Send + Sync {
 pub struct NullSink;
 
 impl MonitorSink for NullSink {
-    fn update(&self, _call: CallHandle, _bytes: u64, _duration: f64) {}
+    fn span(&self, _call: CallHandle, _bytes: u64, _begin: f64, _end: f64) {}
 }
 
 /// Execute `real` bracketed by virtual-clock timestamps and report the
-/// duration to `sink` — Fig. 2 as a higher-order function. A configurable
+/// interval to `sink` — Fig. 2 as a higher-order function. A configurable
 /// `overhead` is charged to the clock to model the cost of the monitoring
 /// itself (what the paper's runtime-dilatation study measures).
 pub fn wrap_call<R>(
@@ -58,12 +52,7 @@ pub fn wrap_call<R>(
     overhead: f64,
     real: impl FnOnce() -> R,
 ) -> R {
-    let begin = clock.now();
-    let ret = real();
-    clock.advance(overhead);
-    let end = clock.now();
-    sink.span(call, bytes, begin, end);
-    ret
+    wrap_call_sized(clock, sink, call, overhead, real, |_| bytes)
 }
 
 /// [`wrap_call`] for calls whose byte count is only known once the real
@@ -93,14 +82,18 @@ mod tests {
     use crate::site;
     use parking_lot::Mutex;
 
+    /// Records `(call, bytes, duration)` per span, and the spans'
+    /// `(begin, end)` timestamps beside them.
     #[derive(Default)]
     struct RecordingSink {
         events: Mutex<Vec<(CallHandle, u64, f64)>>,
+        spans: Mutex<Vec<(f64, f64)>>,
     }
 
     impl MonitorSink for RecordingSink {
-        fn update(&self, call: CallHandle, bytes: u64, duration: f64) {
-            self.events.lock().push((call, bytes, duration));
+        fn span(&self, call: CallHandle, bytes: u64, begin: f64, end: f64) {
+            self.events.lock().push((call, bytes, end - begin));
+            self.spans.lock().push((begin, end));
         }
     }
 
@@ -139,30 +132,18 @@ mod tests {
         assert_eq!(err, Err("boom"));
     }
 
-    #[derive(Default)]
-    struct SpanSink {
-        spans: Mutex<Vec<(CallHandle, f64, f64)>>,
-    }
-
-    impl MonitorSink for SpanSink {
-        fn update(&self, _call: CallHandle, _bytes: u64, _duration: f64) {}
-        fn span(&self, call: CallHandle, _bytes: u64, begin: f64, end: f64) {
-            self.spans.lock().push((call, begin, end));
-        }
-    }
-
     #[test]
-    fn span_override_sees_begin_and_end_timestamps() {
+    fn sinks_see_begin_and_end_timestamps() {
         let clock = SimClock::new();
         clock.advance(1.0);
-        let sink = SpanSink::default();
+        let sink = RecordingSink::default();
         wrap_call(&clock, &sink, site!("cudaLaunch"), 0, 0.0, || {
             clock.advance(0.5)
         });
+        assert_eq!(sink.events.lock()[0].0.name(), "cudaLaunch");
         let spans = sink.spans.lock();
         assert_eq!(spans.len(), 1);
-        let (call, begin, end) = spans[0];
-        assert_eq!(call.name(), "cudaLaunch");
+        let (begin, end) = spans[0];
         assert!((begin - 1.0).abs() < 1e-12);
         assert!((end - 1.5).abs() < 1e-12);
     }

@@ -52,17 +52,12 @@ pub struct CompactPolicy {
     /// Resident records per stripe that trigger a compaction pass;
     /// 0 disables compaction entirely (the pre-retention drop-only mode).
     pub stripe_high_water: usize,
-    /// Only records whose longest individual duration is at most this
-    /// (virtual seconds) are merged — long slices always survive
-    /// individually. `INFINITY` merges everything mergeable.
-    pub max_merge_duration: f64,
 }
 
 impl CompactPolicy {
     /// Compaction off: a full stripe drops the new record, as before.
     pub const DISABLED: Self = Self {
         stripe_high_water: 0,
-        max_merge_duration: f64::INFINITY,
     };
 
     /// Compact a stripe whenever it holds `high_water` records, merging
@@ -70,14 +65,7 @@ impl CompactPolicy {
     pub fn with_high_water(high_water: usize) -> Self {
         Self {
             stripe_high_water: high_water,
-            max_merge_duration: f64::INFINITY,
         }
-    }
-
-    /// Restrict merging to records no longer than `secs`.
-    pub fn merge_at_most(mut self, secs: f64) -> Self {
-        self.max_merge_duration = secs;
-        self
     }
 
     /// Whether this policy ever compacts.
@@ -104,7 +92,7 @@ pub(crate) fn cmp_time(a: &TraceRecord, b: &TraceRecord) -> Ordering {
 /// keys on matches: kind, name, detail, byte attribute, user region, and
 /// device stream. Only same-signature records may merge, so a summary is
 /// attributable exactly like the raw records it absorbed.
-pub fn same_signature(a: &TraceRecord, b: &TraceRecord) -> bool {
+fn same_signature(a: &TraceRecord, b: &TraceRecord) -> bool {
     a.kind == b.kind
         && a.bytes == b.bytes
         && a.region == b.region
@@ -113,12 +101,11 @@ pub fn same_signature(a: &TraceRecord, b: &TraceRecord) -> bool {
         && a.detail == b.detail
 }
 
-/// Is this record eligible for merging under `policy`? Records carrying a
-/// correlation id never merge — flow arrows (`cudaLaunch` → kernel) must
-/// keep binding to a real slice — and neither do records longer than the
-/// policy's merge ceiling.
-fn mergeable(rec: &TraceRecord, policy: &CompactPolicy) -> bool {
-    rec.corr == 0 && rec.longest() <= policy.max_merge_duration
+/// Is this record eligible for merging? Records carrying a correlation id
+/// never merge: flow arrows (`cudaLaunch` → kernel) must keep binding to a
+/// real slice.
+fn mergeable(rec: &TraceRecord) -> bool {
+    rec.corr == 0
 }
 
 /// Fold `rec` into `tail` (same signature, `tail` immediately precedes
@@ -143,9 +130,13 @@ fn fold(tail: &mut TraceRecord, rec: &TraceRecord) {
 
 /// One compaction pass over a time-sorted buffer: merge every run of
 /// adjacent, mergeable, same-signature records into a single summary
-/// record. In-place, stable, O(n). Returns how many records were
-/// compacted away (input length minus output length).
+/// record. In-place, stable, O(n). A disabled `policy` merges nothing.
+/// Returns how many records were compacted away (input length minus
+/// output length).
 pub fn compact_records(buf: &mut Vec<TraceRecord>, policy: &CompactPolicy) -> usize {
+    if !policy.is_enabled() {
+        return 0;
+    }
     let before = buf.len();
     let mut write = 0usize;
     for read in 0..buf.len() {
@@ -153,7 +144,7 @@ pub fn compact_records(buf: &mut Vec<TraceRecord>, policy: &CompactPolicy) -> us
             let (head, rest) = buf.split_at_mut(read);
             let tail = &mut head[write - 1];
             let rec = &rest[0];
-            if mergeable(tail, policy) && mergeable(rec, policy) && same_signature(tail, rec) {
+            if mergeable(tail) && mergeable(rec) && same_signature(tail, rec) {
                 fold(tail, rec);
                 continue;
             }
@@ -364,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn correlated_and_long_records_never_merge() {
+    fn correlated_records_never_merge() {
         let mut launch = rec("cudaLaunch", 0.0, 0.1);
         launch.corr = 7;
         let mut launch2 = rec("cudaLaunch", 0.2, 0.3);
@@ -374,17 +365,13 @@ mod tests {
             compact_records(&mut buf, &CompactPolicy::with_high_water(1)),
             0
         );
+    }
 
-        let policy = CompactPolicy::with_high_water(1).merge_at_most(0.05);
-        let mut buf = vec![
-            rec("k", 0.0, 0.01),
-            rec("k", 0.1, 0.11),
-            rec("k", 1.0, 2.0), // long: survives individually
-            rec("k", 2.0, 2.01),
-        ];
-        assert_eq!(compact_records(&mut buf, &policy), 1);
-        assert_eq!(buf.len(), 3);
-        assert!(buf[1].agg.is_none() && (buf[1].end - buf[1].begin) == 1.0);
+    #[test]
+    fn a_disabled_policy_merges_nothing() {
+        let mut buf = vec![rec("x", 0.0, 1.0), rec("x", 1.0, 2.0)];
+        assert_eq!(compact_records(&mut buf, &CompactPolicy::DISABLED), 0);
+        assert_eq!(buf.len(), 2);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use ipm_gpu_sim::{
     CudaApi, CudaResult, DeviceProperties, DevicePtr, EventId, Kernel, KernelArg, LaunchConfig,
     StreamId,
 };
-use ipm_interpose::{site, CallHandle};
+use ipm_interpose::site;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -52,20 +52,6 @@ impl IpmCuda {
         }
     }
 
-    fn wrapped_no_sweep<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        self.core.wrapped_no_sweep(call, bytes, real)
-    }
-
-    fn wrapped<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        self.core.wrapped(call, bytes, real)
-    }
-
-    /// Sweep the KTT for completed kernels and book `@CUDA_EXEC_STRMxx`
-    /// entries (paper: done in D2H transfer wrappers).
-    fn sweep_ktt(&self) {
-        self.core.sweep_ktt()
-    }
-
     /// Drain any in-flight kernel timings (call before producing the
     /// profile). Safe to call multiple times.
     pub fn finalize(&self) {
@@ -85,27 +71,31 @@ impl IpmCuda {
 
 impl CudaApi for IpmCuda {
     fn cuda_malloc(&self, size: usize) -> CudaResult<DevicePtr> {
-        self.wrapped(site!("cudaMalloc"), size as u64, || {
+        self.core.wrapped(site!("cudaMalloc"), size as u64, || {
             self.inner.cuda_malloc(size)
         })
     }
 
     fn cuda_free(&self, ptr: DevicePtr) -> CudaResult<()> {
-        self.wrapped(site!("cudaFree"), 0, || self.inner.cuda_free(ptr))
+        self.core
+            .wrapped(site!("cudaFree"), 0, || self.inner.cuda_free(ptr))
     }
 
     fn cuda_memcpy_h2d(&self, dst: DevicePtr, src: &[u8]) -> CudaResult<()> {
-        self.wrapped(site!("cudaMemcpy(H2D)"), src.len() as u64, || {
-            self.inner.cuda_memcpy_h2d(dst, src)
-        })
+        self.core
+            .wrapped(site!("cudaMemcpy(H2D)"), src.len() as u64, || {
+                self.inner.cuda_memcpy_h2d(dst, src)
+            })
     }
 
     fn cuda_memcpy_d2h(&self, dst: &mut [u8], src: DevicePtr) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cudaMemcpy(D2H)"), dst.len() as u64, || {
-            self.inner.cuda_memcpy_d2h(dst, src)
-        });
+        let ret = self
+            .core
+            .wrapped(site!("cudaMemcpy(D2H)"), dst.len() as u64, || {
+                self.inner.cuda_memcpy_d2h(dst, src)
+            });
         // the paper's lazy completion check: D2H transfers are the sweep point
-        self.sweep_ktt();
+        self.core.sweep_ktt();
         ret
     }
 
@@ -115,9 +105,10 @@ impl CudaApi for IpmCuda {
         src: &[u8],
         total_bytes: u64,
     ) -> CudaResult<()> {
-        self.wrapped(site!("cudaMemcpy(H2D)"), total_bytes, || {
-            self.inner.cuda_memcpy_h2d_sized(dst, src, total_bytes)
-        })
+        self.core
+            .wrapped(site!("cudaMemcpy(H2D)"), total_bytes, || {
+                self.inner.cuda_memcpy_h2d_sized(dst, src, total_bytes)
+            })
     }
 
     fn cuda_memcpy_d2h_sized(
@@ -126,15 +117,17 @@ impl CudaApi for IpmCuda {
         src: DevicePtr,
         total_bytes: u64,
     ) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cudaMemcpy(D2H)"), total_bytes, || {
-            self.inner.cuda_memcpy_d2h_sized(dst, src, total_bytes)
-        });
-        self.sweep_ktt();
+        let ret = self
+            .core
+            .wrapped(site!("cudaMemcpy(D2H)"), total_bytes, || {
+                self.inner.cuda_memcpy_d2h_sized(dst, src, total_bytes)
+            });
+        self.core.sweep_ktt();
         ret
     }
 
     fn cuda_memcpy_d2d(&self, dst: DevicePtr, src: DevicePtr, len: usize) -> CudaResult<()> {
-        self.wrapped(site!("cudaMemcpy(D2D)"), len as u64, || {
+        self.core.wrapped(site!("cudaMemcpy(D2D)"), len as u64, || {
             self.inner.cuda_memcpy_d2d(dst, src, len)
         })
     }
@@ -145,9 +138,10 @@ impl CudaApi for IpmCuda {
         src: &[u8],
         stream: StreamId,
     ) -> CudaResult<()> {
-        self.wrapped(site!("cudaMemcpyAsync(H2D)"), src.len() as u64, || {
-            self.inner.cuda_memcpy_h2d_async(dst, src, stream)
-        })
+        self.core
+            .wrapped(site!("cudaMemcpyAsync(H2D)"), src.len() as u64, || {
+                self.inner.cuda_memcpy_h2d_async(dst, src, stream)
+            })
     }
 
     fn cuda_memcpy_d2h_async(
@@ -156,39 +150,43 @@ impl CudaApi for IpmCuda {
         src: DevicePtr,
         stream: StreamId,
     ) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cudaMemcpyAsync(D2H)"), dst.len() as u64, || {
-            self.inner.cuda_memcpy_d2h_async(dst, src, stream)
-        });
+        let ret = self
+            .core
+            .wrapped(site!("cudaMemcpyAsync(D2H)"), dst.len() as u64, || {
+                self.inner.cuda_memcpy_d2h_async(dst, src, stream)
+            });
         // async D2H is also a reasonable sweep point (it signals the host
         // will soon consume results); cheap because queries are lazy
-        self.sweep_ktt();
+        self.core.sweep_ktt();
         ret
     }
 
     fn cuda_memcpy_to_symbol(&self, symbol: &str, src: &[u8]) -> CudaResult<()> {
-        self.wrapped(site!("cudaMemcpyToSymbol"), src.len() as u64, || {
-            self.inner.cuda_memcpy_to_symbol(symbol, src)
-        })
+        self.core
+            .wrapped(site!("cudaMemcpyToSymbol"), src.len() as u64, || {
+                self.inner.cuda_memcpy_to_symbol(symbol, src)
+            })
     }
 
     fn cuda_memset(&self, dst: DevicePtr, value: u8, len: usize) -> CudaResult<()> {
         // NOT in the implicit-blocking set (§III-C): no host-idle probe
-        self.wrapped(site!("cudaMemset"), len as u64, || {
+        self.core.wrapped(site!("cudaMemset"), len as u64, || {
             self.inner.cuda_memset(dst, value, len)
         })
     }
 
     fn cuda_configure_call(&self, config: LaunchConfig) -> CudaResult<()> {
         self.pending_stream.lock().push(config.stream);
-        self.wrapped(site!("cudaConfigureCall"), 0, || {
+        self.core.wrapped(site!("cudaConfigureCall"), 0, || {
             self.inner.cuda_configure_call(config)
         })
     }
 
     fn cuda_setup_argument(&self, arg: KernelArg) -> CudaResult<()> {
-        self.wrapped(site!("cudaSetupArgument"), arg.size() as u64, || {
-            self.inner.cuda_setup_argument(arg)
-        })
+        self.core
+            .wrapped(site!("cudaSetupArgument"), arg.size() as u64, || {
+                self.inner.cuda_setup_argument(arg)
+            })
     }
 
     fn cuda_launch(&self, kernel: &Kernel) -> CudaResult<()> {
@@ -206,109 +204,111 @@ impl CudaApi for IpmCuda {
             let ret = {
                 let mut ktt = self.ipm().ktt().lock();
                 ktt.time_launch(self.inner.as_ref(), kernel_id, stream, || {
-                    self.wrapped_no_sweep(site!("cudaLaunch"), 0, || self.inner.cuda_launch(kernel))
+                    self.core
+                        .wrapped_no_sweep(site!("cudaLaunch"), 0, || self.inner.cuda_launch(kernel))
                 })
             };
             self.core.sweep_if_every_call();
             ret
         } else {
             // speccheck: allow(wrap-once) — one site per mutually-exclusive branch
-            self.wrapped(site!("cudaLaunch"), 0, || self.inner.cuda_launch(kernel))
+            self.core
+                .wrapped(site!("cudaLaunch"), 0, || self.inner.cuda_launch(kernel))
         }
     }
 
     fn cuda_stream_create(&self) -> CudaResult<StreamId> {
-        self.wrapped(site!("cudaStreamCreate"), 0, || {
+        self.core.wrapped(site!("cudaStreamCreate"), 0, || {
             self.inner.cuda_stream_create()
         })
     }
 
     fn cuda_stream_destroy(&self, stream: StreamId) -> CudaResult<()> {
-        self.wrapped(site!("cudaStreamDestroy"), 0, || {
+        self.core.wrapped(site!("cudaStreamDestroy"), 0, || {
             self.inner.cuda_stream_destroy(stream)
         })
     }
 
     fn cuda_stream_synchronize(&self, stream: StreamId) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cudaStreamSynchronize"), 0, || {
+        let ret = self.core.wrapped(site!("cudaStreamSynchronize"), 0, || {
             self.inner.cuda_stream_synchronize(stream)
         });
-        self.sweep_ktt();
+        self.core.sweep_ktt();
         ret
     }
 
     fn cuda_stream_query(&self, stream: StreamId) -> CudaResult<()> {
-        self.wrapped(site!("cudaStreamQuery"), 0, || {
+        self.core.wrapped(site!("cudaStreamQuery"), 0, || {
             self.inner.cuda_stream_query(stream)
         })
     }
 
     fn cuda_event_create(&self) -> CudaResult<EventId> {
-        self.wrapped(site!("cudaEventCreate"), 0, || {
+        self.core.wrapped(site!("cudaEventCreate"), 0, || {
             self.inner.cuda_event_create()
         })
     }
 
     fn cuda_event_destroy(&self, event: EventId) -> CudaResult<()> {
-        self.wrapped(site!("cudaEventDestroy"), 0, || {
+        self.core.wrapped(site!("cudaEventDestroy"), 0, || {
             self.inner.cuda_event_destroy(event)
         })
     }
 
     fn cuda_event_record(&self, event: EventId, stream: StreamId) -> CudaResult<()> {
-        self.wrapped(site!("cudaEventRecord"), 0, || {
+        self.core.wrapped(site!("cudaEventRecord"), 0, || {
             self.inner.cuda_event_record(event, stream)
         })
     }
 
     fn cuda_event_query(&self, event: EventId) -> CudaResult<()> {
-        self.wrapped(site!("cudaEventQuery"), 0, || {
+        self.core.wrapped(site!("cudaEventQuery"), 0, || {
             self.inner.cuda_event_query(event)
         })
     }
 
     fn cuda_event_synchronize(&self, event: EventId) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cudaEventSynchronize"), 0, || {
+        let ret = self.core.wrapped(site!("cudaEventSynchronize"), 0, || {
             self.inner.cuda_event_synchronize(event)
         });
-        self.sweep_ktt();
+        self.core.sweep_ktt();
         ret
     }
 
     fn cuda_event_elapsed_time(&self, start: EventId, stop: EventId) -> CudaResult<f64> {
-        self.wrapped(site!("cudaEventElapsedTime"), 0, || {
+        self.core.wrapped(site!("cudaEventElapsedTime"), 0, || {
             self.inner.cuda_event_elapsed_time(start, stop)
         })
     }
 
     fn cuda_thread_synchronize(&self) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cudaThreadSynchronize"), 0, || {
+        let ret = self.core.wrapped(site!("cudaThreadSynchronize"), 0, || {
             self.inner.cuda_thread_synchronize()
         });
-        self.sweep_ktt();
+        self.core.sweep_ktt();
         ret
     }
 
     fn cuda_get_device_count(&self) -> CudaResult<i32> {
-        self.wrapped(site!("cudaGetDeviceCount"), 0, || {
+        self.core.wrapped(site!("cudaGetDeviceCount"), 0, || {
             self.inner.cuda_get_device_count()
         })
     }
 
     fn cuda_set_device(&self, ordinal: i32) -> CudaResult<()> {
-        self.wrapped(site!("cudaSetDevice"), 0, || {
+        self.core.wrapped(site!("cudaSetDevice"), 0, || {
             self.inner.cuda_set_device(ordinal)
         })
     }
 
     fn cuda_get_device_properties(&self) -> CudaResult<DeviceProperties> {
-        self.wrapped(site!("cudaGetDeviceProperties"), 0, || {
+        self.core.wrapped(site!("cudaGetDeviceProperties"), 0, || {
             self.inner.cuda_get_device_properties()
         })
     }
 
     fn cuda_get_last_error(&self) -> Option<ipm_gpu_sim::CudaError> {
-        self.wrapped(site!("cudaGetLastError"), 0, || {
+        self.core.wrapped(site!("cudaGetLastError"), 0, || {
             self.inner.cuda_get_last_error()
         })
     }
@@ -399,6 +399,64 @@ mod tests {
         assert!((idle - 1.15).abs() < 0.01, "idle = {idle}");
         assert!(d2h < 0.05, "d2h = {d2h}");
         assert!((exec - 1.15).abs() < 1e-3, "exec = {exec}");
+    }
+
+    #[test]
+    fn pseudo_event_records_agree_with_their_table_entries() {
+        use crate::trace::TraceKind;
+        use std::collections::HashMap;
+        let rt = Arc::new(GpuRuntime::single(GpuConfig::dirac_node()));
+        let ipm = Ipm::new(rt.clock().clone(), IpmConfig::default());
+        let cuda = IpmCuda::new(ipm.clone(), rt);
+        let dev = cuda.cuda_malloc(4096).unwrap();
+        let mut out = vec![0u8; 4096];
+        let k = Kernel::timed("agree", KernelCost::Fixed(0.25));
+        let launch = || launch_kernel(&cuda, &k, LaunchConfig::simple(1u32, 1u32), &[]).unwrap();
+        ipm.region_enter("solve");
+        launch();
+        launch();
+        // blocking D2H: waits on both kernels (host idle), then sweeps them
+        cuda.cuda_memcpy_d2h(&mut out, dev).unwrap();
+        ipm.region_exit();
+        launch();
+        // a blocking H2D waits on the third kernel; finalize books it
+        cuda.cuda_memcpy_h2d(dev, &out).unwrap();
+        cuda.finalize();
+
+        // every pseudo-event booking has an interval and the ring has room,
+        // so each table entry's count is exactly its number of records
+        let p = ipm.profile();
+        let booked: HashMap<(&str, Option<&str>, u16), u64> = p
+            .entries
+            .iter()
+            .filter(|e| e.name.starts_with('@'))
+            .map(|e| {
+                (
+                    (e.name.as_str(), e.detail.as_deref(), e.region),
+                    e.stats.count,
+                )
+            })
+            .collect();
+        let records = ipm.drain_trace();
+        assert_eq!(ipm.monitor_info().trace_dropped, 0);
+        let mut recorded: HashMap<(&str, Option<&str>, u16), u64> = HashMap::new();
+        for r in records
+            .iter()
+            .filter(|r| matches!(r.kind, TraceKind::KernelExec | TraceKind::HostIdle))
+        {
+            *recorded.entry((r.name, r.detail, r.region)).or_default() += 1;
+        }
+        assert_eq!(recorded, booked);
+        let execs = records
+            .iter()
+            .filter(|r| r.kind == TraceKind::KernelExec)
+            .count();
+        assert_eq!(execs, 3);
+        // both regions hold a pseudo-event of each kind
+        for region in [0, 1] {
+            assert!(booked.contains_key(&("@CUDA_HOST_IDLE", None, region)));
+            assert!(booked.contains_key(&("@CUDA_EXEC_STRM00", Some("agree"), region)));
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use ipm_gpu_sim::{
     CudaApi, CudaResult, DevicePtr, DriverContext, EventId, Kernel, KernelArg, LaunchConfig,
     ModuleHandle, StreamId,
 };
-use ipm_interpose::{site, CallHandle};
+use ipm_interpose::site;
 use std::sync::Arc;
 
 /// The monitored CUDA driver facade.
@@ -46,20 +46,6 @@ impl IpmDriver {
         }
     }
 
-    fn wrapped_no_sweep<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        self.core.wrapped_no_sweep(call, bytes, real)
-    }
-
-    fn wrapped<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        self.core.wrapped(call, bytes, real)
-    }
-
-    /// Sweep the shared KTT for completed kernels — middleware-launched
-    /// kernels are booked exactly like runtime-API ones.
-    fn sweep_ktt(&self) {
-        self.core.sweep_ktt()
-    }
-
     /// Drain any in-flight kernel timings (call before producing the
     /// profile). Safe to call multiple times.
     pub fn finalize(&self) {
@@ -78,69 +64,74 @@ impl IpmDriver {
 
     /// `cuInit`.
     pub fn cu_init(&self, flags: u32) -> CudaResult<()> {
-        self.wrapped(site!("cuInit"), 0, || self.inner.cu_init(flags))
+        self.core
+            .wrapped(site!("cuInit"), 0, || self.inner.cu_init(flags))
     }
 
     /// `cuDeviceGetCount`.
     pub fn cu_device_get_count(&self) -> CudaResult<i32> {
-        self.wrapped(site!("cuDeviceGetCount"), 0, || {
+        self.core.wrapped(site!("cuDeviceGetCount"), 0, || {
             self.inner.cu_device_get_count()
         })
     }
 
     /// `cuDeviceGet`.
     pub fn cu_device_get(&self, ordinal: i32) -> CudaResult<i32> {
-        self.wrapped(site!("cuDeviceGet"), 0, || {
+        self.core.wrapped(site!("cuDeviceGet"), 0, || {
             self.inner.cu_device_get(ordinal)
         })
     }
 
     /// `cuDeviceGetName`.
     pub fn cu_device_get_name(&self, device: i32) -> CudaResult<String> {
-        self.wrapped(site!("cuDeviceGetName"), 0, || {
+        self.core.wrapped(site!("cuDeviceGetName"), 0, || {
             self.inner.cu_device_get_name(device)
         })
     }
 
     /// `cuDeviceTotalMem`.
     pub fn cu_device_total_mem(&self, device: i32) -> CudaResult<u64> {
-        self.wrapped(site!("cuDeviceTotalMem"), 0, || {
+        self.core.wrapped(site!("cuDeviceTotalMem"), 0, || {
             self.inner.cu_device_total_mem(device)
         })
     }
 
     /// `cuMemAlloc` — the requested size is the bytes attribute.
     pub fn cu_mem_alloc(&self, size: usize) -> CudaResult<DevicePtr> {
-        self.wrapped(site!("cuMemAlloc"), size as u64, || {
+        self.core.wrapped(site!("cuMemAlloc"), size as u64, || {
             self.inner.cu_mem_alloc(size)
         })
     }
 
     /// `cuMemFree`.
     pub fn cu_mem_free(&self, ptr: DevicePtr) -> CudaResult<()> {
-        self.wrapped(site!("cuMemFree"), 0, || self.inner.cu_mem_free(ptr))
+        self.core
+            .wrapped(site!("cuMemFree"), 0, || self.inner.cu_mem_free(ptr))
     }
 
     /// `cuMemcpyHtoD` — implicit-blocking set: probe for host idle first.
     pub fn cu_memcpy_htod(&self, dst: DevicePtr, src: &[u8]) -> CudaResult<()> {
-        self.wrapped(site!("cuMemcpyHtoD"), src.len() as u64, || {
-            self.inner.cu_memcpy_htod(dst, src)
-        })
+        self.core
+            .wrapped(site!("cuMemcpyHtoD"), src.len() as u64, || {
+                self.inner.cu_memcpy_htod(dst, src)
+            })
     }
 
     /// `cuMemcpyDtoH` — implicit-blocking set, and the paper's lazy sweep
     /// point for completed kernels.
     pub fn cu_memcpy_dtoh(&self, dst: &mut [u8], src: DevicePtr) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cuMemcpyDtoH"), dst.len() as u64, || {
-            self.inner.cu_memcpy_dtoh(dst, src)
-        });
-        self.sweep_ktt();
+        let ret = self
+            .core
+            .wrapped(site!("cuMemcpyDtoH"), dst.len() as u64, || {
+                self.inner.cu_memcpy_dtoh(dst, src)
+            });
+        self.core.sweep_ktt();
         ret
     }
 
     /// `cuMemcpyDtoD` — implicit-blocking set.
     pub fn cu_memcpy_dtod(&self, dst: DevicePtr, src: DevicePtr, len: usize) -> CudaResult<()> {
-        self.wrapped(site!("cuMemcpyDtoD"), len as u64, || {
+        self.core.wrapped(site!("cuMemcpyDtoD"), len as u64, || {
             self.inner.cu_memcpy_dtod(dst, src, len)
         })
     }
@@ -148,7 +139,7 @@ impl IpmDriver {
     /// `cuMemsetD8` — NOT in the implicit-blocking set (§III-C): no
     /// host-idle probe.
     pub fn cu_memset_d8(&self, dst: DevicePtr, value: u8, len: usize) -> CudaResult<()> {
-        self.wrapped(site!("cuMemsetD8"), len as u64, || {
+        self.core.wrapped(site!("cuMemsetD8"), len as u64, || {
             self.inner.cu_memset_d8(dst, value, len)
         })
     }
@@ -162,86 +153,89 @@ impl IpmDriver {
         config: LaunchConfig,
         args: &[KernelArg],
     ) -> CudaResult<()> {
-        self.wrapped(site!("cuLaunchKernel"), 0, || {
+        self.core.wrapped(site!("cuLaunchKernel"), 0, || {
             self.inner.cu_launch_kernel(kernel, config, args)
         })
     }
 
     /// `cuStreamCreate`.
     pub fn cu_stream_create(&self) -> CudaResult<StreamId> {
-        self.wrapped(site!("cuStreamCreate"), 0, || self.inner.cu_stream_create())
+        self.core
+            .wrapped(site!("cuStreamCreate"), 0, || self.inner.cu_stream_create())
     }
 
     /// `cuStreamSynchronize` — explicit sync: sweep afterwards.
     pub fn cu_stream_synchronize(&self, stream: StreamId) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cuStreamSynchronize"), 0, || {
+        let ret = self.core.wrapped(site!("cuStreamSynchronize"), 0, || {
             self.inner.cu_stream_synchronize(stream)
         });
-        self.sweep_ktt();
+        self.core.sweep_ktt();
         ret
     }
 
     /// `cuStreamDestroy`.
     pub fn cu_stream_destroy(&self, stream: StreamId) -> CudaResult<()> {
-        self.wrapped(site!("cuStreamDestroy"), 0, || {
+        self.core.wrapped(site!("cuStreamDestroy"), 0, || {
             self.inner.cu_stream_destroy(stream)
         })
     }
 
     /// `cuEventCreate`.
     pub fn cu_event_create(&self) -> CudaResult<EventId> {
-        self.wrapped(site!("cuEventCreate"), 0, || self.inner.cu_event_create())
+        self.core
+            .wrapped(site!("cuEventCreate"), 0, || self.inner.cu_event_create())
     }
 
     /// `cuEventRecord`.
     pub fn cu_event_record(&self, event: EventId, stream: StreamId) -> CudaResult<()> {
-        self.wrapped(site!("cuEventRecord"), 0, || {
+        self.core.wrapped(site!("cuEventRecord"), 0, || {
             self.inner.cu_event_record(event, stream)
         })
     }
 
     /// `cuEventQuery`.
     pub fn cu_event_query(&self, event: EventId) -> CudaResult<()> {
-        self.wrapped(site!("cuEventQuery"), 0, || {
+        self.core.wrapped(site!("cuEventQuery"), 0, || {
             self.inner.cu_event_query(event)
         })
     }
 
     /// `cuEventSynchronize` — explicit sync: sweep afterwards.
     pub fn cu_event_synchronize(&self, event: EventId) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cuEventSynchronize"), 0, || {
+        let ret = self.core.wrapped(site!("cuEventSynchronize"), 0, || {
             self.inner.cu_event_synchronize(event)
         });
-        self.sweep_ktt();
+        self.core.sweep_ktt();
         ret
     }
 
     /// `cuEventElapsedTime`.
     pub fn cu_event_elapsed_time(&self, start: EventId, stop: EventId) -> CudaResult<f64> {
-        self.wrapped(site!("cuEventElapsedTime"), 0, || {
+        self.core.wrapped(site!("cuEventElapsedTime"), 0, || {
             self.inner.cu_event_elapsed_time(start, stop)
         })
     }
 
     /// `cuEventDestroy`.
     pub fn cu_event_destroy(&self, event: EventId) -> CudaResult<()> {
-        self.wrapped(site!("cuEventDestroy"), 0, || {
+        self.core.wrapped(site!("cuEventDestroy"), 0, || {
             self.inner.cu_event_destroy(event)
         })
     }
 
     /// `cuCtxSynchronize` — explicit sync: sweep afterwards.
     pub fn cu_ctx_synchronize(&self) -> CudaResult<()> {
-        let ret = self.wrapped(site!("cuCtxSynchronize"), 0, || {
+        let ret = self.core.wrapped(site!("cuCtxSynchronize"), 0, || {
             self.inner.cu_ctx_synchronize()
         });
-        self.sweep_ktt();
+        self.core.sweep_ktt();
         ret
     }
 
     /// `cuModuleLoad`.
     pub fn cu_module_load(&self, name: &str) -> CudaResult<ModuleHandle> {
-        self.wrapped(site!("cuModuleLoad"), 0, || self.inner.cu_module_load(name))
+        self.core
+            .wrapped(site!("cuModuleLoad"), 0, || self.inner.cu_module_load(name))
     }
 
     /// Register a kernel in a module (test scaffolding, not an entry
@@ -252,14 +246,14 @@ impl IpmDriver {
 
     /// `cuModuleGetFunction`.
     pub fn cu_module_get_function(&self, module: ModuleHandle, name: &str) -> CudaResult<Kernel> {
-        self.wrapped(site!("cuModuleGetFunction"), 0, || {
+        self.core.wrapped(site!("cuModuleGetFunction"), 0, || {
             self.inner.cu_module_get_function(module, name)
         })
     }
 
     /// `cuFuncSetBlockShape`.
     pub fn cu_func_set_block_shape(&self, x: u32, y: u32, z: u32) -> CudaResult<()> {
-        self.wrapped(site!("cuFuncSetBlockShape"), 0, || {
+        self.core.wrapped(site!("cuFuncSetBlockShape"), 0, || {
             self.inner.cu_func_set_block_shape(x, y, z)
         })
     }
@@ -267,9 +261,10 @@ impl IpmDriver {
     /// `cuParamSetv` — the staged argument's size is the bytes attribute
     /// (mirrors `cudaSetupArgument`).
     pub fn cu_param_set(&self, arg: KernelArg) -> CudaResult<()> {
-        self.wrapped(site!("cuParamSetv"), arg.size() as u64, || {
-            self.inner.cu_param_set(arg)
-        })
+        self.core
+            .wrapped(site!("cuParamSetv"), arg.size() as u64, || {
+                self.inner.cu_param_set(arg)
+            })
     }
 
     /// `cuLaunchGrid` — the old-style launch, bracketed with KTT events so
@@ -289,7 +284,7 @@ impl IpmDriver {
                     kernel_id,
                     StreamId::DEFAULT,
                     || {
-                        self.wrapped_no_sweep(site!("cuLaunchGrid"), 0, || {
+                        self.core.wrapped_no_sweep(site!("cuLaunchGrid"), 0, || {
                             self.inner.cu_launch_grid(kernel, grid_x, grid_y)
                         })
                     },
@@ -299,7 +294,7 @@ impl IpmDriver {
             ret
         } else {
             // speccheck: allow(wrap-once) — one site per mutually-exclusive branch
-            self.wrapped(site!("cuLaunchGrid"), 0, || {
+            self.core.wrapped(site!("cuLaunchGrid"), 0, || {
                 self.inner.cu_launch_grid(kernel, grid_x, grid_y)
             })
         }

@@ -17,8 +17,9 @@
 //! which turns probing and sweeping into no-ops.
 
 use crate::ktt::{CompletedKernel, KttCheckPolicy};
-use crate::monitor::Ipm;
+use crate::monitor::{Ipm, PseudoEvent};
 use crate::sig::EventSignature;
+use crate::trace::TraceKind;
 use ipm_gpu_sim::CudaApi;
 use ipm_interpose::{site, wrap_call, wrap_call_sized, CallHandle, CallId, NameTable};
 use parking_lot::Mutex;
@@ -162,9 +163,15 @@ impl FacadeCore {
         let after = self.ipm.clock().now();
         let idle = after - before;
         if idle > 0.0 {
-            self.ipm
-                .update_pseudo(site!("@CUDA_HOST_IDLE").id, None, idle);
-            self.ipm.trace_host_idle(before, after);
+            self.ipm.book_pseudo(PseudoEvent {
+                kind: TraceKind::HostIdle,
+                name: site!("@CUDA_HOST_IDLE").id,
+                detail: None,
+                duration: idle,
+                interval: Some((before, after)),
+                stream: None,
+                corr: 0,
+            });
         }
     }
 
@@ -194,7 +201,6 @@ impl FacadeCore {
             return;
         }
         let correction = self.ipm.config().exec_time_correction.unwrap_or(0.0);
-        let names = NameTable::global();
         // the stream → `@CUDA_EXEC_STRMxx` cache is consulted once per
         // sweep, not per completion (format + intern run once per stream)
         let mut exec_ids = self.exec_ids.lock();
@@ -202,17 +208,15 @@ impl FacadeCore {
             let exec = *exec_ids.entry(c.stream.0).or_insert_with(|| {
                 CallHandle::of(&EventSignature::exec_stream_name(c.stream.0)).id
             });
-            let duration = (c.duration - correction).max(0.0);
-            if let Some(interval) = c.interval {
-                self.ipm.trace_kernel_exec(
-                    names.name(exec),
-                    names.name(c.kernel),
-                    c.stream.0,
-                    interval,
-                    c.corr,
-                );
-            }
-            self.ipm.update_pseudo(exec, Some(c.kernel), duration);
+            self.ipm.book_pseudo(PseudoEvent {
+                kind: TraceKind::KernelExec,
+                name: exec,
+                detail: Some(c.kernel),
+                duration: (c.duration - correction).max(0.0),
+                interval: c.interval,
+                stream: Some(c.stream.0),
+                corr: c.corr,
+            });
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::facade::FacadeCore;
 use crate::monitor::Ipm;
-use ipm_interpose::{site, CallHandle};
+use ipm_interpose::site;
 use ipm_sim_core::fsio::{FileHandle, FsResult, IoApi, OpenMode};
 use std::sync::Arc;
 
@@ -36,30 +36,29 @@ impl<F: IoApi> IpmIo<F> {
     pub fn ipm(&self) -> &Arc<Ipm> {
         self.core.ipm()
     }
-
-    fn wrapped<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        self.core.wrapped(call, bytes, real)
-    }
 }
 
 impl<F: IoApi> IoApi for IpmIo<F> {
     fn fopen(&self, path: &str, mode: OpenMode) -> FsResult<FileHandle> {
-        self.wrapped(site!("fopen"), 0, || self.inner.fopen(path, mode))
+        self.core
+            .wrapped(site!("fopen"), 0, || self.inner.fopen(path, mode))
     }
 
     fn fread(&self, h: FileHandle, buf: &mut [u8]) -> FsResult<usize> {
         let cap = buf.len() as u64;
-        self.wrapped(site!("fread"), cap, || self.inner.fread(h, buf))
+        self.core
+            .wrapped(site!("fread"), cap, || self.inner.fread(h, buf))
     }
 
     fn fwrite(&self, h: FileHandle, data: &[u8]) -> FsResult<usize> {
-        self.wrapped(site!("fwrite"), data.len() as u64, || {
+        self.core.wrapped(site!("fwrite"), data.len() as u64, || {
             self.inner.fwrite(h, data)
         })
     }
 
     fn fclose(&self, h: FileHandle) -> FsResult<()> {
-        self.wrapped(site!("fclose"), 0, || self.inner.fclose(h))
+        self.core
+            .wrapped(site!("fclose"), 0, || self.inner.fclose(h))
     }
 }
 

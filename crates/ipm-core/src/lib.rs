@@ -66,7 +66,7 @@ pub mod trace;
 pub mod xml;
 
 pub use aggregate::{ClusterReport, ClusterSnapshot, RankSpread};
-pub use compact::{compact_records, merge_runs, same_signature, CompactPolicy, TraceAgg};
+pub use compact::{compact_records, merge_runs, CompactPolicy, TraceAgg};
 pub use cube::{build_cube, CubeMetric};
 pub use cuda_mon::IpmCuda;
 pub use driver_mon::IpmDriver;

@@ -153,11 +153,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Total monitored time in the interval, all families.
-    pub fn busy_time(&self) -> f64 {
-        self.families.iter().map(|f| f.time).sum::<f64>() + 0.0
-    }
-
     /// The delta for one family, if it was active.
     pub fn family(&self, family: EventFamily) -> Option<&FamilyDelta> {
         self.families.iter().find(|f| f.family == family)
@@ -183,6 +178,25 @@ struct SnapState {
     last: HashMap<EventFamily, (u64, u64, f64)>,
     /// Cumulative trace counters at the last snapshot.
     last_trace: TraceCounters,
+}
+
+/// One pseudo-event as the facade core hands it to [`Ipm::book_pseudo`]:
+/// a kernel execution (`@CUDA_EXEC_STRMxx`, detail = kernel symbol) or an
+/// implicit host wait (`@CUDA_HOST_IDLE`).
+pub(crate) struct PseudoEvent {
+    pub(crate) kind: TraceKind,
+    /// Interned pseudo-event name.
+    pub(crate) name: CallId,
+    /// Interned kernel symbol of a `@CUDA_EXEC_*` entry.
+    pub(crate) detail: Option<CallId>,
+    /// The duration the table books (virtual seconds).
+    pub(crate) duration: f64,
+    /// `(begin, end)` that places the event in the trace; `None` books the
+    /// table entry only.
+    pub(crate) interval: Option<(f64, f64)>,
+    pub(crate) stream: Option<u32>,
+    /// Correlation id of the launch (0 when untracked).
+    pub(crate) corr: u64,
 }
 
 /// The per-rank monitoring context.
@@ -310,16 +324,6 @@ impl Ipm {
         }
     }
 
-    /// Record a pseudo-event (`@CUDA_EXEC_*`, `@CUDA_HOST_IDLE`) by its
-    /// interned id; `detail` carries the interned kernel symbol for
-    /// `@CUDA_EXEC_*` entries.
-    pub fn update_pseudo(&self, name: CallId, detail: Option<CallId>, duration: f64) {
-        let t = self.self_begin();
-        self.table
-            .update_key(self.sig_key(name, 0, detail), duration);
-        self.self_end(t);
-    }
-
     /// Pin the cluster clock-alignment epoch to the current virtual time.
     /// First call wins; later calls are no-ops. The MPI facade calls this
     /// when a rank attaches to the world — the analogue of `MPI_Init`
@@ -339,55 +343,31 @@ impl Ipm {
         self.epoch.lock().unwrap_or(self.start)
     }
 
-    /// Capture a kernel-execution interval in the trace (KTT completion
-    /// with device timestamps): `name` is the interned `@CUDA_EXEC_STRMxx`
-    /// pseudo-event, `kernel` the interned kernel symbol. No-op when
-    /// tracing is disabled.
-    pub fn trace_kernel_exec(
-        &self,
-        name: &'static str,
-        kernel: &'static str,
-        stream: u32,
-        interval: (f64, f64),
-        corr: u64,
-    ) {
-        let Some(ring) = &self.trace else { return };
-        let t = Instant::now();
-        ring.push(TraceRecord {
-            kind: TraceKind::KernelExec,
-            name,
-            detail: Some(kernel),
-            begin: interval.0,
-            end: interval.1,
-            bytes: 0,
-            region: self.region.load(Ordering::Relaxed),
-            stream: Some(stream),
-            corr,
-            agg: None,
-        });
-        self.self_ns
-            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Capture an implicit host-blocking interval (`@CUDA_HOST_IDLE`) in
-    /// the trace. No-op when tracing is disabled.
-    pub fn trace_host_idle(&self, begin: f64, end: f64) {
-        let Some(ring) = &self.trace else { return };
-        let t = Instant::now();
-        ring.push(TraceRecord {
-            kind: TraceKind::HostIdle,
-            name: NameTable::global().name(site!("@CUDA_HOST_IDLE").id),
-            detail: None,
-            begin,
-            end,
-            bytes: 0,
-            region: self.region.load(Ordering::Relaxed),
-            stream: None,
-            corr: 0,
-            agg: None,
-        });
-        self.self_ns
-            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// Book one pseudo-event — the one way `@CUDA_EXEC_STRMxx` and
+    /// `@CUDA_HOST_IDLE` enter the monitor. The table entry and, when
+    /// tracing is on and the event has an interval, its trace record are
+    /// written from one key (one region read), under the same sampled
+    /// self-accounting bracket as a wrapped call's [`MonitorSink::span`].
+    pub(crate) fn book_pseudo(&self, ev: PseudoEvent) {
+        let t = self.self_begin();
+        let key = self.sig_key(ev.name, 0, ev.detail);
+        self.table.update_key(key, ev.duration);
+        if let (Some(ring), Some((begin, end))) = (&self.trace, ev.interval) {
+            let names = NameTable::global();
+            ring.push(TraceRecord {
+                kind: ev.kind,
+                name: names.name(ev.name),
+                detail: ev.detail.map(|d| names.name(d)),
+                begin,
+                end,
+                bytes: 0,
+                region: key.region,
+                stream: ev.stream,
+                corr: ev.corr,
+                agg: None,
+            });
+        }
+        self.self_end(t);
     }
 
     /// Remove and return every captured trace record (sorted by begin),
@@ -443,10 +423,11 @@ impl Ipm {
         // baseline (which would underflow the unsigned subtractions).
         let mut snap = self.snap.lock();
         let mut totals: HashMap<EventFamily, (u64, u64, f64)> = HashMap::new();
-        for (sig, stats) in self.table.snapshot() {
-            let e = totals.entry(classify(sig.name)).or_default();
+        let names = NameTable::global();
+        for (key, stats) in self.table.snapshot() {
+            let e = totals.entry(classify(names.name(key.id))).or_default();
             e.0 += stats.count;
-            e.1 += sig.bytes * stats.count;
+            e.1 += key.bytes * stats.count;
             e.2 += stats.total;
         }
         let now = self.clock.now();
@@ -517,20 +498,29 @@ impl Ipm {
         self.region.store(0, Ordering::Relaxed);
     }
 
-    /// Produce the rank's profile (the XML log content). Does **not**
-    /// drain the KTT — call the CUDA facade's `finalize` first if GPU
-    /// timing is on.
+    /// Produce the rank's profile (the XML log content), its entries
+    /// ordered by (name, bytes, region, detail). Does **not** drain the
+    /// KTT — call the CUDA facade's `finalize` first if GPU timing is on.
     pub fn profile(&self) -> RankProfile {
         let meta = self.meta.lock().clone();
-        let entries = self
+        let names = NameTable::global();
+        let mut rows: Vec<_> = self
             .table
             .snapshot()
             .into_iter()
-            .map(|(sig, stats)| ProfileEntry {
-                name: sig.name.to_owned(),
-                detail: sig.detail.map(str::to_owned),
-                bytes: sig.bytes,
-                region: sig.region,
+            .map(|(key, stats)| {
+                let detail = key.detail.map(|d| names.name(d));
+                ((names.name(key.id), key.bytes, key.region, detail), stats)
+            })
+            .collect();
+        rows.sort_by_key(|(sig, _)| *sig);
+        let entries = rows
+            .into_iter()
+            .map(|((name, bytes, region, detail), stats)| ProfileEntry {
+                name: name.to_owned(),
+                detail: detail.map(str::to_owned),
+                bytes,
+                region,
                 stats,
             })
             .collect();
@@ -549,13 +539,6 @@ impl Ipm {
 }
 
 impl MonitorSink for Ipm {
-    fn update(&self, call: CallHandle, bytes: u64, duration: f64) {
-        let t = self.self_begin();
-        self.table
-            .update_key(self.sig_key(call.id, bytes, None), duration);
-        self.self_end(t);
-    }
-
     fn span(&self, call: CallHandle, bytes: u64, begin: f64, end: f64) {
         let t = self.self_begin();
         let key = self.sig_key(call.id, bytes, None);
@@ -598,8 +581,8 @@ mod tests {
     #[test]
     fn sink_updates_land_in_table() {
         let m = ipm();
-        m.update(CallHandle::of("cudaMalloc"), 0, 2.43);
-        m.update(CallHandle::of("cudaMalloc"), 0, 0.01);
+        m.span(CallHandle::of("cudaMalloc"), 0, 0.0, 2.43);
+        m.span(CallHandle::of("cudaMalloc"), 0, 3.0, 3.01);
         let p = m.profile();
         assert_eq!(p.count_of("cudaMalloc"), 2);
         assert!((p.time_of("cudaMalloc") - 2.44).abs() < 1e-12);
@@ -608,12 +591,12 @@ mod tests {
     #[test]
     fn regions_partition_events() {
         let m = ipm();
-        m.update(CallHandle::of("MPI_Send"), 8, 1.0);
+        m.span(CallHandle::of("MPI_Send"), 8, 0.0, 1.0);
         let r = m.region_enter("solver");
         assert_eq!(r, 1);
-        m.update(CallHandle::of("MPI_Send"), 8, 2.0);
+        m.span(CallHandle::of("MPI_Send"), 8, 1.0, 3.0);
         m.region_exit();
-        m.update(CallHandle::of("MPI_Send"), 8, 4.0);
+        m.span(CallHandle::of("MPI_Send"), 8, 3.0, 7.0);
         let p = m.profile();
         assert_eq!(p.regions, vec!["<program>", "solver"]);
         let by_region: Vec<(u16, u64)> = p
@@ -658,11 +641,15 @@ mod tests {
     #[test]
     fn pseudo_events_carry_detail() {
         let m = ipm();
-        m.update_pseudo(
-            CallHandle::of("@CUDA_EXEC_STRM00").id,
-            Some(CallHandle::of("square").id),
-            1.16,
-        );
+        m.book_pseudo(PseudoEvent {
+            kind: TraceKind::KernelExec,
+            name: CallHandle::of("@CUDA_EXEC_STRM00").id,
+            detail: Some(CallHandle::of("square").id),
+            duration: 1.16,
+            interval: None,
+            stream: Some(0),
+            corr: 0,
+        });
         let p = m.profile();
         let e = p
             .entries
@@ -670,6 +657,32 @@ mod tests {
             .find(|e| e.name == "@CUDA_EXEC_STRM00")
             .unwrap();
         assert_eq!(e.detail.as_deref(), Some("square"));
+    }
+
+    #[test]
+    fn profile_order_is_deterministic() {
+        let m = ipm();
+        let call = |name, bytes| m.span(CallHandle::of(name), bytes, 0.0, 0.1);
+        call("zeta", 0);
+        call("alpha", 4);
+        call("alpha", 2);
+        m.region_enter("phase");
+        call("alpha", 2);
+        let order: Vec<(String, u64, u16)> = m
+            .profile()
+            .entries
+            .into_iter()
+            .map(|e| (e.name, e.bytes, e.region))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                ("alpha".to_owned(), 2, 0),
+                ("alpha".to_owned(), 2, 1),
+                ("alpha".to_owned(), 4, 0),
+                ("zeta".to_owned(), 0, 0),
+            ]
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::facade::FacadeCore;
 use crate::monitor::Ipm;
-use ipm_interpose::{site, CallHandle};
+use ipm_interpose::site;
 use ipm_mpi_sim::{MpiApi, MpiResult, ReduceOp, Request};
 use std::sync::Arc;
 
@@ -39,22 +39,6 @@ impl<M: MpiApi> IpmMpi<M> {
     pub fn ipm(&self) -> &Arc<Ipm> {
         self.core.ipm()
     }
-
-    fn wrapped<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        self.core.wrapped(call, bytes, real)
-    }
-
-    /// Variant for calls sized by their *result* (`MPI_Recv`: the payload
-    /// arrives as the return value, so the byte attribute is measured after
-    /// the real call completes).
-    fn wrapped_sized<R>(
-        &self,
-        call: CallHandle,
-        real: impl FnOnce() -> R,
-        bytes_of: impl FnOnce(&R) -> u64,
-    ) -> R {
-        self.core.wrapped_sized(call, real, bytes_of)
-    }
 }
 
 impl<M: MpiApi> MpiApi for IpmMpi<M> {
@@ -68,13 +52,13 @@ impl<M: MpiApi> MpiApi for IpmMpi<M> {
     }
 
     fn mpi_send(&self, dest: usize, tag: i32, data: &[u8]) -> MpiResult<()> {
-        self.wrapped(site!("MPI_Send"), data.len() as u64, || {
+        self.core.wrapped(site!("MPI_Send"), data.len() as u64, || {
             self.inner.mpi_send(dest, tag, data)
         })
     }
 
     fn mpi_recv(&self, src: Option<usize>, tag: i32) -> MpiResult<(usize, Vec<u8>)> {
-        self.wrapped_sized(
+        self.core.wrapped_sized(
             site!("MPI_Recv"),
             || self.inner.mpi_recv(src, tag),
             |r| r.as_ref().map_or(0, |(_, data)| data.len() as u64),
@@ -82,19 +66,21 @@ impl<M: MpiApi> MpiApi for IpmMpi<M> {
     }
 
     fn mpi_isend(&self, dest: usize, tag: i32, data: &[u8]) -> MpiResult<Request> {
-        self.wrapped(site!("MPI_Isend"), data.len() as u64, || {
-            self.inner.mpi_isend(dest, tag, data)
-        })
+        self.core
+            .wrapped(site!("MPI_Isend"), data.len() as u64, || {
+                self.inner.mpi_isend(dest, tag, data)
+            })
     }
 
     fn mpi_irecv(&self, src: Option<usize>, tag: i32) -> MpiResult<Request> {
-        self.wrapped(site!("MPI_Irecv"), 0, || self.inner.mpi_irecv(src, tag))
+        self.core
+            .wrapped(site!("MPI_Irecv"), 0, || self.inner.mpi_irecv(src, tag))
     }
 
     fn mpi_wait(&self, req: &mut Request) -> MpiResult<Option<(usize, Vec<u8>)>> {
         // completing a posted receive delivers the payload here, so this is
         // where the bytes MPI_Irecv could not know get attributed
-        self.wrapped_sized(
+        self.core.wrapped_sized(
             site!("MPI_Wait"),
             || self.inner.mpi_wait(req),
             |r| match r {
@@ -105,12 +91,13 @@ impl<M: MpiApi> MpiApi for IpmMpi<M> {
     }
 
     fn mpi_barrier(&self) -> MpiResult<()> {
-        self.wrapped(site!("MPI_Barrier"), 0, || self.inner.mpi_barrier())
+        self.core
+            .wrapped(site!("MPI_Barrier"), 0, || self.inner.mpi_barrier())
     }
 
     fn mpi_bcast(&self, root: usize, data: Vec<u8>) -> MpiResult<Vec<u8>> {
         let bytes = data.len() as u64;
-        self.wrapped(site!("MPI_Bcast"), bytes, || {
+        self.core.wrapped(site!("MPI_Bcast"), bytes, || {
             self.inner.mpi_bcast(root, data)
         })
     }
@@ -121,33 +108,38 @@ impl<M: MpiApi> MpiApi for IpmMpi<M> {
         data: &[f64],
         op: ReduceOp,
     ) -> MpiResult<Option<Vec<f64>>> {
-        self.wrapped(site!("MPI_Reduce"), 8 * data.len() as u64, || {
-            self.inner.mpi_reduce_f64(root, data, op)
-        })
+        self.core
+            .wrapped(site!("MPI_Reduce"), 8 * data.len() as u64, || {
+                self.inner.mpi_reduce_f64(root, data, op)
+            })
     }
 
     fn mpi_allreduce_f64(&self, data: &[f64], op: ReduceOp) -> MpiResult<Vec<f64>> {
-        self.wrapped(site!("MPI_Allreduce"), 8 * data.len() as u64, || {
-            self.inner.mpi_allreduce_f64(data, op)
-        })
+        self.core
+            .wrapped(site!("MPI_Allreduce"), 8 * data.len() as u64, || {
+                self.inner.mpi_allreduce_f64(data, op)
+            })
     }
 
     fn mpi_gather(&self, root: usize, data: &[u8]) -> MpiResult<Option<Vec<Vec<u8>>>> {
-        self.wrapped(site!("MPI_Gather"), data.len() as u64, || {
-            self.inner.mpi_gather(root, data)
-        })
+        self.core
+            .wrapped(site!("MPI_Gather"), data.len() as u64, || {
+                self.inner.mpi_gather(root, data)
+            })
     }
 
     fn mpi_allgather(&self, data: &[u8]) -> MpiResult<Vec<Vec<u8>>> {
-        self.wrapped(site!("MPI_Allgather"), data.len() as u64, || {
-            self.inner.mpi_allgather(data)
-        })
+        self.core
+            .wrapped(site!("MPI_Allgather"), data.len() as u64, || {
+                self.inner.mpi_allgather(data)
+            })
     }
 
     fn mpi_alltoall(&self, data: &[u8]) -> MpiResult<Vec<u8>> {
-        self.wrapped(site!("MPI_Alltoall"), data.len() as u64, || {
-            self.inner.mpi_alltoall(data)
-        })
+        self.core
+            .wrapped(site!("MPI_Alltoall"), data.len() as u64, || {
+                self.inner.mpi_alltoall(data)
+            })
     }
 
     fn mpi_wtime(&self) -> f64 {

@@ -12,7 +12,7 @@
 use crate::facade::FacadeCore;
 use crate::monitor::Ipm;
 use ipm_gpu_sim::{CudaResult, DevicePtr, StreamId};
-use ipm_interpose::{site, CallHandle};
+use ipm_interpose::site;
 use ipm_numlib::{BlasApi, Complex64, FftApi, FftDirection, FftType, PlanId, Transpose};
 use std::sync::Arc;
 
@@ -40,21 +40,19 @@ impl<B: BlasApi> IpmBlas<B> {
     pub fn ipm(&self) -> &Arc<Ipm> {
         self.core.ipm()
     }
-
-    fn wrapped<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        self.core.wrapped(call, bytes, real)
-    }
 }
 
 impl<B: BlasApi> BlasApi for IpmBlas<B> {
     fn cublas_alloc(&self, n: usize, elem_size: usize) -> CudaResult<DevicePtr> {
-        self.wrapped(site!("cublasAlloc"), (n * elem_size) as u64, || {
-            self.inner.cublas_alloc(n, elem_size)
-        })
+        self.core
+            .wrapped(site!("cublasAlloc"), (n * elem_size) as u64, || {
+                self.inner.cublas_alloc(n, elem_size)
+            })
     }
 
     fn cublas_free(&self, ptr: DevicePtr) -> CudaResult<()> {
-        self.wrapped(site!("cublasFree"), 0, || self.inner.cublas_free(ptr))
+        self.core
+            .wrapped(site!("cublasFree"), 0, || self.inner.cublas_free(ptr))
     }
 
     fn cublas_set_matrix(
@@ -65,7 +63,7 @@ impl<B: BlasApi> BlasApi for IpmBlas<B> {
         host: &[u8],
         dev: DevicePtr,
     ) -> CudaResult<()> {
-        self.wrapped(
+        self.core.wrapped(
             site!("cublasSetMatrix"),
             (rows * cols * elem_size) as u64,
             || {
@@ -83,7 +81,7 @@ impl<B: BlasApi> BlasApi for IpmBlas<B> {
         dev: DevicePtr,
         host: &mut [u8],
     ) -> CudaResult<()> {
-        self.wrapped(
+        self.core.wrapped(
             site!("cublasGetMatrix"),
             (rows * cols * elem_size) as u64,
             || {
@@ -101,7 +99,7 @@ impl<B: BlasApi> BlasApi for IpmBlas<B> {
         host_prefix: &[u8],
         dev: DevicePtr,
     ) -> CudaResult<()> {
-        self.wrapped(
+        self.core.wrapped(
             site!("cublasSetMatrix"),
             (rows * cols * elem_size) as u64,
             || {
@@ -119,7 +117,7 @@ impl<B: BlasApi> BlasApi for IpmBlas<B> {
         dev: DevicePtr,
         host_prefix: &mut [u8],
     ) -> CudaResult<()> {
-        self.wrapped(
+        self.core.wrapped(
             site!("cublasGetMatrix"),
             (rows * cols * elem_size) as u64,
             || {
@@ -136,9 +134,10 @@ impl<B: BlasApi> BlasApi for IpmBlas<B> {
         host: &[u8],
         dev: DevicePtr,
     ) -> CudaResult<()> {
-        self.wrapped(site!("cublasSetVector"), (n * elem_size) as u64, || {
-            self.inner.cublas_set_vector(n, elem_size, host, dev)
-        })
+        self.core
+            .wrapped(site!("cublasSetVector"), (n * elem_size) as u64, || {
+                self.inner.cublas_set_vector(n, elem_size, host, dev)
+            })
     }
 
     fn cublas_get_vector(
@@ -148,9 +147,10 @@ impl<B: BlasApi> BlasApi for IpmBlas<B> {
         dev: DevicePtr,
         host: &mut [u8],
     ) -> CudaResult<()> {
-        self.wrapped(site!("cublasGetVector"), (n * elem_size) as u64, || {
-            self.inner.cublas_get_vector(n, elem_size, dev, host)
-        })
+        self.core
+            .wrapped(site!("cublasGetVector"), (n * elem_size) as u64, || {
+                self.inner.cublas_get_vector(n, elem_size, dev, host)
+            })
     }
 
     fn cublas_dgemm(
@@ -171,7 +171,7 @@ impl<B: BlasApi> BlasApi for IpmBlas<B> {
     ) -> CudaResult<()> {
         // operand footprint: A(mk) + B(kn) + C(mn) doubles
         let bytes = 8 * (m * k + k * n + m * n) as u64;
-        self.wrapped(site!("cublasDgemm"), bytes, || {
+        self.core.wrapped(site!("cublasDgemm"), bytes, || {
             self.inner
                 .cublas_dgemm(ta, tb, m, n, k, alpha, da, lda, db, ldb, beta, dc, ldc)
         })
@@ -194,20 +194,20 @@ impl<B: BlasApi> BlasApi for IpmBlas<B> {
         ldc: usize,
     ) -> CudaResult<()> {
         let bytes = 16 * (m * k + k * n + m * n) as u64;
-        self.wrapped(site!("cublasZgemm"), bytes, || {
+        self.core.wrapped(site!("cublasZgemm"), bytes, || {
             self.inner
                 .cublas_zgemm(ta, tb, m, n, k, alpha, da, lda, db, ldb, beta, dc, ldc)
         })
     }
 
     fn cublas_daxpy(&self, n: usize, alpha: f64, dx: DevicePtr, dy: DevicePtr) -> CudaResult<()> {
-        self.wrapped(site!("cublasDaxpy"), 16 * n as u64, || {
+        self.core.wrapped(site!("cublasDaxpy"), 16 * n as u64, || {
             self.inner.cublas_daxpy(n, alpha, dx, dy)
         })
     }
 
     fn cublas_ddot(&self, n: usize, dx: DevicePtr, dy: DevicePtr) -> CudaResult<f64> {
-        self.wrapped(site!("cublasDdot"), 16 * n as u64, || {
+        self.core.wrapped(site!("cublasDdot"), 16 * n as u64, || {
             self.inner.cublas_ddot(n, dx, dy)
         })
     }
@@ -238,21 +238,18 @@ impl IpmFft {
     pub fn ipm(&self) -> &Arc<Ipm> {
         self.core.ipm()
     }
-
-    fn wrapped<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        self.core.wrapped(call, bytes, real)
-    }
 }
 
 impl FftApi for IpmFft {
     fn cufft_plan_1d(&self, n: usize, ty: FftType, batch: usize) -> CudaResult<PlanId> {
-        self.wrapped(site!("cufftPlan1d"), (16 * n * batch) as u64, || {
-            self.inner.plan_1d(n, ty, batch)
-        })
+        self.core
+            .wrapped(site!("cufftPlan1d"), (16 * n * batch) as u64, || {
+                self.inner.plan_1d(n, ty, batch)
+            })
     }
 
     fn cufft_set_stream(&self, plan: PlanId, stream: StreamId) -> CudaResult<()> {
-        self.wrapped(site!("cufftSetStream"), 0, || {
+        self.core.wrapped(site!("cufftSetStream"), 0, || {
             self.inner.set_stream(plan, stream)
         })
     }
@@ -269,13 +266,14 @@ impl FftApi for IpmFft {
             .plan_info(plan)
             .map(|(n, b)| (16 * n * b) as u64)
             .unwrap_or(0);
-        self.wrapped(site!("cufftExecZ2Z"), bytes, || {
+        self.core.wrapped(site!("cufftExecZ2Z"), bytes, || {
             self.inner.exec_z2z(plan, idata, odata, dir)
         })
     }
 
     fn cufft_destroy(&self, plan: PlanId) -> CudaResult<()> {
-        self.wrapped(site!("cufftDestroy"), 0, || self.inner.destroy(plan))
+        self.core
+            .wrapped(site!("cufftDestroy"), 0, || self.inner.destroy(plan))
     }
 }
 

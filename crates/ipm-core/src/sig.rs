@@ -7,7 +7,7 @@
 //! **detail** string (the kernel symbol for GPU-execution entries, so the
 //! XML log can break kernel time down per kernel and per stream).
 
-use ipm_interpose::{CallHandle, CallId, NameTable};
+use ipm_interpose::{CallHandle, CallId};
 use std::fmt;
 
 /// Pseudo-event prefix: entries that do not correspond to a host function
@@ -16,7 +16,8 @@ pub const PSEUDO_PREFIX: char = '@';
 
 /// The key of one performance-table entry, in its string form. Names are
 /// `'static`: spec names are literals, and every other name the monitor
-/// sees is interned for the life of the process (see [`NameTable`]).
+/// sees is interned for the life of the process (see
+/// [`NameTable`](ipm_interpose::NameTable)).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventSignature {
     /// Call or pseudo-event name.
@@ -79,8 +80,9 @@ impl EventSignature {
 
 /// The hot-path form of an event signature: the interned name id plus the
 /// value attributes, all `Copy`. This is what the performance table hashes
-/// on the record path — no string hashing, no `Arc` traffic. The string
-/// form comes back at report time via [`SigKey::resolve`].
+/// on the record path — no string hashing, no `Arc` traffic. Names come
+/// back only at report time, through the interner's lock-free
+/// [`NameTable::name`](ipm_interpose::NameTable::name).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SigKey {
     /// Interned call or pseudo-event name.
@@ -101,18 +103,6 @@ impl SigKey {
             bytes,
             region: 0,
             detail: None,
-        }
-    }
-
-    /// Resolve back to the string-keyed form through the global interner's
-    /// lock-free id → name lookup; nothing is copied.
-    pub fn resolve(&self) -> EventSignature {
-        let names = NameTable::global();
-        EventSignature {
-            name: names.name(self.id),
-            bytes: self.bytes,
-            region: self.region,
-            detail: self.detail.map(|d| names.name(d)),
         }
     }
 }
@@ -202,7 +192,10 @@ mod tests {
             .in_region(3)
             .with_detail("square");
         let key = sig.key();
-        assert_eq!(key.resolve(), sig);
+        let names = ipm_interpose::NameTable::global();
+        assert_eq!(names.name(key.id), sig.name);
+        assert_eq!(key.detail.map(|d| names.name(d)), sig.detail);
+        assert_eq!((key.bytes, key.region), (sig.bytes, sig.region));
         // interning is stable, so equal signatures make equal keys
         assert_eq!(sig.key(), key);
         // and distinct attributes stay distinct in key space

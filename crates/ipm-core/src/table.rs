@@ -23,7 +23,7 @@
 //!   observation is ever counted twice, and cells are registered in the
 //!   table so no observation is lost when a thread exits.
 
-use crate::sig::{EventSignature, SigKey};
+use crate::sig::SigKey;
 use ipm_interpose::CallId;
 use ipm_sim_core::RunningStats;
 use std::cell::RefCell;
@@ -286,13 +286,6 @@ impl PerfTable {
         debug_assert!(stored, "an emptied cell admits any key");
     }
 
-    /// [`PerfTable::update_key`] for a string-keyed signature: interns the
-    /// name(s) first. Report-path and test convenience — the facades
-    /// resolve their names once, not per call.
-    pub fn update(&self, sig: &EventSignature, duration: f64) {
-        self.update_key(sig.key(), duration);
-    }
-
     /// Merge every thread's pending deltas into the shared map, then
     /// answer `read` from it under the same lock. All read paths go
     /// through here, so reads observe every completed `update_key`.
@@ -310,8 +303,7 @@ impl PerfTable {
     }
 
     /// Look up the statistics for a signature.
-    pub fn get(&self, sig: &EventSignature) -> Option<RunningStats> {
-        let key = sig.key();
+    pub fn get(&self, key: SigKey) -> Option<RunningStats> {
         self.flushed(|m| m.map.get(&key).copied())
     }
 
@@ -330,18 +322,11 @@ impl PerfTable {
         self.flushed(|m| m.overflow)
     }
 
-    /// Snapshot all entries with names resolved, deterministically ordered
-    /// by (name, bytes, region, detail). Used at report time; not a hot
+    /// Snapshot all entries, in no particular order. Names stay interned:
+    /// the report paths resolve (and order) what they show. Not a hot
     /// path.
-    pub fn snapshot(&self) -> Vec<(EventSignature, RunningStats)> {
-        let mut out: Vec<_> = self.flushed(|m| {
-            m.map
-                .iter()
-                .map(|(key, stats)| (key.resolve(), *stats))
-                .collect()
-        });
-        out.sort_by_key(|(s, _)| (s.name, s.bytes, s.region, s.detail));
-        out
+    pub fn snapshot(&self) -> Vec<(SigKey, RunningStats)> {
+        self.flushed(|m| m.map.iter().map(|(key, stats)| (*key, *stats)).collect())
     }
 }
 
@@ -354,16 +339,21 @@ impl Default for PerfTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipm_interpose::CallHandle;
     use std::sync::Arc;
     use std::thread;
+
+    fn key(name: &str, bytes: u64) -> SigKey {
+        SigKey::call(CallHandle::of(name).id, bytes)
+    }
 
     #[test]
     fn update_accumulates_per_signature() {
         let t = PerfTable::new();
-        let sig = EventSignature::call("cudaMemcpy(D2H)", 4096);
-        t.update(&sig, 1.0);
-        t.update(&sig, 3.0);
-        let stats = t.get(&sig).unwrap();
+        let sig = key("cudaMemcpy(D2H)", 4096);
+        t.update_key(sig, 1.0);
+        t.update_key(sig, 3.0);
+        let stats = t.get(sig).unwrap();
         assert_eq!(stats.count, 2);
         assert_eq!(stats.total, 4.0);
         assert_eq!(stats.min, 1.0);
@@ -371,21 +361,10 @@ mod tests {
     }
 
     #[test]
-    fn update_key_is_the_hot_path_form_of_update() {
-        let t = PerfTable::new();
-        let sig = EventSignature::call("cudaLaunch", 0).in_region(2);
-        t.update_key(sig.key(), 0.5);
-        t.update(&sig, 0.25);
-        let stats = t.get(&sig).unwrap();
-        assert_eq!(stats.count, 2);
-        assert_eq!(stats.total, 0.75);
-    }
-
-    #[test]
     fn distinct_byte_counts_get_distinct_entries() {
         let t = PerfTable::new();
-        t.update(&EventSignature::call("cudaMemcpy(H2D)", 100), 0.1);
-        t.update(&EventSignature::call("cudaMemcpy(H2D)", 200), 0.2);
+        t.update_key(key("cudaMemcpy(H2D)", 100), 0.1);
+        t.update_key(key("cudaMemcpy(H2D)", 200), 0.2);
         assert_eq!(t.len(), 2);
     }
 
@@ -393,14 +372,14 @@ mod tests {
     fn capacity_cap_counts_overflow() {
         let t = PerfTable::with_capacity(4);
         for i in 0..10u64 {
-            t.update(&EventSignature::call("x", i), 0.1);
+            t.update_key(key("x", i), 0.1);
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.overflow(), 6);
         // existing entries still update after saturation
         let (stored, before) = t.snapshot().remove(0);
-        t.update(&stored, 0.1);
-        assert_eq!(t.get(&stored).unwrap().count, before.count + 1);
+        t.update_key(stored, 0.1);
+        assert_eq!(t.get(stored).unwrap().count, before.count + 1);
     }
 
     #[test]
@@ -411,11 +390,11 @@ mod tests {
         let keys = 2 * CELL_SLOTS as u64;
         for pass in 0..3 {
             for i in 0..keys {
-                t.update(&EventSignature::call("k", i), (i + pass) as f64);
+                t.update_key(key("k", i), (i + pass) as f64);
             }
         }
         for i in 0..keys {
-            let stats = t.get(&EventSignature::call("k", i)).unwrap();
+            let stats = t.get(key("k", i)).unwrap();
             assert_eq!(
                 (stats.count, stats.min, stats.max),
                 (3, i as f64, (i + 2) as f64)
@@ -430,7 +409,7 @@ mod tests {
         let t = PerfTable::with_capacity(4);
         let keys = 2 * CELL_SLOTS as u64;
         for i in 0..keys {
-            t.update(&EventSignature::call("x", i), 0.1);
+            t.update_key(key("x", i), 0.1);
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.overflow(), keys - 4);
@@ -440,40 +419,14 @@ mod tests {
     fn reads_observe_deltas_still_resident_in_cells() {
         // no explicit flush API: every read path flushes implicitly
         let t = PerfTable::new();
-        t.update(&EventSignature::call("MPI_Send", 8), 1.0);
+        t.update_key(key("MPI_Send", 8), 1.0);
         assert!(!t.is_empty());
         assert_eq!(t.len(), 1);
-        t.update(&EventSignature::call("MPI_Send", 8), 1.0);
-        assert_eq!(
-            t.get(&EventSignature::call("MPI_Send", 8)).unwrap().count,
-            2
-        );
+        t.update_key(key("MPI_Send", 8), 1.0);
+        assert_eq!(t.get(key("MPI_Send", 8)).unwrap().count, 2);
         let snap = t.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].1.count, 2);
-    }
-
-    #[test]
-    fn snapshot_order_is_deterministic() {
-        let t = PerfTable::new();
-        t.update(&EventSignature::call("zeta", 0), 0.1);
-        t.update(&EventSignature::call("alpha", 4), 0.1);
-        t.update(&EventSignature::call("alpha", 2), 0.1);
-        t.update(&EventSignature::call("alpha", 2).in_region(1), 0.1);
-        let names: Vec<(String, u64, u16)> = t
-            .snapshot()
-            .into_iter()
-            .map(|(s, _)| (s.name.to_string(), s.bytes, s.region))
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                ("alpha".to_owned(), 2, 0),
-                ("alpha".to_owned(), 2, 1),
-                ("alpha".to_owned(), 4, 0),
-                ("zeta".to_owned(), 0, 0),
-            ]
-        );
     }
 
     #[test]
@@ -483,11 +436,10 @@ mod tests {
             .map(|k| {
                 let t = t.clone();
                 thread::spawn(move || {
-                    let sig = EventSignature::call("hot", 0);
-                    let own = EventSignature::call("own", k);
+                    let (sig, own) = (key("hot", 0), key("own", k));
                     for _ in 0..10_000 {
-                        t.update(&sig, 1e-6);
-                        t.update(&own, 1e-6);
+                        t.update_key(sig, 1e-6);
+                        t.update_key(own, 1e-6);
                     }
                 })
             })
@@ -495,15 +447,9 @@ mod tests {
         for th in threads {
             th.join().unwrap();
         }
-        assert_eq!(
-            t.get(&EventSignature::call("hot", 0)).unwrap().count,
-            80_000
-        );
+        assert_eq!(t.get(key("hot", 0)).unwrap().count, 80_000);
         for k in 0..8 {
-            assert_eq!(
-                t.get(&EventSignature::call("own", k)).unwrap().count,
-                10_000
-            );
+            assert_eq!(t.get(key("own", k)).unwrap().count, 10_000);
         }
         assert_eq!(t.overflow(), 0);
     }
@@ -516,30 +462,25 @@ mod tests {
         let h = {
             let t = t.clone();
             thread::spawn(move || {
-                t.update(&EventSignature::call("MPI_Barrier", 0), 0.5);
+                t.update_key(key("MPI_Barrier", 0), 0.5);
             })
         };
         h.join().unwrap();
-        assert_eq!(
-            t.get(&EventSignature::call("MPI_Barrier", 0))
-                .unwrap()
-                .count,
-            1
-        );
+        assert_eq!(t.get(key("MPI_Barrier", 0)).unwrap().count, 1);
     }
 
     #[test]
     fn one_thread_feeding_two_tables_keeps_them_separate() {
         let a = PerfTable::new();
         let b = PerfTable::new();
-        let sig = EventSignature::call("cudaFree", 0);
-        a.update(&sig, 1.0);
-        b.update(&sig, 2.0);
-        a.update(&sig, 1.0);
-        assert_eq!(a.get(&sig).unwrap().count, 2);
-        assert_eq!(a.get(&sig).unwrap().total, 2.0);
-        assert_eq!(b.get(&sig).unwrap().count, 1);
-        assert_eq!(b.get(&sig).unwrap().total, 2.0);
+        let sig = key("cudaFree", 0);
+        a.update_key(sig, 1.0);
+        b.update_key(sig, 2.0);
+        a.update_key(sig, 1.0);
+        assert_eq!(a.get(sig).unwrap().count, 2);
+        assert_eq!(a.get(sig).unwrap().total, 2.0);
+        assert_eq!(b.get(sig).unwrap().count, 1);
+        assert_eq!(b.get(sig).unwrap().total, 2.0);
     }
 
     #[test]

@@ -112,13 +112,6 @@ impl TraceRecord {
         self.agg.map_or(self.end - self.begin, |a| a.total)
     }
 
-    /// Longest individual duration this record represents (merge-ceiling
-    /// checks compare against this, so a summary never smuggles a long
-    /// slice past the policy).
-    pub(crate) fn longest(&self) -> f64 {
-        self.agg.map_or(self.end - self.begin, |a| a.max)
-    }
-
     /// This record's aggregate, treating a raw record as a unit summary.
     pub(crate) fn agg_or_unit(&self) -> TraceAgg {
         self.agg.unwrap_or(TraceAgg {

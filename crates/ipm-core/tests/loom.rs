@@ -179,8 +179,8 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
                     // two updates per thread: the second lands on a key the
                     // cell has already seen *unless* a racing flush drained
                     // it in between — both shapes are explored
-                    table.update(&EventSignature::call("cudaLaunch", 0), 1e-6);
-                    table.update(&EventSignature::call("cudaMemcpy(H2D)", 64 * t), 2e-6);
+                    table.update_key(EventSignature::call("cudaLaunch", 0).key(), 1e-6);
+                    table.update_key(EventSignature::call("cudaMemcpy(H2D)", 64 * t).key(), 2e-6);
                 })
             })
             .collect();
@@ -197,7 +197,7 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
         // after the recorders retire, a flushing read recovers every
         // completed update exactly once — across cells *and* across the
         // earlier drain (flushed deltas merged into the map stay there)
-        let hot_stats = table.get(&hot).unwrap();
+        let hot_stats = table.get(hot.key()).unwrap();
         assert_eq!(hot_stats.count, 2, "hot-key delta lost or doubled");
         assert_eq!(hot_stats.total, 2e-6);
         let total: u64 = table.snapshot().iter().map(|(_, stats)| stats.count).sum();
@@ -222,8 +222,8 @@ fn flushing_read_never_hides_a_completed_update() {
             thread::spawn(move || {
                 // fills the one-key loom cell, so the watched update takes
                 // the full-cell path unless the flusher drained it first
-                table.update(&EventSignature::call("cudaMemcpy(H2D)", 64), 1e-6);
-                table.update(&EventSignature::call("cudaLaunch", 0), 1e-6);
+                table.update_key(EventSignature::call("cudaMemcpy(H2D)", 64).key(), 1e-6);
+                table.update_key(EventSignature::call("cudaLaunch", 0).key(), 1e-6);
                 done.store(true, Ordering::SeqCst);
             })
         };
@@ -237,7 +237,7 @@ fn flushing_read_never_hides_a_completed_update() {
             let (table, done) = (Arc::clone(&table), Arc::clone(&done));
             thread::spawn(move || {
                 if done.load(Ordering::SeqCst) {
-                    let seen = table.get(&EventSignature::call("cudaLaunch", 0));
+                    let seen = table.get(EventSignature::call("cudaLaunch", 0).key());
                     assert_eq!(
                         seen.map(|s| s.count),
                         Some(1),
@@ -264,8 +264,8 @@ fn perf_table_updates_merge_and_respect_exact_capacity() {
             .map(|t| {
                 let table = Arc::clone(&table);
                 thread::spawn(move || {
-                    table.update(&EventSignature::call("hot", 0), 1e-6);
-                    table.update(&EventSignature::call("own", t), 1e-6);
+                    table.update_key(EventSignature::call("hot", 0).key(), 1e-6);
+                    table.update_key(EventSignature::call("own", t).key(), 1e-6);
                 })
             })
             .collect();
@@ -273,15 +273,15 @@ fn perf_table_updates_merge_and_respect_exact_capacity() {
             h.join().unwrap();
         }
 
-        let hot = table.get(&EventSignature::call("hot", 0)).unwrap();
+        let hot = table.get(EventSignature::call("hot", 0).key()).unwrap();
         assert_eq!(hot.count, 2, "hot-signature update lost");
         // 3 distinct signatures offered into capacity 2: no offer may
         // vanish, so entries stored plus overflowed updates cover all 4
         assert!(table.len() <= 2);
         let stored_updates: u64 = [
-            table.get(&EventSignature::call("hot", 0)),
-            table.get(&EventSignature::call("own", 0)),
-            table.get(&EventSignature::call("own", 1)),
+            table.get(EventSignature::call("hot", 0).key()),
+            table.get(EventSignature::call("own", 0).key()),
+            table.get(EventSignature::call("own", 1).key()),
         ]
         .iter()
         .flatten()
@@ -305,7 +305,7 @@ fn full_cell_flush_races_a_read_without_losing_or_doubling() {
                 // the first key fills the cell; the next two take the
                 // full-cell path unless the read drained it in between
                 for bytes in [0, 64, 128] {
-                    table.update(&EventSignature::call("cudaMemcpy(D2H)", bytes), 1e-6);
+                    table.update_key(EventSignature::call("cudaMemcpy(D2H)", bytes).key(), 1e-6);
                 }
             })
         };

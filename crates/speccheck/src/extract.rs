@@ -9,10 +9,11 @@
 //!   line of its doc comment leads with the backticked name, e.g.
 //!   ``/// `cudaMalloc` — ...``. Continuation lines mentioning other names
 //!   in prose do not count.
-//! - **Wrapper sites**: monitors report through the `wrapped*` helpers with
-//!   an interned call-site literal: `self.wrapped(site!("cudaMalloc"), size,
-//!   ...)`. The pre-interning idiom (`self.wrapped("cudaMalloc", size, ...)`)
-//!   is still recognized so doctored-source tests keep working.
+//! - **Wrapper sites**: monitors report through the shared core's
+//!   `wrapped*` methods with an interned call-site literal:
+//!   `self.core.wrapped(site!("cudaMalloc"), size, ...)`. The
+//!   pre-interning idiom (`self.wrapped("cudaMalloc", size, ...)`) is
+//!   still recognized so doctored-source tests keep working.
 //!
 //! Everything after the first `#[cfg(test)]` in a file is ignored.
 
@@ -363,7 +364,7 @@ const ANATOMY_PRIMITIVES: &[&str] = &[
     "wrap_call(",
     "wrap_call_sized(",
     "fn absorb_host_idle",
-    "update_pseudo(",
+    "book_pseudo(",
     "Instant::now",
     "clock().now",
 ];

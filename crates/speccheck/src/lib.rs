@@ -196,6 +196,31 @@ mod tests {
     }
 
     #[test]
+    fn anatomy_lint_catches_a_facade_booking_a_pseudo_event() {
+        // sabotage: the D2H wrapper books its own host-idle wait instead of
+        // leaving the probe to the shared core
+        let mut files = load_sources(&workspace_root()).unwrap();
+        let sweep = "        self.core.sweep_ktt();\n";
+        for (_, f) in &mut files {
+            if f.rel.ends_with("cuda_mon.rs") {
+                assert!(f.text.contains(sweep), "no sweep point to sabotage");
+                f.text = f.text.replacen(
+                    sweep,
+                    "        self.ipm().book_pseudo(idle);\n        self.core.sweep_ktt();\n",
+                    1,
+                );
+            }
+        }
+        let found: Vec<_> = run(&spec_from_registry(), &files)
+            .into_iter()
+            .filter(|d| d.code == "anatomy")
+            .collect();
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].target, "book_pseudo");
+        assert!(found[0].file.ends_with("cuda_mon.rs"));
+    }
+
+    #[test]
     fn misclassifying_a_memset_as_blocking_is_detected() {
         let mut spec = spec_from_registry();
         for r in &mut spec {

@@ -30,13 +30,13 @@ proptest! {
             std::collections::HashMap::new();
         for &(n, bytes, region, dur) in &updates {
             let sig = EventSignature::call(names[n as usize], bytes).in_region(region);
-            table.update(&sig, dur);
+            table.update_key(sig.key(), dur);
             model.entry((n, bytes, region)).or_default().record(dur);
         }
         prop_assert_eq!(table.len(), model.len());
         for ((n, bytes, region), want) in model {
             let sig = EventSignature::call(names[n as usize], bytes).in_region(region);
-            let got = table.get(&sig).expect("entry exists");
+            let got = table.get(sig.key()).expect("entry exists");
             prop_assert_eq!(got.count, want.count);
             prop_assert!((got.total - want.total).abs() < 1e-9);
             prop_assert_eq!(got.min, want.min);
@@ -51,7 +51,7 @@ proptest! {
     fn perf_table_never_exceeds_capacity(cap in 1usize..32, k in 1u64..16, n in 0u64..200) {
         let table = PerfTable::with_capacity(cap);
         for i in 0..n {
-            table.update(&EventSignature::call("x", i), 0.5);
+            table.update_key(EventSignature::call("x", i).key(), 0.5);
             if (i + 1) % k == 0 || i + 1 == n {
                 prop_assert!(table.len() <= cap);
                 prop_assert_eq!(table.len() as u64 + table.overflow(), i + 1);
@@ -83,7 +83,7 @@ proptest! {
         let rest = tail.iter().map(|&(raw, dur)| (raw % distinct as u64, dur));
         let mut updates = 0u64;
         for (i, dur) in first.chain(rest) {
-            table.update(&EventSignature::call("flush_schedule", i), dur);
+            table.update_key(EventSignature::call("flush_schedule", i).key(), dur);
             model.entry(i).or_default().record(dur);
             updates += 1;
             if updates.is_multiple_of(k as u64) {
@@ -94,8 +94,7 @@ proptest! {
             prop_assert_eq!(table.len(), distinct);
             prop_assert_eq!(table.overflow(), 0);
             for (i, want) in model {
-                let got = table
-                    .get(&EventSignature::call("flush_schedule", i))
+                let got = table.get(EventSignature::call("flush_schedule", i).key())
                     .expect("entry exists");
                 prop_assert_eq!(got.count, want.count);
                 prop_assert!((got.total - want.total).abs() <= 1e-9 * want.total.abs());
