@@ -2,12 +2,12 @@
 //!
 //! Immediately after program termination IPM writes a banner to stdout
 //! summarizing the run (paper §II, shown in Figs. 4–6 and 11). Two
-//! flavors:
+//! flavors, both rendered by the [`Banner`](crate::export::Banner) backend:
 //!
-//! * [`render_banner`] — single-rank banner, the Fig. 4/5/6 format: a
+//! * `render_banner` — single-rank banner, the Fig. 4/5/6 format: a
 //!   header block plus the function table sorted by total time with
 //!   `[time] [count] <%wall>` columns.
-//! * [`render_cluster_banner`] — the multi-rank format of Fig. 11:
+//! * `render_cluster_banner` — the multi-rank format of Fig. 11:
 //!   `[total] <avg> min max` rows for wallclock and each subsystem,
 //!   `%wall` and `#calls` sections, then the aggregated function table.
 

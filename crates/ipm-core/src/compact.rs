@@ -20,7 +20,7 @@
 //! * [`merge_runs`] — k-way merge of per-stripe runs. Records are
 //!   appended in virtual-time order per rank, so each stripe's buffer is
 //!   already (nearly) sorted; one merge pass on drain, cutting runs where
-//!   their order breaks and copying whole blocks, replaces the old
+//!   their order breaks and moving whole blocks, replaces the old
 //!   sort-everything-on-the-consumer-thread path and produces the *same
 //!   record-for-record order* the stable global sort did.
 
@@ -109,21 +109,22 @@ fn mergeable(rec: &TraceRecord) -> bool {
 }
 
 /// Fold `rec` into `tail` (same signature, `tail` immediately precedes
-/// `rec` in time order). The summary spans `first_begin .. last_end`.
+/// `rec` in time order). The summary spans `first_begin .. last_end`. A
+/// summary's aggregate is boxed by its first fold and updated in place by
+/// every later one, so a run of `n` records allocates once.
 fn fold(tail: &mut TraceRecord, rec: &TraceRecord) {
-    let a = tail.agg_or_unit();
     let b = rec.agg_or_unit();
-    tail.agg = Some(TraceAgg {
-        count: a.count + b.count,
-        total: a.total + b.total,
-        min: a.min.min(b.min),
-        max: a.max.max(b.max),
-        exemplar: if b.max > a.max {
-            b.exemplar
-        } else {
-            a.exemplar
-        },
-    });
+    if tail.agg.is_none() {
+        tail.agg = Some(Box::new(tail.agg_or_unit()));
+    }
+    let a = tail.agg.as_deref_mut().expect("boxed above");
+    if b.max > a.max {
+        a.exemplar = b.exemplar;
+    }
+    a.count += b.count;
+    a.total += b.total;
+    a.min = a.min.min(b.min);
+    a.max = a.max.max(b.max);
     tail.end = rec.end; // last_end; begin stays first_begin
     tail.corr = 0;
 }
@@ -165,10 +166,12 @@ pub fn compact_records(buf: &mut Vec<TraceRecord>, policy: &CompactPolicy) -> us
 /// executions that began earlier. Each run is cut where its order breaks,
 /// and the sorted pieces are merged in one pass into one reserved vector:
 /// the piece whose head comes first in `((begin, end), piece index)` order
-/// hands over, as one block copy, every record that still comes before
+/// hands over, as one block move, every record that still comes before
 /// the next piece's head. Writers fill a stripe in blocks of consecutive
-/// records, so blocks are long and each record is copied once.
-pub fn merge_runs(runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
+/// records, so blocks are long and each record is moved once; records are
+/// moved, not cloned, so a summary's boxed aggregate changes hands without
+/// an allocation.
+pub fn merge_runs(mut runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
     let mut pieces = Vec::new();
     for run in &runs {
         let mut start = 0;
@@ -186,7 +189,10 @@ pub fn merge_runs(runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
         // one sorted run, or none: hand it back as it is
         return runs.into_iter().find(|r| !r.is_empty()).unwrap_or_default();
     }
-    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let total = runs.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    let dst = &mut out.spare_capacity_mut()[..total];
+    let mut filled = 0;
     let mut heads = Heads::new(pieces);
     while let Some(f) = heads.first() {
         let run = heads.pieces[f];
@@ -203,31 +209,57 @@ pub fn merge_runs(runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
                 })
             }
         };
-        out.extend_from_slice(&run[..take]);
+        let block = &mut dst[filled..filled + take];
+        // SAFETY: a bitwise copy into uninitialized slots of `out`, which
+        // does not own them yet (its length is still 0); who owns the
+        // records is settled below
+        unsafe {
+            std::ptr::copy_nonoverlapping(run.as_ptr(), block.as_mut_ptr().cast(), take);
+        }
+        filled += take;
         heads.advance(take);
+    }
+    assert_eq!(filled, total, "every record merged once");
+    // SAFETY: the pieces partition the runs and the merge took each piece
+    // front to back exactly once, so `out`'s first `total` slots hold a
+    // copy of every record of every run, each once. `out` takes them over
+    // and the runs give theirs up without dropping them, so every record
+    // has one owner again. Nothing between the two can panic: a panic in
+    // the merge above left `out` empty and the runs owning everything.
+    unsafe {
+        out.set_len(total);
+        for run in &mut runs {
+            run.set_len(0);
+        }
     }
     out
 }
 
-/// The sorted pieces still being merged: a binary min-heap of piece
-/// indices, ordered by each piece's head in `((begin, end), index)` order.
-/// Exhausted pieces leave the heap.
+/// The sorted pieces being merged. A piece joins a binary min-heap of
+/// piece indices, ordered by each piece's head in `((begin, end), index)`
+/// order, only once the merge reaches its head; exhausted pieces leave
+/// it. A ring stripe cuts into thousands of pieces that each overlap only
+/// their neighbours in time, so the heap stays small.
 struct Heads<'r> {
     /// The unmerged rest of each piece.
     pieces: Vec<&'r [TraceRecord]>,
+    /// Piece indices by head, in the heap's order; `order[next..]` wait.
+    order: Vec<usize>,
+    next: usize,
     heap: Vec<usize>,
 }
 
 impl<'r> Heads<'r> {
     fn new(pieces: Vec<&'r [TraceRecord]>) -> Self {
-        let mut h = Heads {
-            heap: (0..pieces.len()).collect(),
+        let mut order: Vec<usize> = (0..pieces.len()).collect();
+        // stable: tied heads keep the lower index first
+        order.sort_by(|&a, &b| cmp_time(&pieces[a][0], &pieces[b][0]));
+        Heads {
             pieces,
-        };
-        for i in (0..h.heap.len() / 2).rev() {
-            h.sift_down(i);
+            order,
+            next: 0,
+            heap: Vec::new(),
         }
-        h
     }
 
     /// Whether piece `a`'s head comes before piece `b`'s.
@@ -237,17 +269,32 @@ impl<'r> Heads<'r> {
             .is_lt()
     }
 
-    /// The piece whose head comes first.
-    fn first(&self) -> Option<usize> {
+    /// The piece whose head comes first, after admitting every waiting
+    /// piece whose head comes before the heap's.
+    fn first(&mut self) -> Option<usize> {
+        while let Some(&p) = self.order.get(self.next) {
+            if self.heap.first().is_some_and(|&f| self.before(f, p)) {
+                break;
+            }
+            self.next += 1;
+            self.heap.push(p);
+            self.sift_up(self.heap.len() - 1);
+        }
         self.heap.first().copied()
     }
 
-    /// The piece whose head comes second: one of the root's children.
+    /// The piece whose head comes second: one of the root's children, or
+    /// the first waiting piece.
     fn second(&self) -> Option<usize> {
-        match (self.heap.get(1), self.heap.get(2)) {
-            (Some(&a), Some(&b)) => Some(if self.before(a, b) { a } else { b }),
-            (a, _) => a.copied(),
-        }
+        [
+            self.heap.get(1),
+            self.heap.get(2),
+            self.order.get(self.next),
+        ]
+        .into_iter()
+        .flatten()
+        .copied()
+        .reduce(|a, b| if self.before(a, b) { a } else { b })
     }
 
     /// Drop the first piece's first `n` records and restore the order.
@@ -258,6 +305,17 @@ impl<'r> Heads<'r> {
             self.heap.swap_remove(0);
         }
         self.sift_down(0);
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !self.before(self.heap[i], self.heap[parent]) {
+                return;
+            }
+            self.heap.swap(i, parent);
+            i = parent;
+        }
     }
 
     fn sift_down(&mut self, mut i: usize) {
@@ -327,13 +385,90 @@ mod tests {
         assert_eq!(s.name, "cudaLaunch");
         assert_eq!(s.begin, 0.0, "first_begin");
         assert_eq!(s.end, 0.7, "last_end");
-        let a = s.agg.expect("summary");
+        let a = s.agg.as_deref().expect("summary");
         assert_eq!(a.count, 3);
         assert!((a.total - 0.5).abs() < 1e-12);
         assert!((a.min - 0.1).abs() < 1e-12);
         assert!((a.max - 0.3).abs() < 1e-12);
         assert_eq!(a.exemplar, (0.2, 0.5), "longest slice kept as exemplar");
         assert!(buf[1].agg.is_none(), "lone record stays raw");
+    }
+
+    #[test]
+    fn a_long_run_folds_into_one_summary_in_place() {
+        let durations = [0.25, 0.5, 0.125, 1.0, 0.0625, 0.75];
+        let mut buf: Vec<TraceRecord> = durations
+            .iter()
+            .enumerate()
+            .map(|(i, d)| rec("cudaMemset", 2.0 * i as f64, 2.0 * i as f64 + d))
+            .collect();
+        let removed = compact_records(&mut buf, &CompactPolicy::with_high_water(1));
+        assert_eq!(removed, durations.len() - 1);
+        let s = &buf[0];
+        assert_eq!((s.begin, s.end), (0.0, 10.75), "first_begin .. last_end");
+        let a = s.agg.as_deref().expect("summary");
+        assert_eq!(a.count, 6);
+        assert_eq!(a.total, 2.6875);
+        assert_eq!(a.min, 0.0625);
+        assert_eq!(a.max, 1.0);
+        assert_eq!(a.exemplar, (6.0, 7.0), "the longest record");
+    }
+
+    #[test]
+    fn a_folded_summary_survives_drain_xml_chrome_and_otlp() {
+        use crate::export::{validate_chrome_trace, ChromeTrace, Export, Xml};
+        use crate::profile::RankProfile;
+        use crate::trace::TraceRing;
+
+        // one stripe, compacting at 5 resident records: the sixth push
+        // folds the first five into one summary
+        let ring = TraceRing::with_policy(64, 1, CompactPolicy::with_high_water(5));
+        for (i, d) in [0.5, 0.25, 1.5, 0.75, 0.125, 2.0].into_iter().enumerate() {
+            assert!(ring.push(rec("cudaMemset", 4.0 * i as f64, 4.0 * i as f64 + d)));
+        }
+        let drained = ring.drain();
+        assert_eq!(drained.len(), 2);
+        let want = TraceAgg {
+            count: 5,
+            total: 3.125,
+            min: 0.125,
+            max: 1.5,
+            exemplar: (8.0, 9.5),
+        };
+        assert_eq!(drained[0].agg.as_deref(), Some(&want));
+        assert!(!drained[1].is_summary());
+
+        let profile = RankProfile {
+            rank: 0,
+            nranks: 1,
+            host: "dirac00".to_owned(),
+            command: "memset".to_owned(),
+            wallclock: 24.0,
+            regions: vec!["<program>".to_owned()],
+            entries: Vec::new(),
+            dropped_events: 0,
+            monitor: Default::default(),
+        };
+        let xml = Export::from_profile(profile)
+            .with_trace(drained.clone())
+            .to(Xml)
+            .unwrap();
+        let back = crate::parse::export_from_xml(&[xml]).unwrap();
+        assert_eq!(back.source().ranks[0].records, drained);
+
+        let chrome = back.to(ChromeTrace).unwrap();
+        validate_chrome_trace(&chrome).expect("valid Chrome trace");
+        assert!(
+            chrome.contains("\"count\":5,\"total_us\":3125000,"),
+            "{chrome}"
+        );
+        #[cfg(feature = "otlp")]
+        {
+            use crate::export::{validate_otlp, Otlp};
+            let otlp = back.to(Otlp).unwrap();
+            assert_eq!(validate_otlp(&otlp).expect("valid OTLP").summary_spans, 1);
+            assert!(otlp.contains("\"intValue\":\"5\""), "{otlp}");
+        }
     }
 
     #[test]
@@ -345,7 +480,7 @@ mod tests {
         buf.push(rec("x", 3.0, 3.5));
         compact_records(&mut buf, &CompactPolicy::with_high_water(1));
         assert_eq!(buf.len(), 1);
-        let a = buf[0].agg.unwrap();
+        let a = buf[0].agg.as_deref().unwrap();
         assert_eq!(a.count, 4);
         assert!((a.total - 2.75).abs() < 1e-12);
         assert_eq!(a.min, 0.25);
@@ -402,6 +537,45 @@ mod tests {
         // the (0.0, 1.0) tie resolved to run 0's record first
         assert_eq!(merged[0].name, "a");
         assert_eq!(merged[1].name, "b");
+    }
+
+    #[test]
+    fn merge_runs_of_stripe_shaped_runs_equals_stable_sort() {
+        // one writer's records dealt to 8 stripes in blocks of 64, as the
+        // ring's rotation deals them. Every seventh record is a kernel
+        // execution a sweep appends after it ended, so it begins before the
+        // call ahead of it: each stripe cuts into hundreds of pieces.
+        // Calls come in pairs with equal times, for ties across stripes,
+        // and some are summaries, whose boxes the merge must move.
+        let mut runs = vec![Vec::new(); 8];
+        for i in 0..20_000usize {
+            let t = (i / 2) as f64 * 1e-6;
+            let mut r = if i % 7 == 6 {
+                let mut k = rec("@CUDA_EXEC_STRM00", t - 3e-5 * (i % 5 + 1) as f64, t);
+                k.kind = TraceKind::KernelExec;
+                k
+            } else {
+                rec("cudaStreamQuery", t, t + 5e-7)
+            };
+            r.corr = i as u64;
+            if i % 11 == 0 {
+                r.agg = Some(Box::new(r.agg_or_unit()));
+            }
+            runs[(i / 64) % 8].push(r);
+        }
+        let pieces: usize = runs
+            .iter()
+            .map(|run| {
+                1 + run
+                    .windows(2)
+                    .filter(|w| cmp_time(&w[1], &w[0]).is_lt())
+                    .count()
+            })
+            .sum();
+        assert!(pieces > 2_000, "{pieces} pieces");
+        let mut reference: Vec<TraceRecord> = runs.iter().flatten().cloned().collect();
+        reference.sort_by(cmp_time);
+        assert_eq!(merge_runs(runs), reference);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    books the wait separately as `@CUDA_HOST_IDLE`, leaving the call
 //!    itself with just its own transfer time.
 //!
-//! All of that plumbing lives in the shared [`FacadeCore`]; this facade is
+//! All of that plumbing lives in the shared `FacadeCore`; this facade is
 //! just the `CudaApi` surface naming each call via [`site!`] — the probe
 //! for implicit blocking is steered by the interned spec flags, so e.g.
 //! `cudaMemcpy(H2D)` probes while `cudaMemset` (the paper's noted
@@ -444,7 +444,9 @@ mod tests {
             .iter()
             .filter(|r| matches!(r.kind, TraceKind::KernelExec | TraceKind::HostIdle))
         {
-            *recorded.entry((r.name, r.detail, r.region)).or_default() += 1;
+            *recorded
+                .entry((r.name, r.detail_name(), r.region))
+                .or_default() += 1;
         }
         assert_eq!(recorded, booked);
         let execs = records

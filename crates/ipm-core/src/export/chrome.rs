@@ -73,7 +73,7 @@ impl Args<'_> {
         };
         out.push_str("\"region\":");
         push_u64(out, u64::from(t.region));
-        if let Some(a) = t.agg {
+        if let Some(a) = &t.agg {
             out.push_str(",\"count\":");
             push_u64(out, a.count);
             out.push_str(",\"total_us\":");
@@ -336,7 +336,7 @@ fn rank_events(ev: &mut Events, r: &ExportRank) {
                 .entry(t.stream.unwrap_or(0))
                 .or_default()
                 .push(LaneSlice {
-                    name: t.detail.unwrap_or(t.name),
+                    name: t.detail_name().unwrap_or(t.name),
                     begin: t.begin - r.epoch,
                     end: t.end - r.epoch,
                     args: Args::Kernel(t),
@@ -594,7 +594,7 @@ pub(crate) mod tests {
         let kernel = |corr: u64, stream: u32, begin: f64, end: f64| TraceRecord {
             kind: TraceKind::KernelExec,
             name: "@CUDA_EXEC_STRM00",
-            detail: Some("k"),
+            detail: Some(CallHandle::of("k").id),
             begin,
             end,
             bytes: 0,
@@ -637,7 +637,7 @@ pub(crate) mod tests {
             records.push(TraceRecord {
                 kind: TraceKind::KernelExec,
                 name: CallHandle::of(&format!("@CUDA_EXEC_STRM0{stream}")).name(),
-                detail: Some("kernel"),
+                detail: Some(CallHandle::of("kernel").id),
                 begin: t + 3e-5,
                 end: t + 1.5e-4,
                 bytes: 0,
@@ -684,13 +684,13 @@ pub(crate) mod tests {
     #[test]
     fn summary_slices_carry_count_args() {
         let mut rec = call("cudaLaunch", 1.0, 3.0);
-        rec.agg = Some(TraceAgg {
+        rec.agg = Some(Box::new(TraceAgg {
             count: 17,
             total: 1.25,
             min: 0.05,
             max: 0.2,
             exemplar: (1.4, 1.6),
-        });
+        }));
         let rank = ExportRank {
             rank: 0,
             host: String::new(),
@@ -711,7 +711,7 @@ pub(crate) mod tests {
         let exec = TraceRecord {
             kind: TraceKind::KernelExec,
             name: "@CUDA_EXEC_STRM00",
-            detail: Some("square"),
+            detail: Some(CallHandle::of("square").id),
             begin: 1.0001,
             end: 2.15,
             bytes: 0,
@@ -726,7 +726,7 @@ pub(crate) mod tests {
             epoch: 0.0,
             records: vec![
                 call("cudaMalloc", 0.0, 0.5),
-                launch,
+                launch.clone(),
                 call("cudaMemcpy(D2H)", 2.2, 2.3),
             ],
             ..ExportRank::default()

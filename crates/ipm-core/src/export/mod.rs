@@ -615,13 +615,13 @@ mod tests {
                 region: 0,
                 stream: None,
                 corr: 0,
-                agg: Some(crate::compact::TraceAgg {
+                agg: Some(Box::new(crate::compact::TraceAgg {
                     count: 3,
                     total: 2.5e-2,
                     min: 5e-3,
                     max: 1e-2,
                     exemplar: (1.0, 1.01),
-                }),
+                })),
             });
         }
         if prof {
@@ -630,7 +630,7 @@ mod tests {
                 .iter()
                 .filter(|t| t.kind == crate::trace::TraceKind::KernelExec)
                 .map(|t| ProfRecord {
-                    method: t.detail.unwrap_or(t.name).to_owned(),
+                    method: t.detail_name().unwrap_or(t.name).to_owned(),
                     kind: ipm_gpu_sim::ProfKind::Kernel,
                     stream: ipm_gpu_sim::StreamId(t.stream.unwrap_or(0)),
                     start: t.begin,

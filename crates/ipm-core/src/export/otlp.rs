@@ -81,7 +81,7 @@ impl<'o> Attrs<'o> {
 
     /// Compaction aggregate attributes, mirroring the Chrome `X` event args.
     fn summary(&mut self, t: &TraceRecord) {
-        if let Some(a) = t.agg {
+        if let Some(a) = &t.agg {
             self.int("count", a.count);
             self.f64("total_us", a.total * 1e6);
             self.f64("min_us", a.min * 1e6);
@@ -195,7 +195,7 @@ fn rank_spans(out: &mut String, r: &ExportRank, trace_id: u128) {
             );
             attrs.int("ipm.stream", u64::from(t.stream.unwrap_or(0)));
             attrs.int("ipm.region", u64::from(t.region));
-            if let Some(detail) = t.detail {
+            if let Some(detail) = t.detail_name() {
                 attrs.str("ipm.kernel", detail);
             }
             if t.corr != 0 {
@@ -514,13 +514,13 @@ mod tests {
     #[test]
     fn summary_spans_carry_the_full_aggregate() {
         let mut r = rec(TraceKind::Call, "cudaLaunch", 1.0, 3.0, 0);
-        r.agg = Some(TraceAgg {
+        r.agg = Some(Box::new(TraceAgg {
             count: 9,
             total: 1.5,
             min: 0.1,
             max: 0.3,
             exemplar: (1.2, 1.5),
-        });
+        }));
         let rank = ExportRank {
             rank: 2,
             host: "dirac02".to_owned(),

@@ -11,7 +11,7 @@
 //! The writers append straight to the output without going through
 //! `core::fmt`, and write exactly what `{}` (or `{:016x}`, `{:032x}`) would:
 //! a trace export writes several numbers, ids and names per record, and
-//! formatting them through `write!` was most of its cost. [`push_f64`]
+//! formatting them through `write!` was most of its cost. `push_f64`
 //! finds the shortest digits that read back to the same `f64` with Ryu
 //! (Adams, PLDI 2018, <https://doi.org/10.1145/3192366.3192369>), over
 //! power-of-5 tables the compiler evaluates from `const fn`s below, and

@@ -353,11 +353,10 @@ impl Ipm {
         let key = self.sig_key(ev.name, 0, ev.detail);
         self.table.update_key(key, ev.duration);
         if let (Some(ring), Some((begin, end))) = (&self.trace, ev.interval) {
-            let names = NameTable::global();
             ring.push(TraceRecord {
                 kind: ev.kind,
-                name: names.name(ev.name),
-                detail: ev.detail.map(|d| names.name(d)),
+                name: NameTable::global().name(ev.name),
+                detail: key.detail,
                 begin,
                 end,
                 bytes: 0,

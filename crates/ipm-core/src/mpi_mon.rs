@@ -1,8 +1,9 @@
 //! The monitored MPI API — IPM's PMPI-style interposition layer.
 //!
 //! IPM predates this paper as an MPI profiler; the CUDA work of the paper
-//! plugs into the same hash table. [`IpmMpi`] wraps a bare [`Rank`] (or any
-//! other [`MpiApi`]) so each call is timed and its message size recorded.
+//! plugs into the same hash table. [`IpmMpi`] wraps a bare
+//! [`Rank`](ipm_mpi_sim::Rank) (or any other [`MpiApi`]) so each call is
+//! timed and its message size recorded.
 
 use crate::facade::FacadeCore;
 use crate::monitor::Ipm;

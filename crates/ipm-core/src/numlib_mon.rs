@@ -2,7 +2,7 @@
 //!
 //! IPM wraps the CUBLAS and CUFFT entry points, recording "the size of
 //! matrices, vectors, or operations for each call in the *bytes* parameter
-//! ... [allowing] correlation of achieved performance with the size of the
+//! ... \[allowing\] correlation of achieved performance with the size of the
 //! operation". [`IpmBlas`] and [`IpmFft`] are those wrappers. Note the
 //! layering: for full fidelity the wrapped library context should itself be
 //! constructed over the *monitored* CUDA facade, so its internal launches

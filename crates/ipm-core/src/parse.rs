@@ -343,11 +343,11 @@ mod tests {
             let kernel = TraceRecord {
                 kind: TraceKind::KernelExec,
                 name: "@CUDA_EXEC_STRM00",
-                detail: Some("zgemm_kernel_NN"),
+                detail: Some(ipm_interpose::CallHandle::of("zgemm_kernel_NN").id),
                 begin: t + 0.002,
                 end: t + 0.05,
                 stream: Some(0),
-                ..launch
+                ..launch.clone()
             };
             Export::from_profile(profile(rank))
                 .with_trace(vec![launch, kernel])

@@ -79,7 +79,8 @@ pub struct MonitorInfo {
     /// trace_emitted` (with compaction disabled `trace_compacted` is 0 and
     /// this is the original two-way invariant).
     pub trace_compacted: u64,
-    /// High-water memory footprint of the trace ring, bytes.
+    /// High-water memory footprint of the trace ring's record slots, bytes
+    /// (summaries' boxed aggregates are extra).
     pub ring_hwm_bytes: u64,
 }
 

@@ -22,6 +22,7 @@
 //! `captured + dropped + compacted_away == emitted`.
 
 use crate::compact::{cmp_time, compact_records, CompactPolicy, TraceAgg};
+use ipm_interpose::{CallId, NameTable};
 #[cfg(not(loom))]
 use std::cell::UnsafeCell;
 #[cfg(not(loom))]
@@ -63,17 +64,21 @@ impl TraceKind {
     }
 }
 
-/// One captured event: a compact, fixed-shape `Copy` record. Its names are
-/// interned (`NameTable::name`), so they live for the rest of the process
-/// and a push copies two pointers instead of touching a shared refcount.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// One captured event: a compact, fixed-shape record of 80 bytes (pinned
+/// below). Its name is interned (`NameTable::name`), so it lives for the
+/// rest of the process and a push copies a pointer instead of touching a
+/// shared refcount; its kernel symbol is kept as the interned id the table
+/// keys on, resolved to text only by the writers. A raw record's
+/// aggregate is a null pointer: only compaction summaries allocate one.
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
     pub kind: TraceKind,
     /// Registry name (`cudaMemcpy(D2H)`, `MPI_Allreduce`, …) or, for
     /// `KernelExec`, the `@CUDA_EXEC_STRMxx` pseudo-event name.
     pub name: &'static str,
-    /// Kernel symbol for `KernelExec` records.
-    pub detail: Option<&'static str>,
+    /// Kernel symbol for `KernelExec` records, as its interned id (the
+    /// same id `SigKey::detail` carries); see [`TraceRecord::detail_name`].
+    pub detail: Option<CallId>,
     /// Begin timestamp, virtual seconds.
     pub begin: f64,
     /// End timestamp, virtual seconds.
@@ -88,8 +93,12 @@ pub struct TraceRecord {
     pub corr: u64,
     /// Present on summary records produced by compaction: the aggregate of
     /// every record merged in. `None` means a raw, single-event record.
-    pub agg: Option<TraceAgg>,
+    pub agg: Option<Box<TraceAgg>>,
 }
+
+// every copy of the trace (ring stripes, drained vectors, export sources,
+// parsed logs) pays for each byte of the record
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 80);
 
 impl TraceRecord {
     /// Whether this record is a compaction summary.
@@ -101,7 +110,7 @@ impl TraceRecord {
     /// merged count for a summary. Σ `event_count` is the conserved
     /// quantity compaction never changes.
     pub fn event_count(&self) -> u64 {
-        self.agg.map_or(1, |a| a.count)
+        self.agg.as_ref().map_or(1, |a| a.count)
     }
 
     /// Summed busy time this record represents, virtual seconds: its own
@@ -109,12 +118,17 @@ impl TraceRecord {
     /// summary's `end - begin` span also covers the gaps *between* merged
     /// events, so it is not the conserved quantity — this is).
     pub fn busy_total(&self) -> f64 {
-        self.agg.map_or(self.end - self.begin, |a| a.total)
+        self.agg.as_ref().map_or(self.end - self.begin, |a| a.total)
+    }
+
+    /// The kernel symbol's text, resolved through the global name table.
+    pub fn detail_name(&self) -> Option<&'static str> {
+        self.detail.map(|d| NameTable::global().name(d))
     }
 
     /// This record's aggregate, treating a raw record as a unit summary.
     pub(crate) fn agg_or_unit(&self) -> TraceAgg {
-        self.agg.unwrap_or(TraceAgg {
+        self.agg.as_deref().copied().unwrap_or(TraceAgg {
             count: 1,
             total: self.end - self.begin,
             min: self.end - self.begin,
@@ -465,7 +479,8 @@ impl TraceRing {
         self.shards.iter().map(|s| s.lock().hwm as u64).sum()
     }
 
-    /// High-water memory footprint in bytes (record slots only).
+    /// High-water memory footprint in bytes: record slots only, so the
+    /// boxed aggregates of compaction summaries are extra.
     pub fn high_water_bytes(&self) -> u64 {
         self.high_water_mark() * std::mem::size_of::<TraceRecord>() as u64
     }
@@ -476,7 +491,7 @@ impl TraceRing {
     /// [`merge_runs`](crate::compact::merge_runs) merges them in one pass,
     /// cutting a stripe only where late appends broke its order — the
     /// same record-for-record output as the old global sort, with each
-    /// record copied once and nothing sorted.
+    /// record moved once and nothing sorted.
     pub fn drain(&self) -> Vec<TraceRecord> {
         let mut runs = Vec::with_capacity(self.shards.len());
         for shard in &self.shards {

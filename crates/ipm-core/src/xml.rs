@@ -29,7 +29,7 @@ use crate::export::ExportRank;
 use crate::jsonw::{push_f64, push_non_finite, push_u64};
 use crate::profile::{MonitorInfo, ProfileEntry, RankProfile};
 use crate::trace::{TraceKind, TraceRecord};
-use ipm_interpose::CallHandle;
+use ipm_interpose::{CallHandle, CallId};
 use ipm_sim_core::RunningStats;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -209,7 +209,7 @@ pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord]
             out.push(t.kind.tag());
             out.push('"');
             push_str_attr(out, "name", t.name);
-            if let Some(d) = t.detail {
+            if let Some(d) = t.detail_name() {
                 push_str_attr(out, "detail", d);
             }
             push_f64_attr(out, "begin", t.begin);
@@ -220,7 +220,7 @@ pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord]
                 push_int_attr(out, "stream", u64::from(s));
             }
             push_int_attr(out, "corr", t.corr);
-            if let Some(a) = t.agg {
+            if let Some(a) = &t.agg {
                 push_int_attr(out, "count", a.count);
                 push_f64_attr(out, "total", a.total);
                 push_f64_attr(out, "min", a.min);
@@ -590,22 +590,23 @@ fn entry(e: &Attrs) -> Result<ProfileEntry, XmlError> {
 }
 
 /// A log's event names, each resolved once: raw (still escaped) value →
-/// the process-lifetime string records carry. Names repeat across a log's
-/// events, so almost every lookup hits here and skips both the unescape
-/// and the shared lock of the global name table, which several logs read
-/// on several threads would contend on. A hash map, not a scan, keeps a
-/// log of many distinct names linear.
+/// its interned id and the process-lifetime string records carry. Names
+/// repeat across a log's events, so almost every lookup hits here and
+/// skips both the unescape and the shared lock of the global name table,
+/// which several logs read on several threads would contend on. A hash
+/// map, not a scan, keeps a log of many distinct names linear.
 #[derive(Default)]
-struct Names<'a>(HashMap<&'a str, &'static str>);
+struct Names<'a>(HashMap<&'a str, (CallId, &'static str)>);
 
 impl<'a> Names<'a> {
-    /// The interned name an escaped value stands for: each distinct one is
-    /// stored once (and kept for the rest of the process, like every
+    /// The interned id and name an escaped value stands for: each distinct
+    /// one is stored once (and kept for the rest of the process, like every
     /// interned name).
-    fn get(&mut self, raw: &'a str) -> &'static str {
-        self.0
-            .entry(raw)
-            .or_insert_with(|| CallHandle::of(&unescape(raw)).name())
+    fn get(&mut self, raw: &'a str) -> (CallId, &'static str) {
+        *self.0.entry(raw).or_insert_with(|| {
+            let h = CallHandle::of(&unescape(raw));
+            (h.id, h.name())
+        })
     }
 }
 
@@ -624,8 +625,8 @@ fn event<'a>(e: &EventAttrs<'a>, names: &mut Names<'a>) -> Result<TraceRecord, X
     }
     Ok(TraceRecord {
         kind,
-        name: names.get(e.name.ok_or(XmlError::Missing("name"))?),
-        detail: e.detail.map(|d| names.get(d)),
+        name: names.get(e.name.ok_or(XmlError::Missing("name"))?).1,
+        detail: e.detail.map(|d| names.get(d).0),
         begin,
         end,
         bytes: num(e.bytes, "bytes")?,
@@ -635,13 +636,13 @@ fn event<'a>(e: &EventAttrs<'a>, names: &mut Names<'a>) -> Result<TraceRecord, X
         // summary records carry the aggregate attributes, keyed on
         // `count`; raw records (and pre-compaction logs) omit them
         agg: match e.count {
-            Some(_) => Some(TraceAgg {
+            Some(_) => Some(Box::new(TraceAgg {
                 count: num(e.count, "count")?,
                 total: time(e.total, "total")?,
                 min: time(e.min, "min")?,
                 max: time(e.max, "max")?,
                 exemplar: (time(e.ex_begin, "ex_begin")?, time(e.ex_end, "ex_end")?),
-            }),
+            })),
             None => None,
         },
     })
@@ -727,13 +728,13 @@ mod tests {
             region: 0,
             stream: None,
             corr: 0,
-            agg: Some(TraceAgg {
+            agg: Some(Box::new(TraceAgg {
                 count: 3,
                 total: 2.5,
                 min: 0.5,
                 max: 1.0,
                 exemplar: (2.0, 2.125),
-            }),
+            })),
         }
     }
 
@@ -874,7 +875,7 @@ mod tests {
             TraceRecord {
                 kind: TraceKind::KernelExec,
                 name: "@CUDA_EXEC_STRM02",
-                detail: Some("square<T>"),
+                detail: Some(CallHandle::of("square<T>").id),
                 begin: 1.25,
                 end: 2.5,
                 bytes: 0,
@@ -897,12 +898,12 @@ mod tests {
     fn summary_records_and_epoch_roundtrip() {
         // a multi-digit count and sub-unit dyadic bounds
         let trace = vec![TraceRecord {
-            agg: Some(TraceAgg {
+            agg: Some(Box::new(TraceAgg {
                 count: 123,
                 min: 0.001953125,
                 max: 0.125,
-                ..summary().agg.unwrap()
-            }),
+                ..*summary().agg.unwrap()
+            })),
             ..summary()
         }];
         let xml = with_trace(&sample(), &trace, 0.5);
@@ -1080,19 +1081,21 @@ mod tests {
                         kind: [TraceKind::Call, TraceKind::KernelExec, TraceKind::HostIdle]
                             [kind as usize],
                         name: CallHandle::of(&name).name(),
-                        detail: detail.map(|d| CallHandle::of(&d).name()),
+                        detail: detail.map(|d| CallHandle::of(&d).id),
                         begin,
                         end: begin + dur,
                         bytes,
                         region,
                         stream,
                         corr,
-                        agg: agg.map(|(count, total, min, span)| TraceAgg {
-                            count,
-                            total,
-                            min,
-                            max: min + span,
-                            exemplar: (begin, begin + span),
+                        agg: agg.map(|(count, total, min, span)| {
+                            Box::new(TraceAgg {
+                                count,
+                                total,
+                                min,
+                                max: min + span,
+                                exemplar: (begin, begin + span),
+                            })
                         }),
                     }
                 },
@@ -1155,7 +1158,7 @@ mod tests {
             .map(|i| TraceRecord {
                 kind: TraceKind::KernelExec,
                 name: "@CUDA_EXEC_STRM00",
-                detail: Some(CallHandle::of(&format!("distinct_kernel_{i}<float>")).name()),
+                detail: Some(CallHandle::of(&format!("distinct_kernel_{i}<float>")).id),
                 begin: i as f64,
                 end: i as f64 + 0.5,
                 bytes: 0,

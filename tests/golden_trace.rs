@@ -251,13 +251,13 @@ fn every_launch_span_links_to_its_kernel_span() {
 /// A summary record: `count` events merged over `begin..end`.
 fn summary(kind: TraceKind, name: &str, begin: f64, end: f64, stream: Option<u32>) -> TraceRecord {
     TraceRecord {
-        agg: Some(TraceAgg {
+        agg: Some(Box::new(TraceAgg {
             count: 5,
             total: 0.07,
             min: 0.01,
             max: 0.03,
             exemplar: (begin + 0.1, begin + 0.13),
-        }),
+        })),
         ..rec(kind, name, begin, end, stream, 0)
     }
 }
@@ -314,7 +314,7 @@ fn mixed_export() -> Export {
         Some(0),
         11,
     );
-    exec.detail = Some("ignored when prof is present");
+    exec.detail = Some(CallHandle::of("ignored when prof is present").id);
     let rank0 = vec![
         copy,
         rec(TraceKind::Call, "cudaLaunch", 0.5, 0.52, None, 11),
@@ -371,7 +371,7 @@ fn mixed_export() -> Export {
         Some(0),
         21,
     );
-    k21.detail = Some(CallHandle::of(&format!("kern{NASTY}")).name());
+    k21.detail = Some(CallHandle::of(&format!("kern{NASTY}")).id);
     let rank1 = vec![
         copy,
         rec(TraceKind::Call, "cudaLaunch", e1 + 0.4, e1 + 0.41, None, 21),

@@ -197,12 +197,14 @@ fn arb_timed_record() -> impl Strategy<Value = TraceRecord> {
         .prop_map(|((a, b), (total, min, max), count)| {
             let (begin, end) = if a <= b { (a, b) } else { (b, a) };
             let mut r = trace_rec(TraceKind::Call, "cudaLaunch", begin, end, None, 0);
-            r.agg = count.map(|count| TraceAgg {
-                count,
-                total,
-                min,
-                max,
-                exemplar: (begin, end),
+            r.agg = count.map(|count| {
+                Box::new(TraceAgg {
+                    count,
+                    total,
+                    min,
+                    max,
+                    exemplar: (begin, end),
+                })
             });
             r
         })
@@ -241,10 +243,10 @@ proptest! {
         prop_assert_eq!(rank.epoch.to_bits(), epoch.to_bits());
         prop_assert_eq!(rank.records.len(), records.len());
         let bits = |r: &TraceRecord| {
-            let agg = r.agg.map(|a| {
+            let agg = r.agg.as_ref().map(|a| {
                 [a.total, a.min, a.max, a.exemplar.0, a.exemplar.1].map(f64::to_bits)
             });
-            (r.begin.to_bits(), r.end.to_bits(), r.agg.map(|a| a.count), agg)
+            (r.begin.to_bits(), r.end.to_bits(), r.agg.as_ref().map(|a| a.count), agg)
         };
         for (got, want) in rank.records.iter().zip(&records) {
             prop_assert_eq!(bits(got), bits(want));
@@ -697,7 +699,7 @@ proptest! {
             let e = got.entry(sig).or_default();
             e.0 += r.event_count();
             e.1 += r.busy_total();
-            if let Some(a) = r.agg {
+            if let Some(a) = &r.agg {
                 let (_, _, min, max) = model[&sig];
                 prop_assert!(a.min >= min && a.max <= max,
                     "summary [{}, {}] escapes merged durations [{min}, {max}]", a.min, a.max);
@@ -842,7 +844,7 @@ proptest! {
                     .collect()
             })
             .collect();
-        let mut reference: Vec<TraceRecord> = runs.iter().flatten().copied().collect();
+        let mut reference: Vec<TraceRecord> = runs.iter().flatten().cloned().collect();
         reference.sort_by(|a, b| {
             a.begin
                 .partial_cmp(&b.begin)
