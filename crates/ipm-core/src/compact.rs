@@ -7,7 +7,7 @@
 //! once full — a long run's trace lost its shape exactly where it got
 //! interesting. This module adds the retention layer:
 //!
-//! * [`CompactPolicy`] — when a stripe passes its high-water mark, a pass
+//! * [`CompactPolicy`] — when a ring passes its high-water mark, a pass
 //!   merges adjacent short records of the same event signature into one
 //!   summary record carrying [`TraceAgg`] `{count, total, min, max}` plus
 //!   one kept exemplar interval, so the timeline keeps its envelope under
@@ -17,10 +17,10 @@
 //!   [`TraceRecord::event_count`] / [`TraceRecord::busy_total`] over the
 //!   output equals the same sums over the input, per signature (proptested
 //!   in `tests/properties.rs`, model-checked under loom).
-//! * [`merge_runs`] — k-way merge of per-stripe runs. Records are
-//!   appended in virtual-time order per rank, so each stripe's buffer is
-//!   already (nearly) sorted; one merge pass on drain, cutting runs where
-//!   their order breaks and moving whole blocks, replaces the old
+//! * [`merge_runs`] — k-way merge of mostly sorted runs. Records are
+//!   appended in virtual-time order per rank, so a ring's buffer is
+//!   already (nearly) sorted; one merge pass on drain, cutting it where
+//!   its order breaks and moving whole blocks, replaces the old
 //!   sort-everything-on-the-consumer-thread path and produces the *same
 //!   record-for-record order* the stable global sort did.
 
@@ -49,28 +49,24 @@ pub struct TraceAgg {
 /// Retention policy of a trace ring.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompactPolicy {
-    /// Resident records per stripe that trigger a compaction pass;
+    /// Resident records in the ring that trigger a compaction pass;
     /// 0 disables compaction entirely (the pre-retention drop-only mode).
-    pub stripe_high_water: usize,
+    pub high_water: usize,
 }
 
 impl CompactPolicy {
-    /// Compaction off: a full stripe drops the new record, as before.
-    pub const DISABLED: Self = Self {
-        stripe_high_water: 0,
-    };
+    /// Compaction off: a full ring drops the new record, as before.
+    pub const DISABLED: Self = Self { high_water: 0 };
 
-    /// Compact a stripe whenever it holds `high_water` records, merging
-    /// any run of adjacent same-signature records.
+    /// Compact a ring whenever it holds `high_water` records, merging any
+    /// run of adjacent same-signature records.
     pub fn with_high_water(high_water: usize) -> Self {
-        Self {
-            stripe_high_water: high_water,
-        }
+        Self { high_water }
     }
 
     /// Whether this policy ever compacts.
     pub fn is_enabled(&self) -> bool {
-        self.stripe_high_water > 0
+        self.high_water > 0
     }
 }
 
@@ -161,16 +157,15 @@ pub fn compact_records(buf: &mut Vec<TraceRecord>, policy: &CompactPolicy) -> us
 /// record-for-record to the stable sort of the runs' concatenation (ties
 /// resolve to the lower run index; proptested in `tests/properties.rs`).
 ///
-/// The runs are expected to be mostly sorted, as a ring stripe's are: a
-/// stripe is appended in time order except where a kernel sweep appends
+/// The runs are expected to be mostly sorted, as a ring's buffer is: it
+/// is appended in time order except where a kernel sweep appends
 /// executions that began earlier. Each run is cut where its order breaks,
 /// and the sorted pieces are merged in one pass into one reserved vector:
 /// the piece whose head comes first in `((begin, end), piece index)` order
 /// hands over, as one block move, every record that still comes before
-/// the next piece's head. Writers fill a stripe in blocks of consecutive
-/// records, so blocks are long and each record is moved once; records are
-/// moved, not cloned, so a summary's boxed aggregate changes hands without
-/// an allocation.
+/// the next piece's head. A ring's sorted stretches are long, so blocks
+/// are long and each record is moved once; records are moved, not cloned,
+/// so a summary's boxed aggregate changes hands without an allocation.
 pub fn merge_runs(mut runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
     let mut pieces = Vec::new();
     for run in &runs {
@@ -238,7 +233,7 @@ pub fn merge_runs(mut runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
 /// The sorted pieces being merged. A piece joins a binary min-heap of
 /// piece indices, ordered by each piece's head in `((begin, end), index)`
 /// order, only once the merge reaches its head; exhausted pieces leave
-/// it. A ring stripe cuts into thousands of pieces that each overlap only
+/// it. A ring's buffer cuts into many pieces that each overlap only
 /// their neighbours in time, so the heap stays small.
 struct Heads<'r> {
     /// The unmerged rest of each piece.
@@ -420,9 +415,9 @@ mod tests {
         use crate::profile::RankProfile;
         use crate::trace::TraceRing;
 
-        // one stripe, compacting at 5 resident records: the sixth push
-        // folds the first five into one summary
-        let ring = TraceRing::with_policy(64, 1, CompactPolicy::with_high_water(5));
+        // compacting at 5 resident records: the sixth push folds the
+        // first five into one summary
+        let ring = TraceRing::with_policy(64, CompactPolicy::with_high_water(5));
         for (i, d) in [0.5, 0.25, 1.5, 0.75, 0.125, 2.0].into_iter().enumerate() {
             assert!(ring.push(rec("cudaMemset", 4.0 * i as f64, 4.0 * i as f64 + d)));
         }
@@ -541,12 +536,12 @@ mod tests {
 
     #[test]
     fn merge_runs_of_stripe_shaped_runs_equals_stable_sort() {
-        // one writer's records dealt to 8 stripes in blocks of 64, as the
-        // ring's rotation deals them. Every seventh record is a kernel
-        // execution a sweep appends after it ended, so it begins before the
-        // call ahead of it: each stripe cuts into hundreds of pieces.
-        // Calls come in pairs with equal times, for ties across stripes,
-        // and some are summaries, whose boxes the merge must move.
+        // one writer's records dealt to 8 runs in blocks of 64. Every
+        // seventh record is a kernel execution a sweep appends after it
+        // ended, so it begins before the call ahead of it: each run cuts
+        // into hundreds of pieces. Calls come in pairs with equal times,
+        // for ties across runs, and some are summaries, whose boxes the
+        // merge must move.
         let mut runs = vec![Vec::new(); 8];
         for i in 0..20_000usize {
             let t = (i / 2) as f64 * 1e-6;

@@ -38,12 +38,12 @@ enum Args<'a> {
 
 impl Args<'_> {
     /// Compaction summary: emitted as a Chrome `X` (complete) event rather
-    /// than a `B`/`E` pair. Summaries span `first_begin..last_end` of an
-    /// interleaved subsequence (writers rotate ring stripes, each stripe
-    /// compacts its own subsequence), so two stripes' summaries can
-    /// *partially* overlap — something `B`/`E` nesting cannot express. An
-    /// `X` event carries its own `dur` and takes no part in the nesting
-    /// stack, so overlap is harmless.
+    /// than a `B`/`E` pair. A summary spans `first_begin..last_end` of the
+    /// records it absorbed, so two summaries in a log (one a striped ring
+    /// wrote, say, whose stripes each compacted an interleaved subsequence
+    /// of a burst) can *partially* overlap — something `B`/`E` nesting
+    /// cannot express. An `X` event carries its own `dur` and takes no
+    /// part in the nesting stack, so overlap is harmless.
     fn summary(self) -> bool {
         match self {
             Args::Host(t) | Args::Kernel(t) => t.is_summary(),
@@ -230,9 +230,8 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u64, mut slices: Vec<LaneSlice<'_
 /// stream `s`. `cudaLaunch` slices originate flow arrows (`ph:"s"`) that
 /// terminate (`ph:"f"`) at the kernel slice with the same correlation id.
 /// Raw records render as `B`/`E` pairs; compaction summaries render as `X`
-/// (complete) events carrying their aggregate in `args`, since summaries
-/// from different ring stripes may partially overlap in time. `ranks` must
-/// not be empty.
+/// (complete) events carrying their aggregate in `args`, since two
+/// summaries may partially overlap in time. `ranks` must not be empty.
 pub(crate) fn chrome_trace_json(ranks: &[ExportRank], threads: usize) -> String {
     let mut out = super::trace_buffer(ranks, RECORD_BYTES);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -521,9 +520,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::compact::{CompactPolicy, TraceAgg};
+    use crate::compact::TraceAgg;
     use crate::export::{ChromeTrace, Export};
-    use crate::trace::{TraceRing, DEFAULT_TRACE_SHARDS};
     use ipm_gpu_sim::{ProfRecord, StreamId};
     use ipm_interpose::CallHandle;
 
@@ -551,32 +549,30 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn multi_stripe_compacted_burst_exports_valid_chrome_trace() {
-        // Writers rotate stripes, so with the default 8 stripes a
-        // same-signature burst lands as interleaved subsequences; each
-        // stripe compacts its own subsequence into summaries whose time
-        // spans partially overlap across stripes. The exporter must render
-        // those as X events — B/E nesting cannot express partial overlap
-        // (regression: E timestamps regressed and the validator rejected
-        // the exporter's own output).
-        let ring = TraceRing::with_policy(
-            1 << 12,
-            DEFAULT_TRACE_SHARDS,
-            CompactPolicy::with_high_water(16),
-        );
-        for i in 0..2000 {
-            let t = i as f64 * 1e-3;
-            assert!(ring.push(call("cudaLaunch", t, t + 5e-4)));
-        }
-        assert!(ring.counters().compacted > 0, "burst must compact");
-        let records = ring.drain();
-        let summaries: Vec<&TraceRecord> = records.iter().filter(|r| r.is_summary()).collect();
-        assert!(
-            summaries
-                .windows(2)
-                .any(|w| w[1].begin < w[0].end && w[0].begin < w[1].end),
-            "want partially overlapping summaries from several stripes"
-        );
+    fn partially_overlapping_summaries_export_as_x_events() {
+        // Summaries of one burst whose spans partially overlap, as a log
+        // can carry them (a lock-striped ring compacted each stripe's
+        // interleaved subsequence of a burst on its own). The exporter
+        // must render every summary as an X event — B/E nesting cannot
+        // express partial overlap (regression: E timestamps regressed and
+        // the validator rejected the exporter's own output).
+        let summary = |begin: f64, end: f64| TraceRecord {
+            agg: Some(Box::new(TraceAgg {
+                count: 3,
+                total: 1.5,
+                min: 0.5,
+                max: 0.5,
+                exemplar: (begin, begin + 0.5),
+            })),
+            ..call("cudaLaunch", begin, end)
+        };
+        let records = vec![
+            summary(0.0, 4.0),
+            summary(1.0, 5.0),
+            call("cudaLaunch", 1.5, 2.0),
+            summary(2.0, 6.0),
+            call("cudaLaunch", 7.0, 8.0),
+        ];
         let rank = ExportRank {
             rank: 0,
             host: String::new(),
@@ -585,8 +581,11 @@ pub(crate) mod tests {
             ..ExportRank::default()
         };
         let json = export(vec![rank]);
-        let stats = validate_chrome_trace(&json).expect("multi-stripe compacted export invalid");
-        assert!(stats.slices > 0);
+        let stats = validate_chrome_trace(&json).expect("overlapping summaries export invalid");
+        assert_eq!(stats.slices, 5);
+        let opened = |ph: &str| json.matches(&format!("{{\"ph\":\"{ph}\",\"name\"")).count();
+        assert_eq!(opened("X"), 3, "one X event per summary: {json}");
+        assert_eq!(opened("B"), 2, "raw records keep their B/E pairs: {json}");
     }
 
     #[test]

@@ -64,7 +64,7 @@ const WRAPPER_OVERHEAD: f64 = 0.3e-6;
 /// profile), and the interned `@CUDA_EXEC_STRMxx` ids.
 ///
 /// Lock order: the KTT, then the `@CUDA_EXEC_STRMxx` cache, then the
-/// table's and ring's own stripes (booking a completion deposits into
+/// table's and the ring's own locks (booking a completion deposits into
 /// them). Nothing takes the KTT while holding a later lock.
 pub(crate) struct FacadeCore {
     ipm: Arc<Ipm>,

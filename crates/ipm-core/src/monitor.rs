@@ -11,7 +11,7 @@ use crate::ktt::{Ktt, KttCheckPolicy};
 use crate::profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfile};
 use crate::sig::SigKey;
 use crate::table::PerfTable;
-use crate::trace::{TraceCounters, TraceKind, TraceRecord, TraceRing, DEFAULT_TRACE_SHARDS};
+use crate::trace::{TraceCounters, TraceKind, TraceRecord, TraceRing};
 use ipm_interpose::{site, CallHandle, CallId, MonitorSink, NameTable};
 use ipm_sim_core::SimClock;
 use parking_lot::Mutex;
@@ -51,9 +51,9 @@ pub struct IpmConfig {
     /// Trace-ring capacity in records; 0 disables event tracing entirely
     /// (the aggregate-only mode of the original paper).
     pub trace_capacity: usize,
-    /// Trace retention policy: when a stripe passes its high-water mark,
-    /// adjacent same-signature records merge into summary records instead
-    /// of the ring dropping once full. Disabled by default.
+    /// Trace retention policy: once the ring holds its high-water mark of
+    /// records, adjacent same-signature records merge into summary
+    /// records instead of the ring dropping once full. Disabled by default.
     pub trace_compaction: CompactPolicy,
 }
 
@@ -96,9 +96,9 @@ impl IpmConfig {
         self
     }
 
-    /// Enable trace compaction: stripes past `high_water` resident records
-    /// merge adjacent same-signature records into summaries instead of
-    /// eventually dropping.
+    /// Enable trace compaction: once `high_water` records are resident in
+    /// the rank's ring, pushes merge adjacent same-signature records into
+    /// summaries instead of eventually dropping.
     pub fn with_trace_compaction(mut self, high_water: usize) -> Self {
         self.trace_compaction = CompactPolicy::with_high_water(high_water);
         self
@@ -250,13 +250,8 @@ impl Ipm {
                 command: "<unknown>".to_owned(),
             }),
             epoch: Mutex::new(None),
-            trace: (cfg.trace_capacity > 0).then(|| {
-                TraceRing::with_policy(
-                    cfg.trace_capacity,
-                    DEFAULT_TRACE_SHARDS,
-                    cfg.trace_compaction,
-                )
-            }),
+            trace: (cfg.trace_capacity > 0)
+                .then(|| TraceRing::with_policy(cfg.trace_capacity, cfg.trace_compaction)),
             self_ns: AtomicU64::new(0),
             self_events: AtomicU64::new(0),
             snap: Mutex::new(SnapState::default()),
@@ -387,7 +382,7 @@ impl Ipm {
     }
 
     /// Current self-accounting counters. The four trace counters come from
-    /// one consistent [`TraceRing::counters`] sweep, so the reported ledger
+    /// one consistent [`TraceRing::counters`] read, so the reported ledger
     /// closes (`captured + dropped + compacted == emitted`) even when this
     /// is sampled mid-run with writers still pushing.
     pub fn monitor_info(&self) -> MonitorInfo {

@@ -4,8 +4,8 @@
 //! banner summarizes, event ordering is lost. This module adds the
 //! event-stream layer modern GPU telemetry systems build on:
 //!
-//! * [`TraceRing`] — a bounded, lock-striped ring capturing one compact
-//!   [`TraceRecord`] per wrapped call, KTT completion, and
+//! * [`TraceRing`] — a bounded ring, one buffer behind one lock, capturing
+//!   one compact [`TraceRecord`] per wrapped call, KTT completion, and
 //!   `@CUDA_HOST_IDLE` interval, with **exact drop accounting**: the
 //!   invariant `captured + dropped == emitted` holds at every instant,
 //!   under concurrent emission, whether or not the ring overflowed.
@@ -15,11 +15,11 @@
 //! [`crate::export::ExportRank`].
 //!
 //! Retention is layered on by [`crate::compact`]: a [`CompactPolicy`] makes
-//! a stripe past its high-water mark merge adjacent same-signature records
+//! a ring past its high-water mark merge adjacent same-signature records
 //! into summary records (so long runs keep timeline shape under the hard
-//! cap), stripes maintain pre-sorted runs, drains k-way merge instead of
-//! globally sorting, and the accounting invariant widens to
-//! `captured + dropped + compacted_away == emitted`.
+//! cap), the buffer stays a mostly sorted run, drains merge its sorted
+//! pieces instead of globally sorting, and the accounting invariant widens
+//! to `captured + dropped + compacted_away == emitted`.
 
 use crate::compact::{cmp_time, compact_records, CompactPolicy, TraceAgg};
 use ipm_interpose::{CallId, NameTable};
@@ -96,8 +96,8 @@ pub struct TraceRecord {
     pub agg: Option<Box<TraceAgg>>,
 }
 
-// every copy of the trace (ring stripes, drained vectors, export sources,
-// parsed logs) pays for each byte of the record
+// every copy of the trace (the ring's buffer, drained vectors, export
+// sources, parsed logs) pays for each byte of the record
 const _: () = assert!(std::mem::size_of::<TraceRecord>() == 80);
 
 impl TraceRecord {
@@ -142,16 +142,18 @@ impl TraceRecord {
 // The ring
 // ---------------------------------------------------------------------------
 
-/// Default total ring capacity (records, across all stripes).
+/// Default ring capacity (records).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
-/// Default number of lock stripes.
+/// Former default number of lock stripes. The ring is one buffer now, so
+/// this no longer shapes it; [`TraceRing::new`] ignores its second argument.
 pub const DEFAULT_TRACE_SHARDS: usize = 8;
 
-/// Minimal spin mutex for ring stripes. Uncontended acquire is one
+/// Minimal spin mutex for the ring. Uncontended acquire is one
 /// compare-exchange and release one store — roughly half the cost of a
 /// futex-backed mutex, which matters at the per-wrapped-call push rate.
-/// Contention is rare (stripes × rotating writers) and critical sections
-/// are tiny appends, so spinning on the exceptional conflict is cheap.
+/// A rank's ring has one writer (the rank's thread) and readers that only
+/// sample it, and critical sections are tiny appends, so spinning on the
+/// exceptional conflict is cheap.
 #[cfg(not(loom))]
 struct SpinLock<T> {
     locked: AtomicBool,
@@ -167,7 +169,7 @@ unsafe impl<T: Send> Send for SpinLock<T> {}
 unsafe impl<T: Send> Sync for SpinLock<T> {}
 
 // Model-checking flavour: a raw spin loop never yields to loom's cooperative
-// scheduler, so under `--cfg loom` the stripe lock becomes a scheduler-aware
+// scheduler, so under `--cfg loom` the ring lock becomes a scheduler-aware
 // mutex (blocked threads are unschedulable, keeping exploration finite).
 // The guard API is identical, callers don't change.
 #[cfg(loom)]
@@ -242,9 +244,9 @@ impl<T> Drop for SpinGuard<'_, T> {
     }
 }
 
-/// A consistent sample of a ring's cumulative counters, taken with one
-/// lock acquisition per stripe (see [`TraceRing::counters`]); always
-/// satisfies `captured + dropped + compacted == emitted`.
+/// A consistent sample of a ring's cumulative counters, taken under one
+/// lock acquisition (see [`TraceRing::counters`]); always satisfies
+/// `captured + dropped + compacted == emitted`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCounters {
     /// Records offered (the sum of the other three).
@@ -257,105 +259,83 @@ pub struct TraceCounters {
     pub compacted: u64,
 }
 
-/// One lock stripe: its record buffer plus bookkeeping that only ever
-/// changes under the stripe lock (so it needs no atomics of its own).
+/// The ring's record buffer plus bookkeeping that only ever changes under
+/// the ring's lock (so it needs no atomics of its own).
 #[derive(Default)]
-struct Shard {
+struct Buffer {
     buf: Vec<TraceRecord>,
-    /// Most records ever resident in this stripe.
+    /// Most records ever resident at once.
     hwm: usize,
-    /// Records this stripe has stored and still accounts for (cumulative,
+    /// Records the ring has stored and still accounts for (cumulative,
     /// survives drains; a compaction pass moves the merged-away count from
     /// here to `compacted_away`, so `captured` always tallies records that
     /// were either drained raw or are resident — raw or inside a summary's
     /// `event_count`).
     captured: u64,
-    /// Records this stripe has refused.
+    /// Records the ring has refused.
     dropped: u64,
     /// Records absorbed into summaries by compaction passes.
     compacted_away: u64,
     /// Set when an append broke the buffer's `(begin, end)` order; cleared
     /// by the sort that precedes a compaction pass, and by a drain, which
-    /// leaves the stripe empty (`snapshot_runs` sorts a copy). Records are
-    /// appended in virtual-time order per thread, so this trips only when
-    /// stripe rotation interleaves writers — the common case is a cheap
-    /// tail comparison and no sort at all.
+    /// leaves the buffer empty. Records are appended in virtual-time order
+    /// except where a KTT sweep or a host-idle probe appends an interval
+    /// that began earlier, so the common case is a cheap tail comparison
+    /// and no sort at all.
     unsorted: bool,
     /// Amortization gate: the next compaction pass runs only once the
-    /// buffer has grown past this, so a stripe full of unmergeable records
+    /// buffer has grown past this, so a buffer full of unmergeable records
     /// doesn't pay an O(len) scan on every push.
     compact_gate: usize,
 }
 
-/// A bounded, lock-striped trace ring.
+/// A bounded trace ring: one buffer behind one lock.
 ///
-/// Writers pick a stripe round-robin (via a per-thread counter, so the hot
-/// path takes no shared atomics at all) and append under that stripe's
-/// lock only; a full ring drops the *new* record (launches must never
-/// block on telemetry). Drop accounting is exact by construction: every
-/// offer increments exactly one of the stripe's `captured` or `dropped`
-/// counters under its lock, a compaction pass moves absorbed records from
-/// `captured` to `compacted_away` under the same lock, and `emitted` is
-/// *defined* as the sum of all three — so
-/// `captured + dropped + compacted_away == emitted` holds at every
-/// instant, under any interleaving (with compaction disabled,
-/// `compacted_away` stays 0 and this is the PR 1 invariant).
+/// Each rank's monitor owns its ring, and only the rank's own thread
+/// pushes into it; readers (counter samples, drains) take the same lock
+/// briefly. A full ring drops the *new* record (launches must never block
+/// on telemetry). Drop accounting is exact by construction: every offer
+/// increments exactly one of `captured` or `dropped` under the lock, a
+/// compaction pass moves absorbed records from `captured` to
+/// `compacted_away` under the same lock, and `emitted` is *defined* as the
+/// sum of all three — so `captured + dropped + compacted_away == emitted`
+/// holds at every instant, under any interleaving (with compaction
+/// disabled, `compacted_away` stays 0).
 pub struct TraceRing {
-    shards: Vec<SpinLock<Shard>>,
-    per_shard: usize,
+    inner: SpinLock<Buffer>,
+    capacity: usize,
     policy: CompactPolicy,
-    /// Stripe rotation granularity (log2): writers stay on one stripe for
-    /// `1 << rot_shift` consecutive pushes before moving on. (Unused by the
-    /// loom build, whose stripe pick is pinned per modeled thread.)
-    #[cfg_attr(loom, allow(dead_code))]
-    rot_shift: u32,
 }
 
 impl TraceRing {
-    /// Ring with `capacity` total record slots split over `shards` stripes
-    /// and compaction disabled (a full stripe drops). Both are clamped to
-    /// at least 1; per-stripe capacity rounds up so the usable total is
-    /// never below `capacity`.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        Self::with_policy(capacity, shards, CompactPolicy::DISABLED)
+    /// Ring with `capacity` record slots (at least 1) and compaction
+    /// disabled (a full ring drops). `_stripes` is ignored: it is left
+    /// over from the ring's striped layout.
+    pub fn new(capacity: usize, _stripes: usize) -> Self {
+        Self::with_policy(capacity, CompactPolicy::DISABLED)
     }
 
-    /// Ring with an explicit retention policy: once a stripe holds
-    /// `policy.stripe_high_water` records, pushes first run a compaction
-    /// pass merging adjacent same-signature records into summaries.
-    pub fn with_policy(capacity: usize, shards: usize, policy: CompactPolicy) -> Self {
+    /// Ring with an explicit retention policy: once the ring holds
+    /// `policy.high_water` records, pushes first run a compaction pass
+    /// merging adjacent same-signature records into summaries.
+    pub fn with_policy(capacity: usize, policy: CompactPolicy) -> Self {
         let capacity = capacity.max(1);
-        // power-of-two stripe count: the hot-path stripe pick is a mask,
-        // not a division
-        let shards = shards.max(1).min(capacity).next_power_of_two();
-        let per_shard = capacity.div_ceil(shards);
-        // sticky rotation (64-push blocks) keeps a writer's stripe
-        // cache-warm, but only when blocks tile stripes exactly — otherwise
-        // a sequential fill could hit a full stripe while others have room,
-        // dropping before `capacity` records are resident
-        let rot_shift = if per_shard.is_multiple_of(64) { 6 } else { 0 };
-        // each stripe's buffer is reserved to its full share up front (and
-        // again by the first push after a drain), so no push ever grows a
-        // buffer by reallocating it; untouched capacity costs address
-        // space, not memory
+        // the buffer is reserved to the whole capacity up front (and again
+        // by the first push after a drain), so no push ever grows it by
+        // reallocating; untouched capacity costs address space, not memory
         Self {
-            shards: (0..shards)
-                .map(|_| {
-                    SpinLock::new(Shard {
-                        buf: Vec::with_capacity(per_shard),
-                        ..Shard::default()
-                    })
-                })
-                .collect(),
-            per_shard,
+            inner: SpinLock::new(Buffer {
+                buf: Vec::with_capacity(capacity),
+                ..Buffer::default()
+            }),
+            capacity,
             policy,
-            rot_shift,
         }
     }
 
     /// Total record capacity.
     pub fn capacity(&self) -> usize {
-        self.per_shard * self.shards.len()
+        self.capacity
     }
 
     /// The retention policy this ring was built with.
@@ -363,107 +343,71 @@ impl TraceRing {
         self.policy
     }
 
-    /// Round-robin stripe pick without shared state: each thread advances
-    /// its own counter, rotating stripes every `1 << rot_shift` pushes.
-    /// Sticky rotation keeps the stripe's lock and buffer tail cache-warm
-    /// across a burst while still spreading one thread's records over all
-    /// stripes (so a single rank thread can use the full capacity).
-    #[cfg(not(loom))]
-    fn shard_index(&self) -> usize {
-        use std::cell::Cell;
-        thread_local! {
-            static ROBIN: Cell<usize> = const { Cell::new(0) };
-        }
-        let n = ROBIN.with(|c| {
-            let v = c.get();
-            c.set(v.wrapping_add(1));
-            v
-        });
-        (n >> self.rot_shift) & (self.shards.len() - 1) // stripe count is a power of two
-    }
-
-    /// Model-checking flavour: the per-OS-thread round-robin counter would
-    /// leak state across loom's replayed executions (the driver thread is
-    /// reused), breaking schedule determinism. Pin each modeled thread to
-    /// the stripe matching its loom index instead — the invariants under
-    /// test are stripe-agnostic, and models force contention with a
-    /// single-stripe ring anyway.
-    #[cfg(loom)]
-    fn shard_index(&self) -> usize {
-        loom::managed_thread_index().unwrap_or(0) & (self.shards.len() - 1)
-    }
-
     /// Offer one record; returns `false` (and counts a drop) if the ring
-    /// is full. Never blocks beyond one stripe lock; the hot path is one
+    /// is full. Never blocks beyond the ring's lock; the hot path is one
     /// uncontended lock and plain arithmetic under it. With a retention
-    /// policy set, a stripe at its high-water mark first compacts in place
+    /// policy set, a ring at its high-water mark first compacts in place
     /// (amortized by `compact_gate`, so unmergeable workloads degrade to
     /// the plain drop path rather than rescanning every push).
     pub fn push(&self, rec: TraceRecord) -> bool {
-        let mut shard = self.shards[self.shard_index()].lock();
+        let mut b = self.inner.lock();
         if self.policy.is_enabled()
-            && shard.buf.len() >= self.policy.stripe_high_water
-            && shard.buf.len() >= shard.compact_gate
+            && b.buf.len() >= self.policy.high_water
+            && b.buf.len() >= b.compact_gate
         {
-            if shard.unsorted {
-                shard.buf.sort_by(cmp_time);
-                shard.unsorted = false;
+            if b.unsorted {
+                b.buf.sort_by(cmp_time);
+                b.unsorted = false;
             }
-            let before = shard.buf.len();
-            let removed = compact_records(&mut shard.buf, &self.policy) as u64;
-            shard.captured -= removed;
-            shard.compacted_away += removed;
-            shard.compact_gate = shard.buf.len() + before / 8;
+            let before = b.buf.len();
+            let removed = compact_records(&mut b.buf, &self.policy) as u64;
+            b.captured -= removed;
+            b.compacted_away += removed;
+            b.compact_gate = b.buf.len() + before / 8;
         }
-        if shard.buf.len() >= self.per_shard {
-            shard.dropped += 1;
+        if b.buf.len() >= self.capacity {
+            b.dropped += 1;
             return false;
         }
-        if shard.buf.capacity() == 0 {
-            // first push after a drain: reserve the stripe's whole share
-            // again. Drains leave the stripe empty instead, so a final
-            // drain does not hold reserved memory the post-mortem that
-            // follows could have reused.
-            shard.buf.reserve_exact(self.per_shard);
+        if b.buf.capacity() == 0 {
+            // first push after a drain: reserve the whole capacity again.
+            // Drains leave the buffer empty instead, so a final drain does
+            // not hold reserved memory the post-mortem that follows could
+            // have reused.
+            b.buf.reserve_exact(self.capacity);
         }
-        if shard
-            .buf
+        if b.buf
             .last()
             .is_some_and(|last| cmp_time(&rec, last).is_lt())
         {
-            shard.unsorted = true;
+            b.unsorted = true;
         }
-        shard.buf.push(rec);
-        shard.captured += 1;
-        if shard.buf.len() > shard.hwm {
-            shard.hwm = shard.buf.len();
-        }
+        b.buf.push(rec);
+        b.captured += 1;
+        b.hwm = b.hwm.max(b.buf.len());
         true
     }
 
-    /// All cumulative counters in one sweep, each stripe read under a
-    /// single lock acquisition. Because every stripe's triple is sampled
-    /// atomically (and `emitted` is their sum by definition), the returned
-    /// snapshot satisfies `captured + dropped + compacted == emitted` even
-    /// while writers and compaction passes are running. Summary records
-    /// carry the count and busy time of the records compacted away:
-    /// Σ `event_count` over resident + drained records always equals
-    /// `emitted - dropped`.
+    /// All cumulative counters, read under one lock acquisition. Because
+    /// the three tallies are sampled together (and `emitted` is their sum
+    /// by definition), the returned snapshot satisfies
+    /// `captured + dropped + compacted == emitted` even while writers and
+    /// compaction passes are running. Summary records carry the count and
+    /// busy time of the records compacted away: Σ `event_count` over
+    /// resident + drained records always equals `emitted - dropped`.
     pub fn counters(&self) -> TraceCounters {
-        let mut c = TraceCounters::default();
-        for shard in &self.shards {
-            let g = shard.lock();
-            c.captured += g.captured;
-            c.dropped += g.dropped;
-            c.compacted += g.compacted_away;
-            c.emitted += g.captured + g.dropped + g.compacted_away;
+        let b = self.inner.lock();
+        TraceCounters {
+            emitted: b.captured + b.dropped + b.compacted_away,
+            captured: b.captured,
+            dropped: b.dropped,
+            compacted: b.compacted_away,
         }
-        c
     }
 
     /// Records currently resident.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().buf.len()).sum()
+        self.inner.lock().buf.len()
     }
 
     /// Whether no records are resident.
@@ -471,12 +415,10 @@ impl TraceRing {
         self.len() == 0
     }
 
-    /// High-water mark of resident records: the sum of each stripe's own
-    /// high-water mark. Stripes fill independently, so this is an upper
-    /// bound on the instantaneous global maximum (and equal to it for the
-    /// usual fill-then-drain lifecycle), never exceeding capacity.
+    /// High-water mark: the most records ever resident at once, never
+    /// above capacity. Drains do not reset it.
     pub fn high_water_mark(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().hwm as u64).sum()
+        self.inner.lock().hwm as u64
     }
 
     /// High-water memory footprint in bytes: record slots only, so the
@@ -487,45 +429,25 @@ impl TraceRing {
 
     /// Remove and return every resident record in `(begin, end)` order.
     /// Frees ring space for further capture; counters are cumulative and
-    /// unaffected. Each stripe hands over its buffer as it stands and
-    /// [`merge_runs`](crate::compact::merge_runs) merges them in one pass,
-    /// cutting a stripe only where late appends broke its order — the
-    /// same record-for-record output as the old global sort, with each
-    /// record moved once and nothing sorted.
+    /// unaffected. The buffer is handed over as it stands and
+    /// [`merge_runs`](crate::compact::merge_runs) orders it in one pass,
+    /// cutting it only where back-dated appends broke its order — the
+    /// same record-for-record output as a stable sort, with each record
+    /// moved once.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let mut runs = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let mut g = shard.lock();
-            g.unsorted = false;
-            runs.push(std::mem::take(&mut g.buf));
-        }
-        crate::compact::merge_runs(runs)
+        let buf = {
+            let mut b = self.inner.lock();
+            b.unsorted = false;
+            std::mem::take(&mut b.buf)
+        };
+        crate::compact::merge_runs(vec![buf])
     }
 
     /// Copy every resident record without removing it, in `(begin, end)`
-    /// order (k-way merge of the per-stripe runs, like [`TraceRing::drain`]).
+    /// order (the same merge as [`TraceRing::drain`], over a copy).
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        crate::compact::merge_runs(self.snapshot_runs())
-    }
-
-    /// Copy each stripe's resident records as its own sorted run, without
-    /// removing anything. This is the merge input [`TraceRing::snapshot`]
-    /// consumes; exposed so tests can compare the k-way merge against a
-    /// reference global sort, and so streaming consumers can merge
-    /// incrementally.
-    pub fn snapshot_runs(&self) -> Vec<Vec<TraceRecord>> {
-        let mut runs = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (mut run, unsorted) = {
-                let g = shard.lock();
-                (g.buf.clone(), g.unsorted)
-            };
-            if unsorted {
-                run.sort_by(cmp_time);
-            }
-            runs.push(run);
-        }
-        runs
+        let buf = self.inner.lock().buf.clone();
+        crate::compact::merge_runs(vec![buf])
     }
 }
 
@@ -617,8 +539,7 @@ mod tests {
 
     #[test]
     fn compacting_ring_stays_under_high_water_and_conserves() {
-        // single stripe so the high-water arithmetic is easy to reason about
-        let ring = TraceRing::with_policy(1 << 12, 1, CompactPolicy::with_high_water(64));
+        let ring = TraceRing::with_policy(1 << 12, CompactPolicy::with_high_water(64));
         let n: u64 = 10_000;
         for i in 0..n {
             let t = i as f64 * 0.001;
@@ -628,7 +549,7 @@ mod tests {
         assert_eq!(c.emitted, n);
         assert_eq!(c.dropped, 0);
         assert_eq!(c.captured + c.dropped + c.compacted, c.emitted);
-        // the gate lets a stripe overshoot the high-water mark by at most
+        // the gate lets the ring overshoot the high-water mark by at most
         // len/8 between passes; it must stay far below the raw count
         assert!(ring.len() <= 64 + 64 / 8 + 1, "resident: {}", ring.len());
         let resident = ring.drain();
@@ -640,7 +561,7 @@ mod tests {
 
     #[test]
     fn disabled_policy_is_the_old_drop_behavior() {
-        let ring = TraceRing::with_policy(4, 2, CompactPolicy::DISABLED);
+        let ring = TraceRing::with_policy(4, CompactPolicy::DISABLED);
         for i in 0..20 {
             ring.push(call("x", i as f64, i as f64));
         }
@@ -651,23 +572,53 @@ mod tests {
     }
 
     #[test]
-    fn drain_merges_interleaved_stripes_in_time_order() {
-        // multiple stripes, each receiving an ordered subsequence; drain
-        // must interleave them globally by (begin, end)
-        let ring = TraceRing::new(64, 4);
+    fn drain_orders_back_dated_appends() {
+        // every fourth record began before the one ahead of it, as a
+        // kernel execution a KTT sweep appends does; ties keep push order
+        let ring = TraceRing::new(64, 1);
+        let mut pushed = Vec::new();
         for i in 0..32 {
-            ring.push(call("x", i as f64, i as f64 + 0.5));
+            let t = (i / 2) as f64;
+            let mut r = call("x", if i % 4 == 3 { t - 1.5 } else { t }, t + 0.5);
+            r.corr = i;
+            assert!(ring.push(r.clone()));
+            pushed.push(r);
         }
-        let drained = ring.drain();
-        assert_eq!(drained.len(), 32);
-        assert!(drained
-            .windows(2)
-            .all(|w| (w[0].begin, w[0].end) <= (w[1].begin, w[1].end)));
+        pushed.sort_by(cmp_time);
+        assert_eq!(ring.snapshot(), pushed);
+        assert_eq!(ring.drain(), pushed);
+    }
+
+    #[test]
+    fn a_ring_holds_exactly_its_capacity() {
+        for capacity in [1, 5, 7, 64] {
+            let ring = TraceRing::new(capacity, 4);
+            let accepted = (0..2 * capacity)
+                .filter(|&i| ring.push(call("x", i as f64, i as f64)))
+                .count();
+            assert_eq!(accepted, capacity);
+            assert_eq!(ring.capacity(), capacity);
+            assert_eq!(ring.counters().dropped, capacity as u64);
+        }
+    }
+
+    #[test]
+    fn high_water_mark_is_the_most_resident_at_once() {
+        let ring = TraceRing::new(16, 4);
+        let push = |n: usize| (0..n).for_each(|i| assert!(ring.push(call("x", i as f64, 1e9))));
+        push(2);
+        assert_eq!(ring.drain().len(), 2);
+        push(2);
+        assert_eq!(ring.high_water_mark(), 2, "never 4 resident at once");
+        push(3);
+        assert_eq!(ring.high_water_mark(), 5);
+        assert_eq!(ring.drain().len(), 5);
+        assert_eq!(ring.high_water_mark(), 5, "drains keep the mark");
     }
 
     #[test]
     fn counters_sweep_closes_and_matches_drained_events() {
-        let ring = TraceRing::with_policy(8, 2, CompactPolicy::with_high_water(2));
+        let ring = TraceRing::with_policy(8, CompactPolicy::with_high_water(2));
         for i in 0..50 {
             ring.push(call("x", i as f64, i as f64 + 0.5));
         }
@@ -684,11 +635,10 @@ mod tests {
 
     #[test]
     fn counters_ledger_closes_while_writers_race() {
-        // the single-lock-per-stripe sweep must return a closing ledger at
-        // any instant, concurrent pushes notwithstanding
+        // the one-lock counter read must return a closing ledger at any
+        // instant, concurrent pushes notwithstanding
         let ring = Arc::new(TraceRing::with_policy(
             64,
-            4,
             CompactPolicy::with_high_water(8),
         ));
         std::thread::scope(|scope| {

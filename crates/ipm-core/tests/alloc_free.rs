@@ -20,7 +20,6 @@
 //! calls made on the bare runtime, and must add nothing.
 
 use ipm_core::table::CELL_SLOTS;
-use ipm_core::trace::DEFAULT_TRACE_SHARDS;
 use ipm_core::{EventSignature, Ipm, IpmConfig, IpmCuda, PerfTable, SigKey};
 use ipm_gpu_sim::{
     launch_kernel, CudaApi, GpuConfig, GpuRuntime, Kernel, KernelCost, LaunchConfig,
@@ -96,12 +95,11 @@ fn traced_span_allocates_nothing() {
     assert_eq!(counted, 0, "{counted} allocations over {n} traced spans");
     assert_eq!(ipm.monitor_info().trace_captured, 64 + n as u64);
 
-    // a drain empties the stripes; the first push into each reserves its
-    // share again (once), and pushes after that allocate nothing
+    // a drain empties the ring; the first push after it reserves the
+    // whole capacity again (once), and pushes after that allocate nothing
     assert_eq!(ipm.drain_trace().len(), 64 + n);
-    let stripes = DEFAULT_TRACE_SHARDS;
-    let refill = allocs(|| (0..64 * stripes).for_each(span));
-    assert!(refill <= stripes as u64, "{refill} allocations refilling");
+    let refill = allocs(|| (0..512).for_each(span));
+    assert!(refill <= 1, "{refill} allocations refilling");
     let counted = allocs(|| (0..n).for_each(span));
     assert_eq!(counted, 0, "{counted} allocations after a drain");
 }

@@ -1,6 +1,6 @@
 //! Exhaustive schedule exploration of the two concurrency-critical monitor
-//! structures: the lock-striped trace ring and the perf table's delta-cell
-//! flush into its shared map. Compiled (and run) only under
+//! structures: the trace ring (one buffer behind one lock) and the perf
+//! table's delta-cell flush into its shared map. Compiled (and run) only under
 //! `RUSTFLAGS="--cfg loom"`, where a delta cell admits one key, so the table
 //! models also reach the path a new key takes past a full cell:
 //!
@@ -34,12 +34,12 @@ fn rec(name: &'static str, begin: f64) -> TraceRecord {
 }
 
 /// The ring's core invariant, `captured + dropped == emitted`, under
-/// concurrent emitters contending for a single stripe that is too small for
-/// the combined load (so both the accept and the drop path are explored).
+/// concurrent emitters contending for a ring that is too small for the
+/// combined load (so both the accept and the drop path are explored).
 #[test]
 fn trace_ring_accounting_is_exact_under_concurrent_emit() {
     loom::model(|| {
-        // capacity 3, one stripe: four offers => at least one drop.
+        // capacity 3: four offers => at least one drop.
         let ring = Arc::new(TraceRing::new(3, 1));
         let handles: Vec<_> = (0..2)
             .map(|t| {
@@ -99,19 +99,14 @@ fn trace_ring_drain_races_emitters_without_losing_records() {
 /// pass a compacting ring runs inside `push`. Whatever the interleaving,
 /// the widened ledger `captured + dropped + compacted_away == emitted` must
 /// close, no event's *accounting* may vanish (summary `event_count`s plus
-/// singletons recover every accepted offer), and every stripe run must come
-/// out pre-sorted — merge passes may never leave a stripe's buffer
-/// interleaved out of `(begin, end)` order.
+/// singletons recover every accepted offer), and the drain must come out
+/// in `(begin, end)` order.
 #[test]
 fn trace_ring_compaction_races_writers_without_losing_accounting() {
     loom::model(|| {
-        // one stripe, high-water 2: every push beyond the second can
-        // trigger a merge pass while the other thread is mid-offer.
-        let ring = Arc::new(TraceRing::with_policy(
-            4,
-            1,
-            CompactPolicy::with_high_water(2),
-        ));
+        // high-water 2: every push beyond the second can trigger a merge
+        // pass while the other thread is mid-offer.
+        let ring = Arc::new(TraceRing::with_policy(4, CompactPolicy::with_high_water(2)));
         let handles: Vec<_> = (0..2)
             .map(|t| {
                 let ring = Arc::clone(&ring);
@@ -138,17 +133,6 @@ fn trace_ring_compaction_races_writers_without_losing_accounting() {
             "compaction ledger must close"
         );
         assert_eq!(c.emitted - c.dropped, accepted);
-
-        // stripe runs are pre-sorted: a merge pass must never leave a
-        // stripe interleaved out of time order
-        for run in ring.snapshot_runs() {
-            for w in run.windows(2) {
-                assert!(
-                    (w[0].begin, w[0].end) <= (w[1].begin, w[1].end),
-                    "stripe run out of order"
-                );
-            }
-        }
 
         // effective conservation: summaries carry the counts of the
         // records they absorbed, so the drain recovers every accepted

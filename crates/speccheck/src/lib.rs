@@ -13,7 +13,7 @@
 //! - **Wrapper anatomy** — one sink report per call, the §III-C memset
 //!   exclusion held at the spec level (the blocking class drives the probe
 //!   now), byte attribution matching the spec, no guard held across the
-//!   real call, no nested stripe locks in the hash table / trace ring, and
+//!   real call, no nested locks in the hash table / trace ring, and
 //!   *one* anatomy: monitor facades must delegate timing/probing/booking
 //!   to `FacadeCore` rather than re-grow their own copies of the plumbing.
 //!

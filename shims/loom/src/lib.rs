@@ -203,13 +203,6 @@ fn managed() -> Option<(Arc<Sched>, usize)> {
     Some((sched, id))
 }
 
-/// Index of the calling managed thread (0 = the thread that called
-/// [`model`]), or `None` outside a model. Deterministic across replayed
-/// executions, unlike `std::thread::current().id()`.
-pub fn managed_thread_index() -> Option<usize> {
-    MANAGED_ID.with(|c| c.get())
-}
-
 fn explicit_switch_point() {
     if let Some((sched, me)) = managed() {
         sched.switch(me);
@@ -619,15 +612,5 @@ mod tests {
         }));
         assert!(result.is_err(), "exploration missed the lost update");
         assert!(*lost.lock().unwrap());
-    }
-
-    #[test]
-    fn managed_index_is_stable() {
-        model(|| {
-            assert_eq!(managed_thread_index(), Some(0));
-            let h = thread::spawn(managed_thread_index);
-            assert_eq!(h.join().unwrap(), Some(1));
-        });
-        assert_eq!(managed_thread_index(), None);
     }
 }

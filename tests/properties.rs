@@ -503,16 +503,16 @@ fn trace_rec(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// Under concurrent emission from several ranks' worth of threads, the
-    /// trace ring's books balance exactly whatever the capacity and stripe
-    /// shape: captured + dropped == emitted, and a drain hands back
-    /// precisely the captured records in timestamp order.
+    /// trace ring's books balance exactly whatever the capacity:
+    /// captured + dropped == emitted, the ring holds exactly its capacity,
+    /// and a drain hands back precisely the captured records in timestamp
+    /// order.
     #[test]
     fn trace_ring_accounting_exact_under_concurrent_emission(
         capacity in 1usize..257,
-        shards in 1usize..9,
         pushes in prop::collection::vec(0usize..300, 1..5),
     ) {
-        let ring = TraceRing::new(capacity, shards);
+        let ring = TraceRing::new(capacity, 1);
         std::thread::scope(|s| {
             for (t, &n) in pushes.iter().enumerate() {
                 let ring = &ring;
@@ -529,8 +529,8 @@ proptest! {
         let total: u64 = pushes.iter().map(|&n| n as u64).sum();
         prop_assert_eq!(ring.counters().emitted, total);
         prop_assert_eq!(ring.counters().captured + ring.counters().dropped, ring.counters().emitted);
-        prop_assert!(ring.counters().captured <= ring.capacity() as u64);
-        prop_assert!(ring.high_water_mark() <= ring.capacity() as u64);
+        prop_assert_eq!(ring.counters().captured, total.min(capacity as u64));
+        prop_assert_eq!(ring.high_water_mark(), ring.counters().captured);
         let drained = ring.drain();
         prop_assert_eq!(drained.len() as u64, ring.counters().captured);
         for w in drained.windows(2) {
@@ -652,21 +652,18 @@ const Q: f64 = 1.0 / (1 << 20) as f64;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// Compaction conserves per-signature event count and total busy time
-    /// EXACTLY (not approximately), whatever the record stream, cap, or
-    /// stripe shape; summary min/max never escape the durations actually
-    /// merged; and the widened accounting invariant closes.
+    /// EXACTLY (not approximately), whatever the record stream or cap;
+    /// summary min/max never escape the durations actually merged; and the
+    /// widened accounting invariant closes.
     #[test]
     fn compaction_conserves_per_signature_count_and_time(
         capacity in 32usize..400,
-        shards in 1usize..5,
         high_water in 4usize..48,
         // (signature index, duration steps, gap steps)
         stream in prop::collection::vec((0usize..4, 1u32..64, 0u32..32), 1..400),
     ) {
         let names = ["cudaLaunch", "cudaMemcpy(H2D)", "MPI_Allreduce", "@CUDA_HOST_IDLE"];
-        let ring = TraceRing::with_policy(
-            capacity, shards, CompactPolicy::with_high_water(high_water),
-        );
+        let ring = TraceRing::with_policy(capacity, CompactPolicy::with_high_water(high_water));
         // reference model: per-signature (count, total, min, max) over the
         // records the ring actually accepted
         let mut model = std::collections::HashMap::<usize, (u64, f64, f64, f64)>::new();
@@ -717,22 +714,17 @@ proptest! {
         }
     }
 
-    /// A compacted multi-stripe drain always exports to structurally valid
-    /// Chrome trace JSON. Writers rotate stripes, so each stripe compacts
-    /// an interleaved subsequence of a burst and per-stripe summaries can
-    /// partially overlap in time — the exporter must render summaries as
-    /// self-contained `X` events (B/E nesting cannot express the overlap).
+    /// A compacted drain always exports to structurally valid Chrome trace
+    /// JSON, summaries rendered as self-contained `X` events and raw
+    /// records as nested `B`/`E` pairs.
     #[test]
-    fn compacted_multi_stripe_drain_exports_valid_chrome_trace(
-        shards in 1usize..9,
+    fn compacted_drain_exports_valid_chrome_trace(
         high_water in 2usize..24,
         // (signature index, duration steps, gap steps)
         stream in prop::collection::vec((0usize..4, 1u32..64, 0u32..16), 1..400),
     ) {
         let names = ["cudaLaunch", "cudaMemcpy(H2D)", "@CUDA_HOST_IDLE", "@CUDA_EXEC_STRM00"];
-        let ring = TraceRing::with_policy(
-            1 << 12, shards, CompactPolicy::with_high_water(high_water),
-        );
+        let ring = TraceRing::with_policy(1 << 12, CompactPolicy::with_high_water(high_water));
         let mut t = 0.0f64;
         for &(sig, dur, gap) in &stream {
             let begin = t + gap as f64 * Q;
@@ -761,55 +753,44 @@ proptest! {
         }
     }
 
-    /// The k-way merged drain equals the old sort-everything drain
-    /// record-for-record on uncompacted input: merging the per-stripe runs
-    /// reproduces a stable global sort of the stripes' concatenation, ties
-    /// and all.
+    /// The merged drain equals a sort-everything drain record-for-record
+    /// on uncompacted input: it reproduces the stable sort of the accepted
+    /// records in push order, ties and all.
     #[test]
     fn merged_drain_equals_global_sort_reference(
         capacity in 8usize..300,
-        shards in 1usize..9,
         // unordered (begin, duration) pairs, coarse enough to force ties
         stream in prop::collection::vec((0u32..24, 0u32..4), 1..300),
     ) {
-        let ring = TraceRing::new(capacity, shards);
+        let ring = TraceRing::new(capacity, 1);
+        let mut reference = Vec::new();
         for (i, &(begin, dur)) in stream.iter().enumerate() {
-            ring.push(trace_rec(
+            let rec = trace_rec(
                 TraceKind::Call,
                 ["a", "b", "c"][i % 3],
                 begin as f64 * 0.125,
                 (begin + dur) as f64 * 0.125,
                 None,
                 i as u64 + 1, // distinct corrs make records distinguishable
-            ));
-        }
-        let runs = ring.snapshot_runs();
-        for run in &runs {
-            for w in run.windows(2) {
-                prop_assert!(
-                    (w[0].begin, w[0].end) <= (w[1].begin, w[1].end),
-                    "stripe run not pre-sorted"
-                );
+            );
+            if ring.push(rec.clone()) {
+                reference.push(rec);
             }
         }
-        // the old drain: concatenate stripes, stable-sort by (begin, end)
-        let mut reference: Vec<TraceRecord> = runs.iter().flatten().cloned().collect();
         reference.sort_by(|a, b| {
             a.begin
                 .partial_cmp(&b.begin)
                 .unwrap()
                 .then(a.end.partial_cmp(&b.end).unwrap())
         });
-        let merged = merge_runs(runs);
-        prop_assert_eq!(&merged, &reference, "merge differs from stable global sort");
-        prop_assert_eq!(&ring.snapshot(), &reference);
-        prop_assert_eq!(&ring.drain(), &reference);
+        prop_assert_eq!(&ring.snapshot(), &reference, "snapshot differs from stable global sort");
+        prop_assert_eq!(&ring.drain(), &reference, "drain differs from stable global sort");
     }
 
-    /// `merge_runs` on direct input, beyond what a ring's stripes hand it:
+    /// `merge_runs` on direct input, beyond the one run a ring hands it:
     /// up to 12 runs, empty ones among them, keys drawn from a handful of
     /// values so ties across runs are the rule, and runs sorted, blocky
-    /// (sorted stretches whose order breaks, like a stripe a kernel sweep
+    /// (sorted stretches whose order breaks, like a buffer a kernel sweep
     /// appended to) or unsorted. The result is the stable sort of the
     /// runs' concatenation.
     #[test]
@@ -855,15 +836,14 @@ proptest! {
     }
 }
 
-/// The ISSUE acceptance case, pinned as a plain test: a 1M-event synthetic
-/// run against a 4k-per-stripe cap stays under the cap without dropping a
-/// single event's accounting, and conserves per-signature count and busy
-/// time exactly.
+/// A 1M-event synthetic run against a 4k-record high-water mark stays
+/// under the cap without dropping a single event's accounting, and
+/// conserves per-signature count and busy time exactly.
 #[test]
 fn million_event_run_stays_under_cap_and_conserves() {
     const HW: usize = 4096;
     const N: u64 = 1_000_000;
-    let ring = TraceRing::with_policy(1 << 16, 8, CompactPolicy::with_high_water(HW));
+    let ring = TraceRing::with_policy(1 << 16, CompactPolicy::with_high_water(HW));
     let names = ["cudaLaunch", "cudaMemcpy(D2H)", "MPI_Send"];
     let mut t = 0.0f64;
     let mut pushed_per_sig = [0u64; 3];
@@ -883,9 +863,12 @@ fn million_event_run_stays_under_cap_and_conserves() {
         N,
         "accounting closes"
     );
-    // 8 stripes, each bounded by the high-water mark plus the compaction
-    // gate's len/8 overshoot allowance
-    let cap = 8 * (HW + HW / 8 + 1);
+    // A pass leaves at most one record per 64-event burst (neighbouring
+    // bursts differ in signature, so they never merge), and the compaction
+    // gate lets the buffer grow by an eighth of its length before the next
+    // pass: the resident count M obeys M <= max(HW + HW/8, bursts + M/8).
+    let bursts = N.div_ceil(64) as usize;
+    let cap = (HW + HW / 8 + 1).max(bursts + bursts / 7 + 1);
     assert!(
         ring.len() <= cap,
         "resident {} exceeds bound {cap}",
@@ -950,13 +933,12 @@ mod otlp_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// Whatever a trace ring hands back — compacted summaries, partial
-        /// launch/kernel pairs, dropped records, multiple stripes — the
+        /// launch/kernel pairs, dropped records — the
         /// OTLP backend renders a document [`validate_otlp`] accepts, and
         /// the spans/links it reports never exceed what went in.
         #[test]
         fn arbitrary_ring_contents_export_to_valid_otlp(
             capacity in 8usize..300,
-            shards in 1usize..9,
             high_water in 2usize..24,
             epoch in 0.0f64..4.0,
             // (signature index, duration steps, gap steps, corr)
@@ -972,9 +954,8 @@ mod otlp_props {
                 "@CUDA_EXEC_STRM00",
                 "odd \"name\" with \\escapes",
             ];
-            let ring = TraceRing::with_policy(
-                capacity, shards, CompactPolicy::with_high_water(high_water),
-            );
+            let ring =
+                TraceRing::with_policy(capacity, CompactPolicy::with_high_water(high_water));
             let mut t = 0.0f64;
             let mut launches = 0usize;
             for &(sig, dur, gap, corr) in &stream {
