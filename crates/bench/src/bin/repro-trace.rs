@@ -13,24 +13,38 @@
 //! ```
 
 use ipm_bench::trace_fig::build_demo_trace;
+use ipm_core::{validate_otlp, Otlp};
+use std::io::{ErrorKind, Write};
+use std::process::ExitCode;
 
-fn write_or_print(json: &str, out: Option<String>, hint: &str) -> std::process::ExitCode {
+/// Write `json` to the file `out`, or to stdout without one. A reader that
+/// closes the pipe early (`| head`) ends the output quietly.
+fn write_or_print(json: &str, out: Option<String>, hint: &str) -> ExitCode {
     match out {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, json) {
                 eprintln!("repro-trace: cannot write {path}: {e}");
-                return std::process::ExitCode::FAILURE;
+                return ExitCode::FAILURE;
             }
             eprintln!("repro-trace: wrote {path} — {hint}");
         }
-        None => print!("{json}"),
+        None => {
+            let mut stdout = std::io::stdout().lock();
+            let written = stdout
+                .write_all(json.as_bytes())
+                .and_then(|()| stdout.flush());
+            if let Err(e) = written {
+                if e.kind() != ErrorKind::BrokenPipe {
+                    eprintln!("repro-trace: cannot write to stdout: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
     }
-    std::process::ExitCode::SUCCESS
+    ExitCode::SUCCESS
 }
 
-#[cfg(feature = "otlp")]
-fn run_otlp(out: Option<String>) -> std::process::ExitCode {
-    use ipm_core::{validate_otlp, Otlp};
+fn run_otlp(out: Option<String>) -> ExitCode {
     let (export, captured, dropped) = ipm_bench::trace_fig::demo_export(2);
     let json = export.to(Otlp).expect("demo has ranks");
     let stats = validate_otlp(&json).expect("exporter produced invalid OTLP");
@@ -42,13 +56,7 @@ fn run_otlp(out: Option<String>) -> std::process::ExitCode {
     write_or_print(&json, out, "POST it to an OTLP/HTTP collector's /v1/traces")
 }
 
-#[cfg(not(feature = "otlp"))]
-fn run_otlp(_out: Option<String>) -> std::process::ExitCode {
-    eprintln!("repro-trace: built without the `otlp` feature");
-    std::process::ExitCode::FAILURE
-}
-
-fn main() -> std::process::ExitCode {
+fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let otlp = args.iter().any(|a| a == "--otlp");
     args.retain(|a| a != "--otlp");

@@ -14,7 +14,8 @@
 
 use ipm_core::export::{Banner, Cube, CubeXml, Html};
 use ipm_core::parse::export_from_xml;
-use ipm_core::{validate_chrome_trace, ChromeTrace};
+use ipm_core::{validate_chrome_trace, validate_otlp, ChromeTrace, Otlp};
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -74,7 +75,7 @@ fn main() -> ExitCode {
         }
     };
 
-    match mode {
+    let doc = match mode {
         "trace" => {
             let json = export.to(ChromeTrace).expect("ranks present");
             match validate_chrome_trace(&json) {
@@ -87,35 +88,24 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            print!("{json}");
+            json
         }
         "otlp" => {
-            #[cfg(feature = "otlp")]
-            {
-                let json = export.to(ipm_core::export::Otlp).expect("ranks present");
-                match ipm_core::export::validate_otlp(&json) {
-                    Ok(stats) => eprintln!(
-                        "ipm_parse: otlp ok — {} spans, {} ranks, {} links, {} summaries",
-                        stats.spans, stats.resources, stats.links, stats.summary_spans
-                    ),
-                    Err(e) => {
-                        eprintln!("ipm_parse: internal error, produced invalid OTLP: {e}");
-                        return ExitCode::FAILURE;
-                    }
+            let json = export.to(Otlp).expect("ranks present");
+            match validate_otlp(&json) {
+                Ok(stats) => eprintln!(
+                    "ipm_parse: otlp ok — {} spans, {} ranks, {} links, {} summaries",
+                    stats.spans, stats.resources, stats.links, stats.summary_spans
+                ),
+                Err(e) => {
+                    eprintln!("ipm_parse: internal error, produced invalid OTLP: {e}");
+                    return ExitCode::FAILURE;
                 }
-                print!("{json}");
             }
-            #[cfg(not(feature = "otlp"))]
-            {
-                eprintln!("ipm_parse: built without the `otlp` feature");
-                return ExitCode::FAILURE;
-            }
+            json
         }
-        "banner" => {
-            // node count is inferred from the distinct hosts by the builder
-            let banner = export.to(Banner).expect("profiles present");
-            print!("{banner}");
-        }
+        // node count is inferred from the distinct hosts by the builder
+        "banner" => export.to(Banner).expect("profiles present"),
         "html" => {
             let html = export.to(Html).expect("profiles present");
             let out = html_out.expect("checked");
@@ -124,10 +114,25 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             eprintln!("ipm_parse: wrote {out}");
+            return ExitCode::SUCCESS;
         }
-        "cube" => print!("{}", export.to(Cube).expect("profiles present")),
-        "cubexml" => print!("{}", export.to(CubeXml).expect("profiles present")),
+        "cube" => export.to(Cube).expect("profiles present"),
+        "cubexml" => export.to(CubeXml).expect("profiles present"),
         _ => unreachable!(),
+    };
+    emit(&doc)
+}
+
+/// Write `doc` to stdout. A reader that closes the pipe early (`| head`)
+/// ends the output quietly; any other write error fails the run.
+fn emit(doc: &str) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(doc.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("ipm_parse: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }

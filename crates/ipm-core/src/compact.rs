@@ -411,7 +411,7 @@ mod tests {
 
     #[test]
     fn a_folded_summary_survives_drain_xml_chrome_and_otlp() {
-        use crate::export::{validate_chrome_trace, ChromeTrace, Export, Xml};
+        use crate::export::{validate_chrome_trace, validate_otlp, ChromeTrace, Export, Otlp, Xml};
         use crate::profile::RankProfile;
         use crate::trace::TraceRing;
 
@@ -457,13 +457,9 @@ mod tests {
             chrome.contains("\"count\":5,\"total_us\":3125000,"),
             "{chrome}"
         );
-        #[cfg(feature = "otlp")]
-        {
-            use crate::export::{validate_otlp, Otlp};
-            let otlp = back.to(Otlp).unwrap();
-            assert_eq!(validate_otlp(&otlp).expect("valid OTLP").summary_spans, 1);
-            assert!(otlp.contains("\"intValue\":\"5\""), "{otlp}");
-        }
+        let otlp = back.to(Otlp).unwrap();
+        assert_eq!(validate_otlp(&otlp).expect("valid OTLP").summary_spans, 1);
+        assert!(otlp.contains("\"intValue\":\"5\""), "{otlp}");
     }
 
     #[test]

@@ -328,7 +328,7 @@ impl CudaApi for IpmCuda {
 mod tests {
     use super::*;
     use crate::monitor::IpmConfig;
-    use crate::sig::EventSignature;
+    use crate::sig::SigKey;
     use ipm_gpu_sim::{launch_kernel, GpuConfig, GpuRuntime, Kernel, KernelCost};
 
     /// The Fig. 3 `square` scenario under monitoring.
@@ -551,7 +551,7 @@ mod tests {
         cuda.finalize();
         let p = ipm.profile();
         assert!(p.time_of("@CUDA_EXEC_STRM00") > 0.09);
-        assert!(p.time_of(&EventSignature::exec_stream_name(s1.0)) > 0.09);
+        assert!(p.time_of(&SigKey::exec_stream_name(s1.0)) > 0.09);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!                  .nodes(..)        prof             Html
 //!                  .to(backend) ──►  epoch            Cube, CubeXml
 //!                                                     ChromeTrace
-//!                                                     Otlp  (feature "otlp")
+//!                                                     Otlp
 //! ```
 //!
 //! # Example
@@ -41,11 +41,9 @@
 //! ```
 
 pub mod chrome;
-#[cfg(feature = "otlp")]
 pub mod otlp;
 
 pub use chrome::{validate_chrome_trace, TraceStats};
-#[cfg(feature = "otlp")]
 pub use otlp::{validate_otlp, OtlpStats};
 
 use crate::aggregate::ClusterReport;
@@ -394,11 +392,9 @@ impl Exporter for ChromeTrace {
 }
 
 /// OTLP-shaped trace JSON (`resourceSpans`), for feeding standard
-/// OpenTelemetry collectors. Only present with the `otlp` feature.
-#[cfg(feature = "otlp")]
+/// OpenTelemetry collectors.
 pub struct Otlp;
 
-#[cfg(feature = "otlp")]
 impl Exporter for Otlp {
     fn render(&self, src: &ExportSource) -> Result<String, ExportError> {
         if src.ranks.is_empty() {
@@ -683,7 +679,6 @@ mod tests {
             above += usize::from(records(&src.ranks) >= PARALLEL_RECORDS);
             let chrome = chrome::chrome_trace_json(&src.ranks, 1);
             validate_chrome_trace(&chrome).expect("valid chrome trace");
-            #[cfg(feature = "otlp")]
             let otlp = otlp::otlp_trace_json(&src, 1);
             for threads in [2, 3, 4, 16] {
                 let what = format!("{n} ranks on {threads} threads");
@@ -691,12 +686,10 @@ mod tests {
                     chrome::chrome_trace_json(&src.ranks, threads) == chrome,
                     "chrome, {what}"
                 );
-                #[cfg(feature = "otlp")]
                 assert!(otlp::otlp_trace_json(&src, threads) == otlp, "otlp, {what}");
             }
             // the backends pick their own thread count
             assert!(ChromeTrace.render(&src).unwrap() == chrome);
-            #[cfg(feature = "otlp")]
             assert!(Otlp.render(&src).unwrap() == otlp);
         }
         assert_eq!(above, 2, "cases on both sides of the threshold");
@@ -728,13 +721,10 @@ mod tests {
                     std::hint::black_box(chrome::chrome_trace_json(&src.ranks, threads));
                     let ms = t.elapsed().as_secs_f64() * 1e3;
                     best[0][threads - 1] = best[0][threads - 1].min(ms);
-                    #[cfg(feature = "otlp")]
-                    {
-                        let t = Instant::now();
-                        std::hint::black_box(otlp::otlp_trace_json(&src, threads));
-                        let ms = t.elapsed().as_secs_f64() * 1e3;
-                        best[1][threads - 1] = best[1][threads - 1].min(ms);
-                    }
+                    let t = Instant::now();
+                    std::hint::black_box(otlp::otlp_trace_json(&src, threads));
+                    let ms = t.elapsed().as_secs_f64() * 1e3;
+                    best[1][threads - 1] = best[1][threads - 1].min(ms);
                 }
             }
             let [chrome, otlp] = best;

@@ -18,7 +18,7 @@
 
 use crate::ktt::{CompletedKernel, KttCheckPolicy};
 use crate::monitor::{Ipm, PseudoEvent};
-use crate::sig::EventSignature;
+use crate::sig::SigKey;
 use crate::trace::TraceKind;
 use ipm_gpu_sim::CudaApi;
 use ipm_interpose::{site, wrap_call, wrap_call_sized, CallHandle, CallId, NameTable};
@@ -205,9 +205,9 @@ impl FacadeCore {
         // sweep, not per completion (format + intern run once per stream)
         let mut exec_ids = self.exec_ids.lock();
         for c in completed {
-            let exec = *exec_ids.entry(c.stream.0).or_insert_with(|| {
-                CallHandle::of(&EventSignature::exec_stream_name(c.stream.0)).id
-            });
+            let exec = *exec_ids
+                .entry(c.stream.0)
+                .or_insert_with(|| CallHandle::of(&SigKey::exec_stream_name(c.stream.0)).id);
             self.ipm.book_pseudo(PseudoEvent {
                 kind: TraceKind::KernelExec,
                 name: exec,

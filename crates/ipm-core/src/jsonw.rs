@@ -6,7 +6,8 @@
 //! home for both halves: [`Escaped`] and the `push_*` writers are the
 //! primitives the Chrome and OTLP exporters and the XML log write strings
 //! and numbers through, and [`parse_json`]/[`Json`] are the reader used by
-//! [`crate::export::chrome::validate_chrome_trace`] and `validate_otlp`.
+//! [`crate::export::chrome::validate_chrome_trace`] and
+//! [`crate::export::otlp::validate_otlp`].
 //!
 //! The writers append straight to the output without going through
 //! `core::fmt`, and write exactly what `{}` (or `{:016x}`, `{:032x}`) would:
@@ -74,7 +75,6 @@ pub(crate) fn push_u64(out: &mut String, v: u64) {
 }
 
 /// Append `v` in decimal, as `{}` writes it.
-#[cfg(feature = "otlp")]
 pub(crate) fn push_i64(out: &mut String, v: i64) {
     if v < 0 {
         out.push('-');
@@ -83,7 +83,6 @@ pub(crate) fn push_i64(out: &mut String, v: i64) {
 }
 
 /// Append `v` as 16 lowercase hex digits, as `{:016x}` writes it.
-#[cfg(feature = "otlp")]
 pub(crate) fn push_hex16(out: &mut String, v: u64) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut buf = [0u8; 16];
@@ -94,7 +93,6 @@ pub(crate) fn push_hex16(out: &mut String, v: u64) {
 }
 
 /// Append `v` as 32 lowercase hex digits, as `{:032x}` writes it.
-#[cfg(feature = "otlp")]
 pub(crate) fn push_hex32(out: &mut String, v: u128) {
     push_hex16(out, (v >> 64) as u64);
     push_hex16(out, v as u64);
@@ -701,18 +699,14 @@ mod tests {
         }
         for v in edges {
             assert_eq!(pushed(|o| push_u64(o, v)), format!("{v}"));
-            #[cfg(feature = "otlp")]
             assert_eq!(pushed(|o| push_hex16(o, v)), format!("{v:016x}"));
         }
-        #[cfg(feature = "otlp")]
-        {
-            for v in [0, -1, 9, -9, 10, -10, i64::MIN, i64::MIN + 1, i64::MAX] {
-                assert_eq!(pushed(|o| push_i64(o, v)), format!("{v}"));
-            }
-            // nanoseconds of a record captured half a second before the epoch
-            let pre_epoch = ((9.5f64 - 10.0) * 1e9).round() as i64;
-            assert_eq!(pushed(|o| push_i64(o, pre_epoch)), "-500000000");
+        for v in [0, -1, 9, -9, 10, -10, i64::MIN, i64::MIN + 1, i64::MAX] {
+            assert_eq!(pushed(|o| push_i64(o, v)), format!("{v}"));
         }
+        // nanoseconds of a record captured half a second before the epoch
+        let pre_epoch = ((9.5f64 - 10.0) * 1e9).round() as i64;
+        assert_eq!(pushed(|o| push_i64(o, pre_epoch)), "-500000000");
     }
 
     #[test]
@@ -759,7 +753,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "otlp")]
     #[test]
     fn trace_ids_match_zero_padded_hex() {
         for v in [
@@ -817,7 +810,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "otlp")]
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 

@@ -71,11 +71,9 @@ pub use cube::{build_cube, CubeMetric};
 pub use cuda_mon::IpmCuda;
 pub use driver_mon::IpmDriver;
 pub use export::{
-    validate_chrome_trace, Banner, ChromeTrace, Cube, CubeXml, Export, ExportError, ExportRank,
-    ExportSource, Exporter, Html, RegionReport, TraceStats, Xml,
+    validate_chrome_trace, validate_otlp, Banner, ChromeTrace, Cube, CubeXml, Export, ExportError,
+    ExportRank, ExportSource, Exporter, Html, Otlp, OtlpStats, RegionReport, TraceStats, Xml,
 };
-#[cfg(feature = "otlp")]
-pub use export::{validate_otlp, Otlp, OtlpStats};
 pub use hostidle::{discover_blocking_set, render_probe_table, BlockingProbe};
 pub use io_mon::IpmIo;
 pub use ktt::{CompletedKernel, Ktt, KttCheckPolicy};

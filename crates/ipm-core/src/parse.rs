@@ -146,7 +146,9 @@ pub(crate) fn html_report(profiles: &[RankProfile], nodes: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::{Banner, ChromeTrace, ExportError, Xml, PARALLEL_RECORDS};
+    use crate::export::{
+        validate_otlp, Banner, ChromeTrace, ExportError, Otlp, Xml, PARALLEL_RECORDS,
+    };
     use crate::profile::ProfileEntry;
     use ipm_sim_core::RunningStats;
 
@@ -299,11 +301,7 @@ mod tests {
         let export = export_from_xml(&[]).unwrap();
         assert_eq!(export.to(Banner).unwrap_err(), ExportError::NoRanks);
         assert_eq!(export.to(ChromeTrace).unwrap_err(), ExportError::NoRanks);
-        #[cfg(feature = "otlp")]
-        assert_eq!(
-            export.to(crate::export::Otlp).unwrap_err(),
-            ExportError::NoRanks
-        );
+        assert_eq!(export.to(Otlp).unwrap_err(), ExportError::NoRanks);
     }
 
     #[test]
@@ -369,16 +367,15 @@ mod tests {
         assert_eq!(stats.flow_pairs, 2);
     }
 
-    #[cfg(feature = "otlp")]
     #[test]
     fn otlp_from_xml_logs_is_valid_and_linked() {
         // both ranks reuse one correlation id at the same local times: each
         // rank keeps its own link
         let json = export_from_xml(&launch_logs(|_| (5, 0.1)))
             .unwrap()
-            .to(crate::export::Otlp)
+            .to(Otlp)
             .unwrap();
-        let stats = crate::export::validate_otlp(&json).expect("valid OTLP");
+        let stats = validate_otlp(&json).expect("valid OTLP");
         assert_eq!(stats.resources, 2);
         assert_eq!(stats.spans, 4);
         assert_eq!(stats.links, 2, "one launch→kernel link per rank");

@@ -20,7 +20,7 @@
 //! calls made on the bare runtime, and must add nothing.
 
 use ipm_core::table::CELL_SLOTS;
-use ipm_core::{EventSignature, Ipm, IpmConfig, IpmCuda, PerfTable, SigKey};
+use ipm_core::{Ipm, IpmConfig, IpmCuda, PerfTable, SigKey};
 use ipm_gpu_sim::{
     launch_kernel, CudaApi, GpuConfig, GpuRuntime, Kernel, KernelCost, LaunchConfig,
 };
@@ -107,8 +107,9 @@ fn traced_span_allocates_nothing() {
 #[test]
 fn deposits_past_a_full_cell_allocate_nothing() {
     let table = PerfTable::new();
+    let id = CallHandle::of("alloc_free_key").id;
     let keys: Vec<SigKey> = (0..2 * CELL_SLOTS as u64)
-        .map(|i| EventSignature::call("alloc_free_key", i).key())
+        .map(|i| SigKey::call(id, i))
         .collect();
     let deposit_all = || {
         for (i, &key) in keys.iter().enumerate() {

@@ -104,3 +104,57 @@ fn cubexml_escapes_the_two_ranks_of_the_mixed_golden() {
     );
     assert!(!xml.contains("q\"b"), "{xml}");
 }
+
+#[test]
+fn a_reader_closing_the_pipe_early_ends_the_output_quietly() {
+    use ipm_core::{TraceKind, TraceRecord};
+    use std::io::Read;
+    use std::process::Stdio;
+
+    // 20,000 launches render to a few MB of JSON, far past a pipe's buffer,
+    // so the writer is still writing when the reader goes away
+    let records = (0..20_000)
+        .map(|i| TraceRecord {
+            kind: TraceKind::Call,
+            name: "cudaLaunch",
+            detail: None,
+            begin: i as f64 * 1e-5,
+            end: i as f64 * 1e-5 + 4e-6,
+            bytes: 0,
+            region: 0,
+            stream: None,
+            corr: 0,
+            agg: None,
+        })
+        .collect();
+    let path = std::env::temp_dir().join(format!(
+        "ipm_parse_cli_{}_broken_pipe.xml",
+        std::process::id()
+    ));
+    let xml = Export::from_profile(profile(0))
+        .with_trace(records)
+        .to(Xml)
+        .expect("a profiled rank");
+    std::fs::write(&path, xml).expect("temp log writable");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ipm_parse"))
+        .arg("trace")
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ipm_parse runs");
+    let mut head = [0u8; 100];
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .expect("the first bytes of the trace");
+    // the stdout handle is dropped here: the pipe's read end closes
+    let out = child.wait_with_output().expect("ipm_parse exits");
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}

@@ -13,10 +13,16 @@
 //! reach is visited (up to `LOOM_MAX_ITERATIONS`), not a sampled handful.
 #![cfg(loom)]
 
-use ipm_core::{CompactPolicy, EventSignature, PerfTable, TraceKind, TraceRecord, TraceRing};
+use ipm_core::{CompactPolicy, PerfTable, SigKey, TraceKind, TraceRecord, TraceRing};
+use ipm_interpose::CallHandle;
 use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
 use loom::thread;
+
+/// The table key of a plain call in the global region.
+fn key(name: &str, bytes: u64) -> SigKey {
+    SigKey::call(CallHandle::of(name).id, bytes)
+}
 
 fn rec(name: &'static str, begin: f64) -> TraceRecord {
     TraceRecord {
@@ -155,7 +161,7 @@ fn trace_ring_compaction_races_writers_without_losing_accounting() {
 fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
     loom::model(|| {
         let table = Arc::new(PerfTable::new());
-        let hot = EventSignature::call("cudaLaunch", 0);
+        let hot = key("cudaLaunch", 0);
         let recorders: Vec<_> = (0..2)
             .map(|t| {
                 let table = Arc::clone(&table);
@@ -163,8 +169,8 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
                     // two updates per thread: the second lands on a key the
                     // cell has already seen *unless* a racing flush drained
                     // it in between — both shapes are explored
-                    table.update_key(EventSignature::call("cudaLaunch", 0).key(), 1e-6);
-                    table.update_key(EventSignature::call("cudaMemcpy(H2D)", 64 * t).key(), 2e-6);
+                    table.update_key(key("cudaLaunch", 0), 1e-6);
+                    table.update_key(key("cudaMemcpy(H2D)", 64 * t), 2e-6);
                 })
             })
             .collect();
@@ -181,7 +187,7 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
         // after the recorders retire, a flushing read recovers every
         // completed update exactly once — across cells *and* across the
         // earlier drain (flushed deltas merged into the map stay there)
-        let hot_stats = table.get(hot.key()).unwrap();
+        let hot_stats = table.get(hot).unwrap();
         assert_eq!(hot_stats.count, 2, "hot-key delta lost or doubled");
         assert_eq!(hot_stats.total, 2e-6);
         let total: u64 = table.snapshot().iter().map(|(_, stats)| stats.count).sum();
@@ -206,8 +212,8 @@ fn flushing_read_never_hides_a_completed_update() {
             thread::spawn(move || {
                 // fills the one-key loom cell, so the watched update takes
                 // the full-cell path unless the flusher drained it first
-                table.update_key(EventSignature::call("cudaMemcpy(H2D)", 64).key(), 1e-6);
-                table.update_key(EventSignature::call("cudaLaunch", 0).key(), 1e-6);
+                table.update_key(key("cudaMemcpy(H2D)", 64), 1e-6);
+                table.update_key(key("cudaLaunch", 0), 1e-6);
                 done.store(true, Ordering::SeqCst);
             })
         };
@@ -221,7 +227,7 @@ fn flushing_read_never_hides_a_completed_update() {
             let (table, done) = (Arc::clone(&table), Arc::clone(&done));
             thread::spawn(move || {
                 if done.load(Ordering::SeqCst) {
-                    let seen = table.get(EventSignature::call("cudaLaunch", 0).key());
+                    let seen = table.get(key("cudaLaunch", 0));
                     assert_eq!(
                         seen.map(|s| s.count),
                         Some(1),
@@ -248,8 +254,8 @@ fn perf_table_updates_merge_and_respect_exact_capacity() {
             .map(|t| {
                 let table = Arc::clone(&table);
                 thread::spawn(move || {
-                    table.update_key(EventSignature::call("hot", 0).key(), 1e-6);
-                    table.update_key(EventSignature::call("own", t).key(), 1e-6);
+                    table.update_key(key("hot", 0), 1e-6);
+                    table.update_key(key("own", t), 1e-6);
                 })
             })
             .collect();
@@ -257,15 +263,15 @@ fn perf_table_updates_merge_and_respect_exact_capacity() {
             h.join().unwrap();
         }
 
-        let hot = table.get(EventSignature::call("hot", 0).key()).unwrap();
+        let hot = table.get(key("hot", 0)).unwrap();
         assert_eq!(hot.count, 2, "hot-signature update lost");
         // 3 distinct signatures offered into capacity 2: no offer may
         // vanish, so entries stored plus overflowed updates cover all 4
         assert!(table.len() <= 2);
         let stored_updates: u64 = [
-            table.get(EventSignature::call("hot", 0).key()),
-            table.get(EventSignature::call("own", 0).key()),
-            table.get(EventSignature::call("own", 1).key()),
+            table.get(key("hot", 0)),
+            table.get(key("own", 0)),
+            table.get(key("own", 1)),
         ]
         .iter()
         .flatten()
@@ -289,7 +295,7 @@ fn full_cell_flush_races_a_read_without_losing_or_doubling() {
                 // the first key fills the cell; the next two take the
                 // full-cell path unless the read drained it in between
                 for bytes in [0, 64, 128] {
-                    table.update_key(EventSignature::call("cudaMemcpy(D2H)", bytes).key(), 1e-6);
+                    table.update_key(key("cudaMemcpy(D2H)", bytes), 1e-6);
                 }
             })
         };

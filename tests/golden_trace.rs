@@ -18,8 +18,8 @@ use ipm_repro::gpu::{ProfKind, ProfRecord, StreamId};
 use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
-    validate_chrome_trace, ChromeTrace, CompactPolicy, Export, ExportRank, MonitorInfo,
-    ProfileEntry, RankProfile, TraceAgg, TraceKind, TraceRecord, TraceRing, Xml,
+    validate_chrome_trace, validate_otlp, ChromeTrace, CompactPolicy, Export, ExportRank,
+    MonitorInfo, Otlp, ProfileEntry, RankProfile, TraceAgg, TraceKind, TraceRecord, TraceRing, Xml,
 };
 use ipm_repro::sim::RunningStats;
 
@@ -150,10 +150,8 @@ fn merged_two_rank_export_matches_golden() {
 /// The same deterministic two-rank workload pinned through the OTLP
 /// backend against `results/trace_otlp.json` (regenerate with
 /// `UPDATE_GOLDEN=1` after an intentional exporter change).
-#[cfg(feature = "otlp")]
 #[test]
 fn merged_two_rank_otlp_export_matches_golden() {
-    use ipm_repro::ipm::{validate_otlp, Otlp};
     let json = Export::new()
         .with_trace_rank(rank(0, 1.0, 7))
         .with_trace_rank(rank(1, 2.5, 9))
@@ -187,11 +185,9 @@ fn merged_two_rank_otlp_export_matches_golden() {
 /// Link correlation, checked span by span: every `cudaLaunch` span in the
 /// OTLP document carries exactly one link, and that link resolves to a
 /// kernel-execution span in the same trace.
-#[cfg(feature = "otlp")]
 #[test]
 fn every_launch_span_links_to_its_kernel_span() {
     use ipm_repro::ipm::jsonw::{parse_json, Json};
-    use ipm_repro::ipm::Otlp;
     use std::collections::HashMap;
 
     let json = Export::new()
@@ -441,17 +437,13 @@ fn mixed_two_rank_export_matches_golden_in_every_trace_format() {
     let xml = export.to(Xml).expect("every rank carries a profile");
     check_golden("mixed_trace.xml", &xml);
 
-    #[cfg(feature = "otlp")]
-    {
-        use ipm_repro::ipm::{validate_otlp, Otlp};
-        let otlp = export.to(Otlp).expect("ranks present");
-        let stats = validate_otlp(&otlp).expect("OTLP export invalid");
-        assert_eq!(stats.resources, 2);
-        assert_eq!(stats.spans, 16);
-        assert_eq!(stats.links, 4);
-        assert_eq!(stats.summary_spans, 3);
-        check_golden("mixed_trace.otlp.json", &otlp);
-    }
+    let otlp = export.to(Otlp).expect("ranks present");
+    let stats = validate_otlp(&otlp).expect("OTLP export invalid");
+    assert_eq!(stats.resources, 2);
+    assert_eq!(stats.spans, 16);
+    assert_eq!(stats.links, 4);
+    assert_eq!(stats.summary_spans, 3);
+    check_golden("mixed_trace.otlp.json", &otlp);
 }
 
 /// The committed two-rank XML golden loads back as its two ranks, each

@@ -6,7 +6,6 @@
 //! `validate_chrome_trace` or `validate_otlp` returns `Err`) or load into
 //! a source that every backend renders without a panic, into Chrome and
 //! OTLP documents that validate.
-#![cfg(feature = "otlp")]
 
 use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{

@@ -1,11 +1,11 @@
 //! Property-based tests over the core data structures and invariants.
 
+use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::table::CELL_SLOTS;
 use ipm_repro::ipm::{
-    merge_runs, validate_chrome_trace, ChromeTrace, CompactPolicy, EventSignature, Export,
-    ExportRank, PerfTable, ProfileEntry, RankProfile, TraceAgg, TraceKind, TraceRecord, TraceRing,
-    Xml,
+    merge_runs, validate_chrome_trace, ChromeTrace, CompactPolicy, Export, ExportRank, PerfTable,
+    ProfileEntry, RankProfile, SigKey, TraceAgg, TraceKind, TraceRecord, TraceRing, Xml,
 };
 use ipm_repro::numlib::{blaskernels, fftkernels, Complex64, FftDirection, Transpose};
 use ipm_repro::sim::{RunningStats, SimClock, SimRng};
@@ -14,6 +14,14 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------
 // Performance hash table vs a reference model
 // ---------------------------------------------------------------------
+
+/// The table key of a call named `name` in `region`.
+fn key_in(name: &str, bytes: u64, region: u16) -> SigKey {
+    SigKey {
+        region,
+        ..SigKey::call(CallHandle::of(name).id, bytes)
+    }
+}
 
 proptest! {
     /// PerfTable agrees with a naive HashMap model for any update stream.
@@ -29,14 +37,12 @@ proptest! {
         let mut model: std::collections::HashMap<(u8, u64, u16), RunningStats> =
             std::collections::HashMap::new();
         for &(n, bytes, region, dur) in &updates {
-            let sig = EventSignature::call(names[n as usize], bytes).in_region(region);
-            table.update_key(sig.key(), dur);
+            table.update_key(key_in(names[n as usize], bytes, region), dur);
             model.entry((n, bytes, region)).or_default().record(dur);
         }
         prop_assert_eq!(table.len(), model.len());
         for ((n, bytes, region), want) in model {
-            let sig = EventSignature::call(names[n as usize], bytes).in_region(region);
-            let got = table.get(sig.key()).expect("entry exists");
+            let got = table.get(key_in(names[n as usize], bytes, region)).expect("entry exists");
             prop_assert_eq!(got.count, want.count);
             prop_assert!((got.total - want.total).abs() < 1e-9);
             prop_assert_eq!(got.min, want.min);
@@ -51,7 +57,7 @@ proptest! {
     fn perf_table_never_exceeds_capacity(cap in 1usize..32, k in 1u64..16, n in 0u64..200) {
         let table = PerfTable::with_capacity(cap);
         for i in 0..n {
-            table.update_key(EventSignature::call("x", i).key(), 0.5);
+            table.update_key(key_in("x", i, 0), 0.5);
             if (i + 1) % k == 0 || i + 1 == n {
                 prop_assert!(table.len() <= cap);
                 prop_assert_eq!(table.len() as u64 + table.overflow(), i + 1);
@@ -83,7 +89,7 @@ proptest! {
         let rest = tail.iter().map(|&(raw, dur)| (raw % distinct as u64, dur));
         let mut updates = 0u64;
         for (i, dur) in first.chain(rest) {
-            table.update_key(EventSignature::call("flush_schedule", i).key(), dur);
+            table.update_key(key_in("flush_schedule", i, 0), dur);
             model.entry(i).or_default().record(dur);
             updates += 1;
             if updates.is_multiple_of(k as u64) {
@@ -94,7 +100,7 @@ proptest! {
             prop_assert_eq!(table.len(), distinct);
             prop_assert_eq!(table.overflow(), 0);
             for (i, want) in model {
-                let got = table.get(EventSignature::call("flush_schedule", i).key())
+                let got = table.get(key_in("flush_schedule", i, 0))
                     .expect("entry exists");
                 prop_assert_eq!(got.count, want.count);
                 prop_assert!((got.total - want.total).abs() <= 1e-9 * want.total.abs());
@@ -922,10 +928,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// OTLP export (feature-gated like the backend itself)
+// OTLP export
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "otlp")]
 mod otlp_props {
     use super::*;
     use ipm_repro::ipm::{validate_otlp, Otlp};
