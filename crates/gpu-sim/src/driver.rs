@@ -138,6 +138,7 @@ impl DriverContext {
         config: LaunchConfig,
         args: &[KernelArg],
     ) -> CudaResult<()> {
+        crate::runtime::clear_last_launch();
         self.check_init()?;
         self.rt.configure_call(config)?;
         for &arg in args {
@@ -273,6 +274,7 @@ impl DriverContext {
     /// `cuLaunchGrid`: launch with the accumulated block shape and
     /// parameters on the default stream, clearing them afterwards.
     pub fn cu_launch_grid(&self, kernel: &Kernel, grid_x: u32, grid_y: u32) -> CudaResult<()> {
+        crate::runtime::clear_last_launch();
         self.check_init()?;
         let (block, args) = {
             let mut st = self.launch_state.lock();

@@ -58,9 +58,17 @@ thread_local! {
 }
 
 /// Correlation id assigned to the calling thread's most recent kernel
-/// launch (0 if this thread has not launched a kernel yet).
+/// launch (0 if this thread has not launched a kernel yet, or if its most
+/// recent launch was rejected).
 pub fn last_launch_correlation_id() -> u64 {
     LAST_LAUNCH_CORR.with(Cell::get)
+}
+
+/// Forget the calling thread's last launch. Every launch entry point calls
+/// this before it can fail, so a rejected launch reads 0 instead of the id
+/// of an earlier kernel.
+pub(crate) fn clear_last_launch() {
+    LAST_LAUNCH_CORR.with(|c| c.set(0));
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -602,6 +610,7 @@ impl GpuRuntime {
 
     /// `cudaLaunch`: launch `kernel` with the pending configuration.
     pub fn launch(&self, kernel: &Kernel) -> CudaResult<()> {
+        clear_last_launch();
         let mut inner = self.inner.lock();
         self.ensure_init(&mut inner);
         let pending = match inner.launch_stack.pop() {
@@ -1050,6 +1059,16 @@ mod tests {
         assert_eq!(rt.launch(&k).unwrap_err(), CudaError::MissingConfiguration);
         assert_eq!(rt.get_last_error(), Some(CudaError::MissingConfiguration));
         assert_eq!(rt.get_last_error(), None); // sticky error cleared
+    }
+
+    #[test]
+    fn a_rejected_launch_leaves_no_correlation_id() {
+        let rt = rt();
+        let k = fixed_kernel(0.1);
+        launch(&rt, &k, LaunchConfig::simple(1u32, 1u32));
+        assert_ne!(last_launch_correlation_id(), 0);
+        assert!(rt.launch(&k).is_err());
+        assert_eq!(last_launch_correlation_id(), 0);
     }
 
     #[test]

@@ -98,8 +98,8 @@ impl Registry {
 }
 
 /// What a wrap site needs to know about its call, resolved once and carried
-/// by value on the hot path: the interned id plus the spec attributes that
-/// steer the wrapper anatomy (host-idle probing, byte attribution).
+/// by value on the hot path: the interned id plus the two spec-derived
+/// flags that steer the wrapper anatomy around the call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CallHandle {
     /// Interned name id (spec row index for specified calls).
@@ -107,25 +107,44 @@ pub struct CallHandle {
     /// In the implicit blocking set (§III-C): the wrapper core probes host
     /// idle before timing the call.
     pub implicit_sync: bool,
-    /// The spec says this call carries a byte count.
-    pub has_bytes: bool,
+    /// A sweep point (§III-B): the wrapper core checks the kernel timing
+    /// table for finished kernels after the call. Set for explicit
+    /// synchronizations and device-to-host copies.
+    pub sweeps: bool,
 }
 
 #[derive(Clone, Copy)]
 struct NameRow {
     name: &'static str,
     implicit_sync: bool,
-    has_bytes: bool,
+    sweeps: bool,
 }
 
 impl NameRow {
+    /// The row for `name`, its flags taken from `spec` (none without one).
+    fn new(name: &'static str, spec: Option<&CallSpec>) -> Self {
+        let blocking = spec.map(|s| s.blocking);
+        Self {
+            name,
+            implicit_sync: blocking == Some(BlockingClass::ImplicitSync),
+            sweeps: blocking == Some(BlockingClass::ExplicitSync) || device_to_host(name),
+        }
+    }
+
     fn handle(&self, id: CallId) -> CallHandle {
         CallHandle {
             id,
             implicit_sync: self.implicit_sync,
-            has_bytes: self.has_bytes,
+            sweeps: self.sweeps,
         }
     }
+}
+
+/// A device-to-host copy: a direction-split runtime copy (`…(D2H)`) or a
+/// driver `cuMemcpyDtoH…`. The host consumes what such a copy returns, so
+/// it is where the paper checks for finished kernels.
+fn device_to_host(name: &str) -> bool {
+    name.ends_with("(D2H)") || name.starts_with("cuMemcpyDtoH")
 }
 
 /// Log2 of the rows in the first chunk of the id → row table; chunk `k`
@@ -168,14 +187,7 @@ impl NameTable {
             let mut by_name = table.by_name.write().expect("name table poisoned");
             for i in 0..reg.len() {
                 let spec = reg.spec(CallId(i as u32));
-                table.append(
-                    &mut by_name,
-                    NameRow {
-                        name: spec.name,
-                        implicit_sync: spec.blocking == BlockingClass::ImplicitSync,
-                        has_bytes: spec.has_bytes,
-                    },
-                );
+                table.append(&mut by_name, NameRow::new(spec.name, Some(spec)));
             }
         }
         table
@@ -213,10 +225,11 @@ impl NameTable {
             .unwrap_or_else(|| panic!("call id {} was never issued", id.0))
     }
 
-    /// Intern `name`, returning its handle. Spec attributes come from the
+    /// Intern `name`, returning its handle. The flags come from the
     /// registry row of the same name, or — for derived names such as
-    /// `cudaMemcpy(H2D)` — from the base name before the `(` suffix.
-    /// Unknown names intern with no attributes (plain timed call).
+    /// `cudaMemcpy(H2D)` — from the base name before the `(` suffix; a
+    /// `…(D2H)` name is a sweep point whatever its base. Unknown names
+    /// intern with no flags (plain timed call).
     pub fn intern(&self, name: &str) -> CallHandle {
         if let Some(h) = self.lookup(name) {
             return h;
@@ -224,19 +237,12 @@ impl NameTable {
         let reg = Registry::global();
         let base = name.split('(').next().unwrap_or(name);
         let spec = reg.id(name).or_else(|| reg.id(base)).map(|id| reg.spec(id));
-        let (implicit_sync, has_bytes) = spec
-            .map(|s| (s.blocking == BlockingClass::ImplicitSync, s.has_bytes))
-            .unwrap_or((false, false));
         let mut by_name = self.by_name.write().expect("name table poisoned");
         // double-check: another thread may have interned it meanwhile
         if let Some(&id) = by_name.get(name) {
             return self.row(id).handle(id);
         }
-        let row = NameRow {
-            name: Box::leak(Box::<str>::from(name)),
-            implicit_sync,
-            has_bytes,
-        };
+        let row = NameRow::new(Box::leak(Box::<str>::from(name)), spec);
         let id = self.append(&mut by_name, row);
         row.handle(id)
     }
@@ -298,14 +304,14 @@ impl CallHandle {
 const SITE_RESOLVED: u64 = 1 << 63;
 
 fn pack(h: CallHandle) -> u64 {
-    SITE_RESOLVED | ((h.id.0 as u64) << 2) | ((h.implicit_sync as u64) << 1) | (h.has_bytes as u64)
+    SITE_RESOLVED | ((h.id.0 as u64) << 2) | ((h.implicit_sync as u64) << 1) | (h.sweeps as u64)
 }
 
 fn unpack(v: u64) -> CallHandle {
     CallHandle {
         id: CallId(((v & !SITE_RESOLVED) >> 2) as u32),
         implicit_sync: v & 0b10 != 0,
-        has_bytes: v & 0b01 != 0,
+        sweeps: v & 0b01 != 0,
     }
 }
 
@@ -351,7 +357,7 @@ impl CallSite {
 /// ```
 /// use ipm_interpose::site;
 /// let h = site!("cudaMemcpy");
-/// assert!(h.implicit_sync && h.has_bytes);
+/// assert!(h.implicit_sync && !h.sweeps);
 /// ```
 #[macro_export]
 macro_rules! site {
@@ -416,7 +422,7 @@ mod tests {
         let h = names.intern("cudaMemcpy");
         assert_eq!(Some(h.id), reg.id("cudaMemcpy"));
         assert_eq!(names.name(h.id), "cudaMemcpy");
-        assert!(h.implicit_sync && h.has_bytes);
+        assert!(h.implicit_sync && !h.sweeps);
     }
 
     #[test]
@@ -428,15 +434,73 @@ mod tests {
             "derived names live past the spec rows"
         );
         // attributes come from the cudaMemcpy base row
-        assert!(split.implicit_sync && split.has_bytes);
+        assert!(split.implicit_sync && split.sweeps);
         let async_split = names.intern("cudaMemcpyAsync(H2D)");
-        assert!(!async_split.implicit_sync && async_split.has_bytes);
+        assert!(!async_split.implicit_sync && !async_split.sweeps);
         // pseudo-events and unknown names carry no attributes
         let idle = names.intern("@CUDA_HOST_IDLE");
-        assert!(!idle.implicit_sync && !idle.has_bytes);
+        assert!(!idle.implicit_sync && !idle.sweeps);
         // interning is idempotent
         assert_eq!(names.intern("cudaMemcpy(D2H)"), split);
         assert_eq!(names.name(split.id), "cudaMemcpy(D2H)");
+    }
+
+    #[test]
+    fn sweep_points_are_explicit_syncs_and_device_to_host_copies() {
+        let reg = Registry::global();
+        let names = NameTable::global();
+        let expect = |spec: &CallSpec, name: &str| {
+            spec.blocking == BlockingClass::ExplicitSync
+                || name.ends_with("(D2H)")
+                || name.starts_with("cuMemcpyDtoH")
+        };
+        for i in 0..reg.len() {
+            let spec = reg.spec(CallId(i as u32));
+            assert_eq!(
+                names.intern(spec.name).sweeps,
+                expect(spec, spec.name),
+                "{}",
+                spec.name
+            );
+            for dir in ["(D2H)", "(H2D)"] {
+                let derived = format!("{}{dir}", spec.name);
+                let h = names.intern(&derived);
+                assert_eq!(h.sweeps, expect(spec, &derived), "{derived}");
+                assert_eq!(h.implicit_sync, names.intern(spec.name).implicit_sync);
+            }
+        }
+        // the runtime and driver sweep sets the CUDA facades wrap
+        let sweeping = |names: &[&str]| {
+            names
+                .iter()
+                .map(|n| CallHandle::of(n).sweeps)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            sweeping(&[
+                "cudaStreamSynchronize",
+                "cudaEventSynchronize",
+                "cudaThreadSynchronize",
+                "cudaMemcpy(D2H)",
+                "cudaMemcpyAsync(D2H)",
+                "cuCtxSynchronize",
+                "cuEventSynchronize",
+                "cuStreamSynchronize",
+                "cuMemcpyDtoH",
+            ]),
+            [true; 9]
+        );
+        assert_eq!(
+            sweeping(&[
+                "cudaMemcpy(H2D)",
+                "cudaMemcpy(D2D)",
+                "cudaLaunch",
+                "cuMemcpyHtoD",
+                "cuLaunchGrid",
+                "@CUDA_HOST_IDLE"
+            ]),
+            [false; 6]
+        );
     }
 
     #[test]
@@ -509,19 +573,18 @@ mod tests {
         let second = site!("cudaMemcpy");
         // two *sites* for the same name share the interned id
         assert_eq!(first.id, second.id);
-        assert!(first.implicit_sync && first.has_bytes);
+        assert!(first.implicit_sync && !first.sweeps);
         // a site's repeated executions agree with the interner
         for _ in 0..3 {
             assert_eq!(site!("MPI_Recv"), CallHandle::of("MPI_Recv"));
         }
         // packing roundtrips all flag combinations
-        for (implicit_sync, has_bytes) in
-            [(false, false), (true, false), (false, true), (true, true)]
+        for (implicit_sync, sweeps) in [(false, false), (true, false), (false, true), (true, true)]
         {
             let h = CallHandle {
                 id: CallId(12345),
                 implicit_sync,
-                has_bytes,
+                sweeps,
             };
             assert_eq!(unpack(pack(h)), h);
         }

@@ -9,8 +9,8 @@
 //!    (`cudaMemcpy(D2H)` / `cudaMemcpy(H2D)`) as IPM optionally does.
 //! 2. **GPU kernel timing** (§III-B): `cudaLaunch` is bracketed with
 //!    events recorded into the kernel timing table; completion is swept
-//!    lazily in D2H transfer wrappers, producing `@CUDA_EXEC_STRMxx`
-//!    entries tagged with the kernel symbol.
+//!    lazily after D2H copies and explicit synchronizations, producing
+//!    `@CUDA_EXEC_STRMxx` entries tagged with the kernel symbol.
 //! 3. **Host-idle identification** (§III-C): before each call in the
 //!    implicit-blocking set, the wrapper synchronizes with the device and
 //!    books the wait separately as `@CUDA_HOST_IDLE`, leaving the call
@@ -18,11 +18,12 @@
 //!
 //! All of that plumbing lives in the shared `FacadeCore`; this facade is
 //! just the `CudaApi` surface naming each call via [`site!`] — the probe
-//! for implicit blocking is steered by the interned spec flags, so e.g.
+//! and the sweep are steered by the interned spec flags, so e.g.
 //! `cudaMemcpy(H2D)` probes while `cudaMemset` (the paper's noted
-//! exception) does not.
+//! exception) does not, and `cudaMemcpy(D2H)` sweeps while
+//! `cudaMemcpy(H2D)` does not.
 
-use crate::facade::{kernel_id, FacadeCore};
+use crate::facade::FacadeCore;
 use crate::monitor::Ipm;
 use ipm_gpu_sim::{
     CudaApi, CudaResult, DeviceProperties, DevicePtr, EventId, Kernel, KernelArg, LaunchConfig,
@@ -89,14 +90,10 @@ impl CudaApi for IpmCuda {
     }
 
     fn cuda_memcpy_d2h(&self, dst: &mut [u8], src: DevicePtr) -> CudaResult<()> {
-        let ret = self
-            .core
+        self.core
             .wrapped(site!("cudaMemcpy(D2H)"), dst.len() as u64, || {
                 self.inner.cuda_memcpy_d2h(dst, src)
-            });
-        // the paper's lazy completion check: D2H transfers are the sweep point
-        self.core.sweep_ktt();
-        ret
+            })
     }
 
     fn cuda_memcpy_h2d_sized(
@@ -117,13 +114,10 @@ impl CudaApi for IpmCuda {
         src: DevicePtr,
         total_bytes: u64,
     ) -> CudaResult<()> {
-        let ret = self
-            .core
+        self.core
             .wrapped(site!("cudaMemcpy(D2H)"), total_bytes, || {
                 self.inner.cuda_memcpy_d2h_sized(dst, src, total_bytes)
-            });
-        self.core.sweep_ktt();
-        ret
+            })
     }
 
     fn cuda_memcpy_d2d(&self, dst: DevicePtr, src: DevicePtr, len: usize) -> CudaResult<()> {
@@ -150,15 +144,10 @@ impl CudaApi for IpmCuda {
         src: DevicePtr,
         stream: StreamId,
     ) -> CudaResult<()> {
-        let ret = self
-            .core
+        self.core
             .wrapped(site!("cudaMemcpyAsync(D2H)"), dst.len() as u64, || {
                 self.inner.cuda_memcpy_d2h_async(dst, src, stream)
-            });
-        // async D2H is also a reasonable sweep point (it signals the host
-        // will soon consume results); cheap because queries are lazy
-        self.core.sweep_ktt();
-        ret
+            })
     }
 
     fn cuda_memcpy_to_symbol(&self, symbol: &str, src: &[u8]) -> CudaResult<()> {
@@ -195,26 +184,9 @@ impl CudaApi for IpmCuda {
             .lock()
             .pop()
             .unwrap_or(StreamId::DEFAULT);
-        if self.ipm().config().gpu_timing {
-            let kernel_id = kernel_id(kernel.name());
-            // the KTT lock is held across the bracketed launch, so the
-            // wrapper inside must not sweep (EveryCall would self-deadlock);
-            // sweep after the lock is released instead
-            // speccheck: allow(lock-across-call) — KTT bracketing requires it
-            let ret = {
-                let mut ktt = self.ipm().ktt().lock();
-                ktt.time_launch(self.inner.as_ref(), kernel_id, stream, || {
-                    self.core
-                        .wrapped_no_sweep(site!("cudaLaunch"), 0, || self.inner.cuda_launch(kernel))
-                })
-            };
-            self.core.sweep_if_every_call();
-            ret
-        } else {
-            // speccheck: allow(wrap-once) — one site per mutually-exclusive branch
-            self.core
-                .wrapped(site!("cudaLaunch"), 0, || self.inner.cuda_launch(kernel))
-        }
+        self.core.launch(site!("cudaLaunch"), kernel, stream, || {
+            self.inner.cuda_launch(kernel)
+        })
     }
 
     fn cuda_stream_create(&self) -> CudaResult<StreamId> {
@@ -230,11 +202,9 @@ impl CudaApi for IpmCuda {
     }
 
     fn cuda_stream_synchronize(&self, stream: StreamId) -> CudaResult<()> {
-        let ret = self.core.wrapped(site!("cudaStreamSynchronize"), 0, || {
+        self.core.wrapped(site!("cudaStreamSynchronize"), 0, || {
             self.inner.cuda_stream_synchronize(stream)
-        });
-        self.core.sweep_ktt();
-        ret
+        })
     }
 
     fn cuda_stream_query(&self, stream: StreamId) -> CudaResult<()> {
@@ -268,11 +238,9 @@ impl CudaApi for IpmCuda {
     }
 
     fn cuda_event_synchronize(&self, event: EventId) -> CudaResult<()> {
-        let ret = self.core.wrapped(site!("cudaEventSynchronize"), 0, || {
+        self.core.wrapped(site!("cudaEventSynchronize"), 0, || {
             self.inner.cuda_event_synchronize(event)
-        });
-        self.core.sweep_ktt();
-        ret
+        })
     }
 
     fn cuda_event_elapsed_time(&self, start: EventId, stop: EventId) -> CudaResult<f64> {
@@ -282,11 +250,9 @@ impl CudaApi for IpmCuda {
     }
 
     fn cuda_thread_synchronize(&self) -> CudaResult<()> {
-        let ret = self.core.wrapped(site!("cudaThreadSynchronize"), 0, || {
+        self.core.wrapped(site!("cudaThreadSynchronize"), 0, || {
             self.inner.cuda_thread_synchronize()
-        });
-        self.core.sweep_ktt();
-        ret
+        })
     }
 
     fn cuda_get_device_count(&self) -> CudaResult<i32> {
@@ -605,6 +571,174 @@ mod tests {
         cuda.finalize();
         assert_eq!(ipm.profile().count_of("cudaLaunch"), 16);
         assert!(ipm.profile().time_of("@CUDA_EXEC_STRM00") > 0.0);
+    }
+
+    /// What a call in the sweep table may need.
+    struct Fix {
+        dev: DevicePtr,
+        events: (EventId, EventId),
+        stream: StreamId,
+        kernel: Kernel,
+    }
+
+    #[test]
+    fn sweep_points_are_the_syncs_and_device_to_host_copies() {
+        type Call = fn(&IpmCuda, &Fix) -> bool;
+        let calls: &[(&str, bool, Call)] = &[
+            ("cudaMalloc", false, |c, _| c.cuda_malloc(64).is_ok()),
+            ("cudaFree", false, |c, f| c.cuda_free(f.dev).is_ok()),
+            ("cudaMemcpy(H2D)", false, |c, f| {
+                c.cuda_memcpy_h2d(f.dev, &[1; 8]).is_ok()
+            }),
+            ("cudaMemcpy(D2H)", true, |c, f| {
+                c.cuda_memcpy_d2h(&mut [0; 8], f.dev).is_ok()
+            }),
+            ("cudaMemcpy(H2D) sized", false, |c, f| {
+                c.cuda_memcpy_h2d_sized(f.dev, &[1; 8], 8).is_ok()
+            }),
+            ("cudaMemcpy(D2H) sized", true, |c, f| {
+                c.cuda_memcpy_d2h_sized(&mut [0; 8], f.dev, 8).is_ok()
+            }),
+            ("cudaMemcpy(D2D)", false, |c, f| {
+                c.cuda_memcpy_d2d(f.dev, f.dev, 8).is_ok()
+            }),
+            ("cudaMemcpyAsync(H2D)", false, |c, f| {
+                c.cuda_memcpy_h2d_async(f.dev, &[1; 8], f.stream).is_ok()
+            }),
+            ("cudaMemcpyAsync(D2H)", true, |c, f| {
+                c.cuda_memcpy_d2h_async(&mut [0; 8], f.dev, f.stream)
+                    .is_ok()
+            }),
+            ("cudaMemcpyToSymbol", false, |c, _| {
+                c.cuda_memcpy_to_symbol("s", &[1; 8]).is_ok()
+            }),
+            ("cudaMemset", false, |c, f| {
+                c.cuda_memset(f.dev, 0, 8).is_ok()
+            }),
+            ("cudaConfigureCall", false, |c, _| {
+                c.cuda_configure_call(LaunchConfig::simple(1u32, 1u32))
+                    .is_ok()
+            }),
+            ("cudaSetupArgument", false, |c, _| {
+                c.cuda_setup_argument(KernelArg::I32(0)).is_ok()
+            }),
+            ("cudaLaunch", false, |c, f| {
+                launch_kernel(c, &f.kernel, LaunchConfig::simple(1u32, 1u32), &[]).is_ok()
+            }),
+            ("cudaStreamCreate", false, |c, _| {
+                c.cuda_stream_create().is_ok()
+            }),
+            ("cudaStreamDestroy", false, |c, f| {
+                c.cuda_stream_destroy(f.stream).is_ok()
+            }),
+            ("cudaStreamSynchronize", true, |c, f| {
+                c.cuda_stream_synchronize(f.stream).is_ok()
+            }),
+            ("cudaStreamQuery", false, |c, f| {
+                c.cuda_stream_query(f.stream).is_ok()
+            }),
+            ("cudaEventCreate", false, |c, _| {
+                c.cuda_event_create().is_ok()
+            }),
+            ("cudaEventDestroy", false, |c, f| {
+                c.cuda_event_destroy(f.events.0).is_ok()
+            }),
+            ("cudaEventRecord", false, |c, f| {
+                c.cuda_event_record(f.events.0, f.stream).is_ok()
+            }),
+            ("cudaEventQuery", false, |c, f| {
+                c.cuda_event_query(f.events.0).is_ok()
+            }),
+            ("cudaEventSynchronize", true, |c, f| {
+                c.cuda_event_synchronize(f.events.0).is_ok()
+            }),
+            ("cudaEventElapsedTime", false, |c, f| {
+                c.cuda_event_elapsed_time(f.events.0, f.events.1).is_ok()
+            }),
+            ("cudaThreadSynchronize", true, |c, _| {
+                c.cuda_thread_synchronize().is_ok()
+            }),
+            ("cudaGetDeviceCount", false, |c, _| {
+                c.cuda_get_device_count().is_ok()
+            }),
+            ("cudaSetDevice", false, |c, _| c.cuda_set_device(0).is_ok()),
+            ("cudaGetDeviceProperties", false, |c, _| {
+                c.cuda_get_device_properties().is_ok()
+            }),
+            ("cudaGetLastError", false, |c, _| {
+                c.cuda_get_last_error().is_none()
+            }),
+        ];
+        for &(name, sweeps, call) in calls {
+            let rt = Arc::new(GpuRuntime::single(
+                GpuConfig::dirac_node().with_context_init(0.0),
+            ));
+            let ipm = Ipm::new(rt.clock().clone(), IpmConfig::default());
+            let cuda = IpmCuda::new(ipm.clone(), rt.clone());
+            let fix = Fix {
+                dev: cuda.cuda_malloc(64).unwrap(),
+                events: (
+                    cuda.cuda_event_create().unwrap(),
+                    cuda.cuda_event_create().unwrap(),
+                ),
+                stream: cuda.cuda_stream_create().unwrap(),
+                kernel: Kernel::timed("again", KernelCost::Fixed(1e-3)),
+            };
+            let done = Kernel::timed("done", KernelCost::Fixed(1e-3));
+            launch_kernel(&cuda, &done, LaunchConfig::simple(1u32, 1u32), &[]).unwrap();
+            // the kernel has finished, but nothing has swept it yet
+            rt.clock().advance(1.0);
+            assert_eq!(ipm.profile().count_of("@CUDA_EXEC_STRM00"), 0, "{name}");
+            call(&cuda, &fix);
+            assert_eq!(
+                ipm.profile().count_of("@CUDA_EXEC_STRM00") > 0,
+                sweeps,
+                "{name} sweeps: {sweeps}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rejected_launch_books_no_kernel_and_no_correlation() {
+        use crate::trace::TraceKind;
+        let rt = Arc::new(GpuRuntime::single(
+            GpuConfig::dirac_node().with_context_init(0.0),
+        ));
+        let ipm = Ipm::new(rt.clock().clone(), IpmConfig::default());
+        let cuda = IpmCuda::new(ipm.clone(), rt);
+        let ran = Kernel::timed("ran", KernelCost::Fixed(0.01));
+        launch_kernel(&cuda, &ran, LaunchConfig::simple(1u32, 1u32), &[]).unwrap();
+        // nothing is configured, so the runtime rejects this launch
+        let never = Kernel::timed("never_ran", KernelCost::Fixed(0.01));
+        assert_eq!(
+            cuda.cuda_launch(&never),
+            Err(ipm_gpu_sim::CudaError::MissingConfiguration)
+        );
+        cuda.cuda_thread_synchronize().unwrap();
+        cuda.finalize();
+
+        let p = ipm.profile();
+        assert_eq!(p.count_of("cudaLaunch"), 2);
+        assert_eq!(p.count_of("@CUDA_EXEC_STRM00"), 1);
+        let kernels: Vec<String> = p.kernel_breakdown().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(kernels, ["ran"]);
+        assert_eq!(p.dropped_events, 0, "a rejected launch is not a KTT drop");
+
+        let records = ipm.drain_trace();
+        let launches: Vec<u64> = records
+            .iter()
+            .filter(|r| r.kind == TraceKind::Call && r.name == "cudaLaunch")
+            .map(|r| r.corr)
+            .collect();
+        let execs: Vec<u64> = records
+            .iter()
+            .filter(|r| r.kind == TraceKind::KernelExec)
+            .map(|r| r.corr)
+            .collect();
+        assert_eq!(launches.len(), 2);
+        assert_ne!(launches[0], 0);
+        assert_eq!(launches[1], 0, "the rejected launch enqueued nothing");
+        assert_eq!(execs, [launches[0]]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    probe for accumulated device work first; `cuMemsetD8` is the paper's
 //!    noted exception and gets no probe.
 
-use crate::facade::{kernel_id, FacadeCore};
+use crate::facade::FacadeCore;
 use crate::monitor::Ipm;
 use ipm_gpu_sim::{
     CudaApi, CudaResult, DevicePtr, DriverContext, EventId, Kernel, KernelArg, LaunchConfig,
@@ -120,13 +120,10 @@ impl IpmDriver {
     /// `cuMemcpyDtoH` — implicit-blocking set, and the paper's lazy sweep
     /// point for completed kernels.
     pub fn cu_memcpy_dtoh(&self, dst: &mut [u8], src: DevicePtr) -> CudaResult<()> {
-        let ret = self
-            .core
+        self.core
             .wrapped(site!("cuMemcpyDtoH"), dst.len() as u64, || {
                 self.inner.cu_memcpy_dtoh(dst, src)
-            });
-        self.core.sweep_ktt();
-        ret
+            })
     }
 
     /// `cuMemcpyDtoD` — implicit-blocking set.
@@ -166,11 +163,9 @@ impl IpmDriver {
 
     /// `cuStreamSynchronize` — explicit sync: sweep afterwards.
     pub fn cu_stream_synchronize(&self, stream: StreamId) -> CudaResult<()> {
-        let ret = self.core.wrapped(site!("cuStreamSynchronize"), 0, || {
+        self.core.wrapped(site!("cuStreamSynchronize"), 0, || {
             self.inner.cu_stream_synchronize(stream)
-        });
-        self.core.sweep_ktt();
-        ret
+        })
     }
 
     /// `cuStreamDestroy`.
@@ -202,11 +197,9 @@ impl IpmDriver {
 
     /// `cuEventSynchronize` — explicit sync: sweep afterwards.
     pub fn cu_event_synchronize(&self, event: EventId) -> CudaResult<()> {
-        let ret = self.core.wrapped(site!("cuEventSynchronize"), 0, || {
+        self.core.wrapped(site!("cuEventSynchronize"), 0, || {
             self.inner.cu_event_synchronize(event)
-        });
-        self.core.sweep_ktt();
-        ret
+        })
     }
 
     /// `cuEventElapsedTime`.
@@ -225,11 +218,9 @@ impl IpmDriver {
 
     /// `cuCtxSynchronize` — explicit sync: sweep afterwards.
     pub fn cu_ctx_synchronize(&self) -> CudaResult<()> {
-        let ret = self.core.wrapped(site!("cuCtxSynchronize"), 0, || {
+        self.core.wrapped(site!("cuCtxSynchronize"), 0, || {
             self.inner.cu_ctx_synchronize()
-        });
-        self.core.sweep_ktt();
-        ret
+        })
     }
 
     /// `cuModuleLoad`.
@@ -271,33 +262,10 @@ impl IpmDriver {
     /// middleware kernels get `@CUDA_EXEC_STRMxx` attribution (always on
     /// the default stream: that is all `cuLaunchGrid` can target).
     pub fn cu_launch_grid(&self, kernel: &Kernel, grid_x: u32, grid_y: u32) -> CudaResult<()> {
-        if self.ipm().config().gpu_timing {
-            let kernel_id = kernel_id(kernel.name());
-            // the KTT lock is held across the bracketed launch, so the
-            // wrapper inside must not sweep (EveryCall would self-deadlock);
-            // sweep after the lock is released instead
-            // speccheck: allow(lock-across-call) — KTT bracketing requires it
-            let ret = {
-                let mut ktt = self.ipm().ktt().lock();
-                ktt.time_launch(
-                    self.inner.runtime().as_ref(),
-                    kernel_id,
-                    StreamId::DEFAULT,
-                    || {
-                        self.core.wrapped_no_sweep(site!("cuLaunchGrid"), 0, || {
-                            self.inner.cu_launch_grid(kernel, grid_x, grid_y)
-                        })
-                    },
-                )
-            };
-            self.core.sweep_if_every_call();
-            ret
-        } else {
-            // speccheck: allow(wrap-once) — one site per mutually-exclusive branch
-            self.core.wrapped(site!("cuLaunchGrid"), 0, || {
+        self.core
+            .launch(site!("cuLaunchGrid"), kernel, StreamId::DEFAULT, || {
                 self.inner.cu_launch_grid(kernel, grid_x, grid_y)
             })
-        }
     }
 }
 
@@ -449,6 +417,162 @@ mod tests {
         drv.finalize();
         assert_eq!(ipm.profile().count_of("cuLaunchGrid"), 8);
         assert!(ipm.profile().time_of("@CUDA_EXEC_STRM00") > 0.0);
+    }
+
+    /// What a call in the sweep table may need.
+    struct Fix {
+        module: ModuleHandle,
+        kernel: Kernel,
+        dev: DevicePtr,
+        events: (EventId, EventId),
+        stream: StreamId,
+    }
+
+    #[test]
+    fn sweep_points_are_the_syncs_and_device_to_host_copies() {
+        type Call = fn(&IpmDriver, &Fix) -> bool;
+        let calls: &[(&str, bool, Call)] = &[
+            ("cuInit", false, |d, _| d.cu_init(0).is_ok()),
+            ("cuDeviceGetCount", false, |d, _| {
+                d.cu_device_get_count().is_ok()
+            }),
+            ("cuDeviceGet", false, |d, _| d.cu_device_get(0).is_ok()),
+            ("cuDeviceGetName", false, |d, _| {
+                d.cu_device_get_name(0).is_ok()
+            }),
+            ("cuDeviceTotalMem", false, |d, _| {
+                d.cu_device_total_mem(0).is_ok()
+            }),
+            ("cuMemAlloc", false, |d, _| d.cu_mem_alloc(64).is_ok()),
+            ("cuMemFree", false, |d, f| d.cu_mem_free(f.dev).is_ok()),
+            ("cuMemcpyHtoD", false, |d, f| {
+                d.cu_memcpy_htod(f.dev, &[1; 8]).is_ok()
+            }),
+            ("cuMemcpyDtoH", true, |d, f| {
+                d.cu_memcpy_dtoh(&mut [0; 8], f.dev).is_ok()
+            }),
+            ("cuMemcpyDtoD", false, |d, f| {
+                d.cu_memcpy_dtod(f.dev, f.dev, 8).is_ok()
+            }),
+            ("cuMemsetD8", false, |d, f| {
+                d.cu_memset_d8(f.dev, 0, 8).is_ok()
+            }),
+            ("cuLaunchKernel", false, |d, f| {
+                d.cu_launch_kernel(&f.kernel, LaunchConfig::simple(1u32, 1u32), &[])
+                    .is_ok()
+            }),
+            ("cuStreamCreate", false, |d, _| d.cu_stream_create().is_ok()),
+            ("cuStreamSynchronize", true, |d, f| {
+                d.cu_stream_synchronize(f.stream).is_ok()
+            }),
+            ("cuStreamDestroy", false, |d, f| {
+                d.cu_stream_destroy(f.stream).is_ok()
+            }),
+            ("cuEventCreate", false, |d, _| d.cu_event_create().is_ok()),
+            ("cuEventRecord", false, |d, f| {
+                d.cu_event_record(f.events.0, f.stream).is_ok()
+            }),
+            ("cuEventQuery", false, |d, f| {
+                d.cu_event_query(f.events.0).is_ok()
+            }),
+            ("cuEventSynchronize", true, |d, f| {
+                d.cu_event_synchronize(f.events.0).is_ok()
+            }),
+            ("cuEventElapsedTime", false, |d, f| {
+                d.cu_event_elapsed_time(f.events.0, f.events.1).is_ok()
+            }),
+            ("cuEventDestroy", false, |d, f| {
+                d.cu_event_destroy(f.events.0).is_ok()
+            }),
+            ("cuCtxSynchronize", true, |d, _| {
+                d.cu_ctx_synchronize().is_ok()
+            }),
+            ("cuModuleLoad", false, |d, _| d.cu_module_load("n").is_ok()),
+            ("cuModuleGetFunction", false, |d, f| {
+                d.cu_module_get_function(f.module, "k").is_ok()
+            }),
+            ("cuFuncSetBlockShape", false, |d, _| {
+                d.cu_func_set_block_shape(1, 1, 1).is_ok()
+            }),
+            ("cuParamSetv", false, |d, _| {
+                d.cu_param_set(KernelArg::I32(0)).is_ok()
+            }),
+            ("cuLaunchGrid", false, |d, f| {
+                d.cu_launch_grid(&f.kernel, 1, 1).is_ok()
+            }),
+        ];
+        for &(name, sweeps, call) in calls {
+            let (ipm, drv) = monitored(IpmConfig::default());
+            drv.cu_init(0).unwrap();
+            let module = drv.cu_module_load("m").unwrap();
+            drv.register_function(module, Kernel::timed("k", KernelCost::Fixed(1e-3)))
+                .unwrap();
+            let kernel = drv.cu_module_get_function(module, "k").unwrap();
+            let fix = Fix {
+                module,
+                dev: drv.cu_mem_alloc(64).unwrap(),
+                events: (
+                    drv.cu_event_create().unwrap(),
+                    drv.cu_event_create().unwrap(),
+                ),
+                stream: drv.cu_stream_create().unwrap(),
+                kernel: kernel.clone(),
+            };
+            drv.cu_func_set_block_shape(1, 1, 1).unwrap();
+            drv.cu_launch_grid(&kernel, 1, 1).unwrap();
+            // the kernel has finished, but nothing has swept it yet
+            drv.inner().runtime().clock().advance(1.0);
+            assert_eq!(ipm.profile().count_of("@CUDA_EXEC_STRM00"), 0, "{name}");
+            call(&drv, &fix);
+            assert_eq!(
+                ipm.profile().count_of("@CUDA_EXEC_STRM00") > 0,
+                sweeps,
+                "{name} sweeps: {sweeps}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rejected_launch_grid_books_no_kernel_and_no_correlation() {
+        use crate::trace::TraceKind;
+        let (ipm, drv) = monitored(IpmConfig::default());
+        drv.cu_init(0).unwrap();
+        let m = drv.cu_module_load("m").unwrap();
+        for name in ["ran", "never_ran"] {
+            drv.register_function(m, Kernel::timed(name, KernelCost::Fixed(0.01)))
+                .unwrap();
+        }
+        let ran = drv.cu_module_get_function(m, "ran").unwrap();
+        let never = drv.cu_module_get_function(m, "never_ran").unwrap();
+        drv.cu_func_set_block_shape(1, 1, 1).unwrap();
+        drv.cu_launch_grid(&ran, 1, 1).unwrap();
+        // an empty grid: the runtime rejects this launch
+        assert!(drv.cu_launch_grid(&never, 0, 1).is_err());
+        drv.cu_ctx_synchronize().unwrap();
+        drv.finalize();
+
+        let p = ipm.profile();
+        assert_eq!(p.count_of("cuLaunchGrid"), 2);
+        assert_eq!(p.count_of("@CUDA_EXEC_STRM00"), 1);
+        let kernels: Vec<String> = p.kernel_breakdown().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(kernels, ["ran"]);
+        assert_eq!(p.dropped_events, 0, "a rejected launch is not a KTT drop");
+
+        let records = ipm.drain_trace();
+        let launches: Vec<u64> = records
+            .iter()
+            .filter(|r| r.kind == TraceKind::Call && r.name == "cuLaunchGrid")
+            .map(|r| r.corr)
+            .collect();
+        let execs: Vec<u64> = records
+            .iter()
+            .filter(|r| r.kind == TraceKind::KernelExec)
+            .map(|r| r.corr)
+            .collect();
+        assert_eq!(launches.len(), 2);
+        assert_ne!(launches[0], 0);
+        assert_eq!(launches[1], 0, "the rejected launch enqueued nothing");
+        assert_eq!(execs, [launches[0]]);
     }
 
     #[test]

@@ -2,32 +2,36 @@
 //!
 //! Every monitored facade (`cuda_mon`, `driver_mon`, `mpi_mon`,
 //! `numlib_mon`, `io_mon`) used to carry its own copy of the Fig. 2
-//! plumbing: clock/sink/overhead lookup, host-idle probing, KTT sweeping,
-//! completion booking. [`FacadeCore`] is that plumbing factored into one
-//! place; facades hold a core and delegate, so timing, byte attribution,
-//! host-idle probing, and self-overhead accounting cannot drift apart
-//! between API families.
+//! plumbing: clock/sink/overhead lookup, host-idle probing, the kernel
+//! launch bracket, KTT sweeping, completion booking. [`FacadeCore`] is that
+//! plumbing factored into one place; facades hold a core and only name
+//! their calls, so timing, byte attribution, host-idle probing, kernel
+//! timing and self-overhead accounting cannot drift apart between API
+//! families.
 //!
 //! The core is steered by the interned [`CallHandle`]: a call whose spec
 //! row is in the implicit blocking set (§III-C) is probed for accumulated
-//! device work before being timed, and everything else passes straight to
-//! [`wrap_call`]. Facades with no device behind them (MPI, I/O, and the
-//! numerical libraries, whose device traffic is already monitored through
-//! the CUDA facade they sit on) construct the core with `device: None`,
-//! which turns probing and sweeping into no-ops.
+//! device work before being timed, and a sweep point (an explicit
+//! synchronization or a device-to-host copy, §III-B) is followed by a
+//! check of the kernel timing table for finished kernels. Launches go
+//! through [`FacadeCore::launch`], the one event bracket. Facades with no
+//! device behind them (MPI, I/O, and the numerical libraries, whose device
+//! traffic is already monitored through the CUDA facade they sit on)
+//! construct the core with `device: None`, which turns probing, bracketing
+//! and sweeping into no-ops.
 
-use crate::ktt::{CompletedKernel, KttCheckPolicy};
+use crate::ktt::{CompletedKernel, KttCheckPolicy, Launched};
 use crate::monitor::{Ipm, PseudoEvent};
 use crate::sig::SigKey;
 use crate::trace::TraceKind;
-use ipm_gpu_sim::CudaApi;
-use ipm_interpose::{site, wrap_call, wrap_call_sized, CallHandle, CallId, NameTable};
+use ipm_gpu_sim::{CudaApi, Kernel, StreamId};
+use ipm_interpose::{site, wrap_call_sized, CallHandle, CallId, NameTable};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The interned id of a kernel symbol, for the launch wrappers.
+/// The interned id of a kernel symbol, for the launch bracket.
 ///
 /// A launch resolves its kernel's symbol every time, and the interner's
 /// lookup by string takes a lock every rank thread shares plus a hash. A
@@ -35,7 +39,7 @@ use std::sync::Arc;
 /// launch of the same kernel object instead; a hit is checked against the
 /// interned name, so a freed and reused address can never alias another
 /// kernel.
-pub(crate) fn kernel_id(symbol: &str) -> CallId {
+fn kernel_id(symbol: &str) -> CallId {
     const WAYS: usize = 64;
     thread_local! {
         static BY_ADDRESS: [Cell<(usize, CallId)>; WAYS] =
@@ -88,9 +92,63 @@ impl FacadeCore {
         &self.ipm
     }
 
-    /// The Fig. 2 anatomy without any KTT sweep — safe to call while the
-    /// KTT lock is held (launch wrappers do exactly that). Calls in the
-    /// implicit blocking set are probed for host idle first.
+    /// The Fig. 2 anatomy: probe (if blocking), time, then sweep the KTT
+    /// after a sweep point (or after every call under the eager policy).
+    #[inline]
+    pub(crate) fn wrapped<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
+        self.wrapped_sized(call, real, |_| bytes)
+    }
+
+    /// [`Self::wrapped`] for calls sized by their *result* (`MPI_Recv`,
+    /// `MPI_Wait`): the byte attribute is measured after the real call
+    /// completes, before the sink sees the event.
+    #[inline]
+    pub(crate) fn wrapped_sized<R>(
+        &self,
+        call: CallHandle,
+        real: impl FnOnce() -> R,
+        bytes_of: impl FnOnce(&R) -> u64,
+    ) -> R {
+        let out = self.timed(call, real, bytes_of);
+        self.sweep_after(call);
+        out
+    }
+
+    /// A kernel launch (§III-B). With GPU timing on, the launch is
+    /// bracketed by start/stop events whose timing slot in the KTT belongs
+    /// to `kernel` on `stream`; a launch the runtime rejects stores none.
+    /// Without a device or GPU timing it is a plain wrapped call.
+    pub(crate) fn launch<R: Launched>(
+        &self,
+        call: CallHandle,
+        kernel: &Kernel,
+        stream: StreamId,
+        real: impl FnOnce() -> R,
+    ) -> R {
+        let Some(device) = self
+            .device
+            .as_ref()
+            .filter(|_| self.ipm.config().gpu_timing)
+        else {
+            return self.wrapped(call, 0, real);
+        };
+        let kernel = kernel_id(kernel.name());
+        // the KTT lock is held across the timed launch, so nothing inside
+        // may sweep (that would take the lock again): the sweep runs once
+        // the lock has dropped
+        // speccheck: allow(lock-across-call) — the KTT bracket requires it
+        let out = {
+            let mut ktt = self.ipm.ktt().lock();
+            ktt.time_launch(device.as_ref(), kernel, stream, || {
+                self.timed(call, real, |_| 0)
+            })
+        };
+        self.sweep_after(call);
+        out
+    }
+
+    /// Probe (if blocking) and time one call, without any sweep — safe to
+    /// run while the KTT lock is held.
     ///
     /// `#[inline]` keeps this per-call path inlined into every facade entry
     /// point whatever codegen unit rustc puts it in: left to the default
@@ -98,37 +156,7 @@ impl FacadeCore {
     /// into an out-of-line call inside `cudaLaunch` and cost the
     /// CUDA-call storm about 7% CPU time.
     #[inline]
-    pub(crate) fn wrapped_no_sweep<R>(
-        &self,
-        call: CallHandle,
-        bytes: u64,
-        real: impl FnOnce() -> R,
-    ) -> R {
-        if call.implicit_sync {
-            self.absorb_host_idle();
-        }
-        wrap_call(
-            self.ipm.clock(),
-            self.ipm.as_ref(),
-            call,
-            bytes,
-            WRAPPER_OVERHEAD,
-            real,
-        )
-    }
-
-    /// The full anatomy: probe (if blocking), time, then sweep the KTT when
-    /// the policy asks for a check on every call.
-    pub(crate) fn wrapped<R>(&self, call: CallHandle, bytes: u64, real: impl FnOnce() -> R) -> R {
-        let out = self.wrapped_no_sweep(call, bytes, real);
-        self.sweep_if_every_call();
-        out
-    }
-
-    /// [`Self::wrapped`] for calls sized by their *result* (`MPI_Recv`,
-    /// `MPI_Wait`): the byte attribute is measured after the real call
-    /// completes, before the sink sees the event.
-    pub(crate) fn wrapped_sized<R>(
+    fn timed<R>(
         &self,
         call: CallHandle,
         real: impl FnOnce() -> R,
@@ -137,16 +165,14 @@ impl FacadeCore {
         if call.implicit_sync {
             self.absorb_host_idle();
         }
-        let out = wrap_call_sized(
+        wrap_call_sized(
             self.ipm.clock(),
             self.ipm.as_ref(),
             call,
             WRAPPER_OVERHEAD,
             real,
             bytes_of,
-        );
-        self.sweep_if_every_call();
-        out
+        )
     }
 
     /// Measure implicit host blocking before a call in the blocking set:
@@ -175,25 +201,26 @@ impl FacadeCore {
         }
     }
 
+    /// Sweep after `call` when its handle marks a sweep point, or after
+    /// every call under `KttCheckPolicy::EveryCall`.
+    #[inline]
+    fn sweep_after(&self, call: CallHandle) {
+        if call.sweeps || self.ipm.config().ktt_policy == KttCheckPolicy::EveryCall {
+            self.sweep_ktt();
+        }
+    }
+
     /// Sweep the KTT for completed kernels and book `@CUDA_EXEC_STRMxx`
-    /// entries (paper: done in D2H transfer wrappers). Completions are
-    /// booked while the KTT lock is still held: they come out of the
-    /// table's reused buffer, so a sweep allocates nothing.
-    pub(crate) fn sweep_ktt(&self) {
+    /// entries. Completions are booked while the KTT lock is still held:
+    /// they come out of the table's reused buffer, so a sweep allocates
+    /// nothing.
+    fn sweep_ktt(&self) {
         let Some(device) = &self.device else { return };
         if !self.ipm.config().gpu_timing {
             return;
         }
         let mut ktt = self.ipm.ktt().lock();
         self.book_completed(ktt.collect_completed(device.as_ref()));
-    }
-
-    /// Sweep only under `KttCheckPolicy::EveryCall` — the tail of the full
-    /// anatomy, also called by launch wrappers after the KTT lock drops.
-    pub(crate) fn sweep_if_every_call(&self) {
-        if self.ipm.config().ktt_policy == KttCheckPolicy::EveryCall {
-            self.sweep_ktt();
-        }
     }
 
     fn book_completed(&self, completed: impl ExactSizeIterator<Item = CompletedKernel>) {

@@ -4,12 +4,17 @@
 //! `cudaLaunch` wrapper enqueues a start event before and a stop event
 //! after the launch, storing `(start, stop, stream, kernel)` in a free
 //! slot. Because kernels run asynchronously, completion is checked
-//! *lazily* — by default only inside device-to-host transfer wrappers
-//! ("since any data used by the host has to be requested explicitly by a
-//! later D2H transfer, it is safe to assume at least one such transfer
-//! occurs after the launch"). When a `cudaEventQuery` on the stop event
-//! succeeds, the duration is read with `cudaEventElapsedTime`, the slot is
-//! freed, and a `@CUDA_EXEC_STRMxx` entry lands in the hash table.
+//! *lazily* — by default only after the calls whose interned handle is a
+//! sweep point: device-to-host copies (`cudaMemcpy(D2H)`,
+//! `cudaMemcpyAsync(D2H)`, `cuMemcpyDtoH`) and explicit synchronizations
+//! (`cudaStreamSynchronize`, `cuCtxSynchronize`, …). The paper's argument
+//! covers the copies ("since any data used by the host has to be
+//! requested explicitly by a later D2H transfer, it is safe to assume at
+//! least one such transfer occurs after the launch"); a synchronization
+//! is the other point where the host has waited for the device. When a
+//! `cudaEventQuery` on the stop event succeeds, the duration is read with
+//! `cudaEventElapsedTime`, the slot is freed, and a `@CUDA_EXEC_STRMxx`
+//! entry lands in the hash table.
 
 use ipm_gpu_sim::{CudaApi, EventId, StreamId};
 use ipm_interpose::CallId;
@@ -17,10 +22,11 @@ use ipm_interpose::CallId;
 /// When the wrapper layer sweeps the KTT for completed kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KttCheckPolicy {
-    /// Only in device-to-host memory transfer wrappers — the paper's
-    /// choice, minimizing query overhead.
+    /// Only after the sweep points — device-to-host copies and explicit
+    /// synchronizations — the paper's lazy choice, minimizing query
+    /// overhead.
     D2hOnly,
-    /// In every CUDA runtime wrapper — the eager alternative the paper
+    /// After every wrapped call — the eager alternative the paper
     /// rejects as potentially costly (benchmarked as an ablation).
     EveryCall,
 }
@@ -52,6 +58,25 @@ pub struct CompletedKernel {
     /// Absolute `(start, stop)` event timestamps on the device timeline,
     /// when the backend exposes them — what places this kernel in a trace.
     pub interval: Option<(f64, f64)>,
+}
+
+/// What a bracketed launch returns, asked whether the kernel was enqueued.
+/// A launch the runtime rejects ran nothing, so there is nothing to time.
+pub trait Launched {
+    /// True when the launch enqueued its kernel.
+    fn launched(&self) -> bool;
+}
+
+impl Launched for () {
+    fn launched(&self) -> bool {
+        true
+    }
+}
+
+impl<T, E> Launched for Result<T, E> {
+    fn launched(&self) -> bool {
+        self.is_ok()
+    }
 }
 
 /// Positions of the set bits of `word`, lowest first.
@@ -124,10 +149,11 @@ impl Ktt {
     }
 
     /// Bracket `launch` with start/stop events on `stream` and store the
-    /// timing slot for the interned `kernel` symbol. Called by the
-    /// `cudaLaunch` wrapper. If the table is full the launch still
-    /// proceeds, just untimed.
-    pub fn time_launch<R>(
+    /// timing slot for the interned `kernel` symbol. Called by the wrapper
+    /// core's launch bracket. If the table is full the launch still
+    /// proceeds, just untimed (a drop). A launch that enqueued nothing
+    /// gives its event pair back and stores no timing; it is not a drop.
+    pub fn time_launch<R: Launched>(
         &mut self,
         api: &dyn CudaApi,
         kernel: CallId,
@@ -151,6 +177,10 @@ impl Ktt {
             return launch();
         }
         let ret = launch();
+        if !ret.launched() {
+            self.free_events.push((start, stop));
+            return ret;
+        }
         if api.cuda_event_record(stop, stream).is_err() {
             self.free_events.push((start, stop));
             self.dropped += 1;
@@ -302,6 +332,26 @@ mod tests {
         }
         // after the first round the same event pair is reused
         assert_eq!(ktt.free_events.len(), 1);
+    }
+
+    #[test]
+    fn a_rejected_launch_stores_nothing_and_returns_its_events() {
+        let rt = rt();
+        let mut ktt = Ktt::new(4);
+        let k = Kernel::timed("never_ran", KernelCost::Fixed(0.1));
+        // no configuration staged: the runtime rejects the launch
+        let ret = ktt.time_launch(
+            &rt,
+            CallHandle::of("never_ran").id,
+            StreamId::DEFAULT,
+            || rt.launch(&k),
+        );
+        assert!(ret.is_err());
+        assert_eq!((ktt.in_flight(), ktt.dropped()), (0, 0));
+        assert_eq!(ktt.free_events.len(), 1);
+        // the next launch reuses the returned pair
+        timed_launch(&mut ktt, &rt, "k", 0.01);
+        assert_eq!((ktt.in_flight(), ktt.free_events.len()), (1, 0));
     }
 
     #[test]

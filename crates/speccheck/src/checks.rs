@@ -2,8 +2,8 @@
 
 use crate::diag::Diagnostic;
 use crate::extract::{
-    absorb_calls, anatomy_uses, defines_absorb, facade_names, lock_call_lines, lock_holds, waivers,
-    wrap_sites, BytesArg, SourceFile, WrapSite,
+    absorb_calls, anatomy_uses, defines_absorb, facade_names, lock_call_lines, lock_holds,
+    timed_call_lines, waivers, wrap_sites, BytesArg, SourceFile, WrapSite,
 };
 use ipm_interpose::{ApiFamily, BlockingClass};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -168,11 +168,12 @@ pub fn run(spec: &[SpecRow], files: &[(Role, SourceFile)]) -> Vec<Diagnostic> {
     let mut sites: Vec<WrapSite> = Vec::new();
     let mut all_waivers = Vec::new();
     for (role, f) in files {
-        if *role != Role::Monitor {
-            continue;
+        if *role == Role::Monitor {
+            sites.extend(wrap_sites(f));
         }
-        sites.extend(wrap_sites(f));
-        all_waivers.extend(waivers(f));
+        if *role != Role::Facade {
+            all_waivers.extend(waivers(f));
+        }
     }
     let waived = |code: &str, file: &str, fn_name: &str| {
         all_waivers
@@ -389,14 +390,32 @@ pub fn run(spec: &[SpecRow], files: &[(Role, SourceFile)]) -> Vec<Diagnostic> {
         }
     }
 
-    // lock-order: the table/trace locks must never nest
+    // lock-order: the table/trace locks must never nest; and, as in the
+    // monitors, no guard may be held across the timed path (the core's KTT
+    // bracket is the one waived exception)
     for (role, f) in files {
         if *role != Role::LockDiscipline {
             continue;
         }
         let holds = lock_holds(f);
         let calls = lock_call_lines(f);
+        let timed = timed_call_lines(f);
         for h in &holds {
+            let held_across = timed.iter().find(|&&c| c > h.line && c < h.scope_end);
+            if let Some(&c) = held_across {
+                if !waived("lock-across-call", &f.rel, &h.fn_name) {
+                    diags.push(Diagnostic {
+                        code: "lock-across-call",
+                        target: h.fn_name.clone(),
+                        file: f.rel.clone(),
+                        line: c,
+                        message: format!(
+                            "`{}` enters the timed path while the guard taken at line {} is still held (waive with `speccheck: allow(lock-across-call)` if the bracketing requires it)",
+                            h.fn_name, h.line
+                        ),
+                    });
+                }
+            }
             for &c in &calls {
                 if c > h.line && c < h.scope_end {
                     diags.push(Diagnostic {

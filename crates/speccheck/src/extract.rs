@@ -10,9 +10,9 @@
 //!   ``/// `cudaMalloc` — ...``. Continuation lines mentioning other names
 //!   in prose do not count.
 //! - **Wrapper sites**: monitors report through the shared core's
-//!   `wrapped*` methods with an interned call-site literal:
-//!   `self.core.wrapped(site!("cudaMalloc"), size, ...)`. The
-//!   pre-interning idiom (`self.wrapped("cudaMalloc", size, ...)`) is
+//!   `wrapped*` methods, or its `launch` bracket, with an interned
+//!   call-site literal: `self.core.wrapped(site!("cudaMalloc"), size, ...)`.
+//!   The pre-interning idiom (`self.wrapped("cudaMalloc", size, ...)`) is
 //!   still recognized so doctored-source tests keep working.
 //!
 //! Everything after the first `#[cfg(test)]` in a file is ignored.
@@ -119,12 +119,15 @@ pub struct WrapSite {
     pub bytes: BytesArg,
 }
 
-/// The helpers whose first string-literal argument is a registry name.
-const WRAP_HELPERS: &[(&str, bool)] = &[
-    ("wrapped_no_sweep(", false),
-    ("wrapped_sized(", true),
-    ("wrap_call_sized(", true),
-    ("wrapped(", false),
+/// The helpers whose first string-literal argument is a registry name,
+/// with the bytes they report when that is fixed by the helper itself
+/// (`None`: the second argument is the byte expression). A launch carries
+/// no byte count.
+const WRAP_HELPERS: &[(&str, Option<BytesArg>)] = &[
+    ("wrapped_sized(", Some(BytesArg::ResultSized)),
+    ("wrap_call_sized(", Some(BytesArg::ResultSized)),
+    ("wrapped(", None),
+    (".launch(", Some(BytesArg::Zero)),
 ];
 
 fn current_fn(line: &str) -> Option<String> {
@@ -183,7 +186,7 @@ pub fn wrap_sites(file: &SourceFile) -> Vec<WrapSite> {
         if let Some(f) = current_fn(line) {
             fn_name = f;
         }
-        for &(helper, sized) in WRAP_HELPERS {
+        for (helper, fixed) in WRAP_HELPERS {
             let Some(pos) = line.find(helper) else {
                 continue;
             };
@@ -222,8 +225,8 @@ pub fn wrap_sites(file: &SourceFile) -> Vec<WrapSite> {
                 // are outside the spec's families
                 continue;
             }
-            let bytes = if sized {
-                BytesArg::ResultSized
+            let bytes = if let Some(fixed) = fixed {
+                fixed.clone()
             } else {
                 let mut after = &joined[q0 + 2 + q1..];
                 if interned {
@@ -341,6 +344,17 @@ pub fn lock_call_lines(file: &SourceFile) -> Vec<usize> {
         .collect()
 }
 
+/// Lines entering the timed path (`wrap_call*`, or the core's own
+/// `.timed(`), which books into the table and the ring under their locks.
+pub fn timed_call_lines(file: &SourceFile) -> Vec<usize> {
+    file.scanned_lines()
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| l.contains("wrap_call") || l.contains(".timed("))
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
 /// Does this monitor implement the host-idle probe?
 pub fn defines_absorb(file: &SourceFile) -> bool {
     file.scanned_lines()
@@ -359,7 +373,8 @@ pub struct AnatomyUse {
 }
 
 /// The anatomy primitives only `FacadeCore` may touch. A monitor facade
-/// using any of these has re-grown its own copy of the Fig. 2 plumbing.
+/// using any of these has re-grown its own copy of the Fig. 2 plumbing or
+/// of the §III-B kernel timing (the KTT bracket and its sweeps).
 const ANATOMY_PRIMITIVES: &[&str] = &[
     "wrap_call(",
     "wrap_call_sized(",
@@ -367,6 +382,9 @@ const ANATOMY_PRIMITIVES: &[&str] = &[
     "book_pseudo(",
     "Instant::now",
     "clock().now",
+    "time_launch(",
+    "sweep_ktt(",
+    ".ktt()",
 ];
 
 /// Spot anatomy primitives in a monitor file (the unified-anatomy lint).
@@ -524,6 +542,22 @@ mod tests {
     }
 
     #[test]
+    fn launch_sites_carry_no_bytes() {
+        let f = file(
+            "    fn cuda_launch(&self, kernel: &Kernel) -> R {\n\
+             \x20       self.core.launch(site!(\"cudaLaunch\"), kernel, stream, || {\n\
+             \x20           self.inner.cuda_launch(kernel)\n\
+             \x20       })\n\
+             \x20   }\n",
+        );
+        let sites = wrap_sites(&f);
+        assert_eq!(sites.len(), 1);
+        assert_eq!(sites[0].name, "cudaLaunch");
+        assert_eq!(sites[0].bytes, BytesArg::Zero);
+        assert_eq!(sites[0].fn_name, "cuda_launch");
+    }
+
+    #[test]
     fn anatomy_primitives_are_spotted_per_fn() {
         let f = file(
             "    fn wrapped<R>(&self) -> R {\n\
@@ -550,7 +584,7 @@ mod tests {
             "    fn launch(&self) {\n\
              \x20       let ret = {\n\
              \x20           let mut ktt = self.ipm.ktt().lock();\n\
-             \x20           ktt.go(|| self.wrapped_no_sweep(\"cudaLaunch\", 0, || x()))\n\
+             \x20           ktt.go(|| self.timed(call, real, |_| 0))\n\
              \x20       };\n\
              \x20       let done = self.ipm.ktt().lock().collect();\n\
              \x20   }\n",

@@ -200,13 +200,14 @@ mod tests {
         // sabotage: the D2H wrapper books its own host-idle wait instead of
         // leaving the probe to the shared core
         let mut files = load_sources(&workspace_root()).unwrap();
-        let sweep = "        self.core.sweep_ktt();\n";
+        let d2h =
+            "    fn cuda_memcpy_d2h(&self, dst: &mut [u8], src: DevicePtr) -> CudaResult<()> {\n";
         for (_, f) in &mut files {
             if f.rel.ends_with("cuda_mon.rs") {
-                assert!(f.text.contains(sweep), "no sweep point to sabotage");
+                assert!(f.text.contains(d2h), "no D2H wrapper to sabotage");
                 f.text = f.text.replacen(
-                    sweep,
-                    "        self.ipm().book_pseudo(idle);\n        self.core.sweep_ktt();\n",
+                    d2h,
+                    &format!("{d2h}        self.ipm().book_pseudo(idle);\n"),
                     1,
                 );
             }
@@ -218,6 +219,61 @@ mod tests {
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].target, "book_pseudo");
         assert!(found[0].file.ends_with("cuda_mon.rs"));
+    }
+
+    #[test]
+    fn anatomy_lint_catches_a_facade_regrowing_the_launch_bracket() {
+        // sabotage: the runtime launch wrapper brackets and sweeps the KTT
+        // itself instead of leaving both to the shared core
+        let mut files = load_sources(&workspace_root()).unwrap();
+        let launch = "        self.core.launch(site!(\"cudaLaunch\")";
+        for (_, f) in &mut files {
+            if f.rel.ends_with("cuda_mon.rs") {
+                assert!(f.text.contains(launch), "no launch wrapper to sabotage");
+                f.text = f.text.replacen(
+                    launch,
+                    &format!(
+                        "        let mut ktt = self.ipm().ktt().lock();\n\
+                         \x20       ktt.time_launch(self.inner.as_ref(), id, stream, || ());\n\
+                         \x20       self.core.sweep_ktt();\n{launch}"
+                    ),
+                    1,
+                );
+            }
+        }
+        let diags = run(&spec_from_registry(), &files);
+        let mut anatomy: Vec<&str> = diags
+            .iter()
+            .filter(|d| d.code == "anatomy")
+            .map(|d| d.target.as_str())
+            .collect();
+        anatomy.sort_unstable();
+        assert_eq!(anatomy, [".ktt()", "sweep_ktt", "time_launch"]);
+        // and the guard is now held across the wrapped launch, unwaived
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.code == "lock-across-call" && d.file.ends_with("cuda_mon.rs")),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn the_core_launch_bracket_is_the_one_waived_lock_across_call() {
+        let mut files = load_sources(&workspace_root()).unwrap();
+        let waiver = "// speccheck: allow(lock-across-call)";
+        for (_, f) in &mut files {
+            if f.rel.ends_with("facade.rs") {
+                assert_eq!(f.text.matches(waiver).count(), 1);
+                f.text = f.text.replace(waiver, "//");
+            }
+        }
+        let keys: Vec<String> = run(&spec_from_registry(), &files)
+            .iter()
+            .filter(|d| d.code == "lock-across-call")
+            .map(|d| format!("{}:{}", d.file, d.target))
+            .collect();
+        assert_eq!(keys, ["crates/ipm-core/src/facade.rs:launch"]);
     }
 
     #[test]

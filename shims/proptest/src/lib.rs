@@ -384,7 +384,7 @@ pub mod prop {
         use super::super::{Strategy, TestRng};
         use std::ops::{Range, RangeInclusive};
 
-        /// Length bound accepted by [`vec`]: a range or an exact count.
+        /// Length bound accepted by [`vec()`]: a range or an exact count.
         pub struct SizeRange {
             min: usize,
             max: usize, // inclusive
