@@ -30,17 +30,21 @@ use ipm_gpu_sim::{
     StreamId,
 };
 use ipm_interpose::site;
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::sync::Arc;
+
+thread_local! {
+    /// Streams of this thread's successful `cudaConfigureCall`s not yet
+    /// launched, needed by the `cudaLaunch` wrapper for KTT attribution
+    /// (the launch itself does not carry the stream). Per thread, like
+    /// CUDA's own configuration stack, so the hand-off takes no lock.
+    static PENDING_STREAM: RefCell<Vec<StreamId>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The monitored CUDA runtime facade.
 pub struct IpmCuda {
     core: FacadeCore,
     inner: Arc<dyn CudaApi>,
-    /// Stream of the most recent `cudaConfigureCall`, needed by the
-    /// `cudaLaunch` wrapper for KTT attribution (the launch itself does
-    /// not carry the stream).
-    pending_stream: Mutex<Vec<StreamId>>,
 }
 
 impl IpmCuda {
@@ -49,7 +53,6 @@ impl IpmCuda {
         Self {
             core: FacadeCore::new(ipm, Some(inner.clone())),
             inner,
-            pending_stream: Mutex::new(Vec::new()),
         }
     }
 
@@ -165,10 +168,14 @@ impl CudaApi for IpmCuda {
     }
 
     fn cuda_configure_call(&self, config: LaunchConfig) -> CudaResult<()> {
-        self.pending_stream.lock().push(config.stream);
-        self.core.wrapped(site!("cudaConfigureCall"), 0, || {
+        let out = self.core.wrapped(site!("cudaConfigureCall"), 0, || {
             self.inner.cuda_configure_call(config)
-        })
+        });
+        // a configuration the runtime refused stages nothing to launch
+        if out.is_ok() {
+            PENDING_STREAM.with_borrow_mut(|pending| pending.push(config.stream));
+        }
+        out
     }
 
     fn cuda_setup_argument(&self, arg: KernelArg) -> CudaResult<()> {
@@ -179,10 +186,8 @@ impl CudaApi for IpmCuda {
     }
 
     fn cuda_launch(&self, kernel: &Kernel) -> CudaResult<()> {
-        let stream = self
-            .pending_stream
-            .lock()
-            .pop()
+        let stream = PENDING_STREAM
+            .with_borrow_mut(Vec::pop)
             .unwrap_or(StreamId::DEFAULT);
         self.core.launch(site!("cudaLaunch"), kernel, stream, || {
             self.inner.cuda_launch(kernel)
@@ -739,6 +744,37 @@ mod tests {
         assert_ne!(launches[0], 0);
         assert_eq!(launches[1], 0, "the rejected launch enqueued nothing");
         assert_eq!(execs, [launches[0]]);
+    }
+
+    #[test]
+    fn a_refused_configuration_hands_no_stream_to_the_next_launch() {
+        use crate::facade::tests::Recording;
+        use std::sync::atomic::Ordering;
+        let rt = Arc::new(GpuRuntime::single(
+            GpuConfig::dirac_node().with_context_init(0.0),
+        ));
+        let device = Recording::new(rt.clone());
+        let ipm = Ipm::new(rt.clock().clone(), IpmConfig::default());
+        let cuda = IpmCuda::new(ipm.clone(), device.clone());
+        let (ran_on, refused) = (
+            cuda.cuda_stream_create().unwrap(),
+            cuda.cuda_stream_create().unwrap(),
+        );
+        cuda.cuda_configure_call(LaunchConfig::simple(1u32, 1u32).on_stream(ran_on))
+            .unwrap();
+        device.refuse_configure.store(true, Ordering::Relaxed);
+        assert!(cuda
+            .cuda_configure_call(LaunchConfig::simple(1u32, 1u32).on_stream(refused))
+            .is_err());
+        // the runtime launches the configuration it accepted, so the
+        // kernel's timing belongs to that configuration's stream
+        cuda.cuda_launch(&Kernel::timed("k", KernelCost::Fixed(0.01)))
+            .unwrap();
+        cuda.finalize();
+        let p = ipm.profile();
+        assert_eq!(p.count_of("cudaConfigureCall"), 2);
+        assert_eq!(p.count_of(&SigKey::exec_stream_name(ran_on.0)), 1);
+        assert_eq!(p.count_of(&SigKey::exec_stream_name(refused.0)), 0);
     }
 
     #[test]

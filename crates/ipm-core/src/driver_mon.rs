@@ -9,9 +9,10 @@
 //!
 //! 1. **Host-side timing**: every entry point runs inside the Fig. 2
 //!    wrapper anatomy, reporting into the shared hash table.
-//! 2. **GPU kernel timing** (§III-B): `cuLaunchGrid` is bracketed with
-//!    events in the same kernel timing table the runtime facade uses, so
-//!    middleware launches also produce `@CUDA_EXEC_STRMxx` entries.
+//! 2. **GPU kernel timing** (§III-B): `cuLaunchGrid` (and the post-3.1
+//!    `cuLaunchKernel`) is bracketed with events in the same kernel timing
+//!    table the runtime facade uses, so middleware launches also produce
+//!    `@CUDA_EXEC_STRMxx` entries.
 //! 3. **Host-idle identification** (§III-C): the synchronous copies
 //!    (`cuMemcpyHtoD`/`DtoH`/`DtoD`) are in the implicit-blocking set and
 //!    probe for accumulated device work first; `cuMemsetD8` is the paper's
@@ -141,18 +142,20 @@ impl IpmDriver {
         })
     }
 
-    /// `cuLaunchKernel` — post-3.1 single-call launch. Not a row of the
-    /// CUDA 3.1 call spec (the checker's baseline carries the waiver), but
-    /// wrapped anyway so newer-style launches are not invisible.
+    /// `cuLaunchKernel` — post-3.1 single-call launch, bracketed on its
+    /// configured stream like `cuLaunchGrid`. Not a row of the CUDA 3.1
+    /// call spec (the checker's baseline carries the waiver), but wrapped
+    /// anyway so newer-style launches are not invisible.
     pub fn cu_launch_kernel(
         &self,
         kernel: &Kernel,
         config: LaunchConfig,
         args: &[KernelArg],
     ) -> CudaResult<()> {
-        self.core.wrapped(site!("cuLaunchKernel"), 0, || {
-            self.inner.cu_launch_kernel(kernel, config, args)
-        })
+        self.core
+            .launch(site!("cuLaunchKernel"), kernel, config.stream, || {
+                self.inner.cu_launch_kernel(kernel, config, args)
+            })
     }
 
     /// `cuStreamCreate`.
@@ -629,5 +632,37 @@ mod tests {
             .unwrap();
         drv.cu_ctx_synchronize().unwrap();
         assert_eq!(ipm.profile().count_of("cuLaunchKernel"), 1);
+    }
+
+    #[test]
+    fn cu_launch_kernel_is_bracketed_and_correlated() {
+        use crate::trace::TraceKind;
+        for traced in [true, false] {
+            let cfg = IpmConfig::default();
+            let (ipm, drv) = monitored(if traced { cfg } else { cfg.without_tracing() });
+            drv.cu_init(0).unwrap();
+            let k = Kernel::timed("modern", KernelCost::Fixed(0.01));
+            drv.cu_launch_kernel(&k, LaunchConfig::simple(8u32, 32u32), &[])
+                .unwrap();
+            drv.cu_ctx_synchronize().unwrap();
+            let p = ipm.profile();
+            assert_eq!(p.count_of("@CUDA_EXEC_STRM00"), 1, "traced: {traced}");
+            let kernels: Vec<String> = p.kernel_breakdown().into_iter().map(|(k, _)| k).collect();
+            assert_eq!(kernels, ["modern"]);
+            if !traced {
+                continue;
+            }
+            let records = ipm.drain_trace();
+            let launch = records
+                .iter()
+                .find(|r| r.kind == TraceKind::Call && r.name == "cuLaunchKernel")
+                .expect("launch record");
+            let exec = records
+                .iter()
+                .find(|r| r.kind == TraceKind::KernelExec)
+                .expect("exec record");
+            assert_ne!(launch.corr, 0);
+            assert_eq!(exec.corr, launch.corr);
+        }
     }
 }

@@ -67,9 +67,11 @@ const WRAPPER_OVERHEAD: f64 = 0.3e-6;
 /// *real* device API used for IPM-internal probing (invisible to the
 /// profile), and the interned `@CUDA_EXEC_STRMxx` ids.
 ///
-/// Lock order: the KTT, then the `@CUDA_EXEC_STRMxx` cache, then the
-/// table's and the ring's own locks (booking a completion deposits into
-/// them). Nothing takes the KTT while holding a later lock.
+/// Lock order: the KTT, then the table's and the ring's own locks (booking
+/// a completion deposits into them), then the `@CUDA_EXEC_STRMxx` cache,
+/// held for one lookup (an untraced sweep resolves its ids while its
+/// deposit holds the delta cell). Nothing takes an earlier lock while
+/// holding a later one.
 pub(crate) struct FacadeCore {
     ipm: Arc<Ipm>,
     /// The bare (unmonitored) device API for host-idle probes and KTT
@@ -228,14 +230,22 @@ impl FacadeCore {
             return;
         }
         let correction = self.ipm.config().exec_time_correction.unwrap_or(0.0);
-        // the stream → `@CUDA_EXEC_STRMxx` cache is consulted once per
-        // sweep, not per completion (format + intern run once per stream)
-        let mut exec_ids = self.exec_ids.lock();
-        for c in completed {
-            let exec = *exec_ids
-                .entry(c.stream.0)
-                .or_insert_with(|| CallHandle::of(&SigKey::exec_stream_name(c.stream.0)).id);
-            self.ipm.book_pseudo(PseudoEvent {
+        // the stream → `@CUDA_EXEC_STRMxx` cache is consulted once per run
+        // of same-stream completions, not per completion (format + intern
+        // run once per stream for the life of the facade)
+        let mut run: Option<(StreamId, CallId)> = None;
+        self.ipm.book_pseudos(completed.map(|c| {
+            let exec = match run {
+                Some((stream, exec)) if stream == c.stream => exec,
+                _ => {
+                    let exec = *self.exec_ids.lock().entry(c.stream.0).or_insert_with(|| {
+                        CallHandle::of(&SigKey::exec_stream_name(c.stream.0)).id
+                    });
+                    run = Some((c.stream, exec));
+                    exec
+                }
+            };
+            PseudoEvent {
                 kind: TraceKind::KernelExec,
                 name: exec,
                 detail: Some(c.kernel),
@@ -243,8 +253,8 @@ impl FacadeCore {
                 interval: c.interval,
                 stream: Some(c.stream.0),
                 corr: c.corr,
-            });
-        }
+            }
+        }));
     }
 
     /// Drain any in-flight kernel timings (call before producing the
@@ -260,11 +270,101 @@ impl FacadeCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::monitor::IpmConfig;
-    use ipm_gpu_sim::{GpuConfig, GpuRuntime};
+    use ipm_gpu_sim::{
+        CudaError, CudaResult, DeviceProperties, DevicePtr, EventId, GpuConfig, GpuRuntime,
+        KernelArg, LaunchConfig,
+    };
     use ipm_sim_core::SimClock;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// A `CudaApi` in front of a runtime that logs the event calls it
+    /// forwards (record, query, elapsed time, timestamp) and, while
+    /// `refuse_configure` is set, refuses `cudaConfigureCall`.
+    pub(crate) struct Recording {
+        rt: Arc<GpuRuntime>,
+        pub(crate) log: Mutex<Vec<&'static str>>,
+        pub(crate) refuse_configure: AtomicBool,
+    }
+
+    impl Recording {
+        pub(crate) fn new(rt: Arc<GpuRuntime>) -> Arc<Self> {
+            Arc::new(Self {
+                rt,
+                log: Mutex::new(Vec::new()),
+                refuse_configure: AtomicBool::new(false),
+            })
+        }
+
+        fn logged<R>(&self, call: &'static str, real: impl FnOnce() -> R) -> R {
+            self.log.lock().push(call);
+            real()
+        }
+    }
+
+    macro_rules! forward {
+        ($($name:ident($($arg:ident: $ty:ty),*) -> $ret:ty;)*) => {
+            $(fn $name(&self, $($arg: $ty),*) -> $ret {
+                self.rt.$name($($arg),*)
+            })*
+        };
+    }
+
+    impl CudaApi for Recording {
+        forward! {
+            cuda_malloc(size: usize) -> CudaResult<DevicePtr>;
+            cuda_free(ptr: DevicePtr) -> CudaResult<()>;
+            cuda_memcpy_h2d(dst: DevicePtr, src: &[u8]) -> CudaResult<()>;
+            cuda_memcpy_d2h(dst: &mut [u8], src: DevicePtr) -> CudaResult<()>;
+            cuda_memcpy_h2d_sized(dst: DevicePtr, src: &[u8], total: u64) -> CudaResult<()>;
+            cuda_memcpy_d2h_sized(dst: &mut [u8], src: DevicePtr, total: u64) -> CudaResult<()>;
+            cuda_memcpy_d2d(dst: DevicePtr, src: DevicePtr, len: usize) -> CudaResult<()>;
+            cuda_memcpy_h2d_async(dst: DevicePtr, src: &[u8], s: StreamId) -> CudaResult<()>;
+            cuda_memcpy_d2h_async(dst: &mut [u8], src: DevicePtr, s: StreamId) -> CudaResult<()>;
+            cuda_memcpy_to_symbol(symbol: &str, src: &[u8]) -> CudaResult<()>;
+            cuda_memset(dst: DevicePtr, value: u8, len: usize) -> CudaResult<()>;
+            cuda_setup_argument(arg: KernelArg) -> CudaResult<()>;
+            cuda_launch(kernel: &Kernel) -> CudaResult<()>;
+            cuda_stream_create() -> CudaResult<StreamId>;
+            cuda_stream_destroy(stream: StreamId) -> CudaResult<()>;
+            cuda_stream_synchronize(stream: StreamId) -> CudaResult<()>;
+            cuda_stream_query(stream: StreamId) -> CudaResult<()>;
+            cuda_event_create() -> CudaResult<EventId>;
+            cuda_event_destroy(event: EventId) -> CudaResult<()>;
+            cuda_event_synchronize(event: EventId) -> CudaResult<()>;
+            cuda_thread_synchronize() -> CudaResult<()>;
+            cuda_get_device_count() -> CudaResult<i32>;
+            cuda_set_device(ordinal: i32) -> CudaResult<()>;
+            cuda_get_device_properties() -> CudaResult<DeviceProperties>;
+            cuda_get_last_error() -> Option<CudaError>;
+            cuda_last_launch_correlation_id() -> u64;
+        }
+
+        fn cuda_configure_call(&self, config: LaunchConfig) -> CudaResult<()> {
+            if self.refuse_configure.load(Ordering::Relaxed) {
+                return Err(CudaError::InvalidConfiguration);
+            }
+            self.rt.cuda_configure_call(config)
+        }
+
+        fn cuda_event_record(&self, event: EventId, stream: StreamId) -> CudaResult<()> {
+            self.logged("record", || self.rt.cuda_event_record(event, stream))
+        }
+
+        fn cuda_event_query(&self, event: EventId) -> CudaResult<()> {
+            self.logged("query", || self.rt.cuda_event_query(event))
+        }
+
+        fn cuda_event_elapsed_time(&self, start: EventId, stop: EventId) -> CudaResult<f64> {
+            self.logged("elapsed", || self.rt.cuda_event_elapsed_time(start, stop))
+        }
+
+        fn cuda_event_timestamp(&self, event: EventId) -> CudaResult<f64> {
+            self.logged("timestamp", || self.rt.cuda_event_timestamp(event))
+        }
+    }
 
     #[test]
     fn deviceless_cores_never_probe_or_sweep() {
@@ -320,5 +420,54 @@ mod tests {
         // a NonBlocking call never probes
         core.wrapped(CallHandle::of("cudaMemset"), 64, || ());
         assert!((ipm.profile().host_idle_time() - 0.2).abs() < 0.01);
+    }
+
+    /// The device calls IPM makes to time a kernel: two event records
+    /// around each launch, then one query and one elapsed-time read when a
+    /// sweep finds it done. Only a traced rank also reads the two event
+    /// timestamps, and the virtual clock ends where it does untraced.
+    #[test]
+    fn a_sweep_reads_event_timestamps_only_for_a_trace() {
+        let run = |cfg: IpmConfig| {
+            let rt = Arc::new(GpuRuntime::single(
+                GpuConfig::dirac_node().with_context_init(0.0),
+            ));
+            let device = Recording::new(rt.clone());
+            let ipm = Ipm::new(rt.clock().clone(), cfg);
+            let core = FacadeCore::new(ipm.clone(), Some(device.clone()));
+            let k = Kernel::timed("counted", ipm_gpu_sim::KernelCost::Fixed(1e-3));
+            for _ in 0..3 {
+                core.launch(CallHandle::of("cudaLaunch"), &k, StreamId::DEFAULT, || {
+                    ipm_gpu_sim::launch_kernel(
+                        rt.as_ref(),
+                        &k,
+                        LaunchConfig::simple(1u32, 1u32),
+                        &[],
+                    )
+                })
+                .unwrap();
+            }
+            core.wrapped(CallHandle::of("cudaThreadSynchronize"), 0, || {
+                rt.thread_synchronize()
+            })
+            .unwrap();
+            assert_eq!(ipm.profile().count_of("@CUDA_EXEC_STRM00"), 3);
+            let log = device.log.lock().clone();
+            (log, rt.clock().now())
+        };
+        let (traced, traced_end) = run(IpmConfig::default());
+        let (untraced, untraced_end) = run(IpmConfig::default().without_tracing());
+        let bracket = ["record", "record"].repeat(3);
+        let sweep = |timestamps: &[&'static str]| -> Vec<&'static str> {
+            (0..3)
+                .flat_map(|_| ["query", "elapsed"].iter().chain(timestamps).copied())
+                .collect()
+        };
+        assert_eq!(untraced, [bracket.clone(), sweep(&[])].concat());
+        assert_eq!(
+            traced,
+            [bracket, sweep(&["timestamp", "timestamp"])].concat()
+        );
+        assert_eq!(traced_end, untraced_end, "a timestamp read moved the clock");
     }
 }

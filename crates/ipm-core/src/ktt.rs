@@ -15,6 +15,16 @@
 //! `cudaEventQuery` on the stop event succeeds, the duration is read with
 //! `cudaEventElapsedTime`, the slot is freed, and a `@CUDA_EXEC_STRMxx`
 //! entry lands in the hash table.
+//!
+//! So a timed kernel costs the device, in this order, two
+//! `cudaEventRecord`s around its launch, one `cudaEventQuery` at each
+//! sweep that visits it, and one `cudaEventElapsedTime` at the sweep that
+//! finds it done. A rank that keeps a trace ring then also reads both
+//! events' absolute device times through the backend's
+//! `cuda_event_timestamp` hook, which places the kernel on the trace's
+//! device lane. CUDA has no such call and the simulator charges it no
+//! virtual time; an untraced rank never makes it, and its completions
+//! carry no interval.
 
 use ipm_gpu_sim::{CudaApi, EventId, StreamId};
 use ipm_interpose::CallId;
@@ -56,7 +66,8 @@ pub struct CompletedKernel {
     /// Correlation id of the launch (0 when untracked).
     pub corr: u64,
     /// Absolute `(start, stop)` event timestamps on the device timeline,
-    /// when the backend exposes them — what places this kernel in a trace.
+    /// when the table reads them (a traced rank) and the backend exposes
+    /// them — what places this kernel in a trace.
     pub interval: Option<(f64, f64)>,
 }
 
@@ -109,11 +120,15 @@ pub struct Ktt {
     done: Vec<CompletedKernel>,
     /// Launches not timed because every slot was busy.
     dropped: u64,
+    /// Whether a completion reads its events' device timestamps: only a
+    /// rank with a trace ring has a use for them.
+    intervals: bool,
 }
 
 impl Ktt {
-    /// Table with `capacity` slots (IPM uses a fixed compile-time size).
-    pub fn new(capacity: usize) -> Self {
+    /// Table with `capacity` slots (IPM uses a fixed compile-time size);
+    /// `intervals` says whether completions carry their device interval.
+    pub fn new(capacity: usize, intervals: bool) -> Self {
         assert!(capacity > 0);
         Self {
             slots: vec![None; capacity],
@@ -122,6 +137,7 @@ impl Ktt {
             free_events: Vec::new(),
             done: Vec::new(),
             dropped: 0,
+            intervals,
         }
     }
 
@@ -200,7 +216,8 @@ impl Ktt {
     }
 
     /// Sweep for completed kernels: query each occupied slot's stop event,
-    /// in slot order; on success, read the elapsed time and free the slot.
+    /// in slot order; on success, read the elapsed time (and, when the
+    /// table keeps intervals, both event timestamps) and free the slot.
     /// The completions are drained from a buffer the table reuses.
     pub fn collect_completed(&mut self, api: &dyn CudaApi) -> std::vec::Drain<'_, CompletedKernel> {
         self.done.clear();
@@ -220,19 +237,17 @@ impl Ktt {
                     continue; // still running
                 }
                 if let Ok(duration) = api.cuda_event_elapsed_time(s.start, s.stop) {
-                    let interval = match (
-                        api.cuda_event_timestamp(s.start),
-                        api.cuda_event_timestamp(s.stop),
-                    ) {
-                        (Ok(t0), Ok(t1)) => Some((t0, t1)),
-                        _ => None,
-                    };
                     self.done.push(CompletedKernel {
                         kernel: s.kernel,
                         stream: s.stream,
                         duration,
                         corr: s.corr,
-                        interval,
+                        interval: if self.intervals {
+                            let at = |event| api.cuda_event_timestamp(event).ok();
+                            at(s.start).zip(at(s.stop))
+                        } else {
+                            None
+                        },
                     });
                 }
                 self.free_events.push((s.start, s.stop));
@@ -291,7 +306,7 @@ mod tests {
     #[test]
     fn kernel_timing_roundtrip() {
         let rt = rt();
-        let mut ktt = Ktt::new(8);
+        let mut ktt = Ktt::new(8, true);
         timed_launch(&mut ktt, &rt, "square", 0.5);
         assert_eq!(ktt.in_flight(), 1);
         // kernel still running: nothing completes
@@ -310,7 +325,7 @@ mod tests {
     #[test]
     fn full_table_drops_but_launch_proceeds() {
         let rt = rt();
-        let mut ktt = Ktt::new(2);
+        let mut ktt = Ktt::new(2, true);
         for i in 0..4 {
             timed_launch(&mut ktt, &rt, &format!("k{i}"), 0.1);
         }
@@ -324,7 +339,7 @@ mod tests {
     #[test]
     fn event_pairs_are_recycled() {
         let rt = rt();
-        let mut ktt = Ktt::new(4);
+        let mut ktt = Ktt::new(4, true);
         for round in 0..5 {
             timed_launch(&mut ktt, &rt, "k", 0.01);
             rt.thread_synchronize().unwrap();
@@ -337,7 +352,7 @@ mod tests {
     #[test]
     fn a_rejected_launch_stores_nothing_and_returns_its_events() {
         let rt = rt();
-        let mut ktt = Ktt::new(4);
+        let mut ktt = Ktt::new(4, true);
         let k = Kernel::timed("never_ran", KernelCost::Fixed(0.1));
         // no configuration staged: the runtime rejects the launch
         let ret = ktt.time_launch(
@@ -357,7 +372,7 @@ mod tests {
     #[test]
     fn drain_collects_in_flight_kernels() {
         let rt = rt();
-        let mut ktt = Ktt::new(4);
+        let mut ktt = Ktt::new(4, true);
         timed_launch(&mut ktt, &rt, "a", 1.0);
         timed_launch(&mut ktt, &rt, "b", 1.0);
         let names: Vec<&str> = ktt.drain(&rt).map(|c| name(&c)).collect();
@@ -369,7 +384,7 @@ mod tests {
     fn per_stream_attribution() {
         let rt = rt();
         let s1 = rt.stream_create().unwrap();
-        let mut ktt = Ktt::new(4);
+        let mut ktt = Ktt::new(4, true);
         launch_on(&mut ktt, &rt, "k", s1, 0.2);
         let done: Vec<_> = ktt.drain(&rt).collect();
         assert_eq!(done[0].stream, s1);
@@ -378,7 +393,7 @@ mod tests {
     #[test]
     fn slots_past_the_first_mask_word_are_taken_and_swept() {
         let rt = rt();
-        let mut ktt = Ktt::new(130);
+        let mut ktt = Ktt::new(130, true);
         for i in 0..130 {
             timed_launch(&mut ktt, &rt, &format!("w{i}"), 1e-3);
         }
@@ -400,6 +415,7 @@ mod tests {
         slots: Vec<Option<Slot>>,
         free_events: Vec<(EventId, EventId)>,
         dropped: u64,
+        intervals: bool,
     }
 
     impl ReferenceKtt {
@@ -453,12 +469,16 @@ mod tests {
                     continue;
                 }
                 if let Ok(duration) = api.cuda_event_elapsed_time(start, stop) {
-                    let interval = match (
-                        api.cuda_event_timestamp(start),
-                        api.cuda_event_timestamp(stop),
-                    ) {
-                        (Ok(t0), Ok(t1)) => Some((t0, t1)),
-                        _ => None,
+                    let interval = if self.intervals {
+                        match (
+                            api.cuda_event_timestamp(start),
+                            api.cuda_event_timestamp(stop),
+                        ) {
+                            (Ok(t0), Ok(t1)) => Some((t0, t1)),
+                            _ => None,
+                        }
+                    } else {
+                        None
                     };
                     done.push(CompletedKernel {
                         kernel,
@@ -486,9 +506,12 @@ mod tests {
         /// agree on every completion (and its order), on `dropped()` and
         /// on `in_flight()` after every step. Launches outnumber sweeps, so
         /// timings pile up past the first mask word and full tables drop.
+        /// Both interval settings are covered: with intervals every
+        /// completion carries one, without them none does.
         #[test]
         fn masked_ktt_matches_scanning_reference(
             cap_pick in 0usize..5,
+            intervals in any::<bool>(),
             ops in prop::collection::vec((0u8..64, 0u8..4, 0usize..3, 1u32..2000), 1..400),
         ) {
             let capacity = [1, 3, 64, 65, 130][cap_pick];
@@ -509,11 +532,12 @@ mod tests {
             let as_reference = |map: &std::collections::HashMap<u64, u64>, c: CompletedKernel| {
                 CompletedKernel { corr: map[&c.corr], ..c }
             };
-            let mut ktt = Ktt::new(capacity);
+            let mut ktt = Ktt::new(capacity, intervals);
             let mut reference = ReferenceKtt {
                 slots: vec![None; capacity],
                 free_events: Vec::new(),
                 dropped: 0,
+                intervals,
             };
             for (op, k, s, micros) in ops {
                 match op {
@@ -544,6 +568,7 @@ mod tests {
                     _ => {
                         let got: Vec<CompletedKernel> =
                             ktt.collect_completed(&rt).map(|c| as_reference(&same_launch, c)).collect();
+                        prop_assert!(got.iter().all(|c| c.interval.is_some() == intervals));
                         prop_assert_eq!(got, reference.sweep(&ref_rt));
                     }
                 }

@@ -217,7 +217,8 @@ pub struct Ipm {
     /// Wall-clock (real, not virtual) nanoseconds of IPM's own bookkeeping
     /// — the "monitor the monitor" counter.
     self_ns: AtomicU64,
-    /// Recorded events since start, driving the sampled self-accounting:
+    /// Recorded events since start (an untraced sweep's one deposit
+    /// counts as one), driving the sampled self-accounting:
     /// timing every event's bookkeeping costs two clock reads — several
     /// times the delta-cell deposit being metered — so one event in
     /// [`SELF_SAMPLE`] is timed and its cost scaled up. Unbiased, and
@@ -240,7 +241,7 @@ impl Ipm {
         let start = clock.now();
         Arc::new(Self {
             table: PerfTable::new(),
-            ktt: Mutex::new(Ktt::new(KTT_CAPACITY)),
+            ktt: Mutex::new(Ktt::new(KTT_CAPACITY, cfg.trace_capacity > 0)),
             region: AtomicU16::new(0),
             regions: Mutex::new(vec!["<program>".to_owned()]),
             meta: Mutex::new(Meta {
@@ -361,6 +362,22 @@ impl Ipm {
                 agg: None,
             });
         }
+        self.self_end(t);
+    }
+
+    /// Book a sweep's pseudo-events. Untraced, their table entries go into
+    /// the thread's delta cell as one deposit, under one sampled
+    /// self-accounting bracket; traced, each is booked with its trace
+    /// record by [`Self::book_pseudo`]. `events` is drawn while the delta
+    /// cell is locked, so it must not book anything itself.
+    pub(crate) fn book_pseudos(&self, events: impl Iterator<Item = PseudoEvent>) {
+        if self.trace.is_some() {
+            events.for_each(|ev| self.book_pseudo(ev));
+            return;
+        }
+        let t = self.self_begin();
+        self.table
+            .update_keys(events.map(|ev| (self.sig_key(ev.name, 0, ev.detail), ev.duration)));
         self.self_end(t);
     }
 
@@ -540,7 +557,10 @@ impl MonitorSink for Ipm {
         if let Some(ring) = &self.trace {
             // a launch wrapper just ran the real call on this thread, so the
             // runtime's thread-local correlation id belongs to this record
-            let corr = if call.id == site!("cudaLaunch").id || call.id == site!("cuLaunchGrid").id {
+            let corr = if call.id == site!("cudaLaunch").id
+                || call.id == site!("cuLaunchGrid").id
+                || call.id == site!("cuLaunchKernel").id
+            {
                 ipm_gpu_sim::last_launch_correlation_id()
             } else {
                 0

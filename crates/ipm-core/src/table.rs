@@ -274,6 +274,30 @@ impl PerfTable {
         });
     }
 
+    /// [`Self::update_key`] for several observations in one deposit: the
+    /// thread's delta cell is looked up and locked once for all of them
+    /// (once more after each flush a full cell forces). `observations` is
+    /// drawn while the cell is locked and the thread's cell cache is
+    /// borrowed, so it must not touch any `PerfTable`.
+    pub(crate) fn update_keys(&self, observations: impl IntoIterator<Item = (SigKey, f64)>) {
+        let mut observations = observations.into_iter();
+        self.with_cell(|cell| {
+            while let Some((key, duration)) = Self::deposit(cell, &mut observations) {
+                self.record_past_full_cell(cell, key, duration);
+            }
+        });
+    }
+
+    /// Record `observations` into `cell` under one lock, up to the first
+    /// one the full cell refuses, which is returned.
+    fn deposit(
+        cell: &DeltaCell,
+        observations: &mut impl Iterator<Item = (SigKey, f64)>,
+    ) -> Option<(SigKey, f64)> {
+        let mut slots = cell.slots.lock();
+        observations.find(|&(key, duration)| !slots.record(key, duration))
+    }
+
     /// A new key found `cell` full: flush the cell into the shared map,
     /// where the capacity cap applies, then record into the emptied cell.
     /// The cell never grows, and this thread's deltas reach the map in the
@@ -402,6 +426,23 @@ mod tests {
         }
         assert_eq!(t.len(), keys as usize);
         assert_eq!(t.overflow(), 0);
+    }
+
+    #[test]
+    fn one_deposit_books_what_single_updates_book() {
+        // a batch longer than the cell holds: it flushes mid-deposit
+        let (batched, single) = (PerfTable::new(), PerfTable::new());
+        let observations: Vec<(SigKey, f64)> = (0..3 * CELL_SLOTS as u64)
+            .map(|i| (key("k", i % (2 * CELL_SLOTS as u64)), i as f64))
+            .collect();
+        batched.update_keys(observations.iter().copied());
+        for &(k, d) in &observations {
+            single.update_key(k, d);
+        }
+        assert_eq!(batched.len(), 2 * CELL_SLOTS);
+        for (k, stats) in single.snapshot() {
+            assert_eq!(batched.get(k), Some(stats));
+        }
     }
 
     #[test]

@@ -137,16 +137,11 @@ fn trace_compaction_never_perturbs_the_profile() {
         assert_eq!(a.wallclock, b.wallclock);
         assert_eq!(a.regions, b.regions);
         // entry-for-entry equal perf tables, compared as sets of entries
-        // (sort first)
-        let sorted = |p: &ipm_repro::ipm::RankProfile| {
-            let mut e = p.entries.clone();
-            e.sort_by(|x, y| {
-                (&x.name, &x.detail, x.bytes, x.region)
-                    .cmp(&(&y.name, &y.detail, y.bytes, y.region))
-            });
-            e
-        };
-        assert_eq!(sorted(a), sorted(b), "perf table must be untouched");
+        assert_eq!(
+            sorted_entries(a),
+            sorted_entries(b),
+            "perf table must be untouched"
+        );
         // the headline report quantities, spelled out
         assert!(a.time_of("@CUDA_EXEC_STRM00") > 0.0);
         assert_eq!(
@@ -163,6 +158,57 @@ fn trace_compaction_never_perturbs_the_profile() {
         compacted += b.monitor.trace_compacted;
     }
     assert!(compacted > 0, "tight cap never engaged the compactor");
+}
+
+/// Tracing is observability-internal too: an MD cluster run with the trace
+/// ring and one without must produce identical profiles. The untraced KTT
+/// reads no event timestamps, and the virtual clock must not notice.
+#[test]
+fn tracing_never_perturbs_the_profile() {
+    let run_with = |ipm_cfg: IpmConfig| {
+        let cfg = ClusterConfig::dirac(2, 2)
+            .with_command("md")
+            .with_ipm(ipm_cfg);
+        let mut amber = AmberConfig::tiny();
+        amber.steps = 24;
+        run_cluster(&cfg, |ctx| run_amber(ctx, amber).expect("md"))
+    };
+    let traced = run_with(IpmConfig::default());
+    let untraced = run_with(IpmConfig::default().without_tracing());
+
+    assert_eq!(
+        traced.wallclocks, untraced.wallclocks,
+        "tracing perturbed timing"
+    );
+    assert_eq!(traced.profiles.len(), untraced.profiles.len());
+    for (a, b) in traced.profiles.iter().zip(&untraced.profiles) {
+        assert_eq!(a.wallclock, b.wallclock);
+        assert_eq!(a.regions, b.regions);
+        assert_eq!(
+            sorted_entries(a),
+            sorted_entries(b),
+            "perf table must be untouched"
+        );
+        assert!(a.time_of("@CUDA_EXEC_STRM00") > 0.0);
+        assert!(a.host_idle_time() > 0.0);
+        assert_eq!(
+            a.time_of("@CUDA_EXEC_STRM00"),
+            b.time_of("@CUDA_EXEC_STRM00")
+        );
+        assert_eq!(a.time_of("@CUDA_HOST_IDLE"), b.time_of("@CUDA_HOST_IDLE"));
+        assert!(a.monitor.trace_captured > 0);
+        assert_eq!(b.monitor.trace_emitted, 0);
+    }
+}
+
+/// A rank's perf table entries in one canonical order, for comparing two
+/// tables entry for entry.
+fn sorted_entries(p: &ipm_repro::ipm::RankProfile) -> Vec<ipm_repro::ipm::ProfileEntry> {
+    let mut e = p.entries.clone();
+    e.sort_by(|x, y| {
+        (&x.name, &x.detail, x.bytes, x.region).cmp(&(&y.name, &y.detail, y.bytes, y.region))
+    });
+    e
 }
 
 /// The same application binary code runs monitored and unmonitored — the
