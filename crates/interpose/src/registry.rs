@@ -98,8 +98,8 @@ impl Registry {
 }
 
 /// What a wrap site needs to know about its call, resolved once and carried
-/// by value on the hot path: the interned id plus the two spec-derived
-/// flags that steer the wrapper anatomy around the call.
+/// by value on the hot path: the interned id plus the flags that steer the
+/// wrapper anatomy around the call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CallHandle {
     /// Interned name id (spec row index for specified calls).
@@ -111,6 +111,9 @@ pub struct CallHandle {
     /// table for finished kernels after the call. Set for explicit
     /// synchronizations and device-to-host copies.
     pub sweeps: bool,
+    /// A kernel launch, whose record carries the launch's correlation id.
+    /// Never set by the interner: the core's launch bracket sets it.
+    pub launch: bool,
 }
 
 #[derive(Clone, Copy)]
@@ -136,6 +139,7 @@ impl NameRow {
             id,
             implicit_sync: self.implicit_sync,
             sweeps: self.sweeps,
+            launch: false,
         }
     }
 }
@@ -312,6 +316,7 @@ fn unpack(v: u64) -> CallHandle {
         id: CallId(((v & !SITE_RESOLVED) >> 2) as u32),
         implicit_sync: v & 0b10 != 0,
         sweeps: v & 0b01 != 0,
+        launch: false,
     }
 }
 
@@ -585,6 +590,7 @@ mod tests {
                 id: CallId(12345),
                 implicit_sync,
                 sweeps,
+                launch: false,
             };
             assert_eq!(unpack(pack(h)), h);
         }

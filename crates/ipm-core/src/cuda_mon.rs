@@ -432,6 +432,77 @@ mod tests {
         }
     }
 
+    /// A failed `cudaMalloc` and a failed `cudaMemcpy(D2H)`, with a kernel
+    /// in flight: each books one call event with its byte attribute and
+    /// one call record, the D2H probe books the wait for the kernel, the
+    /// sweep after the failed copy books the kernel exactly once, and the
+    /// pseudo-event records agree with their table entries.
+    #[test]
+    fn a_failed_malloc_and_copy_each_book_one_call() {
+        use crate::trace::{TraceKind, TraceRecord};
+        use ipm_gpu_sim::CudaError;
+        use std::collections::HashMap;
+        let gpu = GpuConfig::dirac_node().with_context_init(0.0);
+        let too_big = gpu.device_memory as usize + 1;
+        let rt = Arc::new(GpuRuntime::single(gpu));
+        let ipm = Ipm::new(rt.clock().clone(), IpmConfig::default());
+        let cuda = IpmCuda::new(ipm.clone(), rt);
+        let freed = cuda.cuda_malloc(64).unwrap();
+        cuda.cuda_free(freed).unwrap();
+        let k = Kernel::timed("in_flight", KernelCost::Fixed(0.25));
+        launch_kernel(&cuda, &k, LaunchConfig::simple(1u32, 1u32), &[]).unwrap();
+        assert_eq!(cuda.cuda_malloc(too_big), Err(CudaError::MemoryAllocation));
+        let mut out = [0u8; 32];
+        assert_eq!(
+            cuda.cuda_memcpy_d2h(&mut out, freed),
+            Err(CudaError::InvalidDevicePointer)
+        );
+        cuda.finalize();
+
+        let p = ipm.profile();
+        let count = |name: &str, bytes: u64| {
+            let entry = p
+                .entries
+                .iter()
+                .find(|e| e.name == name && e.bytes == bytes);
+            entry.map_or(0, |e| e.stats.count)
+        };
+        assert_eq!(count("cudaMalloc", too_big as u64), 1);
+        assert_eq!(count("cudaMemcpy(D2H)", 32), 1);
+        assert_eq!(count("@CUDA_HOST_IDLE", 0), 1);
+        assert!((p.host_idle_time() - 0.25).abs() < 0.01);
+        assert_eq!(p.count_of("@CUDA_EXEC_STRM00"), 1);
+
+        let info = ipm.monitor_info();
+        let records = ipm.drain_trace();
+        let calls = |name: &str, bytes: u64| {
+            let call = |r: &&TraceRecord| r.kind == TraceKind::Call && r.name == name;
+            records
+                .iter()
+                .filter(call)
+                .filter(|r| r.bytes == bytes)
+                .count()
+        };
+        assert_eq!(calls("cudaMalloc", too_big as u64), 1);
+        assert_eq!(calls("cudaMemcpy(D2H)", 32), 1);
+        let mut recorded: HashMap<(&str, Option<&str>), u64> = HashMap::new();
+        for r in records.iter().filter(|r| r.kind != TraceKind::Call) {
+            *recorded.entry((r.name, r.detail_name())).or_default() += 1;
+        }
+        let booked: HashMap<(&str, Option<&str>), u64> = p
+            .entries
+            .iter()
+            .filter(|e| e.name.starts_with('@'))
+            .map(|e| ((e.name.as_str(), e.detail.as_deref()), e.stats.count))
+            .collect();
+        assert_eq!(recorded, booked);
+        assert_eq!(booked[&("@CUDA_EXEC_STRM00", Some("in_flight"))], 1);
+        assert_eq!(
+            info.trace_captured + info.trace_dropped + info.trace_compacted,
+            info.trace_emitted
+        );
+    }
+
     #[test]
     fn trace_captures_the_run_end_to_end() {
         use crate::export::{validate_chrome_trace, ChromeTrace, Export, ExportRank};

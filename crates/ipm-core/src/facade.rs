@@ -21,7 +21,7 @@
 //! and sweeping into no-ops.
 
 use crate::ktt::{CompletedKernel, KttCheckPolicy, Launched};
-use crate::monitor::{Ipm, PseudoEvent};
+use crate::monitor::{Event, Ipm};
 use crate::sig::SigKey;
 use crate::trace::TraceKind;
 use ipm_gpu_sim::{CudaApi, Kernel, StreamId};
@@ -68,10 +68,10 @@ const WRAPPER_OVERHEAD: f64 = 0.3e-6;
 /// profile), and the interned `@CUDA_EXEC_STRMxx` ids.
 ///
 /// Lock order: the KTT, then the table's and the ring's own locks (booking
-/// a completion deposits into them), then the `@CUDA_EXEC_STRMxx` cache,
-/// held for one lookup (an untraced sweep resolves its ids while its
-/// deposit holds the delta cell). Nothing takes an earlier lock while
-/// holding a later one.
+/// a sweep's completions deposits into them), then the `@CUDA_EXEC_STRMxx`
+/// cache, held for one lookup (a sweep resolves its ids while its deposit
+/// holds the delta cell). Nothing takes an earlier lock while holding a
+/// later one.
 pub(crate) struct FacadeCore {
     ipm: Arc<Ipm>,
     /// The bare (unmonitored) device API for host-idle probes and KTT
@@ -116,10 +116,12 @@ impl FacadeCore {
         out
     }
 
-    /// A kernel launch (§III-B). With GPU timing on, the launch is
-    /// bracketed by start/stop events whose timing slot in the KTT belongs
-    /// to `kernel` on `stream`; a launch the runtime rejects stores none.
-    /// Without a device or GPU timing it is a plain wrapped call.
+    /// A kernel launch (§III-B). The call is timed with its handle marked
+    /// as a launch, so its trace record carries the launch's correlation
+    /// id. With GPU timing on, the launch is bracketed by start/stop events
+    /// whose timing slot in the KTT belongs to `kernel` on `stream`; a
+    /// launch the runtime rejects stores none. Without a device or GPU
+    /// timing it is a plain wrapped call.
     pub(crate) fn launch<R: Launched>(
         &self,
         call: CallHandle,
@@ -127,6 +129,10 @@ impl FacadeCore {
         stream: StreamId,
         real: impl FnOnce() -> R,
     ) -> R {
+        let call = CallHandle {
+            launch: true,
+            ..call
+        };
         let Some(device) = self
             .device
             .as_ref()
@@ -191,15 +197,16 @@ impl FacadeCore {
         let after = self.ipm.clock().now();
         let idle = after - before;
         if idle > 0.0 {
-            self.ipm.book_pseudo(PseudoEvent {
+            self.ipm.book(std::iter::once(Event {
                 kind: TraceKind::HostIdle,
                 name: site!("@CUDA_HOST_IDLE").id,
                 detail: None,
+                bytes: 0,
                 duration: idle,
                 interval: Some((before, after)),
                 stream: None,
                 corr: 0,
-            });
+            }));
         }
     }
 
@@ -225,30 +232,32 @@ impl FacadeCore {
         self.book_completed(ktt.collect_completed(device.as_ref()));
     }
 
-    fn book_completed(&self, completed: impl ExactSizeIterator<Item = CompletedKernel>) {
-        if completed.len() == 0 {
+    /// Book a sweep's completions as one booking.
+    fn book_completed(&self, completed: &[CompletedKernel]) {
+        if completed.is_empty() {
             return;
         }
         let correction = self.ipm.config().exec_time_correction.unwrap_or(0.0);
         // the stream → `@CUDA_EXEC_STRMxx` cache is consulted once per run
         // of same-stream completions, not per completion (format + intern
         // run once per stream for the life of the facade)
-        let mut run: Option<(StreamId, CallId)> = None;
-        self.ipm.book_pseudos(completed.map(|c| {
-            let exec = match run {
+        let run = Cell::new(None);
+        self.ipm.book(completed.iter().map(|c| {
+            let exec = match run.get() {
                 Some((stream, exec)) if stream == c.stream => exec,
                 _ => {
                     let exec = *self.exec_ids.lock().entry(c.stream.0).or_insert_with(|| {
                         CallHandle::of(&SigKey::exec_stream_name(c.stream.0)).id
                     });
-                    run = Some((c.stream, exec));
+                    run.set(Some((c.stream, exec)));
                     exec
                 }
             };
-            PseudoEvent {
+            Event {
                 kind: TraceKind::KernelExec,
                 name: exec,
                 detail: Some(c.kernel),
+                bytes: 0,
                 duration: (c.duration - correction).max(0.0),
                 interval: c.interval,
                 stream: Some(c.stream.0),
@@ -420,6 +429,65 @@ pub(crate) mod tests {
         // a NonBlocking call never probes
         core.wrapped(CallHandle::of("cudaMemset"), 64, || ());
         assert!((ipm.profile().host_idle_time() - 0.2).abs() < 0.01);
+    }
+
+    /// Only the handles `FacadeCore::launch` times carry the launch mark:
+    /// the three launch entry points' records carry their kernels'
+    /// correlation ids, and no other call's record does, though the
+    /// runtime's last-launch id stays set after a launch. No handle the
+    /// interner hands out is marked, whoever resolves it.
+    #[test]
+    fn only_the_launch_bracket_marks_a_call_as_a_launch() {
+        use crate::driver_mon::IpmDriver;
+        use crate::export::{Export, Xml};
+        use crate::trace::TraceKind;
+        use ipm_gpu_sim::{DriverContext, KernelCost};
+        let rt = Arc::new(GpuRuntime::single(
+            GpuConfig::dirac_node().with_context_init(0.0),
+        ));
+        let ipm = Ipm::new(rt.clock().clone(), IpmConfig::default());
+        let cuda = crate::cuda_mon::IpmCuda::new(ipm.clone(), rt.clone());
+        let drv = IpmDriver::new(ipm.clone(), Arc::new(DriverContext::new(rt)));
+        let config = || LaunchConfig::simple(1u32, 1u32);
+        let k = Kernel::timed("marked", KernelCost::Fixed(1e-3));
+        ipm_gpu_sim::launch_kernel(&cuda, &k, config(), &[]).unwrap();
+        assert_eq!(cuda.cuda_get_last_error(), None);
+        drv.cu_init(0).unwrap();
+        let m = drv.cu_module_load("m").unwrap();
+        drv.register_function(m, Kernel::timed("marked", KernelCost::Fixed(1e-3)))
+            .unwrap();
+        let f = drv.cu_module_get_function(m, "marked").unwrap();
+        drv.cu_func_set_block_shape(1, 1, 1).unwrap();
+        drv.cu_launch_grid(&f, 1, 1).unwrap();
+        drv.cu_launch_kernel(&k, config(), &[]).unwrap();
+        drv.cu_ctx_synchronize().unwrap();
+        let records = ipm.drain_trace();
+        let corrs = |kind| -> Vec<(&str, u64)> {
+            let of_kind = records.iter().filter(|r| r.kind == kind && r.corr != 0);
+            of_kind.map(|r| (r.name, r.corr)).collect()
+        };
+        let launches = corrs(TraceKind::Call);
+        let names: Vec<&str> = launches.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, ["cudaLaunch", "cuLaunchGrid", "cuLaunchKernel"]);
+        let execs: Vec<u64> = corrs(TraceKind::KernelExec).iter().map(|c| c.1).collect();
+        assert_eq!(execs, launches.iter().map(|c| c.1).collect::<Vec<_>>());
+
+        let names = NameTable::global();
+        for h in [
+            site!("cudaLaunch"),
+            site!("cuLaunchGrid"),
+            site!("cuLaunchKernel"),
+        ] {
+            assert!(!h.launch && !CallHandle::of(h.name()).launch && !names.handle(h.id).launch);
+        }
+        // nor is the handle the XML reader resolves a logged launch through
+        let xml = Export::from_profile(ipm.profile()).with_trace(records);
+        let read = crate::parse::export_from_xml(&[xml.to(Xml).unwrap()]).unwrap();
+        let read = &read.source().ranks[0].records;
+        assert!(read
+            .iter()
+            .any(|r| r.name == "cuLaunchKernel" && r.corr != 0));
+        assert!(read.iter().all(|r| !names.lookup(r.name).unwrap().launch));
     }
 
     /// The device calls IPM makes to time a kernel: two event records

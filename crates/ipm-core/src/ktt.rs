@@ -218,8 +218,9 @@ impl Ktt {
     /// Sweep for completed kernels: query each occupied slot's stop event,
     /// in slot order; on success, read the elapsed time (and, when the
     /// table keeps intervals, both event timestamps) and free the slot.
-    /// The completions are drained from a buffer the table reuses.
-    pub fn collect_completed(&mut self, api: &dyn CudaApi) -> std::vec::Drain<'_, CompletedKernel> {
+    /// The completions are handed back in a buffer the table reuses, valid
+    /// until the next sweep.
+    pub fn collect_completed(&mut self, api: &dyn CudaApi) -> &[CompletedKernel] {
         self.done.clear();
         let mut unvisited = self.in_flight;
         for word in 0..self.occupied.len() {
@@ -256,12 +257,12 @@ impl Ktt {
                 self.in_flight -= 1;
             }
         }
-        self.done.drain(..)
+        &self.done
     }
 
     /// Force-complete everything (used at finalize time): synchronizes each
     /// remaining stop event, then collects.
-    pub fn drain(&mut self, api: &dyn CudaApi) -> std::vec::Drain<'_, CompletedKernel> {
+    pub fn drain(&mut self, api: &dyn CudaApi) -> &[CompletedKernel] {
         for (word, &bits) in self.occupied.iter().enumerate() {
             for slot in set_bits(bits).filter_map(|bit| self.slots[word * 64 + bit]) {
                 let _ = api.cuda_event_synchronize(slot.stop);
@@ -314,7 +315,7 @@ mod tests {
         assert_eq!(ktt.in_flight(), 1);
         // after the device drains, collection succeeds
         rt.thread_synchronize().unwrap();
-        let done: Vec<_> = ktt.collect_completed(&rt).collect();
+        let done = ktt.collect_completed(&rt);
         assert_eq!(done.len(), 1);
         assert_eq!(name(&done[0]), "square");
         assert!(done[0].duration >= 0.5, "measured {}", done[0].duration);
@@ -375,7 +376,7 @@ mod tests {
         let mut ktt = Ktt::new(4, true);
         timed_launch(&mut ktt, &rt, "a", 1.0);
         timed_launch(&mut ktt, &rt, "b", 1.0);
-        let names: Vec<&str> = ktt.drain(&rt).map(|c| name(&c)).collect();
+        let names: Vec<&str> = ktt.drain(&rt).iter().map(name).collect();
         assert_eq!(names, ["a", "b"], "slot order");
         assert_eq!(ktt.in_flight(), 0);
     }
@@ -386,7 +387,7 @@ mod tests {
         let s1 = rt.stream_create().unwrap();
         let mut ktt = Ktt::new(4, true);
         launch_on(&mut ktt, &rt, "k", s1, 0.2);
-        let done: Vec<_> = ktt.drain(&rt).collect();
+        let done = ktt.drain(&rt);
         assert_eq!(done[0].stream, s1);
     }
 
@@ -401,7 +402,7 @@ mod tests {
         timed_launch(&mut ktt, &rt, "over", 1e-3);
         assert_eq!(ktt.dropped(), 1);
         rt.thread_synchronize().unwrap();
-        let names: Vec<&str> = ktt.collect_completed(&rt).map(|c| name(&c)).collect();
+        let names: Vec<&str> = ktt.collect_completed(&rt).iter().map(name).collect();
         let expect: Vec<String> = (0..130).map(|i| format!("w{i}")).collect();
         assert_eq!(names, expect);
         assert_eq!(ktt.in_flight(), 0);
@@ -567,7 +568,7 @@ mod tests {
                     }
                     _ => {
                         let got: Vec<CompletedKernel> =
-                            ktt.collect_completed(&rt).map(|c| as_reference(&same_launch, c)).collect();
+                            ktt.collect_completed(&rt).iter().map(|&c| as_reference(&same_launch, c)).collect();
                         prop_assert!(got.iter().all(|c| c.interval.is_some() == intervals));
                         prop_assert_eq!(got, reference.sweep(&ref_rt));
                     }
@@ -578,7 +579,7 @@ mod tests {
             for slot in reference.slots.iter().flatten() {
                 let _ = ref_rt.cuda_event_synchronize(slot.stop);
             }
-            let rest: Vec<CompletedKernel> = ktt.drain(&rt).map(|c| as_reference(&same_launch, c)).collect();
+            let rest: Vec<CompletedKernel> = ktt.drain(&rt).iter().map(|&c| as_reference(&same_launch, c)).collect();
             prop_assert_eq!(rest, reference.sweep(&ref_rt));
             prop_assert_eq!(ktt.in_flight(), 0);
         }

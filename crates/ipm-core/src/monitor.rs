@@ -12,7 +12,7 @@ use crate::profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfi
 use crate::sig::SigKey;
 use crate::table::PerfTable;
 use crate::trace::{TraceCounters, TraceKind, TraceRecord, TraceRing};
-use ipm_interpose::{site, CallHandle, CallId, MonitorSink, NameTable};
+use ipm_interpose::{CallHandle, CallId, MonitorSink, NameTable};
 use ipm_sim_core::SimClock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -180,15 +180,18 @@ struct SnapState {
     last_trace: TraceCounters,
 }
 
-/// One pseudo-event as the facade core hands it to [`Ipm::book_pseudo`]:
-/// a kernel execution (`@CUDA_EXEC_STRMxx`, detail = kernel symbol) or an
-/// implicit host wait (`@CUDA_HOST_IDLE`).
-pub(crate) struct PseudoEvent {
+/// One event as [`Ipm::book`] takes it: a wrapped call, a kernel
+/// execution (`@CUDA_EXEC_STRMxx`, detail = kernel symbol) or an implicit
+/// host wait (`@CUDA_HOST_IDLE`).
+#[derive(Clone, Copy)]
+pub(crate) struct Event {
     pub(crate) kind: TraceKind,
-    /// Interned pseudo-event name.
+    /// Interned event name.
     pub(crate) name: CallId,
     /// Interned kernel symbol of a `@CUDA_EXEC_*` entry.
     pub(crate) detail: Option<CallId>,
+    /// Byte attribute (0 for pseudo-events).
+    pub(crate) bytes: u64,
     /// The duration the table books (virtual seconds).
     pub(crate) duration: f64,
     /// `(begin, end)` that places the event in the trace; `None` books the
@@ -217,11 +220,11 @@ pub struct Ipm {
     /// Wall-clock (real, not virtual) nanoseconds of IPM's own bookkeeping
     /// — the "monitor the monitor" counter.
     self_ns: AtomicU64,
-    /// Recorded events since start (an untraced sweep's one deposit
-    /// counts as one), driving the sampled self-accounting:
-    /// timing every event's bookkeeping costs two clock reads — several
-    /// times the delta-cell deposit being metered — so one event in
-    /// [`SELF_SAMPLE`] is timed and its cost scaled up. Unbiased, and
+    /// Bookings since start (a wrapped call, a host-idle wait, or a whole
+    /// sweep's completions, traced or not), driving the sampled
+    /// self-accounting: timing every booking costs two clock reads —
+    /// several times the delta-cell deposit being metered — so one booking
+    /// in [`SELF_SAMPLE`] is timed and its cost scaled up. Unbiased, and
     /// ~2 ns amortized instead of ~85 ns exact.
     self_events: AtomicU64,
     snap: Mutex<SnapState>,
@@ -286,38 +289,13 @@ impl Ipm {
         &self.ktt
     }
 
-    /// The one signature-construction site of the record path: every
-    /// table update — wrapped call or pseudo-event — keys through here, so
-    /// the attributes can never diverge between the two.
-    #[inline]
-    fn sig_key(&self, id: CallId, bytes: u64, detail: Option<CallId>) -> SigKey {
-        SigKey {
-            id,
-            bytes,
-            region: self.region.load(Ordering::Relaxed),
-            detail,
-        }
-    }
-
-    /// Start self-accounting for one recorded event: every
-    /// [`SELF_SAMPLE`]th event gets a real timestamp (the first always
-    /// does, so any monitored run accounts a nonzero cost).
+    /// Start self-accounting for one booking: every [`SELF_SAMPLE`]th
+    /// booking gets a real timestamp (the first always does, so any
+    /// monitored run accounts a nonzero cost).
     #[inline]
     fn self_begin(&self) -> Option<Instant> {
         let n = self.self_events.fetch_add(1, Ordering::Relaxed);
         n.is_multiple_of(SELF_SAMPLE).then(Instant::now)
-    }
-
-    /// Close a [`Self::self_begin`] bracket: a sampled event books its
-    /// measured cost on behalf of the `SELF_SAMPLE - 1` unmeasured events
-    /// around it, clamped to [`SELF_CLAMP_NS`] so a preempted sample can't
-    /// be amplified into the dominant term.
-    #[inline]
-    fn self_end(&self, t: Option<Instant>) {
-        if let Some(t) = t {
-            let ns = (t.elapsed().as_nanos() as u64).min(SELF_CLAMP_NS);
-            self.self_ns.fetch_add(ns * SELF_SAMPLE, Ordering::Relaxed);
-        }
     }
 
     /// Pin the cluster clock-alignment epoch to the current virtual time.
@@ -339,46 +317,56 @@ impl Ipm {
         self.epoch.lock().unwrap_or(self.start)
     }
 
-    /// Book one pseudo-event — the one way `@CUDA_EXEC_STRMxx` and
-    /// `@CUDA_HOST_IDLE` enter the monitor. The table entry and, when
-    /// tracing is on and the event has an interval, its trace record are
-    /// written from one key (one region read), under the same sampled
-    /// self-accounting bracket as a wrapped call's [`MonitorSink::span`].
-    pub(crate) fn book_pseudo(&self, ev: PseudoEvent) {
+    /// Book `events` — the one way anything enters the monitor: a wrapped
+    /// call ([`MonitorSink::span`]), a host-idle wait, or all of a KTT
+    /// sweep's completions. Every event is keyed from one region read, so
+    /// a record's attributes are its table entry's. The table entries go
+    /// into the thread's delta cell in one deposit; then, when tracing is
+    /// on, each event with an interval has its record pushed, after the
+    /// cell's lock has dropped. The whole booking is one sampled
+    /// self-accounting event. `events` is walked twice when tracing is on,
+    /// the first time under the cell's lock, so it must not book anything.
+    #[inline]
+    pub(crate) fn book(&self, events: impl Iterator<Item = Event> + Clone) {
         let t = self.self_begin();
-        let key = self.sig_key(ev.name, 0, ev.detail);
-        self.table.update_key(key, ev.duration);
-        if let (Some(ring), Some((begin, end))) = (&self.trace, ev.interval) {
-            ring.push(TraceRecord {
-                kind: ev.kind,
-                name: NameTable::global().name(ev.name),
-                detail: key.detail,
-                begin,
-                end,
-                bytes: 0,
-                region: key.region,
-                stream: ev.stream,
-                corr: ev.corr,
-                agg: None,
-            });
-        }
-        self.self_end(t);
-    }
-
-    /// Book a sweep's pseudo-events. Untraced, their table entries go into
-    /// the thread's delta cell as one deposit, under one sampled
-    /// self-accounting bracket; traced, each is booked with its trace
-    /// record by [`Self::book_pseudo`]. `events` is drawn while the delta
-    /// cell is locked, so it must not book anything itself.
-    pub(crate) fn book_pseudos(&self, events: impl Iterator<Item = PseudoEvent>) {
-        if self.trace.is_some() {
-            events.for_each(|ev| self.book_pseudo(ev));
-            return;
-        }
-        let t = self.self_begin();
+        let region = self.region.load(Ordering::Relaxed);
+        let key = |ev: &Event| SigKey {
+            id: ev.name,
+            bytes: ev.bytes,
+            region,
+            detail: ev.detail,
+        };
         self.table
-            .update_keys(events.map(|ev| (self.sig_key(ev.name, 0, ev.detail), ev.duration)));
-        self.self_end(t);
+            .update_keys(events.clone().map(|ev| (key(&ev), ev.duration)));
+        if let Some(ring) = &self.trace {
+            for ev in events {
+                let Some((begin, end)) = ev.interval else {
+                    continue;
+                };
+                let key = key(&ev);
+                ring.push(TraceRecord {
+                    kind: ev.kind,
+                    // lock-free interner lookup of a `'static` name: no
+                    // allocation and no shared refcount on the record path
+                    name: NameTable::global().name(key.id),
+                    detail: key.detail,
+                    begin,
+                    end,
+                    bytes: key.bytes,
+                    region: key.region,
+                    stream: ev.stream,
+                    corr: ev.corr,
+                    agg: None,
+                });
+            }
+        }
+        if let Some(t) = t {
+            // a sampled booking stands for the `SELF_SAMPLE - 1` unmeasured
+            // ones around it, clamped so a preempted sample is not
+            // amplified into the dominant term
+            let ns = (t.elapsed().as_nanos() as u64).min(SELF_CLAMP_NS);
+            self.self_ns.fetch_add(ns * SELF_SAMPLE, Ordering::Relaxed);
+        }
     }
 
     /// Remove and return every captured trace record (sorted by begin),
@@ -551,36 +539,22 @@ impl Ipm {
 
 impl MonitorSink for Ipm {
     fn span(&self, call: CallHandle, bytes: u64, begin: f64, end: f64) {
-        let t = self.self_begin();
-        let key = self.sig_key(call.id, bytes, None);
-        self.table.update_key(key, end - begin);
-        if let Some(ring) = &self.trace {
+        self.book(std::iter::once(Event {
+            kind: TraceKind::Call,
+            name: call.id,
+            detail: None,
+            bytes,
+            duration: end - begin,
+            interval: Some((begin, end)),
+            stream: None,
             // a launch wrapper just ran the real call on this thread, so the
             // runtime's thread-local correlation id belongs to this record
-            let corr = if call.id == site!("cudaLaunch").id
-                || call.id == site!("cuLaunchGrid").id
-                || call.id == site!("cuLaunchKernel").id
-            {
+            corr: if call.launch {
                 ipm_gpu_sim::last_launch_correlation_id()
             } else {
                 0
-            };
-            ring.push(TraceRecord {
-                kind: TraceKind::Call,
-                // lock-free interner lookup of a `'static` name: no
-                // allocation and no shared refcount on the record path
-                name: NameTable::global().name(call.id),
-                detail: None,
-                begin,
-                end,
-                bytes,
-                region: key.region,
-                stream: None,
-                corr,
-                agg: None,
-            });
-        }
-        self.self_end(t);
+            },
+        }));
     }
 }
 
@@ -655,15 +629,16 @@ mod tests {
     #[test]
     fn pseudo_events_carry_detail() {
         let m = ipm();
-        m.book_pseudo(PseudoEvent {
+        m.book(std::iter::once(Event {
             kind: TraceKind::KernelExec,
             name: CallHandle::of("@CUDA_EXEC_STRM00").id,
             detail: Some(CallHandle::of("square").id),
+            bytes: 0,
             duration: 1.16,
             interval: None,
             stream: Some(0),
             corr: 0,
-        });
+        }));
         let p = m.profile();
         let e = p
             .entries
@@ -671,6 +646,37 @@ mod tests {
             .find(|e| e.name == "@CUDA_EXEC_STRM00")
             .unwrap();
         assert_eq!(e.detail.as_deref(), Some("square"));
+    }
+
+    /// A sweep's completions are one booking — one delta-cell deposit and
+    /// one sampled self-accounting event — whether the rank keeps a trace
+    /// or not; traced, every completion still gets its record.
+    #[test]
+    fn a_sweep_is_one_booking_traced_or_not() {
+        use crate::cuda_mon::IpmCuda;
+        use ipm_gpu_sim::{launch_kernel, CudaApi, GpuConfig, GpuRuntime, Kernel, KernelCost};
+        use ipm_gpu_sim::{LaunchConfig, StreamId};
+        for cfg in [IpmConfig::default(), IpmConfig::default().without_tracing()] {
+            let rt = Arc::new(GpuRuntime::single(
+                GpuConfig::dirac_node().with_context_init(0.0),
+            ));
+            let m = Ipm::new(rt.clock().clone(), cfg);
+            let cuda = IpmCuda::new(m.clone(), rt.clone());
+            let k = Kernel::timed("swept", KernelCost::Fixed(1e-4));
+            for _ in 0..12 {
+                launch_kernel(&cuda, &k, LaunchConfig::simple(1u32, 1u32), &[]).unwrap();
+            }
+            // the device drains outside the monitor: no host-idle wait
+            rt.thread_synchronize().unwrap();
+            let before = m.self_events.load(Ordering::Relaxed);
+            cuda.cuda_stream_synchronize(StreamId::DEFAULT).unwrap();
+            let bookings = m.self_events.load(Ordering::Relaxed) - before;
+            assert_eq!(bookings, 2, "the call and its sweep");
+            assert_eq!(m.profile().count_of("@CUDA_EXEC_STRM00"), 12);
+            let records = m.drain_trace();
+            let execs = records.iter().filter(|r| r.kind == TraceKind::KernelExec);
+            assert_eq!(execs.count(), if cfg.trace_capacity > 0 { 12 } else { 0 });
+        }
     }
 
     #[test]

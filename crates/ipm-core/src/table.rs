@@ -34,9 +34,9 @@ use std::sync::{Arc, Weak};
 // become loom primitives so every interleaving of the update/flush path is
 // explored (see `tests/loom.rs`). The APIs are identical.
 #[cfg(loom)]
-use loom::sync::Mutex;
+use loom::sync::{Mutex, MutexGuard};
 #[cfg(not(loom))]
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Default maximum number of distinct signatures (mirrors IPM's
 /// `MAXSIZE_HASH`-style compile-time bound).
@@ -104,8 +104,11 @@ impl DeltaCell {
 
 impl Slots {
     /// Record one observation of `key`. False, with nothing recorded, when
-    /// `key` is new and the cell is at its load limit.
-    #[inline]
+    /// `key` is new and the cell is at its load limit. Always inlined:
+    /// left to the heuristics, the deposit of a wrapped call and that of a
+    /// sweep shared one out-of-line copy, and a monitored query call cost
+    /// about 10 ns more.
+    #[inline(always)]
     fn record(&mut self, key: SigKey, duration: f64) -> bool {
         let mut i = home_slot(&key);
         loop {
@@ -262,52 +265,46 @@ impl PerfTable {
     }
 
     /// Record one observation of `key` with the given duration — the
-    /// `UPDATE_DATA` of the wrapper anatomy (Fig. 2). Lands in the calling
-    /// thread's delta cell: no shared lock and no allocation.
+    /// `UPDATE_DATA` of the wrapper anatomy (Fig. 2), as a deposit of one.
+    /// Lands in the calling thread's delta cell: no shared lock and no
+    /// allocation.
     #[inline]
     pub fn update_key(&self, key: SigKey, duration: f64) {
-        self.with_cell(|cell| {
-            let stored = cell.slots.lock().record(key, duration);
-            if !stored {
-                self.record_past_full_cell(cell, key, duration);
-            }
-        });
+        self.update_keys(std::iter::once((key, duration)));
     }
 
-    /// [`Self::update_key`] for several observations in one deposit: the
-    /// thread's delta cell is looked up and locked once for all of them
-    /// (once more after each flush a full cell forces). `observations` is
-    /// drawn while the cell is locked and the thread's cell cache is
-    /// borrowed, so it must not touch any `PerfTable`.
+    /// Record several observations in one deposit: the thread's delta cell
+    /// is looked up and locked once for all of them (once more after each
+    /// flush a full cell forces). `observations` is drawn while the cell is
+    /// locked and the thread's cell cache is borrowed, so it must not touch
+    /// any `PerfTable`.
+    #[inline]
     pub(crate) fn update_keys(&self, observations: impl IntoIterator<Item = (SigKey, f64)>) {
-        let mut observations = observations.into_iter();
         self.with_cell(|cell| {
-            while let Some((key, duration)) = Self::deposit(cell, &mut observations) {
-                self.record_past_full_cell(cell, key, duration);
+            let mut slots = cell.slots.lock();
+            for (key, duration) in observations {
+                while !slots.record(key, duration) {
+                    slots = self.flush_full_cell(cell, slots);
+                }
             }
         });
-    }
-
-    /// Record `observations` into `cell` under one lock, up to the first
-    /// one the full cell refuses, which is returned.
-    fn deposit(
-        cell: &DeltaCell,
-        observations: &mut impl Iterator<Item = (SigKey, f64)>,
-    ) -> Option<(SigKey, f64)> {
-        let mut slots = cell.slots.lock();
-        observations.find(|&(key, duration)| !slots.record(key, duration))
     }
 
     /// A new key found `cell` full: flush the cell into the shared map,
-    /// where the capacity cap applies, then record into the emptied cell.
-    /// The cell never grows, and this thread's deltas reach the map in the
-    /// order they were deposited. The cell's guard is already dropped,
-    /// keeping the lock order map, then cell.
+    /// where the capacity cap applies, and hand back the emptied cell's
+    /// guard, which admits any key. The cell never grows, and this
+    /// thread's deltas reach the map in the order they were deposited. The
+    /// cell's guard is dropped before the map's lock is taken, keeping the
+    /// lock order map, then cell.
     #[cold]
-    fn record_past_full_cell(&self, cell: &DeltaCell, key: SigKey, duration: f64) {
+    fn flush_full_cell<'c>(
+        &self,
+        cell: &'c DeltaCell,
+        slots: MutexGuard<'c, Slots>,
+    ) -> MutexGuard<'c, Slots> {
+        drop(slots);
         self.merged.lock().absorb(cell, self.capacity);
-        let stored = cell.slots.lock().record(key, duration);
-        debug_assert!(stored, "an emptied cell admits any key");
+        cell.slots.lock()
     }
 
     /// Merge every thread's pending deltas into the shared map, then

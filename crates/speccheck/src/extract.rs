@@ -379,7 +379,7 @@ const ANATOMY_PRIMITIVES: &[&str] = &[
     "wrap_call(",
     "wrap_call_sized(",
     "fn absorb_host_idle",
-    "book_pseudo(",
+    "book(",
     "Instant::now",
     "clock().now",
     "time_launch(",

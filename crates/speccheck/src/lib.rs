@@ -205,11 +205,9 @@ mod tests {
         for (_, f) in &mut files {
             if f.rel.ends_with("cuda_mon.rs") {
                 assert!(f.text.contains(d2h), "no D2H wrapper to sabotage");
-                f.text = f.text.replacen(
-                    d2h,
-                    &format!("{d2h}        self.ipm().book_pseudo(idle);\n"),
-                    1,
-                );
+                f.text = f
+                    .text
+                    .replacen(d2h, &format!("{d2h}        self.ipm().book(idle);\n"), 1);
             }
         }
         let found: Vec<_> = run(&spec_from_registry(), &files)
@@ -217,7 +215,7 @@ mod tests {
             .filter(|d| d.code == "anatomy")
             .collect();
         assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].target, "book_pseudo");
+        assert_eq!(found[0].target, "book");
         assert!(found[0].file.ends_with("cuda_mon.rs"));
     }
 
