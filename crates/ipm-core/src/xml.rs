@@ -345,89 +345,129 @@ fn opt_time(raw: Option<&str>) -> Result<Option<f64>, XmlError> {
     }
 }
 
+/// The ` name="` that opens each attribute [`write_xml`] may write on an
+/// `<event/>`, in the order it writes them.
+const EVENT_KEYS: [&str; 15] = [
+    " kind=\"",
+    " name=\"",
+    " detail=\"",
+    " begin=\"",
+    " end=\"",
+    " bytes=\"",
+    " region=\"",
+    " stream=\"",
+    " corr=\"",
+    " count=\"",
+    " total=\"",
+    " min=\"",
+    " max=\"",
+    " ex_begin=\"",
+    " ex_end=\"",
+];
+
 /// The raw (still escaped) values of one `<event/>` tag, one slot per
-/// attribute [`write_xml`] may write; a slot is `None` where the tag lacks
-/// the attribute. Both ways of reading a tag fill these slots, and
-/// [`event`] checks them, so they reject and accept the same tags.
-#[derive(Debug, Default, PartialEq)]
-struct EventAttrs<'a> {
-    kind: Option<&'a str>,
-    name: Option<&'a str>,
-    detail: Option<&'a str>,
-    begin: Option<&'a str>,
-    end: Option<&'a str>,
-    bytes: Option<&'a str>,
-    region: Option<&'a str>,
-    stream: Option<&'a str>,
-    corr: Option<&'a str>,
-    count: Option<&'a str>,
-    total: Option<&'a str>,
-    min: Option<&'a str>,
-    max: Option<&'a str>,
-    ex_begin: Option<&'a str>,
-    ex_end: Option<&'a str>,
-}
+/// [`EVENT_KEYS`] attribute; a slot is `None` where the tag lacks the
+/// attribute. Both ways of reading a tag fill these slots, and [`event`]
+/// checks them, so they reject and accept the same tags.
+#[derive(Debug, PartialEq)]
+struct EventAttrs<'a>([Option<&'a str>; EVENT_KEYS.len()]);
 
 impl<'a> EventAttrs<'a> {
-    /// Every slot with its attribute's name, in the order [`write_xml`]
-    /// writes them.
-    fn slots(&mut self) -> [(&'static str, &mut Option<&'a str>); 15] {
-        [
-            ("kind", &mut self.kind),
-            ("name", &mut self.name),
-            ("detail", &mut self.detail),
-            ("begin", &mut self.begin),
-            ("end", &mut self.end),
-            ("bytes", &mut self.bytes),
-            ("region", &mut self.region),
-            ("stream", &mut self.stream),
-            ("corr", &mut self.corr),
-            ("count", &mut self.count),
-            ("total", &mut self.total),
-            ("min", &mut self.min),
-            ("max", &mut self.max),
-            ("ex_begin", &mut self.ex_begin),
-            ("ex_end", &mut self.ex_end),
-        ]
-    }
-
-    /// Read an `<event/>` line as [`write_xml`] writes it, in one scan:
-    /// `<event`, then ` name="value"` for some of the attributes in the
-    /// writer's order, then `/>`. Any other line (attributes reordered,
-    /// other spacing, an unterminated value, trailing text) gives `None`;
-    /// [`Attrs::split`] reads it instead. On a line this accepts, the split
-    /// finds the same pairs, so both ways give the same slots.
-    fn writer_order(line: &'a str) -> Option<Self> {
-        let b = line.as_bytes();
-        if !b.starts_with(b"<event") {
+    /// Read the `<event/>` line at the head of `text` as [`write_xml`]
+    /// writes it, in one pass, and return its slots with the text after
+    /// the line: indenting spaces, `<event`, then ` name="value"` for some
+    /// of the attributes in the writer's order, then `/>` and the line's
+    /// end (a newline, or the end of `text`). Each slot costs one prefix
+    /// compare, and each value one search for its closing quote. Any other
+    /// line (attributes reordered, other spacing, an unterminated value,
+    /// trailing text) gives `None`, and [`Attrs::split`] reads it once
+    /// trimmed. On a line this accepts, the split finds the same pairs, so
+    /// both ways give the same slots.
+    fn scan(text: &'a str) -> Option<(Self, &'a str)> {
+        let b = text.as_bytes();
+        let indent = b.iter().take_while(|&&c| c == b' ').count();
+        if !b[indent..].starts_with(b"<event") {
             return None;
         }
-        let mut at = "<event".len();
-        let mut e = Self::default();
-        for (name, slot) in e.slots() {
-            let eq = at + 1 + name.len();
-            if b.get(at) != Some(&b' ')
-                || b.get(at + 1..eq) != Some(name.as_bytes())
-                || b.get(eq..eq + 2) != Some(b"=\"")
-            {
+        let mut at = indent + "<event".len();
+        let mut slots = [None; EVENT_KEYS.len()];
+        for (key, slot) in EVENT_KEYS.iter().zip(&mut slots) {
+            let key = key.as_bytes();
+            if !starts_with_key(&b[at..], key) {
                 continue;
             }
-            let start = eq + 2;
-            let len = b[start..].iter().position(|&c| c == b'"')?;
-            *slot = Some(&line[start..start + len]);
+            let start = at + key.len();
+            let len = value_len(&b[start..])?;
+            *slot = Some(&text[start..start + len]);
             at = start + len + 1;
         }
-        (&b[at..] == b"/>").then_some(e)
+        let rest = match b[at..].strip_prefix(b"/>")? {
+            [] => "",
+            [b'\n', ..] => &text[at + 3..],
+            _ => return None,
+        };
+        Some((Self(slots), rest))
     }
 
     /// The slots of a tag split by [`Attrs::split`]: each attribute's
     /// first value.
     fn from_attrs(a: &Attrs<'a>) -> Self {
-        let mut e = Self::default();
-        for (name, slot) in e.slots() {
-            *slot = a.raw(name);
+        Self(EVENT_KEYS.map(|key| a.raw(&key[1..key.len() - 2])))
+    }
+}
+
+/// The first `N` bytes of `s`, which holds at least that many.
+fn word<const N: usize>(s: &[u8]) -> [u8; N] {
+    s[..N].try_into().expect("a whole word")
+}
+
+/// `b.starts_with(key)` for a key of 4 to 16 bytes, as two overlapping
+/// word compares (words of 4 bytes for a key shorter than 8) instead of a
+/// call to compare bytes.
+fn starts_with_key(b: &[u8], key: &[u8]) -> bool {
+    let n = key.len();
+    debug_assert!((4..=16).contains(&n), "{key:?}");
+    match b.get(..n) {
+        Some(head) if n >= 8 => {
+            word::<8>(head) == word::<8>(key)
+                && word::<8>(&head[n - 8..]) == word::<8>(&key[n - 8..])
         }
-        e
+        Some(head) => {
+            word::<4>(head) == word::<4>(key)
+                && word::<4>(&head[n - 4..]) == word::<4>(&key[n - 4..])
+        }
+        None => false,
+    }
+}
+
+/// The length of the attribute value at the head of `b`: the offset of
+/// its closing `"`, or `None` if the line ends first. The bytes are read
+/// eight at a time for any below `#`, which `"` and the newline are: the
+/// lowest byte the below-`#` test flags in a word is the first such byte
+/// (a false flag can only follow a true one). Values rarely hold such a
+/// byte otherwise (a space, say); the search steps past one and goes on.
+fn value_len(b: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let mut at = 0;
+    loop {
+        let below = match b.get(at..at + 8) {
+            Some(eight) => {
+                let w = u64::from_le_bytes(word(eight));
+                let flags = w.wrapping_sub(ONES * u64::from(b'#')) & !w & HIGHS;
+                if flags == 0 {
+                    at += 8;
+                    continue;
+                }
+                at + flags.trailing_zeros() as usize / 8
+            }
+            None => at + b[at..].iter().position(|&c| c < b'#')?,
+        };
+        match b[below] {
+            b'"' => return Some(below),
+            b'\n' => return None,
+            _ => at = below + 1,
+        }
     }
 }
 
@@ -464,7 +504,19 @@ pub(crate) fn read_log(
     let mut attrs = Attrs::default();
     let mut names = Names::default();
     let mut open: Option<OpenTask> = None;
-    for line in xml.lines().map(str::trim) {
+    let mut rest = xml;
+    while !rest.is_empty() {
+        // most lines of a log are `<event/>`s, read before any split or trim
+        if let Some(task) = open.as_mut() {
+            if let Some((e, after)) = EventAttrs::scan(rest) {
+                task.records.push(event(&e, &mut names)?);
+                rest = after;
+                continue;
+            }
+        }
+        let (line, after) = rest.split_once('\n').unwrap_or((rest, ""));
+        rest = after;
+        let line = line.trim();
         let Some(element) = element(line) else {
             continue;
         };
@@ -520,8 +572,7 @@ pub(crate) fn read_log(
             "entry" => task.profile.entries.push(entry(attrs.split(line))?),
             "trace" => task.epoch = attrs.split(line).opt_time("epoch")?.unwrap_or(0.0),
             "event" => {
-                let e = EventAttrs::writer_order(line)
-                    .unwrap_or_else(|| EventAttrs::from_attrs(attrs.split(line)));
+                let e = EventAttrs::from_attrs(attrs.split(line));
                 task.records.push(event(&e, &mut names)?)
             }
             // the section tags `<regions>`, `<hash>`, `</trace>`, …
@@ -593,31 +644,101 @@ fn entry(e: &Attrs) -> Result<ProfileEntry, XmlError> {
 /// its interned id and the process-lifetime string records carry. Names
 /// repeat across a log's events, so almost every lookup hits here and
 /// skips both the unescape and the shared lock of the global name table,
-/// which several logs read on several threads would contend on. A hash
-/// map, not a scan, keeps a log of many distinct names linear.
+/// which several logs read on several threads would contend on.
+///
+/// Two levels answer a lookup. `recent` is a direct-mapped cache of the
+/// last name seen in each of [`RECENT`] slots, picked by the value's
+/// [`Sketch`], so a hit on one of a log's few hot names costs a few word
+/// compares. A miss falls through to `map`, a SipHash map, not a scan, so
+/// a log of many distinct names stays linear; names crafted to share a
+/// slot only miss the cache, and the map's keyed hash keeps them from
+/// colliding there.
 #[derive(Default)]
-struct Names<'a>(HashMap<&'a str, (CallId, &'static str)>);
+struct Names<'a> {
+    recent: Vec<Option<(Sketch, &'a str, CallId, &'static str)>>,
+    map: HashMap<&'a str, (CallId, &'static str)>,
+}
+
+/// Slots in [`Names`]' cache of recent names, allocated at a log's first
+/// name: a power of two, and enough that a log's handful of hot names
+/// rarely share one.
+const RECENT: usize = 256;
 
 impl<'a> Names<'a> {
     /// The interned id and name an escaped value stands for: each distinct
     /// one is stored once (and kept for the rest of the process, like every
     /// interned name).
     fn get(&mut self, raw: &'a str) -> (CallId, &'static str) {
-        *self.0.entry(raw).or_insert_with(|| {
-            let h = CallHandle::of(&unescape(raw));
-            (h.id, h.name())
-        })
+        if self.recent.is_empty() {
+            self.recent.resize(RECENT, None);
+        }
+        let sketch = Sketch::of(raw);
+        let slot = &mut self.recent[sketch.slot()];
+        match *slot {
+            Some((seen, text, id, name)) if seen == sketch && (raw.len() <= 16 || text == raw) => {
+                (id, name)
+            }
+            _ => {
+                let (id, name) = *self.map.entry(raw).or_insert_with(|| {
+                    let h = CallHandle::of(&unescape(raw));
+                    (h.id, h.name())
+                });
+                *slot = Some((sketch, raw, id, name));
+                (id, name)
+            }
+        }
+    }
+}
+
+/// A value's length with its first and last eight bytes (overlapping
+/// under 16 bytes; under 8, the bytes zero-padded and no tail): values of
+/// at most 16 bytes are equal exactly when their sketches are.
+#[derive(Clone, Copy, PartialEq)]
+struct Sketch {
+    len: usize,
+    head: u64,
+    tail: u64,
+}
+
+impl Sketch {
+    fn of(raw: &str) -> Self {
+        let b = raw.as_bytes();
+        let (head, tail) = match b.len() {
+            8.. => (
+                u64::from_le_bytes(word(b)),
+                u64::from_le_bytes(word(&b[b.len() - 8..])),
+            ),
+            _ => (b.iter().rev().fold(0, |w, &c| w << 8 | u64::from(c)), 0),
+        };
+        Self {
+            len: b.len(),
+            head,
+            tail,
+        }
+    }
+
+    /// The [`Names`] cache slot: a multiply-rotate hash's top bits.
+    fn slot(self) -> usize {
+        let h = (self.head ^ self.tail.rotate_left(29) ^ self.len as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (h >> (u64::BITS - RECENT.trailing_zeros())) as usize
     }
 }
 
 fn event<'a>(e: &EventAttrs<'a>, names: &mut Names<'a>) -> Result<TraceRecord, XmlError> {
-    let kind_raw = unescape(e.kind.ok_or(XmlError::Missing("kind"))?);
-    let kind = kind_raw
-        .chars()
-        .next()
-        .and_then(TraceKind::from_tag)
-        .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
-    let (begin, end) = (time(e.begin, "begin")?, time(e.end, "end")?);
+    let [kind, name, detail, begin, end, bytes, region, stream, corr, count, total, min, max, ex_begin, ex_end] =
+        e.0;
+    let kind_raw = kind.ok_or(XmlError::Missing("kind"))?;
+    // a one-byte ASCII value is its own unescaped text
+    let kind = match *kind_raw.as_bytes() {
+        [tag] if tag.is_ascii() => TraceKind::from_tag(char::from(tag)),
+        _ => unescape(kind_raw)
+            .chars()
+            .next()
+            .and_then(TraceKind::from_tag),
+    }
+    .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{}'", unescape(kind_raw))))?;
+    let (begin, end) = (time(begin, "begin")?, time(end, "end")?);
     if end < begin {
         return Err(XmlError::Malformed(format!(
             "event ends at {end} before it begins at {begin}"
@@ -625,23 +746,23 @@ fn event<'a>(e: &EventAttrs<'a>, names: &mut Names<'a>) -> Result<TraceRecord, X
     }
     Ok(TraceRecord {
         kind,
-        name: names.get(e.name.ok_or(XmlError::Missing("name"))?).1,
-        detail: e.detail.map(|d| names.get(d).0),
+        name: names.get(name.ok_or(XmlError::Missing("name"))?).1,
+        detail: detail.map(|d| names.get(d).0),
         begin,
         end,
-        bytes: num(e.bytes, "bytes")?,
-        region: num(e.region, "region")?,
-        stream: opt_num(e.stream)?,
-        corr: num(e.corr, "corr")?,
+        bytes: num(bytes, "bytes")?,
+        region: num(region, "region")?,
+        stream: opt_num(stream)?,
+        corr: num(corr, "corr")?,
         // summary records carry the aggregate attributes, keyed on
         // `count`; raw records (and pre-compaction logs) omit them
-        agg: match e.count {
+        agg: match count {
             Some(_) => Some(Box::new(TraceAgg {
-                count: num(e.count, "count")?,
-                total: time(e.total, "total")?,
-                min: time(e.min, "min")?,
-                max: time(e.max, "max")?,
-                exemplar: (time(e.ex_begin, "ex_begin")?, time(e.ex_end, "ex_end")?),
+                count: num(count, "count")?,
+                total: time(total, "total")?,
+                min: time(min, "min")?,
+                max: time(max, "max")?,
+                exemplar: (time(ex_begin, "ex_begin")?, time(ex_end, "ex_end")?),
             })),
             None => None,
         },
@@ -1047,17 +1168,33 @@ mod tests {
         }
     }
 
-    /// An `<event/>` line read as [`read_log`] reads it (the writer-order
-    /// scan, else the split), and by the split alone.
+    /// An `<event/>` line read as [`read_log`] reads it (the scan, else
+    /// the split of the trimmed line), and by the split alone.
     fn both_ways(line: &str) -> [Result<TraceRecord, XmlError>; 2] {
-        let mut attrs = Attrs::default();
-        let fast = EventAttrs::writer_order(line)
-            .unwrap_or_else(|| EventAttrs::from_attrs(attrs.split(line)));
-        let general = EventAttrs::from_attrs(Attrs::default().split(line));
+        let split = || EventAttrs::from_attrs(Attrs::default().split(line.trim()));
+        let fast = scan_line(line).unwrap_or_else(split);
         [
             event(&fast, &mut Names::default()),
-            event(&general, &mut Names::default()),
+            event(&split(), &mut Names::default()),
         ]
+    }
+
+    /// The slots of a whole line the scan accepts.
+    fn scan_line(line: &str) -> Option<EventAttrs<'_>> {
+        EventAttrs::scan(line).map(|(e, rest)| {
+            assert_eq!(rest, "", "{line}");
+            e
+        })
+    }
+
+    /// The scan reads `line` to the slots the split of the trimmed line
+    /// finds.
+    fn scans_as_split(line: &str) -> Result<(), TestCaseError> {
+        let fast = scan_line(line);
+        prop_assert!(fast.is_some(), "{line}");
+        let general = EventAttrs::from_attrs(Attrs::default().split(line.trim()));
+        prop_assert_eq!(fast, Some(general), "{}", line);
+        Ok(())
     }
 
     /// A trace record of any kind, with or without a detail, a stream and
@@ -1104,8 +1241,8 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-        /// The writer-order scan reads every `<event/>` line the writer
-        /// writes, to the slots the general split finds; a log whose
+        /// The scan reads every `<event/>` line the writer writes, indented
+        /// or trimmed, to the slots the general split finds; a log whose
         /// events have their attributes rotated, which the scan refuses,
         /// parses to the same records; and a cut-off, unterminated or
         /// trailing-junk line reads the same either way.
@@ -1124,16 +1261,15 @@ mod tests {
                     rotated.push('\n');
                     continue;
                 }
-                let fast = EventAttrs::writer_order(trimmed);
-                prop_assert!(fast.is_some(), "{trimmed}");
+                scans_as_split(line)?;
+                scans_as_split(trimmed)?;
                 let mut attrs = Attrs::default();
                 let split = attrs.split(trimmed);
-                prop_assert_eq!(fast, Some(EventAttrs::from_attrs(split)));
                 let mut turned = split.0.clone();
                 turned.rotate_left(1 + turn % (split.0.len() - 1));
                 let turned: String = turned.iter().map(|(k, v)| format!(" {k}=\"{v}\"")).collect();
                 let turned = format!("<event{turned}/>");
-                prop_assert!(EventAttrs::writer_order(&turned).is_none(), "{turned}");
+                prop_assert!(scan_line(&turned).is_none(), "{turned}");
                 rotated.push_str(&format!("      {turned}\n"));
 
                 let at = cut % trimmed.len();
@@ -1143,6 +1279,7 @@ mod tests {
                     trimmed[..at].to_owned(),
                     format!("{}{}", &trimmed[..close], &trimmed[close + 1..]),
                     format!("{trimmed}{}", [" x", "junk", "/>", " a=\"1\""][junk]),
+                    format!("\t{trimmed} "),
                 ] {
                     let [fast, general] = both_ways(&bad);
                     prop_assert_eq!(fast, general, "{}", bad);
@@ -1150,6 +1287,188 @@ mod tests {
             }
             prop_assert_eq!(load_records(&rotated).unwrap(), trace);
         }
+    }
+
+    /// Keys, values and closers that join into lines near the writer's
+    /// `<event/>` format: its keys (listed in its order) and another, values
+    /// holding entities, spaces, a key or a quote, and a closing quote
+    /// doubled, missing or followed by a space.
+    const LINE_KEYS: [&str; 8] = [
+        " kind=\"",
+        " name=\"",
+        " begin=\"",
+        " end=\"",
+        " corr=\"",
+        " ex_begin=\"",
+        " x=\"",
+        "",
+    ];
+    const LINE_VALUES: [&str; 9] = [
+        "", "C", "1.5", "&quot;", "&#10;", "a b", " end=\"1", "\"", "12345678",
+    ];
+    const LINE_CLOSERS: [&str; 6] = ["\"", "\"", "\"", "\" ", "\"\"", ""];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        /// Any line the scan accepts, however keys, values and quotes fall
+        /// on it, gives the slots the split of the trimmed line finds.
+        #[test]
+        fn a_line_the_scan_accepts_splits_to_the_same_slots(
+            (indent, in_order, end) in (0usize..10, any::<bool>(), 0usize..4),
+            mut parts in prop::collection::vec(
+                (0..LINE_KEYS.len(), 0..LINE_VALUES.len(), 0..LINE_CLOSERS.len()),
+                0..8,
+            ),
+        ) {
+            if in_order {
+                parts.sort_by_key(|&(key, _, _)| key);
+            }
+            let body: String = parts
+                .iter()
+                .map(|&(k, v, c)| [LINE_KEYS[k], LINE_VALUES[v], LINE_CLOSERS[c]].concat())
+                .collect();
+            let line = format!("{}<event{body}{}", " ".repeat(indent), ["/>", "/> ", "", ">"][end]);
+            if scan_line(&line).is_some() {
+                scans_as_split(&line)?;
+            }
+            let [fast, general] = both_ways(&line);
+            prop_assert_eq!(fast, general, "{}", line);
+        }
+    }
+
+    #[test]
+    fn the_value_search_finds_the_first_quote_at_every_offset() {
+        // `\xa2` is `"` with the high bit set, `#` the first byte the word
+        // test does not flag, and a space or a NUL one it flags and passes
+        for fill in [b'a', b'#', 0xa2, 0xff, b' ', 0x00] {
+            for len in 0..=40 {
+                let plain = vec![fill; len];
+                assert_eq!(value_len(&plain), None, "{fill:#x} × {len}");
+                for q in 0..len {
+                    let mut b = plain.clone();
+                    b[q] = b'"';
+                    if q + 3 < len {
+                        b[q + 3] = b'"';
+                    }
+                    assert_eq!(value_len(&b), Some(q), "{fill:#x} × {len}, quote at {q}");
+                    // a line's end before the quote leaves the value open
+                    for nl in 0..q {
+                        let mut cut = b.clone();
+                        cut[nl] = b'\n';
+                        assert_eq!(value_len(&cut), None, "{fill:#x} × {len}, newline at {nl}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn values_ending_on_a_word_boundary_or_in_the_last_bytes_scan() {
+        for indent in 0..8 {
+            for n in 0..=24 {
+                // a name of every length puts its closing quote at every
+                // offset of an 8-byte word; a `corr` of 1 to 9 digits puts
+                // the last quote among the line's last 7 bytes
+                let name = "x".repeat(n);
+                let corr = "9".repeat(1 + n % 9);
+                let line = format!(
+                    "{}<event kind=\"C\" name=\"{name}\" begin=\"1\" end=\"2\" bytes=\"0\" region=\"0\" corr=\"{corr}\"/>",
+                    " ".repeat(indent)
+                );
+                scans_as_split(&line).unwrap();
+                let e = scan_line(&line).unwrap();
+                // the name and corr slots
+                assert_eq!((e.0[1], e.0[8]), (Some(name.as_str()), Some(corr.as_str())));
+                // the last value left open: no quote in the last bytes
+                let open = line.replacen("\"/>", "/>", 1);
+                assert_eq!(scan_line(&open), None, "{open}");
+                let [fast, general] = both_ways(&open);
+                assert_eq!(fast, general, "{open}");
+                // nor does the next line close it
+                let next = format!("{open}\n{line}\n");
+                assert_eq!(EventAttrs::scan(&next), None, "{next}");
+                // a whole line hands back the text after it
+                let two = format!("{line}\n{open}");
+                assert_eq!(
+                    EventAttrs::scan(&two).map(|(_, rest)| rest),
+                    Some(open.as_str())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn escaped_values_and_every_optional_attribute_scan() {
+        let trace = vec![
+            TraceRecord {
+                kind: TraceKind::KernelExec,
+                name: CallHandle::of("a&b \"q\"\nc<d>").name(),
+                detail: Some(CallHandle::of("k<&amp;>\n").id),
+                stream: Some(7),
+                ..summary()
+            },
+            summary(),
+        ];
+        let xml = with_trace(&sample(), &trace, 0.25);
+        for entity in [
+            "&amp;", "&quot;", "&#10;", "&lt;", " detail=", " stream=", " ex_end=",
+        ] {
+            assert!(xml.contains(entity), "{entity} in {xml}");
+        }
+        let events: Vec<&str> = xml.lines().filter(|l| l.contains("<event ")).collect();
+        assert_eq!(events.len(), trace.len());
+        for line in events {
+            scans_as_split(line).unwrap();
+        }
+        assert_eq!(load_records(&xml).unwrap(), trace);
+    }
+
+    #[test]
+    fn a_one_byte_kind_decodes_as_its_unescaped_text() {
+        let line = |kind: &str| {
+            format!("<event kind=\"{kind}\" name=\"n\" begin=\"1\" end=\"2\" bytes=\"0\" region=\"0\" corr=\"0\"/>")
+        };
+        let kind_of = |kind: &str| {
+            let line = line(kind);
+            let e = scan_line(&line).unwrap();
+            event(&e, &mut Names::default()).map(|r| r.kind)
+        };
+        assert_eq!(kind_of("K"), Ok(TraceKind::KernelExec));
+        assert_eq!(kind_of("I"), Ok(TraceKind::HostIdle));
+        // longer values go through the unescape, and keep their first char
+        assert_eq!(kind_of("CX"), Ok(TraceKind::Call));
+        for bad in ["&", "x", "", "é"] {
+            assert_eq!(
+                kind_of(bad),
+                Err(XmlError::Malformed(format!("unknown event kind '{bad}'"))),
+                "{bad}"
+            );
+        }
+        assert_eq!(
+            kind_of("&amp;"),
+            Err(XmlError::Malformed("unknown event kind '&'".to_owned()))
+        );
+    }
+
+    #[test]
+    fn names_sharing_a_cache_slot_resolve_to_their_own_ids() {
+        // a crafted log's names may all land in one slot: each lookup then
+        // misses the cache, and the map still tells them apart
+        let pool: Vec<String> = (0..5000).map(|i| format!("crafted_{i}")).collect();
+        let slot = Sketch::of(&pool[0]).slot();
+        let same: Vec<&str> = pool
+            .iter()
+            .map(String::as_str)
+            .filter(|n| Sketch::of(n).slot() == slot)
+            .collect();
+        assert!(same.len() >= 2, "{} names share slot {slot}", same.len());
+        let mut names = Names::default();
+        for _ in 0..3 {
+            for raw in &same {
+                assert_eq!(names.get(raw).1, *raw);
+            }
+        }
+        assert_eq!(names.map.len(), same.len());
     }
 
     #[test]
