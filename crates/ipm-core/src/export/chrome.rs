@@ -88,7 +88,7 @@ impl Args<'_> {
 
 /// About what one record adds to the document (a `B`/`E` pair, sometimes a
 /// flow event), for reserving the output up front.
-const RECORD_BYTES: usize = 256;
+pub(super) const RECORD_BYTES: usize = 256;
 
 /// An interval destined for one lane.
 struct LaneSlice<'a> {
@@ -233,7 +233,7 @@ fn emit_lane(ev: &mut Events, pid: usize, tid: u64, mut slices: Vec<LaneSlice<'_
 /// (complete) events carrying their aggregate in `args`, since two
 /// summaries may partially overlap in time. `ranks` must not be empty.
 pub(crate) fn chrome_trace_json(ranks: &[ExportRank], threads: usize) -> String {
-    let mut out = super::trace_buffer(ranks, RECORD_BYTES);
+    let mut out = super::trace_buffer(super::records(ranks) * RECORD_BYTES);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     super::render_ranks(&mut out, ranks, RECORD_BYTES, threads, |out, i, r| {
         // every rank writes metadata events, so all but the first rank's

@@ -51,6 +51,7 @@ use crate::cube::{build_cube, cube_to_xml, render_cube_text};
 use crate::monitor::Ipm;
 use crate::profile::RankProfile;
 use crate::trace::TraceRecord;
+use crate::xml::{ENTRY_BYTES, EVENT_BYTES};
 use ipm_gpu_sim::ProfRecord;
 use std::sync::Arc;
 
@@ -97,21 +98,68 @@ fn records(ranks: &[ExportRank]) -> usize {
     ranks.iter().map(|r| r.records.len() + r.prof.len()).sum()
 }
 
-/// An empty output buffer for a trace rendering of `ranks`, reserved at
-/// `bytes_per_record` per host and device record, so the document is not
-/// regrown and copied while it is written.
-fn trace_buffer(ranks: &[ExportRank], bytes_per_record: usize) -> String {
-    String::with_capacity(4096 + records(ranks) * bytes_per_record)
+/// An empty output buffer for a document of about `bytes` bytes, reserved
+/// up front so the document is not regrown and copied while it is
+/// written. Every large document the exporters write comes from here, and
+/// its whole huge pages are advised as such (see [`advise_huge_pages`]).
+fn trace_buffer(bytes: usize) -> String {
+    let out = String::with_capacity(4096 + bytes);
+    advise_huge_pages(&out);
+    out
+}
+
+/// The size of a transparent huge page (x86-64, and aarch64 with 4 KiB
+/// base pages).
+const HUGE_PAGE: usize = 2 << 20;
+
+/// The whole [`HUGE_PAGE`]-aligned pages inside `[addr, addr + len)`, as
+/// `(start, len)`, or `None` when not one fits.
+fn huge_range(addr: usize, len: usize) -> Option<(usize, usize)> {
+    let start = addr.checked_next_multiple_of(HUGE_PAGE)?;
+    let end = addr.checked_add(len)? / HUGE_PAGE * HUGE_PAGE;
+    (end > start).then(|| (start, end - start))
+}
+
+/// Ask the kernel to back the whole 2 MiB pages of `buf`'s allocation
+/// with transparent huge pages. A document of tens of MB written into
+/// fresh 4 KiB pages spends much of its time faulting them in, at about
+/// 2 µs a page, and faults on two threads do not overlap; a 2 MiB page
+/// is one fault, which costs 3.5× less per byte (EXPERIMENTS.md, "Trace
+/// and log documents in 2 MiB pages"). A buffer holding no whole aligned
+/// page makes no call. The advice is advice only: its error is ignored,
+/// and off Linux (or under Miri) it is not given.
+fn advise_huge_pages(buf: &String) {
+    let Some((start, len)) = huge_range(buf.as_ptr() as usize, buf.capacity()) else {
+        return;
+    };
+    #[cfg(all(target_os = "linux", not(miri)))]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_HUGEPAGE: c_int = 14;
+        // SAFETY: `huge_range` keeps `[start, start + len)` inside
+        // `[ptr, ptr + capacity)`, the allocation `buf` owns, and
+        // `MADV_HUGEPAGE` changes how its pages are backed, not what they
+        // hold: nothing is read, written or unmapped.
+        unsafe {
+            madvise(start as *mut c_void, len, MADV_HUGEPAGE);
+        }
+    }
+    #[cfg(not(all(target_os = "linux", not(miri))))]
+    let _ = (start, len);
 }
 
 /// Records a multi-rank trace rendering, or a multi-log parse, must hold
 /// before its parts go to several threads. In three runs of
-/// `thread_crossover_table` (below) on a 2-vCPU VM, a two-rank Chrome or
-/// OTLP rendering was faster on two threads than on one at every size
-/// from 2,048 to 131,072 records (OTLP at 16,384: 4.1–4.9 → 3.3–4.2 ms),
-/// and two threads read two 76,703-event logs in about half the time of
-/// one. Below this size a rendering takes a few ms; the threshold keeps
-/// it off threads and off `available_parallelism`.
+/// `thread_crossover_table` (below) on a 2-vCPU VM, output buffers
+/// hinted into huge pages, a two-rank Chrome or OTLP rendering was faster
+/// on two threads than on one at every size from 2,048 to 131,072
+/// records (OTLP at 16,384: 3.6–6.6 → 2.5–3.7 ms; at 131,072: 40–41 →
+/// 26–27 ms), and two threads read two 76,703-event logs in about half
+/// the time of one. Below this size a rendering takes a few ms; the
+/// threshold keeps it off threads and off `available_parallelism`.
 pub(crate) const PARALLEL_RECORDS: usize = 1 << 14;
 
 /// How many threads a job over `parts` parts (ranks, logs) that hold
@@ -205,7 +253,7 @@ fn render_ranks<F>(
         threads,
         |at, chunk| match at {
             0 => std::mem::take(&mut *out),
-            _ => trace_buffer(chunk, bytes_per_record),
+            _ => trace_buffer(records(chunk) * bytes_per_record),
         },
         |at, chunk, mut buf| {
             for (i, r) in chunk.iter().enumerate() {
@@ -334,7 +382,18 @@ impl Exporter for Xml {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        let mut out = trace_buffer(&src.ranks, crate::xml::EVENT_BYTES);
+        // an `<event>` per record, and an `<entry>` per signature of the
+        // `<hash>` or a `<region>` per region
+        let bytes = src
+            .ranks
+            .iter()
+            .map(|r| {
+                let p = r.profile.as_ref();
+                let entries = p.map_or(0, |p| p.entries.len() + p.regions.len());
+                r.records.len() * EVENT_BYTES + entries * ENTRY_BYTES
+            })
+            .sum();
+        let mut out = trace_buffer(bytes);
         for r in &src.ranks {
             let p = r
                 .profile
@@ -518,6 +577,7 @@ mod tests {
     use super::*;
     use crate::monitor::IpmConfig;
     use ipm_gpu_sim::{CudaApi, GpuConfig, GpuRuntime};
+    use proptest::prelude::*;
 
     fn live_ipm() -> Arc<Ipm> {
         let rt = Arc::new(GpuRuntime::single(GpuConfig::dirac_node()));
@@ -733,6 +793,164 @@ mod tests {
                 chrome[0], chrome[1], otlp[0], otlp[1]
             );
         }
+    }
+
+    #[test]
+    fn huge_range_holds_only_whole_aligned_pages() {
+        const H: usize = HUGE_PAGE;
+        assert_eq!(huge_range(0, 0), None);
+        assert_eq!(huge_range(0, H - 1), None);
+        assert_eq!(huge_range(H, H - 1), None);
+        assert_eq!(huge_range(1, 2 * H - 2), None, "straddles one boundary");
+        assert_eq!(huge_range(0, H), Some((0, H)));
+        assert_eq!(huge_range(1, 2 * H - 1), Some((H, H)));
+        assert_eq!(huge_range(H - 4096, 3 * H), Some((H, 2 * H)));
+        assert_eq!(huge_range(usize::MAX - H, H), None, "no page past the top");
+        assert_eq!(huge_range(usize::MAX, 2), None, "the end overflows");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn huge_range_stays_inside_the_buffer_on_aligned_pages(
+            addr in 0usize..(1 << 47),
+            len in 0usize..(1 << 26),
+        ) {
+            const H: usize = HUGE_PAGE;
+            let first = addr.next_multiple_of(H);
+            match huge_range(addr, len) {
+                Some((start, n)) => {
+                    prop_assert!(addr <= start && start + n <= addr + len);
+                    prop_assert!(start % H == 0 && n % H == 0 && n > 0);
+                    // every whole aligned page is in the range
+                    prop_assert_eq!(start, first);
+                    prop_assert!(addr + len - (start + n) < H);
+                }
+                None => prop_assert!(first + H > addr + len),
+            }
+        }
+    }
+
+    /// The flags of the mapping in `/proc/self/smaps` that holds `addr`.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    fn vm_flags(addr: usize) -> Option<String> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
+        let mut holds = false;
+        for line in smaps.lines() {
+            if let Some(flags) = line.strip_prefix("VmFlags:") {
+                if holds {
+                    return Some(flags.trim().to_owned());
+                }
+            } else if let Some((lo, hi)) = line
+                .split_once(' ')
+                .and_then(|(range, _)| range.split_once('-'))
+            {
+                // a mapping's first line: `lo-hi perms offset ...`
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    holds = (lo..hi).contains(&addr);
+                }
+            }
+        }
+        None
+    }
+
+    /// Check that the mapping holding each document's first whole 2 MiB
+    /// page is advised for huge pages (`hg`), or print why the kernel
+    /// cannot give them. Reads `/proc` and `/sys` only.
+    #[cfg(all(target_os = "linux", not(miri)))]
+    fn assert_hinted(docs: &[(&str, String, usize)]) {
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+        match thp {
+            Err(e) => return println!("no transparent huge pages ({e}): VmFlags not checked"),
+            Ok(mode) if mode.contains("[never]") => {
+                return println!("transparent huge pages are `never`: VmFlags not checked")
+            }
+            Ok(_) if status.contains("THP_enabled:\t0") => {
+                return println!("this process has THP disabled: VmFlags not checked")
+            }
+            Ok(_) => {}
+        }
+        for (what, doc, _) in docs {
+            let (start, _) = huge_range(doc.as_ptr() as usize, doc.capacity()).unwrap();
+            let flags = vm_flags(start).expect("a mapping holds the buffer");
+            assert!(
+                flags.split_whitespace().any(|f| f == "hg"),
+                "{what}: VmFlags {flags}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_document_is_written_into_its_hinted_buffer() {
+        // two ranks of 2 × PARALLEL_RECORDS / 2 records each, rendered on
+        // two threads, so each helper's chunk is a hinted buffer too
+        let src = ExportSource {
+            ranks: vec![
+                traced_rank(0, PARALLEL_RECORDS / 2, false),
+                traced_rank(1, PARALLEL_RECORDS / 2, true),
+            ],
+            ..ExportSource::default()
+        };
+        let n = records(&src.ranks);
+        let log = ExportSource {
+            ranks: vec![traced_rank(0, PARALLEL_RECORDS, false)],
+            ..ExportSource::default()
+        };
+        let log_records = log.ranks[0].records.len();
+        assert!(log_records >= PARALLEL_RECORDS);
+        let docs = [
+            (
+                "Chrome",
+                chrome::chrome_trace_json(&src.ranks, 2),
+                4096 + n * chrome::RECORD_BYTES,
+            ),
+            (
+                "OTLP",
+                otlp::otlp_trace_json(&src, 2),
+                4096 + n * otlp::SPAN_BYTES,
+            ),
+            (
+                "XML",
+                Xml.render(&log).unwrap(),
+                // its `<event>`s and its one `<region>`
+                4096 + log_records * EVENT_BYTES + ENTRY_BYTES,
+            ),
+        ];
+        for (what, doc, reserved) in &docs {
+            // it never outgrew its first reservation, so it was never
+            // copied out of the hinted buffer
+            assert_eq!(doc.capacity(), *reserved, "{what}: {} bytes", doc.len());
+            assert!(*reserved >= 2 * HUGE_PAGE, "{what} holds a whole huge page");
+        }
+
+        #[cfg(all(target_os = "linux", not(miri)))]
+        assert_hinted(&docs);
+    }
+
+    #[test]
+    fn a_log_of_ten_thousand_signatures_fits_its_reservation() {
+        let mut p = traced_rank(0, 0, false).profile.unwrap();
+        p.entries = (0..10_000u64)
+            .map(|i| {
+                let mut stats = ipm_sim_core::RunningStats::new();
+                stats.record(1.25e-3 * i as f64);
+                stats.record(3.5e-6);
+                crate::profile::ProfileEntry {
+                    name: "@CUDA_EXEC_STRM03".to_owned(),
+                    detail: Some(format!("scatter_kernel_{i}<float, 4>")),
+                    bytes: i * 4096,
+                    region: 0,
+                    stats,
+                }
+            })
+            .collect();
+        let reserved = 4096 + (p.entries.len() + p.regions.len()) * ENTRY_BYTES;
+        let xml = Export::from_profile(p).to(Xml).unwrap();
+        assert_eq!(xml.capacity(), reserved, "{} bytes", xml.len());
     }
 
     #[test]

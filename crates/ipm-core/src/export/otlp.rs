@@ -146,7 +146,7 @@ impl Spans<'_> {
 /// buffer that overflows is copied once more; at 320 bytes that made a
 /// two-rank rendering of launch/kernel pairs slower on two threads than on
 /// one.
-const SPAN_BYTES: usize = 400;
+pub(super) const SPAN_BYTES: usize = 400;
 
 /// OTLP span kinds used here: host-side wrapped calls and idle intervals
 /// are `INTERNAL`, device-side executions are `CONSUMER` (they consume the
@@ -243,7 +243,7 @@ fn rank_spans(out: &mut String, r: &ExportRank, trace_id: u128) {
 /// threads (see [`super::render_ranks`]).
 pub(crate) fn otlp_trace_json(src: &ExportSource, threads: usize) -> String {
     let ranks = &src.ranks;
-    let mut out = super::trace_buffer(ranks, SPAN_BYTES);
+    let mut out = super::trace_buffer(super::records(ranks) * SPAN_BYTES);
     out.push_str("{\"resourceSpans\":[\n");
     super::render_ranks(&mut out, ranks, SPAN_BYTES, threads, |out, i, r| {
         out.push_str("{\"resource\":{\"attributes\":");

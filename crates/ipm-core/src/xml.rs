@@ -165,6 +165,11 @@ fn unescape(s: &str) -> Cow<'_, str> {
 /// About what one `<event/>` line takes, for reserving the output up front.
 pub(crate) const EVENT_BYTES: usize = 160;
 
+/// About what one `<entry/>` line of the `<hash>` takes, for reserving the
+/// output up front: the 151 entries of the report goldens average 167
+/// bytes, and the longest takes 200.
+pub(crate) const ENTRY_BYTES: usize = 224;
+
 /// The fewest bytes one `<event/>` line [`write_xml`] writes takes (an
 /// empty name and one-digit numbers, indented): a log of `n` bytes holds
 /// at most `n / MIN_EVENT_BYTES` records.
