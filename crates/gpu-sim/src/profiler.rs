@@ -62,10 +62,12 @@ impl Profiler {
         self.enabled
     }
 
-    /// Record one device operation (no-op when disabled).
-    pub fn record(&mut self, rec: ProfRecord) {
+    /// Record one device operation. `rec` builds the record, and runs only
+    /// when the profiler is enabled, so a disabled profiler costs the
+    /// submitting call no allocation.
+    pub fn record(&mut self, rec: impl FnOnce() -> ProfRecord) {
         if self.enabled {
-            self.records.push(rec);
+            self.records.push(rec());
         }
     }
 
@@ -154,7 +156,7 @@ mod tests {
     #[test]
     fn disabled_profiler_drops_records() {
         let mut p = Profiler::new(false);
-        p.record(rec("k", ProfKind::Kernel, 0.1));
+        p.record(|| rec("k", ProfKind::Kernel, 0.1));
         assert!(p.records().is_empty());
         assert_eq!(p.kernel_time_total("k"), 0.0);
     }
@@ -162,10 +164,10 @@ mod tests {
     #[test]
     fn kernel_totals_sum_invocations() {
         let mut p = Profiler::new(true);
-        p.record(rec("k", ProfKind::Kernel, 0.1));
-        p.record(rec("k", ProfKind::Kernel, 0.2));
-        p.record(rec("other", ProfKind::Kernel, 1.0));
-        p.record(rec("memcpyHtoD", ProfKind::MemcpyH2D, 5.0));
+        p.record(|| rec("k", ProfKind::Kernel, 0.1));
+        p.record(|| rec("k", ProfKind::Kernel, 0.2));
+        p.record(|| rec("other", ProfKind::Kernel, 1.0));
+        p.record(|| rec("memcpyHtoD", ProfKind::MemcpyH2D, 5.0));
         assert!((p.kernel_time_total("k") - 0.3).abs() < 1e-12);
         assert_eq!(p.kernel_invocations("k"), 2);
         assert!((p.all_kernel_time() - 1.3).abs() < 1e-12);
@@ -175,7 +177,7 @@ mod tests {
     #[test]
     fn log_format_is_cuda_profile_like() {
         let mut p = Profiler::new(true);
-        p.record(rec("square", ProfKind::Kernel, 1.153376e-3));
+        p.record(|| rec("square", ProfKind::Kernel, 1.153376e-3));
         let log = p.render_log();
         assert!(log.starts_with("# CUDA_PROFILE_LOG_VERSION 2.0"));
         assert!(log.contains("method=[ square ] gputime=[ 1153.376 ]"));

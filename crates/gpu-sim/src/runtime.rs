@@ -271,7 +271,7 @@ impl GpuRuntime {
 
         let corr = NEXT_CORRELATION.fetch_add(1, Ordering::Relaxed);
         LAST_LAUNCH_CORR.with(|c| c.set(corr));
-        inner.profiler.record(ProfRecord {
+        inner.profiler.record(|| ProfRecord {
             method: kernel.name().to_owned(),
             kind: ProfKind::Kernel,
             stream: config.stream,
@@ -348,7 +348,7 @@ impl GpuRuntime {
             .get_mut(&StreamId::DEFAULT)
             .expect("default stream")
             .last_end = end;
-        inner.profiler.record(ProfRecord {
+        inner.profiler.record(|| ProfRecord {
             method: method.to_owned(),
             kind,
             stream: StreamId::DEFAULT,
@@ -536,7 +536,7 @@ impl GpuRuntime {
             .max(0.0);
         let end = start + duration;
         inner.streams.get_mut(&stream).expect("checked").last_end = end;
-        inner.profiler.record(ProfRecord {
+        inner.profiler.record(|| ProfRecord {
             method: method.to_owned(),
             kind,
             stream,
@@ -565,7 +565,7 @@ impl GpuRuntime {
             .get_mut(&StreamId::DEFAULT)
             .expect("default stream")
             .last_end = start + duration;
-        inner.profiler.record(ProfRecord {
+        inner.profiler.record(|| ProfRecord {
             method: "memset".to_owned(),
             kind: ProfKind::Memset,
             stream: StreamId::DEFAULT,

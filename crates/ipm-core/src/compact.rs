@@ -1,28 +1,24 @@
-//! Trace compaction & retention: conservation-checked merging of adjacent
-//! records, and the k-way merge that replaced the drain-side global sort.
+//! Summary records and the k-way merge behind every trace drain.
 //!
-//! The paper's premise is *low-overhead, always-on* monitoring: IPM keeps
-//! fixed-size tables precisely so long runs don't grow memory. The trace
-//! ring inherited that hard cap but paid for it by dropping newest-first
-//! once full — a long run's trace lost its shape exactly where it got
-//! interesting. This module adds the retention layer:
-//!
-//! * [`CompactPolicy`] — when a ring passes its high-water mark, a pass
-//!   merges adjacent short records of the same event signature into one
-//!   summary record carrying [`TraceAgg`] `{count, total, min, max}` plus
-//!   one kept exemplar interval, so the timeline keeps its envelope under
-//!   the same hard memory cap.
-//! * [`compact_records`] — the in-place merge pass itself. It **conserves
-//!   per-signature event count and total virtual time exactly**: summing
-//!   [`TraceRecord::event_count`] / [`TraceRecord::busy_total`] over the
-//!   output equals the same sums over the input, per signature (proptested
-//!   in `tests/properties.rs`, model-checked under loom).
 //! * [`merge_runs`] — k-way merge of mostly sorted runs. Records are
 //!   appended in virtual-time order per rank, so a ring's buffer is
 //!   already (nearly) sorted; one merge pass on drain, cutting it where
-//!   its order breaks and moving whole blocks, replaces the old
-//!   sort-everything-on-the-consumer-thread path and produces the *same
-//!   record-for-record order* the stable global sort did.
+//!   its order breaks and moving whole blocks, produces the *same
+//!   record-for-record order* a stable global sort would.
+//! * [`compact_records`] — folds adjacent records of the same event
+//!   signature into one summary record carrying [`TraceAgg`]
+//!   `{count, total, min, max}` plus one kept exemplar interval. It
+//!   **conserves per-signature event count and total virtual time
+//!   exactly**: summing [`TraceRecord::event_count`] /
+//!   [`TraceRecord::busy_total`] over the output equals the same sums over
+//!   the input, per signature (proptested in `tests/properties.rs`).
+//!
+//! The trace ring no longer compacts: a full ring drops and counts, and
+//! the perf table still books every dropped event. Summary records remain
+//! a log format — the Chrome, OTLP and XML writers render them and the XML
+//! reader reads them — and [`compact_records`], [`CompactPolicy`] and
+//! [`TraceAgg`] are kept while `perfbench/` still builds and compacts
+//! records itself.
 
 use crate::trace::TraceRecord;
 use std::cmp::Ordering;
@@ -31,7 +27,9 @@ use std::cmp::Ordering;
 /// merged into it. `count`/`total` are conserved quantities; `min`/`max`
 /// bound every merged record's individual duration; `exemplar` is the
 /// `(begin, end)` interval of the longest single record absorbed, kept so
-/// a compacted timeline still shows one representative real slice.
+/// a compacted timeline still shows one representative real slice. Kept,
+/// with summary records, while `perfbench/` still builds and compacts
+/// records itself.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceAgg {
     /// Original records represented (each raw record counts 1).
@@ -46,20 +44,20 @@ pub struct TraceAgg {
     pub exemplar: (f64, f64),
 }
 
-/// Retention policy of a trace ring.
+/// Whether [`compact_records`] merges. Kept while `perfbench/` still
+/// builds one with [`CompactPolicy::with_high_water`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompactPolicy {
-    /// Resident records in the ring that trigger a compaction pass;
-    /// 0 disables compaction entirely (the pre-retention drop-only mode).
+    /// Any nonzero value makes [`compact_records`] merge; 0 disables it.
     pub high_water: usize,
 }
 
 impl CompactPolicy {
-    /// Compaction off: a full ring drops the new record, as before.
+    /// Compaction off: [`compact_records`] merges nothing.
     pub const DISABLED: Self = Self { high_water: 0 };
 
-    /// Compact a ring whenever it holds `high_water` records, merging any
-    /// run of adjacent same-signature records.
+    /// A policy that merges any run of adjacent same-signature records
+    /// whenever `high_water` is nonzero.
     pub fn with_high_water(high_water: usize) -> Self {
         Self { high_water }
     }
@@ -67,12 +65,6 @@ impl CompactPolicy {
     /// Whether this policy ever compacts.
     pub fn is_enabled(&self) -> bool {
         self.high_water > 0
-    }
-}
-
-impl Default for CompactPolicy {
-    fn default() -> Self {
-        Self::DISABLED
     }
 }
 
@@ -125,11 +117,12 @@ fn fold(tail: &mut TraceRecord, rec: &TraceRecord) {
     tail.corr = 0;
 }
 
-/// One compaction pass over a time-sorted buffer: merge every run of
-/// adjacent, mergeable, same-signature records into a single summary
-/// record. In-place, stable, O(n). A disabled `policy` merges nothing.
-/// Returns how many records were compacted away (input length minus
-/// output length).
+/// One compaction pass over a buffer in `(begin, end)` order, as
+/// [`crate::TraceRing::drain`] returns it: merge every run of adjacent,
+/// mergeable, same-signature records into a single summary record.
+/// In-place, stable, O(n). A disabled `policy` merges nothing. Returns how
+/// many records were compacted away (input length minus output length).
+/// Kept while `perfbench/` still times it.
 pub fn compact_records(buf: &mut Vec<TraceRecord>, policy: &CompactPolicy) -> usize {
     if !policy.is_enabled() {
         return 0;
@@ -415,13 +408,16 @@ mod tests {
         use crate::profile::RankProfile;
         use crate::trace::TraceRing;
 
-        // compacting at 5 resident records: the sixth push folds the
-        // first five into one summary
-        let ring = TraceRing::with_policy(64, CompactPolicy::with_high_water(5));
+        // the first five records fold into one summary; the sixth, the
+        // longest, stays raw
+        let ring = TraceRing::new(64, 1);
         for (i, d) in [0.5, 0.25, 1.5, 0.75, 0.125, 2.0].into_iter().enumerate() {
             assert!(ring.push(rec("cudaMemset", 4.0 * i as f64, 4.0 * i as f64 + d)));
         }
-        let drained = ring.drain();
+        let mut drained = ring.drain();
+        let last = drained.pop().expect("six records");
+        compact_records(&mut drained, &CompactPolicy::with_high_water(1));
+        drained.push(last);
         assert_eq!(drained.len(), 2);
         let want = TraceAgg {
             count: 5,

@@ -6,7 +6,6 @@
 //! wrappers report into. The monitored API facades
 //! ([`crate::cuda_mon::IpmCuda`] and friends) share it via `Arc`.
 
-use crate::compact::CompactPolicy;
 use crate::ktt::{Ktt, KttCheckPolicy};
 use crate::profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfile};
 use crate::sig::SigKey;
@@ -49,12 +48,9 @@ pub struct IpmConfig {
     /// evaluated as an ablation of Table I).
     pub exec_time_correction: Option<f64>,
     /// Trace-ring capacity in records; 0 disables event tracing entirely
-    /// (the aggregate-only mode of the original paper).
+    /// (the aggregate-only mode of the original paper). A full ring drops
+    /// new records and counts them; the table still books every event.
     pub trace_capacity: usize,
-    /// Trace retention policy: once the ring holds its high-water mark of
-    /// records, adjacent same-signature records merge into summary
-    /// records instead of the ring dropping once full. Disabled by default.
-    pub trace_compaction: CompactPolicy,
 }
 
 impl Default for IpmConfig {
@@ -65,7 +61,6 @@ impl Default for IpmConfig {
             ktt_policy: KttCheckPolicy::D2hOnly,
             exec_time_correction: None,
             trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
-            trace_compaction: CompactPolicy::DISABLED,
         }
     }
 }
@@ -95,14 +90,6 @@ impl IpmConfig {
         self.trace_capacity = 0;
         self
     }
-
-    /// Enable trace compaction: once `high_water` records are resident in
-    /// the rank's ring, pushes merge adjacent same-signature records into
-    /// summaries instead of eventually dropping.
-    pub fn with_trace_compaction(mut self, high_water: usize) -> Self {
-        self.trace_compaction = CompactPolicy::with_high_water(high_water);
-        self
-    }
 }
 
 /// Per-family activity since the previous snapshot.
@@ -122,16 +109,12 @@ pub struct FamilyDelta {
 pub struct TraceDelta {
     /// Records offered to the ring in the interval.
     pub emitted: u64,
-    /// Change in individually-accounted records. Signed: a compaction pass
-    /// moves records out of `captured`, so a busy interval can end with
-    /// fewer accounted records than it started with.
-    pub captured: i64,
-    /// Records refused (ring full) in the interval.
+    /// Records stored in the interval.
+    pub captured: u64,
+    /// Records refused (ring full) in the interval. The invariant
+    /// `captured + dropped == emitted` holds per interval exactly as it
+    /// does cumulatively.
     pub dropped: u64,
-    /// Records absorbed into summaries in the interval. The invariant
-    /// `captured + dropped + compacted == emitted` holds per interval
-    /// (with `captured` signed) exactly as it does cumulatively.
-    pub compacted: u64,
 }
 
 /// One periodic sample of a running rank — a cheap delta of the perf table
@@ -254,8 +237,7 @@ impl Ipm {
                 command: "<unknown>".to_owned(),
             }),
             epoch: Mutex::new(None),
-            trace: (cfg.trace_capacity > 0)
-                .then(|| TraceRing::with_policy(cfg.trace_capacity, cfg.trace_compaction)),
+            trace: (cfg.trace_capacity > 0).then(|| TraceRing::new(cfg.trace_capacity, 1)),
             self_ns: AtomicU64::new(0),
             self_events: AtomicU64::new(0),
             snap: Mutex::new(SnapState::default()),
@@ -386,10 +368,10 @@ impl Ipm {
             .unwrap_or_default()
     }
 
-    /// Current self-accounting counters. The four trace counters come from
-    /// one consistent [`TraceRing::counters`] read, so the reported ledger
-    /// closes (`captured + dropped + compacted == emitted`) even when this
-    /// is sampled mid-run with writers still pushing.
+    /// Current self-accounting counters. The trace counters come from one
+    /// consistent [`TraceRing::counters`] read, so the reported ledger
+    /// closes (`captured + dropped == emitted`) even when this is sampled
+    /// mid-run with writers still pushing. `trace_compacted` is always 0.
     pub fn monitor_info(&self) -> MonitorInfo {
         let trace = self
             .trace
@@ -401,7 +383,7 @@ impl Ipm {
             trace_emitted: trace.emitted,
             trace_captured: trace.captured,
             trace_dropped: trace.dropped,
-            trace_compacted: trace.compacted,
+            trace_compacted: 0,
             ring_hwm_bytes: self
                 .trace
                 .as_ref()
@@ -454,10 +436,8 @@ impl Ipm {
         let prev_trace = snap.last_trace;
         let trace = TraceDelta {
             emitted: cur_trace.emitted - prev_trace.emitted,
-            // compaction can shrink cumulative captured between samples
-            captured: cur_trace.captured as i64 - prev_trace.captured as i64,
+            captured: cur_trace.captured - prev_trace.captured,
             dropped: cur_trace.dropped - prev_trace.dropped,
-            compacted: cur_trace.compacted - prev_trace.compacted,
         };
         let seq = snap.seq;
         snap.seq += 1;
@@ -730,13 +710,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_reports_trace_deltas_including_compaction() {
+    fn snapshot_reports_trace_deltas_including_drops() {
         let clock = SimClock::new();
         let cfg = IpmConfig {
-            trace_capacity: 1 << 10,
+            trace_capacity: 8,
             ..IpmConfig::default()
-        }
-        .with_trace_compaction(8);
+        };
         let m = Ipm::new(clock.clone(), cfg);
         for i in 0..6 {
             m.span(CallHandle::of("cudaMalloc"), 0, i as f64, i as f64 + 0.1);
@@ -745,25 +724,23 @@ mod tests {
         assert_eq!(s.trace.emitted, 6);
         assert_eq!(s.trace.captured, 6);
         assert_eq!(s.trace.dropped, 0);
-        assert_eq!(s.trace.compacted, 0);
-        // push past the high-water mark so a pass merges the backlog; the
-        // interval's captured delta goes negative while emitted stays
-        // exactly the number of new offers
+        // push past the ring's 8 slots: the interval captures the last two
+        // free slots and drops the rest
         for i in 6..40 {
             m.span(CallHandle::of("cudaMalloc"), 0, i as f64, i as f64 + 0.1);
         }
         let s = m.snapshot();
         assert_eq!(s.trace.emitted, 34);
-        assert!(s.trace.compacted > 0);
+        assert_eq!(s.trace.captured, 2);
+        assert_eq!(s.trace.dropped, 32);
         assert_eq!(
-            s.trace.captured + s.trace.dropped as i64 + s.trace.compacted as i64,
-            s.trace.emitted as i64,
+            s.trace.captured + s.trace.dropped,
+            s.trace.emitted,
             "interval accounting closes"
         );
         let info = m.monitor_info();
-        assert_eq!(
-            info.trace_captured + info.trace_dropped + info.trace_compacted,
-            info.trace_emitted
-        );
+        assert_eq!(info.trace_captured + info.trace_dropped, info.trace_emitted);
+        assert_eq!(info.trace_compacted, 0);
+        assert_eq!(m.profile().count_of("cudaMalloc"), 40, "drops are booked");
     }
 }

@@ -74,13 +74,14 @@ pub struct MonitorInfo {
     pub trace_captured: u64,
     /// Trace records refused because the ring was full.
     pub trace_dropped: u64,
-    /// Trace records absorbed into summary records by compaction. The ring
-    /// guarantees `trace_captured + trace_dropped + trace_compacted ==
-    /// trace_emitted` (with compaction disabled `trace_compacted` is 0 and
-    /// this is the original two-way invariant).
+    /// Trace records absorbed into summaries by a compacting ring. The ring
+    /// no longer compacts, so this is 0 for a live rank, which keeps
+    /// `trace_captured + trace_dropped == trace_emitted`; it can be nonzero
+    /// only when read from a log written by a compacting ring. Kept for such
+    /// logs, and while `perfbench/` still reads it; the banner and the XML
+    /// log still print it.
     pub trace_compacted: u64,
-    /// High-water memory footprint of the trace ring's record slots, bytes
-    /// (summaries' boxed aggregates are extra).
+    /// High-water memory footprint of the trace ring's record slots, bytes.
     pub ring_hwm_bytes: u64,
 }
 

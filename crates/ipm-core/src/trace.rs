@@ -14,14 +14,12 @@
 //! [`crate::export`] pipeline, whose per-rank input is
 //! [`crate::export::ExportRank`].
 //!
-//! Retention is layered on by [`crate::compact`]: a [`CompactPolicy`] makes
-//! a ring past its high-water mark merge adjacent same-signature records
-//! into summary records (so long runs keep timeline shape under the hard
-//! cap), the buffer stays a mostly sorted run, drains merge its sorted
-//! pieces instead of globally sorting, and the accounting invariant widens
-//! to `captured + dropped + compacted_away == emitted`.
+//! A full ring has one behaviour: it drops the new record and counts the
+//! drop. A dropped record is still booked in the perf table, which is the
+//! paper's own way of bounding a long run. Drains order the buffer through
+//! [`crate::compact::merge_runs`].
 
-use crate::compact::{cmp_time, compact_records, CompactPolicy, TraceAgg};
+use crate::compact::TraceAgg;
 use ipm_interpose::{CallId, NameTable};
 #[cfg(not(loom))]
 use std::cell::UnsafeCell;
@@ -68,8 +66,8 @@ impl TraceKind {
 /// below). Its name is interned (`NameTable::name`), so it lives for the
 /// rest of the process and a push copies a pointer instead of touching a
 /// shared refcount; its kernel symbol is kept as the interned id the table
-/// keys on, resolved to text only by the writers. A raw record's
-/// aggregate is a null pointer: only compaction summaries allocate one.
+/// keys on, resolved to text only by the writers. A record the monitor
+/// captures is always raw: its aggregate is a null pointer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
     pub kind: TraceKind,
@@ -91,8 +89,11 @@ pub struct TraceRecord {
     /// Correlation id linking a `cudaLaunch` call to its kernel execution
     /// (0 when untracked).
     pub corr: u64,
-    /// Present on summary records produced by compaction: the aggregate of
-    /// every record merged in. `None` means a raw, single-event record.
+    /// Present on summary records that [`crate::compact::compact_records`]
+    /// folds, or that an older log holds: the aggregate of every record
+    /// merged in. `None` means a raw, single-event record, the only kind a
+    /// ring captures. Kept, with summary rendering and reading, while
+    /// `perfbench/` still builds and compacts records itself.
     pub agg: Option<Box<TraceAgg>>,
 }
 
@@ -146,6 +147,7 @@ impl TraceRecord {
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 /// Former default number of lock stripes. The ring is one buffer now, so
 /// this no longer shapes it; [`TraceRing::new`] ignores its second argument.
+/// Kept while `perfbench/` still passes it.
 pub const DEFAULT_TRACE_SHARDS: usize = 8;
 
 /// Minimal spin mutex for the ring. Uncontended acquire is one
@@ -246,17 +248,15 @@ impl<T> Drop for SpinGuard<'_, T> {
 
 /// A consistent sample of a ring's cumulative counters, taken under one
 /// lock acquisition (see [`TraceRing::counters`]); always satisfies
-/// `captured + dropped + compacted == emitted`.
+/// `captured + dropped == emitted`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCounters {
-    /// Records offered (the sum of the other three).
+    /// Records offered (the sum of the other two).
     pub emitted: u64,
-    /// Records stored and still individually accounted for.
+    /// Records stored (possibly drained since).
     pub captured: u64,
     /// Records refused because the ring was full.
     pub dropped: u64,
-    /// Records absorbed into summaries by compaction passes.
-    pub compacted: u64,
 }
 
 /// The ring's record buffer plus bookkeeping that only ever changes under
@@ -266,27 +266,10 @@ struct Buffer {
     buf: Vec<TraceRecord>,
     /// Most records ever resident at once.
     hwm: usize,
-    /// Records the ring has stored and still accounts for (cumulative,
-    /// survives drains; a compaction pass moves the merged-away count from
-    /// here to `compacted_away`, so `captured` always tallies records that
-    /// were either drained raw or are resident — raw or inside a summary's
-    /// `event_count`).
+    /// Records the ring has stored (cumulative, survives drains).
     captured: u64,
     /// Records the ring has refused.
     dropped: u64,
-    /// Records absorbed into summaries by compaction passes.
-    compacted_away: u64,
-    /// Set when an append broke the buffer's `(begin, end)` order; cleared
-    /// by the sort that precedes a compaction pass, and by a drain, which
-    /// leaves the buffer empty. Records are appended in virtual-time order
-    /// except where a KTT sweep or a host-idle probe appends an interval
-    /// that began earlier, so the common case is a cheap tail comparison
-    /// and no sort at all.
-    unsorted: bool,
-    /// Amortization gate: the next compaction pass runs only once the
-    /// buffer has grown past this, so a buffer full of unmergeable records
-    /// doesn't pay an O(len) scan on every push.
-    compact_gate: usize,
 }
 
 /// A bounded trace ring: one buffer behind one lock.
@@ -295,30 +278,19 @@ struct Buffer {
 /// pushes into it; readers (counter samples, drains) take the same lock
 /// briefly. A full ring drops the *new* record (launches must never block
 /// on telemetry). Drop accounting is exact by construction: every offer
-/// increments exactly one of `captured` or `dropped` under the lock, a
-/// compaction pass moves absorbed records from `captured` to
-/// `compacted_away` under the same lock, and `emitted` is *defined* as the
-/// sum of all three — so `captured + dropped + compacted_away == emitted`
-/// holds at every instant, under any interleaving (with compaction
-/// disabled, `compacted_away` stays 0).
+/// increments exactly one of `captured` or `dropped` under the lock, and
+/// `emitted` is *defined* as their sum, so `captured + dropped == emitted`
+/// holds at every instant, under any interleaving.
 pub struct TraceRing {
     inner: SpinLock<Buffer>,
     capacity: usize,
-    policy: CompactPolicy,
 }
 
 impl TraceRing {
-    /// Ring with `capacity` record slots (at least 1) and compaction
-    /// disabled (a full ring drops). `_stripes` is ignored: it is left
-    /// over from the ring's striped layout.
+    /// Ring with `capacity` record slots (at least 1). `_stripes` is
+    /// ignored: it is left over from the ring's striped layout, and is kept
+    /// while `perfbench/` still passes it.
     pub fn new(capacity: usize, _stripes: usize) -> Self {
-        Self::with_policy(capacity, CompactPolicy::DISABLED)
-    }
-
-    /// Ring with an explicit retention policy: once the ring holds
-    /// `policy.high_water` records, pushes first run a compaction pass
-    /// merging adjacent same-signature records into summaries.
-    pub fn with_policy(capacity: usize, policy: CompactPolicy) -> Self {
         let capacity = capacity.max(1);
         // the buffer is reserved to the whole capacity up front (and again
         // by the first push after a drain), so no push ever grows it by
@@ -329,7 +301,6 @@ impl TraceRing {
                 ..Buffer::default()
             }),
             capacity,
-            policy,
         }
     }
 
@@ -338,33 +309,11 @@ impl TraceRing {
         self.capacity
     }
 
-    /// The retention policy this ring was built with.
-    pub fn policy(&self) -> CompactPolicy {
-        self.policy
-    }
-
     /// Offer one record; returns `false` (and counts a drop) if the ring
     /// is full. Never blocks beyond the ring's lock; the hot path is one
-    /// uncontended lock and plain arithmetic under it. With a retention
-    /// policy set, a ring at its high-water mark first compacts in place
-    /// (amortized by `compact_gate`, so unmergeable workloads degrade to
-    /// the plain drop path rather than rescanning every push).
+    /// uncontended lock and plain arithmetic under it.
     pub fn push(&self, rec: TraceRecord) -> bool {
         let mut b = self.inner.lock();
-        if self.policy.is_enabled()
-            && b.buf.len() >= self.policy.high_water
-            && b.buf.len() >= b.compact_gate
-        {
-            if b.unsorted {
-                b.buf.sort_by(cmp_time);
-                b.unsorted = false;
-            }
-            let before = b.buf.len();
-            let removed = compact_records(&mut b.buf, &self.policy) as u64;
-            b.captured -= removed;
-            b.compacted_away += removed;
-            b.compact_gate = b.buf.len() + before / 8;
-        }
         if b.buf.len() >= self.capacity {
             b.dropped += 1;
             return false;
@@ -376,12 +325,6 @@ impl TraceRing {
             // have reused.
             b.buf.reserve_exact(self.capacity);
         }
-        if b.buf
-            .last()
-            .is_some_and(|last| cmp_time(&rec, last).is_lt())
-        {
-            b.unsorted = true;
-        }
         b.buf.push(rec);
         b.captured += 1;
         b.hwm = b.hwm.max(b.buf.len());
@@ -389,19 +332,15 @@ impl TraceRing {
     }
 
     /// All cumulative counters, read under one lock acquisition. Because
-    /// the three tallies are sampled together (and `emitted` is their sum
-    /// by definition), the returned snapshot satisfies
-    /// `captured + dropped + compacted == emitted` even while writers and
-    /// compaction passes are running. Summary records carry the count and
-    /// busy time of the records compacted away: Σ `event_count` over
-    /// resident + drained records always equals `emitted - dropped`.
+    /// the two tallies are sampled together (and `emitted` is their sum by
+    /// definition), the returned snapshot satisfies
+    /// `captured + dropped == emitted` even while writers are running.
     pub fn counters(&self) -> TraceCounters {
         let b = self.inner.lock();
         TraceCounters {
-            emitted: b.captured + b.dropped + b.compacted_away,
+            emitted: b.captured + b.dropped,
             captured: b.captured,
             dropped: b.dropped,
-            compacted: b.compacted_away,
         }
     }
 
@@ -421,8 +360,8 @@ impl TraceRing {
         self.inner.lock().hwm as u64
     }
 
-    /// High-water memory footprint in bytes: record slots only, so the
-    /// boxed aggregates of compaction summaries are extra.
+    /// High-water memory footprint in bytes: the record slots that were
+    /// ever resident at once.
     pub fn high_water_bytes(&self) -> u64 {
         self.high_water_mark() * std::mem::size_of::<TraceRecord>() as u64
     }
@@ -435,11 +374,7 @@ impl TraceRing {
     /// same record-for-record output as a stable sort, with each record
     /// moved once.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let buf = {
-            let mut b = self.inner.lock();
-            b.unsorted = false;
-            std::mem::take(&mut b.buf)
-        };
+        let buf = std::mem::take(&mut self.inner.lock().buf);
         crate::compact::merge_runs(vec![buf])
     }
 
@@ -454,6 +389,7 @@ impl TraceRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::cmp_time;
     use std::sync::Arc;
 
     fn call(name: &'static str, begin: f64, end: f64) -> TraceRecord {
@@ -538,37 +474,15 @@ mod tests {
     }
 
     #[test]
-    fn compacting_ring_stays_under_high_water_and_conserves() {
-        let ring = TraceRing::with_policy(1 << 12, CompactPolicy::with_high_water(64));
-        let n: u64 = 10_000;
-        for i in 0..n {
-            let t = i as f64 * 0.001;
-            assert!(ring.push(call("cudaLaunch", t, t + 0.0005)), "never drops");
-        }
-        let c = ring.counters();
-        assert_eq!(c.emitted, n);
-        assert_eq!(c.dropped, 0);
-        assert_eq!(c.captured + c.dropped + c.compacted, c.emitted);
-        // the gate lets the ring overshoot the high-water mark by at most
-        // len/8 between passes; it must stay far below the raw count
-        assert!(ring.len() <= 64 + 64 / 8 + 1, "resident: {}", ring.len());
-        let resident = ring.drain();
-        let events: u64 = resident.iter().map(TraceRecord::event_count).sum();
-        assert_eq!(events, n, "per-signature event count conserved");
-        let total: f64 = resident.iter().map(TraceRecord::busy_total).sum();
-        assert!((total - n as f64 * 0.0005).abs() < 1e-6);
-    }
-
-    #[test]
-    fn disabled_policy_is_the_old_drop_behavior() {
-        let ring = TraceRing::with_policy(4, CompactPolicy::DISABLED);
+    fn a_full_ring_keeps_the_oldest_records_and_drops_the_new() {
+        let ring = TraceRing::new(4, 1);
         for i in 0..20 {
-            ring.push(call("x", i as f64, i as f64));
+            assert_eq!(ring.push(call("x", i as f64, i as f64)), i < 4);
         }
         let c = ring.counters();
-        assert_eq!(c.captured, 4);
-        assert_eq!(c.dropped, 16);
-        assert_eq!(c.compacted, 0);
+        assert_eq!((c.captured, c.dropped, c.emitted), (4, 16, 20));
+        let kept: Vec<f64> = ring.drain().iter().map(|r| r.begin).collect();
+        assert_eq!(kept, [0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -618,29 +532,24 @@ mod tests {
 
     #[test]
     fn counters_sweep_closes_and_matches_drained_events() {
-        let ring = TraceRing::with_policy(8, CompactPolicy::with_high_water(2));
+        let ring = TraceRing::new(8, 1);
         for i in 0..50 {
             ring.push(call("x", i as f64, i as f64 + 0.5));
         }
         let c = ring.counters();
         assert_eq!(c.emitted, 50);
-        assert!(c.compacted > 0, "high-water 2 must compact");
-        assert_eq!(c.captured + c.dropped + c.compacted, c.emitted);
-        // summaries carry the compacted-away records: what drains accounts
-        // for every offer the ring did not drop
-        let events: u64 = ring.drain().iter().map(TraceRecord::event_count).sum();
-        assert_eq!(events, c.emitted - c.dropped);
+        assert_eq!(c.dropped, 42, "a ring of 8 drops the rest");
+        assert_eq!(c.captured + c.dropped, c.emitted);
+        // what drains is every offer the ring did not drop
+        assert_eq!(ring.drain().len() as u64, c.emitted - c.dropped);
         assert_eq!(ring.counters(), c, "drains leave the counters alone");
     }
 
     #[test]
     fn counters_ledger_closes_while_writers_race() {
         // the one-lock counter read must return a closing ledger at any
-        // instant, concurrent pushes notwithstanding
-        let ring = Arc::new(TraceRing::with_policy(
-            64,
-            CompactPolicy::with_high_water(8),
-        ));
+        // instant, concurrent pushes (2,000 into 64 slots) notwithstanding
+        let ring = Arc::new(TraceRing::new(64, 1));
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let ring = ring.clone();
@@ -656,12 +565,14 @@ mod tests {
                 for _ in 0..200 {
                     let c = ring.counters();
                     assert_eq!(
-                        c.captured + c.dropped + c.compacted,
+                        c.captured + c.dropped,
                         c.emitted,
                         "mid-run counter sweep tore"
                     );
                 }
             });
         });
+        let c = ring.counters();
+        assert_eq!((c.captured, c.dropped), (64, 2_000 - 64));
     }
 }

@@ -15,9 +15,10 @@
 //! flushes itself into the table's shared map whenever it fills, and once
 //! that map holds every key, those deposits allocate nothing either.
 //!
-//! The device behind the CUDA facade is the simulator, which may allocate
-//! on its own; the monitored paths are therefore compared against the same
-//! calls made on the bare runtime, and must add nothing.
+//! The device behind the CUDA facade is the simulator. The monitored paths
+//! are compared against the same calls made on the bare runtime, and must
+//! add nothing; with its profiler off, the bare runtime's launches and
+//! copies allocate nothing either.
 
 use ipm_core::table::CELL_SLOTS;
 use ipm_core::{Ipm, IpmConfig, IpmCuda, PerfTable, SigKey};
@@ -187,6 +188,11 @@ fn timed_launches_and_booked_completions_allocate_nothing_beyond_the_device() {
 
     let monitored_launches = allocs(|| rig.launches(&rig.cuda, BATCH));
     let bare_launches = allocs(|| rig.launches(rig.rt.as_ref(), BATCH));
+    // with its profiler off, the device builds no profiler record
+    assert_eq!(
+        bare_launches, 0,
+        "the bare runtime allocated over {BATCH} launches"
+    );
     assert_eq!(
         monitored_launches, bare_launches,
         "the monitor allocated over {BATCH} timed launches"
@@ -196,6 +202,7 @@ fn timed_launches_and_booked_completions_allocate_nothing_beyond_the_device() {
     rig.rt.thread_synchronize().unwrap();
     let monitored_sweep = allocs(|| rig.d2h(&rig.cuda));
     let bare_copy = allocs(|| rig.d2h(rig.rt.as_ref()));
+    assert_eq!(bare_copy, 0, "the bare runtime allocated over a D2H copy");
     assert_eq!(
         monitored_sweep, bare_copy,
         "the monitor allocated while booking {BATCH} completions"

@@ -13,7 +13,7 @@
 //! reach is visited (up to `LOOM_MAX_ITERATIONS`), not a sampled handful.
 #![cfg(loom)]
 
-use ipm_core::{CompactPolicy, PerfTable, SigKey, TraceKind, TraceRecord, TraceRing};
+use ipm_core::{PerfTable, SigKey, TraceKind, TraceRecord, TraceRing};
 use ipm_interpose::CallHandle;
 use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::Arc;
@@ -98,57 +98,6 @@ fn trace_ring_drain_races_emitters_without_losing_records() {
         // not history, and no accepted record vanished.
         assert_eq!(drained_mid + ring.len() as u64, c.captured);
         assert_eq!(c.captured, 2);
-    });
-}
-
-/// Compaction under contention: concurrent writers race the in-line merge
-/// pass a compacting ring runs inside `push`. Whatever the interleaving,
-/// the widened ledger `captured + dropped + compacted_away == emitted` must
-/// close, no event's *accounting* may vanish (summary `event_count`s plus
-/// singletons recover every accepted offer), and the drain must come out
-/// in `(begin, end)` order.
-#[test]
-fn trace_ring_compaction_races_writers_without_losing_accounting() {
-    loom::model(|| {
-        // high-water 2: every push beyond the second can trigger a merge
-        // pass while the other thread is mid-offer.
-        let ring = Arc::new(TraceRing::with_policy(4, CompactPolicy::with_high_water(2)));
-        let handles: Vec<_> = (0..2)
-            .map(|t| {
-                let ring = Arc::clone(&ring);
-                thread::spawn(move || {
-                    let mut accepted = 0u64;
-                    for i in 0..3 {
-                        // same signature, mergeable (corr 0, short): the
-                        // compactor is allowed to absorb any adjacent pair
-                        if ring.push(rec("cudaLaunch", (t * 3 + i) as f64)) {
-                            accepted += 1;
-                        }
-                    }
-                    accepted
-                })
-            })
-            .collect();
-        let accepted: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-
-        let c = ring.counters();
-        assert_eq!(c.emitted, 6);
-        assert_eq!(
-            c.captured + c.dropped + c.compacted,
-            c.emitted,
-            "compaction ledger must close"
-        );
-        assert_eq!(c.emitted - c.dropped, accepted);
-
-        // effective conservation: summaries carry the counts of the
-        // records they absorbed, so the drain recovers every accepted
-        // offer exactly
-        let drained = ring.drain();
-        let effective: u64 = drained.iter().map(|r| r.event_count()).sum();
-        assert_eq!(effective, accepted, "events lost or invented by merge");
-        for w in drained.windows(2) {
-            assert!((w[0].begin, w[0].end) <= (w[1].begin, w[1].end));
-        }
     });
 }
 

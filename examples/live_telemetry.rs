@@ -19,11 +19,7 @@ use std::time::Duration;
 
 fn main() {
     let (nranks, nodes) = (4, 2);
-    // a tight retention cap keeps the trace ring bounded for the whole job:
-    // bursts of short same-signature records compact into summaries
-    let cluster = ClusterConfig::dirac(nranks, nodes)
-        .with_command("./xhpl.ipm")
-        .with_ipm(ipm_repro::ipm::IpmConfig::default().with_trace_compaction(64));
+    let cluster = ClusterConfig::dirac(nranks, nodes).with_command("./xhpl.ipm");
     // a mid-size instance: enough panel iterations for several samples
     let hpl = HplConfig {
         n: 16_384,
@@ -59,12 +55,11 @@ fn main() {
     for p in &run.profiles {
         let m = &p.monitor;
         println!(
-            "rank {}: IPM self-cost {:.3} ms wall-clock, trace {} captured / {} dropped / {} compacted",
+            "rank {}: IPM self-cost {:.3} ms wall-clock, trace {} captured / {} dropped",
             p.rank,
             m.self_wall_ns as f64 / 1e6,
             m.trace_captured,
             m.trace_dropped,
-            m.trace_compacted,
         );
     }
 }

@@ -103,64 +103,7 @@ fn shared_gpu_contention_is_visible_in_profiles() {
     );
 }
 
-/// Trace compaction is observability-internal: an MD cluster run with the
-/// compactor off and one with a tight high-water mark must produce identical
-/// profiles — same wallclocks, same regions, same `@CUDA_EXEC_STRMxx` and
-/// `@CUDA_HOST_IDLE` totals, entry-for-entry equal perf tables — while the
-/// compacted run's widened trace ledger still accounts for exactly the
-/// events the uncompacted run captured.
-#[test]
-fn trace_compaction_never_perturbs_the_profile() {
-    let run_with = |ipm_cfg: IpmConfig| {
-        let cfg = ClusterConfig::dirac(2, 2)
-            .with_command("md")
-            .with_ipm(ipm_cfg);
-        let mut amber = AmberConfig::tiny();
-        amber.steps = 24;
-        run_cluster(&cfg, |ctx| {
-            let out = run_amber(ctx, amber).expect("md");
-            // a status-poll burst: the adjacent-duplicate record shape
-            // compaction exists to collapse in real traces
-            for _ in 0..200 {
-                ctx.cuda.cuda_get_device_count().expect("poll");
-            }
-            out
-        })
-    };
-    let off = run_with(IpmConfig::default());
-    let on = run_with(IpmConfig::default().with_trace_compaction(32));
-
-    assert_eq!(off.wallclocks, on.wallclocks, "compaction perturbed timing");
-    assert_eq!(off.profiles.len(), on.profiles.len());
-    let mut compacted = 0;
-    for (a, b) in off.profiles.iter().zip(&on.profiles) {
-        assert_eq!(a.wallclock, b.wallclock);
-        assert_eq!(a.regions, b.regions);
-        // entry-for-entry equal perf tables, compared as sets of entries
-        assert_eq!(
-            sorted_entries(a),
-            sorted_entries(b),
-            "perf table must be untouched"
-        );
-        // the headline report quantities, spelled out
-        assert!(a.time_of("@CUDA_EXEC_STRM00") > 0.0);
-        assert_eq!(
-            a.time_of("@CUDA_EXEC_STRM00"),
-            b.time_of("@CUDA_EXEC_STRM00")
-        );
-        assert_eq!(a.time_of("@CUDA_HOST_IDLE"), b.time_of("@CUDA_HOST_IDLE"));
-        // both runs saw the same event stream; compaction only reshapes it
-        assert_eq!(a.monitor.trace_compacted, 0);
-        assert_eq!(
-            a.monitor.trace_captured + a.monitor.trace_dropped,
-            b.monitor.trace_captured + b.monitor.trace_dropped + b.monitor.trace_compacted,
-        );
-        compacted += b.monitor.trace_compacted;
-    }
-    assert!(compacted > 0, "tight cap never engaged the compactor");
-}
-
-/// Tracing is observability-internal too: an MD cluster run with the trace
+/// Tracing is observability-internal: an MD cluster run with the trace
 /// ring and one without must produce identical profiles. The untraced KTT
 /// reads no event timestamps, and the virtual clock must not notice.
 #[test]

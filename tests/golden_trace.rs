@@ -1,7 +1,7 @@
 //! Golden-file tests for the merged multi-rank trace exports.
 //!
-//! Builds a deterministic two-rank trace — each rank's ring compacts a
-//! host-call burst into a summary record, and the ranks start at different
+//! Builds a deterministic two-rank trace — each rank compacts a host-call
+//! burst into a summary record, and the ranks start at different
 //! local epochs — then pins the exporters' exact JSON against
 //! `results/trace_compacted.json` and `results/trace_otlp.json`. A second,
 //! hand-built two-rank source covers every branch of the Chrome, OTLP and
@@ -18,8 +18,9 @@ use ipm_repro::gpu::{ProfKind, ProfRecord, StreamId};
 use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
-    validate_chrome_trace, validate_otlp, ChromeTrace, CompactPolicy, Export, ExportRank,
-    MonitorInfo, Otlp, ProfileEntry, RankProfile, TraceAgg, TraceKind, TraceRecord, TraceRing, Xml,
+    compact_records, merge_runs, validate_chrome_trace, validate_otlp, ChromeTrace, CompactPolicy,
+    Export, ExportRank, MonitorInfo, Otlp, ProfileEntry, RankProfile, TraceAgg, TraceKind,
+    TraceRecord, Xml,
 };
 use ipm_repro::sim::RunningStats;
 
@@ -53,19 +54,13 @@ fn rec(
 /// clock (everything offset by its epoch `e`). Dyadic timestamps keep the
 /// exported microsecond values integral, so the JSON is stable digit-for-digit.
 fn rank(r: usize, e: f64, corr: u64) -> ExportRank {
-    let ring = TraceRing::with_policy(64, CompactPolicy::with_high_water(4));
-    for i in 0..6 {
-        let b = e + i as f64 * 0.25;
-        ring.push(rec(
-            TraceKind::Call,
-            "cudaMemcpy(H2D)",
-            b,
-            b + 0.125,
-            None,
-            0,
-        ));
-    }
-    ring.push(rec(
+    let mut burst: Vec<TraceRecord> = (0..6)
+        .map(|i| {
+            let b = e + i as f64 * 0.25;
+            rec(TraceKind::Call, "cudaMemcpy(H2D)", b, b + 0.125, None, 0)
+        })
+        .collect();
+    burst.push(rec(
         TraceKind::Call,
         "cudaLaunch",
         e + 1.5,
@@ -73,7 +68,10 @@ fn rank(r: usize, e: f64, corr: u64) -> ExportRank {
         None,
         corr,
     ));
-    ring.push(rec(
+    // the six copies fold into one summary; the correlated launch stays raw
+    let folded = compact_records(&mut burst, &CompactPolicy::with_high_water(1));
+    assert_eq!(folded, 5, "burst must compact");
+    burst.push(rec(
         TraceKind::KernelExec,
         "@CUDA_EXEC_STRM00",
         e + 1.75,
@@ -81,9 +79,9 @@ fn rank(r: usize, e: f64, corr: u64) -> ExportRank {
         Some(0),
         corr,
     ));
-    // pushed after the exec record but earlier in time: exercises the
-    // tail check and the merged drain
-    ring.push(rec(
+    // appended after the exec record but earlier in time, as a host-idle
+    // probe appends to a ring: exercises the merged drain's ordering
+    burst.push(rec(
         TraceKind::HostIdle,
         "@CUDA_HOST_IDLE",
         e + 1.625,
@@ -91,16 +89,11 @@ fn rank(r: usize, e: f64, corr: u64) -> ExportRank {
         None,
         0,
     ));
-    assert_eq!(
-        ring.counters().captured + ring.counters().dropped + ring.counters().compacted,
-        ring.counters().emitted
-    );
-    assert!(ring.counters().compacted > 0, "burst must compact");
     ExportRank {
         rank: r,
         host: format!("dirac{r:02}"),
         epoch: e,
-        records: ring.drain(),
+        records: merge_runs(vec![burst]),
         ..ExportRank::default()
     }
 }

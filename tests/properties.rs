@@ -4,8 +4,9 @@ use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::table::CELL_SLOTS;
 use ipm_repro::ipm::{
-    merge_runs, validate_chrome_trace, ChromeTrace, CompactPolicy, Export, ExportRank, PerfTable,
-    ProfileEntry, RankProfile, SigKey, TraceAgg, TraceKind, TraceRecord, TraceRing, Xml,
+    compact_records, merge_runs, validate_chrome_trace, ChromeTrace, CompactPolicy, Export,
+    ExportRank, PerfTable, ProfileEntry, RankProfile, SigKey, TraceAgg, TraceKind, TraceRecord,
+    TraceRing, Xml,
 };
 use ipm_repro::numlib::{blaskernels, fftkernels, Complex64, FftDirection, Transpose};
 use ipm_repro::sim::{RunningStats, SimClock, SimRng};
@@ -646,7 +647,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Trace compaction: conservation, bounding, and merge-vs-sort equivalence
+// Trace summaries: conservation, export, and merge-vs-sort equivalence
 // ---------------------------------------------------------------------
 
 /// Timestamp quantum for conservation properties: durations and gaps are
@@ -657,47 +658,37 @@ const Q: f64 = 1.0 / (1 << 20) as f64;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// Compaction conserves per-signature event count and total busy time
-    /// EXACTLY (not approximately), whatever the record stream or cap;
-    /// summary min/max never escape the durations actually merged; and the
-    /// widened accounting invariant closes.
+    /// `compact_records` over a time-ordered stream conserves per-signature
+    /// event count and total busy time EXACTLY (not approximately),
+    /// whatever the stream; summary min/max never escape the durations
+    /// actually merged; and the pass reports exactly what it folded away.
     #[test]
     fn compaction_conserves_per_signature_count_and_time(
-        capacity in 32usize..400,
-        high_water in 4usize..48,
+        high_water in 1usize..48,
         // (signature index, duration steps, gap steps)
         stream in prop::collection::vec((0usize..4, 1u32..64, 0u32..32), 1..400),
     ) {
         let names = ["cudaLaunch", "cudaMemcpy(H2D)", "MPI_Allreduce", "@CUDA_HOST_IDLE"];
-        let ring = TraceRing::with_policy(capacity, CompactPolicy::with_high_water(high_water));
-        // reference model: per-signature (count, total, min, max) over the
-        // records the ring actually accepted
+        // reference model: per-signature (count, total, min, max)
         let mut model = std::collections::HashMap::<usize, (u64, f64, f64, f64)>::new();
+        let mut records = Vec::with_capacity(stream.len());
         let mut t = 0.0f64;
-        let mut accepted = 0u64;
         for &(sig, dur, gap) in &stream {
             let begin = t + gap as f64 * Q;
             let end = begin + dur as f64 * Q;
             t = end;
             let kind = if sig == 3 { TraceKind::HostIdle } else { TraceKind::Call };
-            if ring.push(trace_rec(kind, names[sig], begin, end, None, 0)) {
-                accepted += 1;
-                let e = model.entry(sig).or_insert((0, 0.0, f64::INFINITY, 0.0));
-                e.0 += 1;
-                e.1 += dur as f64 * Q;
-                e.2 = e.2.min(dur as f64 * Q);
-                e.3 = e.3.max(dur as f64 * Q);
-            }
+            records.push(trace_rec(kind, names[sig], begin, end, None, 0));
+            let e = model.entry(sig).or_insert((0, 0.0, f64::INFINITY, 0.0));
+            e.0 += 1;
+            e.1 += dur as f64 * Q;
+            e.2 = e.2.min(dur as f64 * Q);
+            e.3 = e.3.max(dur as f64 * Q);
         }
-        prop_assert_eq!(
-            ring.counters().captured + ring.counters().dropped + ring.counters().compacted,
-            ring.counters().emitted
-        );
-        prop_assert_eq!(ring.counters().emitted, stream.len() as u64);
-        prop_assert_eq!(ring.counters().emitted - ring.counters().dropped, accepted);
-        let drained = ring.drain();
+        let folded = compact_records(&mut records, &CompactPolicy::with_high_water(high_water));
+        prop_assert_eq!(records.len() + folded, stream.len());
         let mut got = std::collections::HashMap::<usize, (u64, f64)>::new();
-        for r in &drained {
+        for r in &records {
             let sig = names.iter().position(|n| **n == *r.name).expect("known name");
             let e = got.entry(sig).or_default();
             e.0 += r.event_count();
@@ -720,17 +711,17 @@ proptest! {
         }
     }
 
-    /// A compacted drain always exports to structurally valid Chrome trace
-    /// JSON, summaries rendered as self-contained `X` events and raw
-    /// records as nested `B`/`E` pairs.
+    /// A drained ring, full or not, compacted into summaries always exports
+    /// to structurally valid Chrome trace JSON, summaries rendered as
+    /// self-contained `X` events and raw records as nested `B`/`E` pairs.
     #[test]
     fn compacted_drain_exports_valid_chrome_trace(
-        high_water in 2usize..24,
+        capacity in 8usize..500,
         // (signature index, duration steps, gap steps)
         stream in prop::collection::vec((0usize..4, 1u32..64, 0u32..16), 1..400),
     ) {
         let names = ["cudaLaunch", "cudaMemcpy(H2D)", "@CUDA_HOST_IDLE", "@CUDA_EXEC_STRM00"];
-        let ring = TraceRing::with_policy(1 << 12, CompactPolicy::with_high_water(high_water));
+        let ring = TraceRing::new(capacity, 1);
         let mut t = 0.0f64;
         for &(sig, dur, gap) in &stream {
             let begin = t + gap as f64 * Q;
@@ -743,11 +734,13 @@ proptest! {
             };
             ring.push(trace_rec(kind, names[sig], begin, end, stream_id, 0));
         }
+        let mut records = ring.drain();
+        compact_records(&mut records, &CompactPolicy::with_high_water(1));
         let rank = ExportRank {
             rank: 0,
             host: "dirac00".to_owned(),
             epoch: 0.0,
-            records: ring.drain(),
+            records,
             ..ExportRank::default()
         };
         let json = Export::new()
@@ -842,64 +835,6 @@ proptest! {
     }
 }
 
-/// A 1M-event synthetic run against a 4k-record high-water mark stays
-/// under the cap without dropping a single event's accounting, and
-/// conserves per-signature count and busy time exactly.
-#[test]
-fn million_event_run_stays_under_cap_and_conserves() {
-    const HW: usize = 4096;
-    const N: u64 = 1_000_000;
-    let ring = TraceRing::with_policy(1 << 16, CompactPolicy::with_high_water(HW));
-    let names = ["cudaLaunch", "cudaMemcpy(D2H)", "MPI_Send"];
-    let mut t = 0.0f64;
-    let mut pushed_per_sig = [0u64; 3];
-    for i in 0..N {
-        // bursty mix: runs of identical calls, the shape compaction targets
-        let sig = ((i / 64) % 3) as usize;
-        let dur = ((i % 13) + 1) as f64 * Q;
-        let accepted = ring.push(trace_rec(TraceKind::Call, names[sig], t, t + dur, None, 0));
-        assert!(accepted, "compacting ring must never drop (event {i})");
-        pushed_per_sig[sig] += 1;
-        t += dur + Q;
-    }
-    assert_eq!(ring.counters().emitted, N);
-    assert_eq!(ring.counters().dropped, 0);
-    assert_eq!(
-        ring.counters().captured + ring.counters().compacted,
-        N,
-        "accounting closes"
-    );
-    // A pass leaves at most one record per 64-event burst (neighbouring
-    // bursts differ in signature, so they never merge), and the compaction
-    // gate lets the buffer grow by an eighth of its length before the next
-    // pass: the resident count M obeys M <= max(HW + HW/8, bursts + M/8).
-    let bursts = N.div_ceil(64) as usize;
-    let cap = (HW + HW / 8 + 1).max(bursts + bursts / 7 + 1);
-    assert!(
-        ring.len() <= cap,
-        "resident {} exceeds bound {cap}",
-        ring.len()
-    );
-    assert!(ring.high_water_mark() <= cap as u64);
-    let drained = ring.drain();
-    assert!(drained.len() <= cap);
-    let mut count_per_sig = [0u64; 3];
-    let mut total_per_sig = [0.0f64; 3];
-    for r in &drained {
-        let sig = names.iter().position(|n| **n == *r.name).unwrap();
-        count_per_sig[sig] += r.event_count();
-        total_per_sig[sig] += r.busy_total();
-    }
-    // expected totals, accumulated the same exact-dyadic way
-    let mut want_total = [0.0f64; 3];
-    for i in 0..N {
-        let sig = ((i / 64) % 3) as usize;
-        want_total[sig] += ((i % 13) + 1) as f64 * Q;
-    }
-    assert_eq!(count_per_sig, pushed_per_sig, "event counts conserved");
-    assert_eq!(total_per_sig, want_total, "busy time conserved exactly");
-}
-
 // ---------------------------------------------------------------------
 // MPI ordering
 // ---------------------------------------------------------------------
@@ -937,14 +872,13 @@ mod otlp_props {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Whatever a trace ring hands back — compacted summaries, partial
-        /// launch/kernel pairs, dropped records — the
+        /// Whatever a trace ring hands back — partial launch/kernel pairs,
+        /// dropped records — compacted into summaries, the
         /// OTLP backend renders a document [`validate_otlp`] accepts, and
         /// the spans/links it reports never exceed what went in.
         #[test]
         fn arbitrary_ring_contents_export_to_valid_otlp(
             capacity in 8usize..300,
-            high_water in 2usize..24,
             epoch in 0.0f64..4.0,
             // (signature index, duration steps, gap steps, corr)
             stream in prop::collection::vec(
@@ -959,8 +893,7 @@ mod otlp_props {
                 "@CUDA_EXEC_STRM00",
                 "odd \"name\" with \\escapes",
             ];
-            let ring =
-                TraceRing::with_policy(capacity, CompactPolicy::with_high_water(high_water));
+            let ring = TraceRing::new(capacity, 1);
             let mut t = 0.0f64;
             let mut launches = 0usize;
             for &(sig, dur, gap, corr) in &stream {
@@ -980,12 +913,14 @@ mod otlp_props {
                     launches += 1;
                 }
             }
+            let mut records = ring.drain();
+            compact_records(&mut records, &CompactPolicy::with_high_water(1));
             let json = Export::new()
                 .with_trace_rank(ExportRank {
                     rank: 3,
                     host: "dirac03".to_owned(),
                     epoch,
-                    records: ring.drain(),
+                    records,
                     ..ExportRank::default()
                 })
                 .to(Otlp)
